@@ -7,13 +7,15 @@ Covers four families, all with certified relative-error truncation:
 * the factorial variant with a_n = (n!)^alpha, b_n = (n!)^beta,
 * the power-series variant with a geometric factor x^n.
 
-Power-logarithmic sums run ascending with compensated block accumulation.
-When the comparison-integral bound certifies the omitted tail within the
-head budget the sum is returned as-is; otherwise the tail past the head is
-replaced by an Euler-Maclaurin corrected integral whose remainder is
-estimated from the closed-form derivative of the summand, so radii far
-beyond any feasible term count stay cheap. The factorial family is summed
-in shifted log space around its sharply peaked terms.
+Power-logarithmic sums add doubling blocks of terms from n = 2 and, at
+each block end N, the Euler-Maclaurin tail from N (``tails``): the
+integral of the summand plus boundary corrections, with the DLMF 2.10(i)
+remainder bound plus the quadrature error as the certificate. They stop
+at the first block end where that bound is within rel_tol, usually the
+first, so radii far beyond any feasible term count stay cheap. Values that
+are not normal doubles raise ``NumericError`` instead of returning 0. The
+factorial family is summed in shifted log space around its sharply peaked
+terms.
 
 Everything is pure and safe for concurrent use; sequence callbacks must be
 reentrant.
@@ -21,7 +23,9 @@ reentrant.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,7 +40,13 @@ from .errors import (
     ResourceLimitError,
 )
 from .special import log_factorial
-from .tails import powerlog_majorant_is_decreasing, powerlog_tail_integral
+from .tails import (
+    Jet,
+    euler_maclaurin_tail,
+    exp_poly_tail,
+    powerlog_majorant_is_decreasing,
+    powerlog_tail_integral,
+)
 
 __all__ = [
     "PowerLogParams",
@@ -56,7 +66,6 @@ __all__ = [
 
 DEFAULT_HARD_CAP = 1_000_000_000
 DEFAULT_GENERAL_CAP = 1_000_000
-DEFAULT_HEAD_BUDGET = 2_000_000
 
 _MAX_BLOCK = 1 << 20
 
@@ -73,6 +82,21 @@ def _check_rel_tol(rel_tol: float) -> float:
     if not (0.0 < rel_tol <= 1e-2):
         raise ParameterError(f"rel_tol must lie in (0, 1e-2], got {rel_tol}")
     return rel_tol
+
+
+def _sequence_values(s: SequencePair, n: int) -> tuple[float, object]:
+    """(a_n as a float, b_n as returned); NaN or inf from either is a contract violation.
+
+    b_n may be a big int, which has no float form, so it is tested by
+    comparison rather than ``math.isfinite``.
+    """
+    a_n = float(s.a(n))
+    b_n = s.b(n)
+    if not math.isfinite(a_n) or b_n != b_n or abs(b_n) == math.inf:
+        raise ContractViolationError(
+            f"sequences must be finite, got a({n}) = {a_n}, b({n}) = {b_n}"
+        )
+    return a_n, b_n
 
 
 @dataclass(frozen=True)
@@ -194,33 +218,14 @@ class EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def _powerlog_logterms(p: PowerLogParams, log_r2: float, ns: np.ndarray) -> np.ndarray:
-    ln = np.log(ns)
-    ll = np.log(ln)
+def _powerlog_log_summand(p: PowerLogParams, log_r2: float, lx):
+    """log of the summand as a function of lx = log n (float, array or Jet)."""
+    ll = np.log(lx)
     return (
-        p.alpha * ln
+        p.alpha * lx
         + p.gamma * ll
-        - (p.mu + 1.0) * np.logaddexp(p.beta * ln + p.delta * ll, log_r2)
+        - (p.mu + 1.0) * np.logaddexp(p.beta * lx + p.delta * ll, log_r2)
     )
-
-
-def _powerlog_f(p: PowerLogParams, log_r2: float, x: float) -> float:
-    ln = math.log(x)
-    ll = math.log(ln)
-    return math.exp(
-        p.alpha * ln
-        + p.gamma * ll
-        - (p.mu + 1.0) * np.logaddexp(p.beta * ln + p.delta * ll, log_r2)
-    )
-
-
-def _powerlog_fprime(p: PowerLogParams, log_r2: float, x: float) -> float:
-    """Closed-form derivative of the summand, overflow-safe via log ratios."""
-    ln = math.log(x)
-    b_log = p.beta * ln + p.delta * math.log(ln)
-    rho = math.exp(b_log - np.logaddexp(b_log, log_r2))  # b / (b + r^2) in (0, 1)
-    bracket = (p.alpha + p.gamma / ln) - (p.mu + 1.0) * (p.beta + p.delta / ln) * rho
-    return _powerlog_f(p, log_r2, x) * bracket / x
 
 
 def _solve_b_equals(p: PowerLogParams, target: float) -> float:
@@ -242,69 +247,55 @@ def _solve_b_equals(p: PowerLogParams, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _powerlog_em_tail(
-    p: PowerLogParams, log_r2: float, start: int
-) -> tuple[float, float]:
-    """Euler-Maclaurin value and error certificate for the sum from ``start`` on.
+def _powerlog_tail_integral(
+    p: PowerLogParams, log_r2: float, u0: float
+) -> tuple[float, float, tuple[float, float]]:
+    """Integral of the summand over [exp(u0), inf), its error, and where it turns.
 
-    Sum_{n>=N} f(n) = int_N^inf f + f(N)/2 - f'(N)/12 + R, with |R| estimated
-    from the integrated magnitude of f''' (finite differences of the exact
-    f'). The integral runs in u = log x coordinates, split at the summand
-    peak, with the far tail bounded by the r^2-free power-log majorant.
+    The quadrature runs in u = log x coordinates, split at the summand peak;
+    past the point where r^2 is 1e-12 of b the integral is the r^2-free
+    power-log majorant in closed form, whose excess counts as error.
+    Returns the two split points (u-coordinates) as the third item.
     """
     mu1 = p.mu + 1.0
-    u0 = math.log(start)
 
     def integrand(u: float) -> float:
-        lu = math.log(u)
-        return math.exp(
-            (p.alpha + 1.0) * u
-            + p.gamma * lu
-            - mu1 * np.logaddexp(p.beta * u + p.delta * lu, log_r2)
-        )
+        return math.exp(u + _powerlog_log_summand(p, log_r2, u))
 
     u_peak = max(_solve_b_equals(p, log_r2), u0)
     u_hi = max(_solve_b_equals(p, log_r2 + math.log(1e12)), u0 + 1.0)
-
     integral = 0.0
     quad_err = 0.0
-    pieces = []
-    if u0 < u_peak:
-        pieces.append((u0, u_peak))
-        pieces.append((u_peak, u_hi))
-    elif u0 < u_hi:
-        pieces.append((u0, u_hi))
-    for a, b in pieces:
-        val, err = quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=400)
-        integral += val
-        quad_err += err
+    for a, b in ((u0, u_peak), (u_peak, u_hi)):
+        if b > a:
+            val, err = quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=400)
+            integral += val
+            quad_err += err
 
     # Far tail: drop r^2 from the denominator; overestimates by <= (1+1e-12)^(mu+1).
-    a_pow = p.alpha - p.beta * mu1
-    b_pow = p.gamma - p.delta * mu1
-    far = powerlog_tail_integral(a_pow, b_pow, math.exp(min(u_hi, 700.0)))
+    far = exp_poly_tail(-(p.alpha - p.beta * mu1 + 1.0), p.gamma - p.delta * mu1, u_hi)
     integral += far
     quad_err += far * (mu1 * 1e-12 + 1e-13)
+    return integral, quad_err, (u_peak, u_hi)
 
-    f0 = _powerlog_f(p, log_r2, float(start))
-    f1 = _powerlog_fprime(p, log_r2, float(start))
-    tail_value = integral + 0.5 * f0 - f1 / 12.0
 
-    # |R| <~ 0.05 * int |f'''|; f''' from central differences of exact f'.
-    def f3(x: float) -> float:
-        h = max(x * 1e-3, 1e-3)
-        return (
-            _powerlog_fprime(p, log_r2, x + h)
-            - 2.0 * _powerlog_fprime(p, log_r2, x)
-            + _powerlog_fprime(p, log_r2, x - h)
-        ) / (h * h)
+def _powerlog_peak(p: PowerLogParams, log_r2: float, u_lo: float) -> int:
+    """Index of the largest summand at or beyond exp(u_lo), the summand rising there.
 
-    grid_hi = min(math.exp(min(u_hi, 700.0)) * 4.0, 1e280)
-    grid = np.geomspace(float(start), max(grid_hi, start * 4.0), 48)
-    f3_vals = np.array([abs(f3(x)) for x in grid])
-    int_f3 = float(np.sum(0.5 * (f3_vals[1:] + f3_vals[:-1]) * np.diff(grid)))
-    certificate = 0.2 * int_f3 + quad_err
-    return tail_value, certificate
+    Bisects on the sign of d log f / d log x (the jet's first coefficient)
+    up to where r^2 is 1e-12 of b, past which the summand only falls.
+    """
+    lo = u_lo
+    hi = max(_solve_b_equals(p, log_r2 + math.log(1e12)), lo)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _powerlog_log_summand(p, log_r2, Jet.log_variable(mid, 1)).c[1] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x = math.exp(min(lo, 700.0))
+    candidates = {max(int(x), 2), int(x) + 1}
+    return max(candidates, key=lambda n: _powerlog_log_summand(p, log_r2, math.log(n)))
 
 
 def eval_powerlog(
@@ -312,73 +303,79 @@ def eval_powerlog(
     r: float,
     rel_tol: float = 1e-8,
     hard_cap: int = DEFAULT_HARD_CAP,
-    head_budget: int = DEFAULT_HEAD_BUDGET,
 ) -> EvalResult:
     """Sum of n^alpha (log n)^gamma / (n^beta (log n)^delta + r^2)^(mu+1), n >= 2.
 
-    Ascending compensated summation; the returned ``tail_bound`` certifies
-    the omitted tail (or the tail-correction error) at <= rel_tol * value.
-    Raises ``ResourceLimitError`` when no certificate is reachable within
-    ``hard_cap`` summed terms.
+    Sums doubling blocks from n = 2 and, at each block end N, adds the
+    Euler-Maclaurin tail from N with its remainder bound; it stops at the
+    first N where that bound is <= rel_tol * value and returns it as
+    ``tail_bound``. Raises ``ResourceLimitError`` once ``hard_cap`` terms
+    leave the bound above rel_tol or the tail integral's error is predicted
+    to, and at once when rel_tol is below the double-precision resolution
+    of the value; raises ``NumericError`` when the value is not a normal
+    double.
     """
     r = float(r)
     if not (math.isfinite(r) and r > 1.0):
         raise DomainError(f"eval_powerlog requires r > 1, got {r}")
     rel_tol = _check_rel_tol(rel_tol)
-    head_budget = int(min(head_budget, hard_cap))
 
     log_r2 = 2.0 * math.log(r)
+    log_f = functools.partial(_powerlog_log_summand, p, log_r2)
     mu1 = p.mu + 1.0
     a_pow = p.alpha - p.beta * mu1  # majorant power, < -1 by the invariant
     b_pow = p.gamma - p.delta * mu1
-
     block_sums: list[float] = []
     best_log = -math.inf
     peak_index = 2
     n = 2
     block = 4096
-    x_peak = math.exp(min(_solve_b_equals(p, log_r2), 700.0))
+    while True:
+        stop = min(n + block, 2 + hard_cap)
+        if stop > n:
+            ns = np.arange(n, stop, dtype=np.float64)
+            logterms = log_f(np.log(ns))
+            i = int(np.argmax(logterms))
+            if logterms[i] > best_log:
+                best_log = float(logterms[i])
+                peak_index = n + i
+            block_sums.append(float(np.sum(np.exp(logterms))))
+            n = stop
+            block = min(block * 2, _MAX_BLOCK)
 
-    def partial() -> float:
-        return math.fsum(block_sums)
+        integral, integral_err, breaks = _powerlog_tail_integral(p, log_r2, math.log(n))
+        tail_value, bound = euler_maclaurin_tail(log_f, n, integral, integral_err, breaks)
+        value = math.fsum(block_sums) + tail_value
+        if value < sys.float_info.min:
+            raise NumericError(
+                f"eval_powerlog value {value:.3e} at r={r} is below the smallest normal double"
+            )
+        if bound <= rel_tol * value:
+            break
+        # The integral's error is a near-fixed fraction of the integral
+        # (quadrature roundoff). From the cap on, the integral is at most the
+        # r^2-free majorant's tail, and close to it past the summand peak;
+        # when that fraction of it still exceeds rel_tol, give up now rather
+        # than sum toward the cap.
+        err_at_cap = 0.0
+        if integral > 0.0:
+            cap_tail = exp_poly_tail(-(a_pow + 1.0), b_pow, math.log(2.0 + hard_cap))
+            err_at_cap = integral_err / integral * min(cap_tail, integral)
+        if (
+            n - 2 >= hard_cap
+            or rel_tol < sys.float_info.epsilon
+            or err_at_cap > rel_tol * value
+        ):
+            raise ResourceLimitError(
+                f"eval_powerlog cannot certify rel_tol={rel_tol} within {hard_cap} terms "
+                f"(best bound {bound / value:.3e} relative, after {n - 2} terms)",
+                cap=hard_cap,
+                bound_achieved=bound,
+            )
 
-    certified_bound: Optional[float] = None
-    while n <= head_budget:
-        stop = min(n + block, head_budget + 1)
-        ns = np.arange(n, stop, dtype=np.float64)
-        logterms = _powerlog_logterms(p, log_r2, ns)
-        i = int(np.argmax(logterms))
-        if logterms[i] > best_log:
-            best_log = float(logterms[i])
-            peak_index = n + i
-        block_sums.append(float(np.sum(np.exp(logterms))))
-        n = stop
-        block = min(block * 2, _MAX_BLOCK)
-
-        if n >= 64 and n >= x_peak and powerlog_majorant_is_decreasing(a_pow, b_pow, n):
-            log_n = math.log(n)
-            majorant_at_n = math.exp(a_pow * log_n + b_pow * math.log(log_n))
-            bound = majorant_at_n + powerlog_tail_integral(a_pow, b_pow, float(n))
-            if bound <= rel_tol * partial():
-                certified_bound = bound
-                break
-
-    total = partial()
-    terms_used = n - 2
-    if certified_bound is not None:
-        return EvalResult(total, certified_bound, terms_used, peak_index)
-
-    # Tail correction past the head.
-    tail_value, certificate = _powerlog_em_tail(p, log_r2, n)
-    value = total + tail_value
-    if certificate <= rel_tol * value:
-        return EvalResult(value, certificate, terms_used, peak_index)
-    raise ResourceLimitError(
-        f"eval_powerlog could not certify rel_tol={rel_tol} within {head_budget} terms "
-        f"(best bound {certificate / value:.3e} relative)",
-        cap=hard_cap,
-        bound_achieved=certificate,
-    )
+    if peak_index == n - 1:  # still rising at the head's end
+        peak_index = _powerlog_peak(p, log_r2, math.log(n - 1))
+    return EvalResult(value, bound, n - 2, peak_index)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +504,7 @@ def eval_general(
 
     n = n_start
     while n < n_start + hard_cap:
-        a_n = float(s.a(n))
-        b_n = s.b(n)
+        a_n, b_n = _sequence_values(s, n)
         if a_n < 0.0:
             raise ContractViolationError(f"sequence a must be nonnegative, a({n}) = {a_n}")
         if n >= s.b_monotone_from:
@@ -641,7 +637,13 @@ def eval_factorial(
 
     # Exact recombination of the collected terms (their count is tiny).
     shift = max(log_terms)
-    value = math.exp(shift) * math.fsum(math.exp(t - shift) for t in log_terms)
+    mass = math.fsum(math.exp(t - shift) for t in log_terms)
+    value = math.exp(shift) * mass
+    if value < sys.float_info.min:
+        raise NumericError(
+            f"eval_factorial value at r={r} is below the smallest normal double "
+            f"(log value {shift + math.log(mass):.6g})"
+        )
     peak_index = int(np.argmax(log_terms))
     return EvalResult(
         value=value,
@@ -692,12 +694,12 @@ def eval_power_series(
     g_coeff = growth[0] if declared else 0.0
 
     total = []
+    running, compensation = 0.0, 0.0  # Neumaier sum of ``total``, for the stopping test
     xn = 1.0
     ax = abs(x)
     n = 0
     while n < hard_cap:
-        a_n = float(s.a(n))
-        b_n = s.b(n)
+        a_n, b_n = _sequence_values(s, n)
         norm = abs(a_n) / max(n, 1) ** g_pow
         if declared:
             if norm > g_coeff * (1.0 + 1e-12):
@@ -707,7 +709,14 @@ def eval_power_series(
         else:
             g_coeff = max(g_coeff, 2.0 * norm)
         term_mag = _general_term(abs(a_n), b_n, log_r2, mu1) * abs(xn)
-        total.append(math.copysign(term_mag, a_n * xn) if term_mag else 0.0)
+        term = math.copysign(term_mag, a_n * xn) if term_mag else 0.0
+        total.append(term)
+        t = running + term
+        if abs(running) >= abs(term):
+            compensation += (running - t) + term
+        else:
+            compensation += (term - t) + running
+        running = t
         xn *= x
         n += 1
 
@@ -722,7 +731,7 @@ def eval_power_series(
                     - mu1 * log_r2
                     - math.log1p(-q)
                 )
-                partial = abs(math.fsum(total))
+                partial = abs(running + compensation)
                 if partial > 0.0 and log_tail <= math.log(rel_tol * partial):
                     return math.fsum(total)
     raise ResourceLimitError(

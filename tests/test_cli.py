@@ -54,6 +54,19 @@ def test_eval_divergent_factorial_rejected(capsys):
     assert "alpha - beta*(mu+1)" in err
 
 
+@pytest.mark.parametrize(
+    "family, r", [("factorial", "1e150"), ("powerlog", "1e160")]
+)
+def test_eval_unrepresentable_value_exit_1(capsys, family, r):
+    # the sums lie below the smallest normal double: an error, not a 0.0 record
+    code, out, err = run_cli(
+        capsys, "eval", family, "--alpha", "1", "--beta", "2", "--mu", "1", "--r", r
+    )
+    assert code == 1
+    assert out == ""
+    assert "smallest normal double" in err
+
+
 def test_eval_invalid_powerlog_exit_2(capsys):
     code, _, err = run_cli(
         capsys, "eval", "powerlog", "--alpha", "1", "--beta", "1", "--mu", "0", "--r", "10"

@@ -1,6 +1,8 @@
 """Series evaluators against brute-force and exact-rational oracles."""
 
 import math
+import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from mathieu_series.errors import (
     ContractViolationError,
     DomainError,
+    NumericError,
     ParameterError,
     ResourceLimitError,
 )
@@ -105,10 +108,58 @@ def test_powerlog_domain_and_parameters():
 
 
 def test_powerlog_resource_cap():
-    # a 2000-term head cannot push the tail certificate below 1e-14 here
+    # rel_tol below the tail integral's quadrature floor (~3e-14 of the value
+    # while the summand peak, n ~ 5.8e8, lies past the head), and below the
+    # double-precision resolution of the value: both give up at the first
+    # block end instead of summing toward hard_cap.
+    p = PowerLogParams(1, 2, 0, 0, 1)
+    for r, rel_tol in ((1e9, 1e-15), (1e6, 1e-17)):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            eval_powerlog(p, r, rel_tol=rel_tol)
+        assert time.perf_counter() - t0 < 1.0
+        assert err.value.bound_achieved > rel_tol * 0.5 / r**2  # the value is ~1/(2 r^2)
+    # Before the summand peak (n ~ 5.8e5) the tail integral's quadrature
+    # error keeps the bound above 1e-14 of the value; 100 terms stop there.
     with pytest.raises(ResourceLimitError) as err:
-        eval_powerlog(PowerLogParams(1, 2, 0, 0, 1), 1e6, rel_tol=1e-14, head_budget=2000)
-    assert err.value.bound_achieved is not None
+        eval_powerlog(p, 1e6, rel_tol=1e-14, hard_cap=100)
+    assert err.value.cap == 100
+    assert err.value.bound_achieved > 1e-14 * 5e-13
+
+
+def test_powerlog_head_stays_short():
+    # the tail from the first block end certifies every thm11 input
+    for p in [
+        PowerLogParams(1, 2, 0, 0, 1),
+        PowerLogParams(1, 2, 1, 1, 1),
+        PowerLogParams(2, 3, -1, 2, 1),
+        PowerLogParams(1, 1, 0, 1, 2),
+    ]:
+        for k in range(2, 7):
+            res = eval_powerlog(p, 10.0**k, rel_tol=1e-9)
+            assert res.terms_used <= 10**5
+            assert res.tail_bound <= 1e-9 * res.value
+
+
+def test_powerlog_peak_past_the_head():
+    # beta = 1, delta = 1: the largest summand sits where n log n ~ r^2/2
+    # (mu+1 = 2, alpha = 1), far beyond the summed head
+    p = PowerLogParams(1, 1, 0, 1, 2)
+    r = 1e4
+    res = eval_powerlog(p, r, rel_tol=1e-9)
+    assert res.peak_index > res.terms_used
+    log_term = lambda n: math.log(n) - 3.0 * math.log(n * math.log(n) + r * r)
+    assert log_term(res.peak_index) >= max(
+        log_term(res.peak_index - 1), log_term(res.peak_index + 1)
+    )
+
+
+def test_powerlog_unrepresentable_value():
+    # the sum is ~5e-321 here: a subnormal, so no certified value exists
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            eval_powerlog(PowerLogParams(1, 2, 0, 0, 1), 1e160)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +204,20 @@ def test_general_monotonicity_contract():
     )
     with pytest.raises(ContractViolationError):
         eval_general(seq, 1.0, 10.0, rel_tol=1e-4, hard_cap=200)
+
+
+def test_general_non_finite_callback():
+    # a NaN or an inf surfaces at its term, not at the term cap
+    nan_at_50 = SequencePair(
+        a=lambda n: math.nan if n == 50 else 1.0, b=lambda n: float(n) ** 2, b_monotone_from=0
+    )
+    with pytest.raises(ContractViolationError, match="a\\(50\\)"):
+        eval_general(nan_at_50, 1.0, 10.0, rel_tol=1e-8)
+    inf_b = SequencePair(
+        a=lambda n: 1.0, b=lambda n: math.inf if n >= 7 else float(n) ** 2, b_monotone_from=0
+    )
+    with pytest.raises(ContractViolationError, match="b\\(7\\)"):
+        eval_general(inf_b, 1.0, 10.0, rel_tol=1e-8)
 
 
 def test_general_explicit_envelope_and_cap():
@@ -296,6 +361,12 @@ def test_factorial_tail_certification():
         assert abs(fine - coarse) <= tol * coarse
 
 
+def test_factorial_unrepresentable_value():
+    # (1,2,1) at r = 1e150 sums to ~1e-600: not a double, never a silent 0.0
+    with pytest.raises(NumericError):
+        eval_factorial(FactorialParams(1, 2, 1), 1e150)
+
+
 def test_factorial_small_radius_allowed():
     # evaluation tolerates r <= 1 even though the asymptotics do not
     res = eval_factorial(FactorialParams(1, 2, 0.5), 0.5, rel_tol=1e-10)
@@ -345,3 +416,26 @@ def test_power_series_domain():
         eval_power_series(seq, 0.0, 1.0, 10.0)
     with pytest.raises(DomainError):
         eval_power_series(seq, 0.0, -1.5, 10.0)
+
+
+def test_power_series_non_finite_callback():
+    seq = SequencePair(
+        a=lambda n: math.nan if n == 50 else 1.0, b=lambda n: float(n) ** 2, b_monotone_from=0
+    )
+    with pytest.raises(ContractViolationError, match="a\\(50\\)"):
+        eval_power_series(seq, 0.0, 0.5, 10.0)
+    # b past the float range (a big int, no float form) stays admissible
+    big = SequencePair(a=lambda n: 1.0, b=lambda n: 10 ** (300 + n), b_monotone_from=0)
+    assert eval_power_series(big, 0.0, 0.5, 10.0) > 0.0
+    big = SequencePair(a=lambda n: 1.0, b=lambda n: 10 ** (20 + n), b_monotone_from=0)
+    assert eval_power_series(big, 0.0, 0.5, 10.0) > 0.0
+
+
+def test_power_series_slow_geometric_is_linear_time():
+    # x = 0.995 needs ~8000 terms; a full re-sum per term made this quadratic
+    seq = SequencePair(a=lambda n: 1.0, b=lambda n: float(n) ** 2, b_monotone_from=0)
+    t0 = time.perf_counter()
+    value = eval_power_series(seq, 0.0, 0.995, 1.0, rel_tol=1e-10)
+    assert time.perf_counter() - t0 < 2.0
+    oracle = math.fsum(0.995**n / (n * n + 1.0) for n in range(20000))
+    assert value == pytest.approx(oracle, rel=1e-10)
