@@ -10,12 +10,19 @@ Mathieu series with optimal truncation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .dirichlet import is_positive_integer
-from .errors import CapacityError, DomainError, ParameterError, PreconditionError
+from .errors import (
+    CapacityError,
+    DomainError,
+    NumericError,
+    ParameterError,
+    PreconditionError,
+)
 from .series import FactorialParams, PowerLogParams, factorial_summand_log, peak_index_n0
 from .special import bernoulli_table, inverse_gamma_log, log_factorial, zeta_neg_odd
 
@@ -45,6 +52,19 @@ class AsymptoticPrediction:
     constant: float
     r_exponent: float
     log_exponent: float
+
+    def value_at(self, r: float) -> float:
+        """constant * r^r_exponent * (log r)^log_exponent for r > 1.
+
+        Raises ``NumericError`` when the value is not a normal double.
+        """
+        log_r = math.log(r)
+        value = self.constant * math.exp(
+            self.r_exponent * log_r + self.log_exponent * math.log(log_r)
+        )
+        if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
+            raise NumericError(f"leading-order value at r={r} is {value}, not a normal double")
+        return value
 
 
 @dataclass(frozen=True)
@@ -127,15 +147,14 @@ def asymptotic_prediction(
 
 
 def predict_powerlog(p: PowerLogParams, r: float) -> float:
-    """Leading-order value C * r^(2(alpha+1)/beta - 2(mu+1)) * (log r)^(gamma - delta(alpha+1)/beta)."""
+    """Leading-order value C * r^(2(alpha+1)/beta - 2(mu+1)) * (log r)^(gamma - delta(alpha+1)/beta).
+
+    Raises ``NumericError`` when the value is not a normal double.
+    """
     r = float(r)
     if not (math.isfinite(r) and r > math.e):
         raise DomainError(f"predict_powerlog requires r > e, got {r}")
-    pred = asymptotic_prediction(p)
-    log_r = math.log(r)
-    return pred.constant * math.exp(
-        pred.r_exponent * log_r + pred.log_exponent * math.log(log_r)
-    )
+    return asymptotic_prediction(p).value_at(r)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -194,19 +195,16 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         delta = args.beta if args.delta_eq_beta else args.delta
         p = PowerLogParams(args.alpha, args.beta, gamma, delta, args.mu)
         pred = asymptotic_prediction(p)
-        log_exponent = pred.log_exponent
         if args.gamma_eq_alpha and args.delta_eq_beta:
-            log_exponent = -1.0  # exact in the closed form, immune to rounding
-        value = pred.constant * math.exp(
-            pred.r_exponent * math.log(args.r) + log_exponent * math.log(math.log(args.r))
-        )
+            # exact in the closed form, immune to rounding
+            pred = dataclasses.replace(pred, log_exponent=-1.0)
         record = {
             "family": "powerlog",
             "r": args.r,
             "constant": pred.constant,
             "r_exponent": pred.r_exponent,
-            "log_exponent": log_exponent,
-            "value": value,
+            "log_exponent": pred.log_exponent,
+            "value": pred.value_at(args.r),
         }
         _emit_record(record, args, ["family", "alpha", "beta", "gamma", "delta", "mu", "r"])
         return 0

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import loggamma as _complex_loggamma
 
 from .errors import DomainError, NumericError, ParameterError
 from .series import FactorialParams, PowerLogParams, _check_rel_tol
-from .tails import euler_maclaurin_tail, exp_poly_tail
+from .tails import euler_maclaurin_tail, exp_poly_tail, quad
 
 __all__ = [
     "DirichletParams",
@@ -317,11 +315,13 @@ def _gamma_line_integral(mu: float, sigma: float) -> float:
     Even in y; truncated where the integrand falls below 1e-18 of its
     center value (the gamma factors decay exponentially in |y|).
     """
+    from scipy.special import loggamma as complex_loggamma
+
     log_norm = math.lgamma(mu + 1.0) + math.log(2.0)
 
     def integrand(y: float) -> float:
         z = 0.5 * (sigma + 1j * y)
-        val = _complex_loggamma(mu + 1.0 - z).real + _complex_loggamma(z).real - log_norm
+        val = complex_loggamma(mu + 1.0 - z).real + complex_loggamma(z).real - log_norm
         return math.exp(val)
 
     center = integrand(0.0)

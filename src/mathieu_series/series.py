@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ContractViolationError,
@@ -46,6 +45,7 @@ from .tails import (
     exp_poly_tail,
     powerlog_majorant_is_decreasing,
     powerlog_tail_integral,
+    quad,
 )
 
 __all__ = [
@@ -68,6 +68,7 @@ DEFAULT_HARD_CAP = 1_000_000_000
 DEFAULT_GENERAL_CAP = 1_000_000
 
 _MAX_BLOCK = 1 << 20
+_LOG_HALF_DBL_MIN = math.log(0.5 * sys.float_info.min)
 
 
 def _require_finite(value, name: str) -> float:
@@ -671,7 +672,8 @@ def eval_power_series(
 
     ``growth = (A, p)`` declares |a_n| <= A * max(n,1)^p, which certifies the
     geometric tail; by default p = 8 with A twice the largest observed
-    normalized coefficient.
+    normalized coefficient. Raises ``NumericError`` once the sum is known to
+    lie below the smallest normal double.
     """
     mu = _require_finite(mu, "mu")
     if mu < 0.0:
@@ -693,6 +695,7 @@ def eval_power_series(
     g_pow = growth[1] if declared else 8.0
     g_coeff = growth[0] if declared else 0.0
 
+    log_rel_tol = math.log(rel_tol)
     total = []
     running, compensation = 0.0, 0.0  # Neumaier sum of ``total``, for the stopping test
     xn = 1.0
@@ -732,8 +735,18 @@ def eval_power_series(
                     - math.log1p(-q)
                 )
                 partial = abs(running + compensation)
-                if partial > 0.0 and log_tail <= math.log(rel_tol * partial):
-                    return math.fsum(total)
+                log_partial = math.log(partial) if partial > 0.0 else -math.inf
+                certified = log_tail <= log_rel_tol + log_partial
+                # |sum| <= partial + tail < the smallest normal double.
+                negligible = max(log_partial, log_tail) < _LOG_HALF_DBL_MIN
+                if certified or negligible:
+                    value = math.fsum(total)
+                    if negligible or abs(value) < sys.float_info.min:
+                        raise NumericError(
+                            f"eval_power_series value at r={r} is below the smallest "
+                            f"normal double (after {n} terms)"
+                        )
+                    return value
     raise ResourceLimitError(
         f"eval_power_series exceeded the term cap {hard_cap}",
         cap=hard_cap,

@@ -1,10 +1,10 @@
 """Foundational special functions.
 
-Log-gamma and log-factorial in double precision, the principal branch of
-Lambert W, a numerical inverse of the gamma function on its increasing
-branch (seeded by a Lambert-W based asymptotic guess), and exact-rational
-Bernoulli numbers with the zeta values at negative odd integers they
-encode.
+Log-gamma, log-factorial and digamma in double precision, the principal
+branch of Lambert W, a numerical inverse of the gamma function on its
+increasing branch (seeded by a Lambert-W based asymptotic guess), and
+exact-rational Bernoulli numbers with the zeta values at negative odd
+integers they encode. Only the standard library is needed here.
 
 Everything here is pure and stateless; the Bernoulli table is built once
 and never mutated.
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy.special import digamma
-
 from .errors import CapacityError, DomainError, NumericError
 
 __all__ = [
@@ -28,6 +26,7 @@ __all__ = [
     "BernoulliTable",
     "bernoulli_table",
     "zeta_neg_odd",
+    "digamma",
     "InverseGammaSeed",
     "inverse_gamma_seed",
     "inverse_gamma",
@@ -180,6 +179,37 @@ def zeta_neg_odd(k: int, table: BernoulliTable | None = None) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Digamma, real argument
+# ---------------------------------------------------------------------------
+
+# B_2k / (2k), k = 1..8: the asymptotic series' coefficients in 1/x^2k.
+_DIGAMMA_COEFFS = tuple(float(b) / (2 * k) for k, b in enumerate(bernoulli_table(16).values) if k)
+
+
+def digamma(x: float) -> float:
+    """psi(x) = d/dx log_gamma(x) for real x > 0.
+
+    Shifts x up to >= 10 with psi(x) = psi(x+1) - 1/x, then sums
+    log x - 1/(2x) - sum_k B_2k / (2k x^2k) through k = 8; the first
+    omitted term is below 4e-18 there. Relative error ~1e-15 for x >= 2;
+    near psi's zero at x = 1.4616 the error is small only in absolute terms.
+    """
+    if not (isinstance(x, (int, float)) and math.isfinite(x)):
+        raise DomainError(f"digamma requires a finite real argument, got {x!r}")
+    if x <= 0.0:
+        raise DomainError(f"digamma requires x > 0, got {x}")
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    t = 1.0 / (x * x)
+    series = 0.0
+    for c in reversed(_DIGAMMA_COEFFS):
+        series = (series + c) * t
+    return math.log(x) - 0.5 / x - series - shift
+
+
+# ---------------------------------------------------------------------------
 # Inverse gamma function on the increasing branch
 # ---------------------------------------------------------------------------
 
@@ -243,7 +273,7 @@ def inverse_gamma_log(log_x: float) -> float:
         if abs(resid) <= tol:
             converged = True
             break
-        step = resid / float(digamma(g))
+        step = resid / digamma(g)
         g_new = g - step
         if g_new < 2.0:
             g_new = 0.5 * (g + 2.0)

@@ -11,6 +11,9 @@ Two tools live here:
   logarithm in terms of log x; evaluated on a ``Jet`` (truncated Taylor
   series) it yields the derivatives the correction terms and the
   remainder bound need, with no finite differences.
+
+``quad`` is scipy's, imported on its first call: the package imports
+without scipy, and only code that integrates loads it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Callable, Iterable
 
 import mpmath
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError, NumericError
 from .special import bernoulli_table
@@ -36,12 +38,24 @@ __all__ = [
 ]
 
 
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    scipy costs most of the package's import time and only quadrature
+    needs it, so importing the package alone never loads it. ``series``
+    and ``dirichlet`` bind this function as their own ``quad``.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
+
 def exp_poly_tail(decay: float, power: float, u0: float) -> float:
     """Integral of u^power * exp(-decay*u) over [u0, infinity).
 
     Requires decay > 0 and u0 > 0. Equals decay^(-power-1) times the upper
-    incomplete gamma function at (power+1, decay*u0); mpmath handles the
-    nonpositive-parameter cases scipy does not expose.
+    incomplete gamma function at (power+1, decay*u0), taken from mpmath at
+    30 digits, which covers every real power, power + 1 <= 0 included.
     """
     if decay <= 0.0:
         raise DomainError(f"exp_poly_tail requires positive decay, got {decay}")
@@ -222,6 +236,8 @@ def euler_maclaurin_tail(
     def abs_high_derivative(u: float) -> float:
         psi, ee = _scaled_derivatives(log_f, u, 2 * p)
         return abs(ee[2 * p]) * math.exp(psi + (1 - 2 * p) * u)
+
+    from scipy.integrate import IntegrationWarning
 
     edges = [u0, *sorted(x for x in breaks if x > u0), math.inf]
     total = 0.0

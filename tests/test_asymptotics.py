@@ -22,6 +22,7 @@ from mathieu_series.asymptotics import (
 from mathieu_series.errors import (
     CapacityError,
     DomainError,
+    NumericError,
     ParameterError,
     PreconditionError,
 )
@@ -73,6 +74,12 @@ def test_predict_powerlog_examples():
     assert pred.r_exponent < 0
     with pytest.raises(DomainError):
         predict_powerlog(PowerLogParams(1, 2, 0, 0, 1), 2.0)
+
+
+def test_predict_powerlog_unrepresentable_value():
+    # 0.5 r^-2 is 5e-601 at r = 1e300: an error, not a silent 0.0
+    with pytest.raises(NumericError, match="not a normal double"):
+        predict_powerlog(PowerLogParams(1, 2, 0, 0, 1), 1e300)
 
 
 def test_predict_powerlog_ratio_trend():

@@ -133,6 +133,17 @@ def test_predict_corollary_mode_exact_log_exponent(capsys):
     assert json.loads(out)["log_exponent"] == -1.0
 
 
+@pytest.mark.parametrize("flags", [(), ("--gamma-eq-alpha", "--delta-eq-beta")])
+def test_predict_powerlog_unrepresentable_value_exit_1(capsys, flags):
+    code, out, err = run_cli(
+        capsys,
+        "predict", "powerlog", "--alpha", "1", "--beta", "2", "--mu", "1", "--r", "1e300", *flags,
+    )
+    assert code == 1
+    assert out == ""
+    assert "not a normal double" in err
+
+
 def test_predict_factorial_outside_good_set(capsys):
     r = math.exp(math.lgamma(7.0))  # fractional part exactly zero
     code, out, err = run_cli(

@@ -431,6 +431,24 @@ def test_power_series_non_finite_callback():
     assert eval_power_series(big, 0.0, 0.5, 10.0) > 0.0
 
 
+@pytest.mark.parametrize(
+    "b, r",
+    [
+        (lambda n: 10 ** (300 + n), 1e160),  # subnormal partial sums
+        (lambda n: n * n + 1, 1e200),  # every term underflows to 0
+        (lambda n: n * n + 1, 1.1e154),  # certified sum 1.7e-308, still subnormal
+    ],
+    ids=["subnormal", "underflow", "certified-subnormal"],
+)
+def test_power_series_unrepresentable_value(b, r):
+    # a NumericError at once: not a raw ValueError from log(0), not a run to the cap
+    seq = SequencePair(a=lambda n: 1.0, b=b, b_monotone_from=0)
+    t0 = time.perf_counter()
+    with pytest.raises(NumericError, match="smallest normal double"):
+        eval_power_series(seq, 0.0, 0.5, r)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_power_series_slow_geometric_is_linear_time():
     # x = 0.995 needs ~8000 terms; a full re-sum per term made this quadratic
     seq = SequencePair(a=lambda n: 1.0, b=lambda n: float(n) ** 2, b_monotone_from=0)

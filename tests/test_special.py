@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mathieu_series import special
 from mathieu_series.errors import CapacityError, DomainError
 from mathieu_series.special import (
     bernoulli_table,
+    digamma,
     inverse_gamma,
     inverse_gamma_log,
     inverse_gamma_seed,
@@ -163,6 +165,27 @@ def test_zeta_neg_odd_capacity():
 
 
 # ---------------------------------------------------------------------------
+# Digamma
+# ---------------------------------------------------------------------------
+
+
+def test_digamma_matches_mpmath():
+    # both sides of the x = 10 switch to the asymptotic series, and large x
+    grid = [*np.linspace(2.0, 12.0, 101), *np.geomspace(2.0, 1e12, 61)]
+    grid += [2.0 + 1e-9, 10.0 - 1e-9, 10.0 + 1e-9, 1e6 + 0.5]
+    with mpmath.workdps(30):
+        for g in grid:
+            ref = mpmath.digamma(mpmath.mpf(float(g)))
+            assert abs(digamma(float(g)) - ref) <= 1e-13 * abs(ref), g
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.5, math.inf, math.nan])
+def test_digamma_domain(bad):
+    with pytest.raises(DomainError):
+        digamma(bad)
+
+
+# ---------------------------------------------------------------------------
 # Inverse gamma
 # ---------------------------------------------------------------------------
 
@@ -181,6 +204,17 @@ def test_inverse_gamma_roundtrip_grid():
     for log_x in np.linspace(math.log(2.0), math.log(1e300), 50):
         g = inverse_gamma_log(float(log_x))
         assert abs(math.lgamma(g) - log_x) <= 1e-12
+
+
+def test_inverse_gamma_unchanged_by_own_digamma(monkeypatch):
+    # the Newton step took scipy's digamma before; its results must not move
+    from scipy.special import digamma as scipy_digamma
+
+    grid = [float(x) for x in np.linspace(math.log(2.0), math.log(1e300), 50)]
+    ours = [inverse_gamma_log(x) for x in grid]
+    monkeypatch.setattr(special, "digamma", lambda g: float(scipy_digamma(g)))
+    for log_x, g in zip(grid, ours):
+        assert abs(inverse_gamma_log(log_x) - g) <= 1e-15 * g
 
 
 def test_inverse_gamma_monotone():
