@@ -54,10 +54,14 @@ class AsymptoticPrediction:
     log_exponent: float
 
     def value_at(self, r: float) -> float:
-        """constant * r^r_exponent * (log r)^log_exponent for r > 1.
+        """constant * r^r_exponent * (log r)^log_exponent for r > e.
 
-        Raises ``NumericError`` when the value is not a normal double.
+        Raises ``DomainError`` for r <= e and ``NumericError`` when the value
+        is not a normal double.
         """
+        r = float(r)
+        if not (math.isfinite(r) and r > math.e):
+            raise DomainError(f"the leading-order law requires r > e, got {r}")
         log_r = math.log(r)
         value = self.constant * math.exp(
             self.r_exponent * log_r + self.log_exponent * math.log(log_r)
@@ -149,11 +153,9 @@ def asymptotic_prediction(
 def predict_powerlog(p: PowerLogParams, r: float) -> float:
     """Leading-order value C * r^(2(alpha+1)/beta - 2(mu+1)) * (log r)^(gamma - delta(alpha+1)/beta).
 
-    Raises ``NumericError`` when the value is not a normal double.
+    Raises ``DomainError`` for r <= e and ``NumericError`` when the value is
+    not a normal double.
     """
-    r = float(r)
-    if not (math.isfinite(r) and r > math.e):
-        raise DomainError(f"predict_powerlog requires r > e, got {r}")
     return asymptotic_prediction(p).value_at(r)
 
 

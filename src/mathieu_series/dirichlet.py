@@ -7,7 +7,10 @@ Mathieu-type families, and the saddle-point upper bound for the factorial
 family. The log-weighted zeta and log-factorial sums add an explicit head
 to the Euler-Maclaurin tail shared with the power-log series
 (``tails.euler_maclaurin_tail``); they return once its remainder bound
-plus the error of the tail integral is within rel_tol of the value.
+plus the error of the tail integral is within rel_tol of the value. The
+factorial sum does the same at small s, where its direct head does not
+certify: its tail runs to a finite end past which a geometric bound on the
+remaining terms, added to the certificate, is negligible.
 Evaluation stays on the real axis: the closed forms live on their
 convergence strips, and behavior at the boundary is represented by the
 singular-model operations rather than by analytic continuation.
@@ -26,6 +29,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ParameterError
 from .series import FactorialParams, PowerLogParams, _check_rel_tol
+from .special import lambert_w
 from .tails import euler_maclaurin_tail, exp_poly_tail, quad
 
 __all__ = [
@@ -44,6 +48,11 @@ __all__ = [
 
 _INTEGER_DETECTION_TOL = 1e-9
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# factorial_dirichlet: the direct head covers n < 2^14 (the Stirling summand
+# of its Euler-Maclaurin tail needs n >= 1e4); the tail's finite end stays
+# below 2^980, where log n! (~7e297) still fits a double.
+_FACTORIAL_HEAD_END = 2**14
+_FACTORIAL_STOP_MAX = 2**980
 
 
 def is_positive_integer(m: float, force: Optional[bool] = None) -> bool:
@@ -187,41 +196,86 @@ def zeta_singular_prediction(
 
 
 def factorial_dirichlet(s: float, rel_tol: float = 1e-12) -> float:
-    """Sum over n >= 0 of (n!)^(-s) for s > 0, by direct log-space summation.
+    """Sum over n >= 0 of (n!)^(-s) for s > 0.
 
-    Terms stop once the geometric continuation bound certifies the omitted
-    tail below rel_tol times the partial sum (with the extra two-decade
-    per-term safety margin on top). Vectorized in blocks for the slowly
-    converging small-s regime.
+    A direct head in doubling blocks stops at the first block end where the
+    geometric continuation bound certifies the omitted tail below rel_tol
+    times the partial sum (with the extra two-decade per-term margin on
+    top). When the head has not certified by n = N = 2^14 (s below 1e-4 to
+    2e-4, by rel_tol), the sum over N <= n <= M runs on the shared
+    Euler-Maclaurin tail, with the summand from Stirling's series; M is the
+    first doubling of N whose geometric bound on the terms past it is below
+    rel_tol/100 times the head sum (a lower bound on the value), and that
+    bound joins the certificate. Raises ``NumericError`` when the
+    certificate does not reach rel_tol.
     """
     s = float(s)
     if not (math.isfinite(s) and s > 0.0):
         raise DomainError(f"factorial_dirichlet requires s > 0, got {s}")
     rel_tol = _check_rel_tol(rel_tol)
 
-    total = 2.0  # n = 0 and n = 1 terms
     log_fact = 0.0
     n = 1
     block = 1024
-    blocks = [total]
-    while True:
-        ns = np.arange(n + 1, n + 1 + block, dtype=np.float64)
-        log_ns = np.log(ns)
-        lf = log_fact + np.cumsum(log_ns)
+    blocks = [2.0]  # n = 0 and n = 1 terms
+    while n < _FACTORIAL_HEAD_END - 1:
+        ns = np.arange(n + 1, min(n + block, _FACTORIAL_HEAD_END - 1) + 1, dtype=np.float64)
+        lf = log_fact + np.cumsum(np.log(ns))
         blocks.append(float(np.sum(np.exp(-s * lf))))
         log_fact = float(lf[-1])
-        n += block
+        n += len(ns)
         partial = math.fsum(blocks)
-
-        # next term and the geometric bound on everything after it
-        t_next = math.exp(-s * (log_fact + math.log(n + 1)))
-        q = math.exp(-s * math.log(n + 2))
-        tail_bound = t_next / (1.0 - q) if q < 1.0 else math.inf
+        t_next, tail_bound = _factorial_geometric_tail(s, n, log_fact)
         if tail_bound <= rel_tol * partial and t_next <= 1e-2 * rel_tol * partial:
             return partial
-        if n > 2**31:
-            raise NumericError(f"factorial_dirichlet failed to converge at s={s}")
-        block = min(block * 2, 4_000_000)
+        block *= 2
+
+    start = n + 1
+    stop = 2 * start
+    while True:
+        _, far = _factorial_geometric_tail(s, stop, math.lgamma(stop + 1.0))
+        if far <= 1e-2 * rel_tol * partial:
+            break
+        stop *= 2
+        if stop > _FACTORIAL_STOP_MAX:
+            raise NumericError(f"factorial_dirichlet: s={s} is too small to sum")
+
+    def log_f(lx):
+        return -s * np.exp(_log_lgamma1(lx))
+
+    def integrand(u: float) -> float:
+        return math.exp(u + log_f(u))
+
+    # x (n!)^(-s) peaks in u = log x where u + log u = log(1/s)
+    u_peak = lambert_w(1.0 / s)
+    edges = [math.log(start), math.log(stop)]
+    if edges[0] < u_peak < edges[1]:
+        edges.insert(1, u_peak)
+    integral = integral_err = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        val, err = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=400)
+        integral += val
+        integral_err += err
+    tail, bound = euler_maclaurin_tail(
+        log_f, start, integral, integral_err, breaks=(u_peak,), stop=stop
+    )
+    value = partial + tail
+    bound += far
+    if not bound <= rel_tol * value:
+        raise NumericError(
+            f"factorial_dirichlet did not reach rel_tol={rel_tol} at s={s} "
+            f"(bound {bound / value:.2g} of the value)"
+        )
+    return value
+
+
+def _factorial_geometric_tail(s: float, n: int, log_fact: float) -> tuple[float, float]:
+    """(t, bound): the term t = ((n+1)!)^(-s) and t/(1-q), q = (n+2)^(-s), given log n!.
+
+    Successive terms past n shrink by at least q, so the bound covers every term after n.
+    """
+    t_next = math.exp(-s * (log_fact + math.log(n + 1)))
+    return t_next, t_next / -math.expm1(-s * math.log(n + 2))
 
 
 def _log_lgamma1(lx):

@@ -689,7 +689,13 @@ def eval_power_series(
     log_r2 = 2.0 * math.log(r)
     mu1 = mu + 1.0
     if x == 0.0:
-        return _general_term(float(s.a(0)), s.b(0), log_r2, mu1)
+        a_0, b_0 = _sequence_values(s, 0)
+        value = math.copysign(_general_term(abs(a_0), b_0, log_r2, mu1), a_0)
+        if abs(value) < sys.float_info.min:
+            raise NumericError(
+                f"eval_power_series value at r={r} is below the smallest normal double"
+            )
+        return value
 
     declared = growth is not None
     g_pow = growth[1] if declared else 8.0

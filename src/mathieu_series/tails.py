@@ -6,9 +6,10 @@ Two tools live here:
   gamma values through the substitution x = exp(u), which keeps them
   certified and cheap for any real log-power B;
 * the Euler-Maclaurin tail shared by every sum in the package that runs
-  past its explicit head: the power-log series, the log-weighted zeta sum
-  and the log-factorial Dirichlet sum. The summand is written once, as its
-  logarithm in terms of log x; evaluated on a ``Jet`` (truncated Taylor
+  past its explicit head: the power-log series, the log-weighted zeta sum,
+  the log-factorial Dirichlet sum, and the factorial Dirichlet sum at small
+  s (which stops the tail at a finite end). The summand is written once, as
+  its logarithm in terms of log x; evaluated on a ``Jet`` (truncated Taylor
   series) it yields the derivatives the correction terms and the
   remainder bound need, with no finite differences.
 
@@ -201,36 +202,51 @@ def _scaled_derivatives(
     return psi0, (psi - psi0).exp().c
 
 
+def _boundary_terms(log_f: Callable, n: int, b: list[float]) -> tuple[float, float]:
+    """f(n)/2 and sum_{k<p} B_2k/(2k)! f^(2k-1)(n): one end's Euler-Maclaurin terms."""
+    p = EM_ORDER
+    u = math.log(n)
+    psi0, e = _scaled_derivatives(log_f, u, 2 * p)
+    # f^(j)(n) = j! e[j] exp(psi0 - j u), so B_2k/(2k)! f^(2k-1)(n) = B_2k/(2k) e[2k-1] ...
+    corrections = math.fsum(
+        b[k] / (2 * k) * e[2 * k - 1] * math.exp(psi0 - (2 * k - 1) * u) for k in range(1, p)
+    )
+    return 0.5 * math.exp(psi0), corrections
+
+
 def euler_maclaurin_tail(
     log_f: Callable,
     start: int,
     integral: float,
     integral_err: float,
     breaks: Iterable[float] = (),
+    stop: int | None = None,
 ) -> tuple[float, float]:
-    """Value and error bound of the sum of f(n) over n >= ``start``.
+    """Value and error bound of the sum of f(n) over start <= n (<= ``stop``).
 
     ``log_f`` maps log x to log f(x) and must accept a ``Jet``; f must be
-    smooth and positive on [start, inf) with all the derivatives used
-    vanishing at infinity. ``integral`` is the caller's value of the
-    integral of f over [start, inf) and ``integral_err`` its error.
+    smooth and positive on [start, stop], and without ``stop`` all the
+    derivatives used must vanish at infinity. ``integral`` is the caller's
+    value of the integral of f over [start, stop] (or [start, inf)) and
+    ``integral_err`` its error.
 
-    Value: integral + f(N)/2 - sum_{k<p} B_2k/(2k)! f^(2k-1)(N). Bound:
+    Value: integral + f(N)/2 - sum_{k<p} B_2k/(2k)! f^(2k-1)(N), plus
+    f(M)/2 + sum_{k<p} B_2k/(2k)! f^(2k-1)(M) at a finite end M. Bound:
     (2 - 2^(1-2p)) |B_2p|/(2p)! times the integral of |f^(2p)| over
-    [N, inf) (DLMF 2.10(i)), plus ``integral_err``. That integral runs by
-    quadrature in u = log x, split at ``breaks`` (u-coordinates where the
-    summand turns), and its quadrature error estimate is added in.
+    [N, M] or [N, inf) (DLMF 2.10(i)), plus ``integral_err``. That integral
+    runs by quadrature in u = log x, split at ``breaks`` (u-coordinates
+    where the summand turns), and its quadrature error estimate is added in.
+    A finite end keeps the jets away from where log f itself overflows.
     """
     p = EM_ORDER
     b = [float(v) for v in bernoulli_table(2 * p).values]  # b[k] = B_2k
-    u0 = math.log(start)
-    psi0, e = _scaled_derivatives(log_f, u0, 2 * p)
-
-    # f^(j)(N) = j! e[j] exp(psi0 - j u0), so B_2k/(2k)! f^(2k-1)(N) = B_2k/(2k) e[2k-1] ...
-    corrections = math.fsum(
-        b[k] / (2 * k) * e[2 * k - 1] * math.exp(psi0 - (2 * k - 1) * u0) for k in range(1, p)
-    )
-    value = integral + 0.5 * math.exp(psi0) - corrections
+    half, corrections = _boundary_terms(log_f, start, b)
+    value = integral + half - corrections
+    u_end = math.inf
+    if stop is not None:
+        half, corrections = _boundary_terms(log_f, stop, b)
+        value += half + corrections
+        u_end = math.log(stop)
 
     # |f^(2p)(x)| dx = (2p)! |e[2p]| exp(psi + (1-2p) u) du at x = e^u.
     def abs_high_derivative(u: float) -> float:
@@ -239,7 +255,8 @@ def euler_maclaurin_tail(
 
     from scipy.integrate import IntegrationWarning
 
-    edges = [u0, *sorted(x for x in breaks if x > u0), math.inf]
+    u0 = math.log(start)
+    edges = [u0, *sorted(x for x in breaks if u0 < x < u_end), u_end]
     total = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)  # its error estimate is added in

@@ -379,6 +379,7 @@ def suite_lemma22(strict: bool = False) -> list[CheckResult]:
 def suite_lemma31(strict: bool = False) -> list[CheckResult]:
     """Factorial Dirichlet sum: exact checkpoint and small-s asymptotics."""
     out = []
+    t0 = time.perf_counter()
     dev_e = abs(factorial_dirichlet(1.0, rel_tol=1e-13) - math.e)
     out.append(_check("lemma31/eta(1)=e", dev_e, 1e-12, strict=strict))
 
@@ -396,6 +397,8 @@ def suite_lemma31(strict: bool = False) -> list[CheckResult]:
             strict=strict,
         )
     )
+    elapsed = time.perf_counter() - t0
+    out.append(_check("lemma31/runtime", elapsed, 1.0, note="seconds", strict=strict))
     return out
 
 

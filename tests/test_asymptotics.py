@@ -76,6 +76,12 @@ def test_predict_powerlog_examples():
         predict_powerlog(PowerLogParams(1, 2, 0, 0, 1), 2.0)
 
 
+@pytest.mark.parametrize("r", [0.5, 2.0, math.e, math.inf])
+def test_prediction_value_at_requires_r_above_e(r):
+    with pytest.raises(DomainError, match="r > e"):
+        asymptotic_prediction(PowerLogParams(1, 2, 0, 0, 1)).value_at(r)
+
+
 def test_predict_powerlog_unrepresentable_value():
     # 0.5 r^-2 is 5e-601 at r = 1e300: an error, not a silent 0.0
     with pytest.raises(NumericError, match="not a normal double"):

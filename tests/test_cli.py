@@ -144,6 +144,17 @@ def test_predict_powerlog_unrepresentable_value_exit_1(capsys, flags):
     assert "not a normal double" in err
 
 
+@pytest.mark.parametrize("r", ["0.5", "2"])
+def test_predict_powerlog_radius_at_most_e_exit_2(capsys, r):
+    # r = 0.5 used to die in log(log r), r = 2 printed a value outside the law's domain
+    code, out, err = run_cli(
+        capsys, "predict", "powerlog", "--alpha", "1", "--beta", "2", "--mu", "1", "--r", r
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "r > e" in err
+
+
 def test_predict_factorial_outside_good_set(capsys):
     r = math.exp(math.lgamma(7.0))  # fractional part exactly zero
     code, out, err = run_cli(

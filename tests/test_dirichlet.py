@@ -1,6 +1,7 @@
 """Dirichlet sums, singular models, Mellin closed forms, saddle bound."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mathieu_series.dirichlet import (
     transform_frame,
     zeta_singular_prediction,
 )
-from mathieu_series.errors import DomainError, ParameterError
+from mathieu_series.errors import DomainError, MathieuError, ParameterError
 from mathieu_series.series import FactorialParams, PowerLogParams, eval_factorial
 
 # ---------------------------------------------------------------------------
@@ -115,13 +116,83 @@ def test_factorial_dirichlet_checkpoints():
 
 def test_factorial_dirichlet_origin_asymptotics():
     scaled = []
-    for s in (1e-2, 1e-4, 1e-6):
+    for s in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
         v = factorial_dirichlet(s, rel_tol=1e-7)
         scaled.append(s * v * math.log(1.0 / s))
     # calibrated window: the scaled value is 1.6225 at s = 1e-2 and decays
     # logarithmically toward 1
     assert 0.5 <= scaled[0] <= 1.7
-    assert abs(scaled[2] - 1.0) < abs(scaled[1] - 1.0) < abs(scaled[0] - 1.0)
+    devs = [abs(x - 1.0) for x in scaled]
+    assert all(b < a for a, b in zip(devs, devs[1:]))
+
+
+def _direct_factorial_dirichlet(s):
+    """Sum of exp(-s lgamma(n+1)) over n >= 0, each block of 2^18 terms by math.fsum."""
+    from scipy.special import gammaln
+
+    parts, n = [], 0
+    while True:
+        terms = np.exp(-s * gammaln(np.arange(n, n + 2**18, dtype=np.float64) + 1.0))
+        parts.append(math.fsum(terms))
+        n += 2**18
+        if terms[-1] < 1e-30:  # what is left is below 1e-30 / (1 - (n+1)^-s)
+            return math.fsum(parts)
+
+
+@pytest.mark.parametrize("s", [1e-5, 1e-6])
+def test_factorial_dirichlet_small_s_against_direct_sum(s):
+    assert factorial_dirichlet(s, rel_tol=1e-12) == pytest.approx(
+        _direct_factorial_dirichlet(s), rel=1e-12, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-10, 1e-12])
+def test_factorial_dirichlet_small_s_is_fast(s):
+    t0 = time.perf_counter()
+    v = factorial_dirichlet(s, rel_tol=1e-12)
+    assert time.perf_counter() - t0 < 0.5
+    assert 1.0 < s * v * math.log(1.0 / s) < 1.3
+
+
+def test_factorial_dirichlet_continuous_across_head_switch(monkeypatch):
+    import mathieu_series.dirichlet as dirichlet
+
+    starts = []
+    real_tail = dirichlet.euler_maclaurin_tail
+
+    def spy(log_f, start, *args, **kwargs):
+        starts.append(start)
+        return real_tail(log_f, start, *args, **kwargs)
+
+    monkeypatch.setattr(dirichlet, "euler_maclaurin_tail", spy)
+
+    def uses_tail(s):
+        starts.clear()
+        factorial_dirichlet(s, rel_tol=1e-12)
+        return bool(starts)
+
+    # bisect to where the head alone stops certifying
+    lo, hi = 1e-4, 1e-3
+    assert uses_tail(lo) and not uses_tail(hi)
+    while hi / lo - 1.0 > 1e-9:
+        mid = math.sqrt(lo * hi)
+        if uses_tail(mid):
+            lo = mid
+        else:
+            hi = mid
+    with_tail = factorial_dirichlet(lo, rel_tol=1e-12)
+    head_only = factorial_dirichlet(hi, rel_tol=1e-12)
+    assert with_tail == pytest.approx(_direct_factorial_dirichlet(lo), rel=1e-12, abs=0.0)
+    assert head_only == pytest.approx(_direct_factorial_dirichlet(hi), rel=1e-12, abs=0.0)
+    # d log eta / d log s is about -0.9 here
+    assert abs(with_tail / head_only - 1.0) < 1e-8
+
+
+def test_factorial_dirichlet_unreachable_tolerance_raises():
+    t0 = time.perf_counter()
+    with pytest.raises(MathieuError):
+        factorial_dirichlet(1e-8, rel_tol=1e-15)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_factorial_dirichlet_monotone():

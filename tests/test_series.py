@@ -449,6 +449,18 @@ def test_power_series_unrepresentable_value(b, r):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_power_series_x_zero_unrepresentable_value():
+    # the single term 1 / (1 + 1e400)^2 underflows; it used to come back as 0.0
+    seq = SequencePair(a=lambda n: 1.0, b=lambda n: n * n + 1, b_monotone_from=0)
+    with pytest.raises(NumericError, match="smallest normal double"):
+        eval_power_series(seq, 1.0, 0.0, 1e200)
+
+
+def test_power_series_x_zero_negative_coefficient():
+    seq = SequencePair(a=lambda n: -2.0, b=lambda n: float(n) ** 2, b_monotone_from=0)
+    assert eval_power_series(seq, 1.0, 0.0, 10.0) == pytest.approx(-2e-4, rel=1e-14)
+
+
 def test_power_series_slow_geometric_is_linear_time():
     # x = 0.995 needs ~8000 terms; a full re-sum per term made this quadratic
     seq = SequencePair(a=lambda n: 1.0, b=lambda n: float(n) ** 2, b_monotone_from=0)
