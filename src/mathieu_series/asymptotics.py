@@ -23,7 +23,13 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .series import FactorialParams, PowerLogParams, factorial_summand_log, peak_index_n0
+from .series import (
+    FactorialParams,
+    PowerLogParams,
+    _require_radius,
+    factorial_summand_log,
+    peak_index_n0,
+)
 from .special import bernoulli_table, inverse_gamma_log, log_factorial, zeta_neg_odd
 
 __all__ = [
@@ -59,9 +65,7 @@ class AsymptoticPrediction:
         Raises ``DomainError`` for r <= e and ``NumericError`` when the value
         is not a normal double.
         """
-        r = float(r)
-        if not (math.isfinite(r) and r > math.e):
-            raise DomainError(f"the leading-order law requires r > e, got {r}")
+        r = _require_radius(r, math.e, "the leading-order law", shown="e")
         log_r = math.log(r)
         value = self.constant * math.exp(
             self.r_exponent * log_r + self.log_exponent * math.log(log_r)
@@ -181,9 +185,7 @@ def factorial_diagnostics(
             "factorial diagnostics require alpha > 0; the two-term asymptotics "
             "do not cover alpha = 0"
         )
-    r = float(r)
-    if not (math.isfinite(r) and r >= 10.0):
-        raise DomainError(f"factorial_diagnostics requires r >= 10, got {r}")
+    r = _require_radius(r, 10.0, "factorial_diagnostics", inclusive=True)
 
     g = inverse_gamma_log((2.0 / p.beta) * math.log(r))
     if abs(g - round(g)) < 1e-9:
@@ -233,9 +235,7 @@ def slack_exponent(r: float) -> float:
 
 def two_term_estimate(p: FactorialParams, r: float) -> float:
     """Sum of the two peak summands A_n0 + A_n0+1 in log space."""
-    r = float(r)
-    if not (math.isfinite(r) and r >= 1.0):
-        raise DomainError(f"two_term_estimate requires r >= 1, got {r}")
+    r = _require_radius(r, 1.0, "two_term_estimate", inclusive=True)
     n0 = peak_index_n0(p.beta, r)
     la = factorial_summand_log(p, r, n0)
     lb = factorial_summand_log(p, r, n0 + 1)
@@ -251,9 +251,7 @@ def factorial_envelope(p: FactorialParams, r: float, epsilon: float) -> Factoria
     """
     if p.alpha <= 0.0:
         raise ParameterError("factorial_envelope requires alpha > 0")
-    r = float(r)
-    if not (math.isfinite(r) and r >= 100.0):
-        raise DomainError(f"factorial_envelope requires r >= 100, got {r}")
+    r = _require_radius(r, 100.0, "factorial_envelope", inclusive=True)
     if not epsilon > 0.0:
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
     exponent = 2.0 * p.alpha / p.beta - 2.0 * (p.mu + 1.0)
@@ -275,9 +273,7 @@ def factorial_upper_bound(
     """
     if p.alpha <= 0.0:
         raise ParameterError("factorial_upper_bound requires alpha > 0")
-    r = float(r)
-    if not (math.isfinite(r) and r >= 100.0):
-        raise DomainError(f"factorial_upper_bound requires r >= 100, got {r}")
+    r = _require_radius(r, 100.0, "factorial_upper_bound", inclusive=True)
     if not epsilon > 0.0:
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
     log_r = math.log(r)
@@ -343,9 +339,7 @@ def eval_classical_expansion(
     """
     if not (math.isfinite(mu) and mu > 1.5):
         raise DomainError(f"the classical series requires mu > 3/2, got {mu}")
-    r = float(r)
-    if not (math.isfinite(r) and r > 1.0):
-        raise DomainError(f"eval_classical_expansion requires r > 1, got {r}")
+    r = _require_radius(r, 1.0, "eval_classical_expansion")
     if mode not in ("optimal", "fixed"):
         raise ParameterError(f"mode must be 'optimal' or 'fixed', got {mode!r}")
     k_top = (max_bernoulli - 2) // 2

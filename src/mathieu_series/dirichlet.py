@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericError, ParameterError
-from .series import FactorialParams, PowerLogParams, _check_rel_tol
+from .series import FactorialParams, PowerLogParams, _check_rel_tol, _require_radius
 from .special import lambert_w
 from .tails import euler_maclaurin_tail, exp_poly_tail, quad
 
@@ -396,9 +396,7 @@ def saddle_point_bound(p: FactorialParams, r: float) -> float:
     Evaluates e * r^(-stilde) * eta(beta/(2 log r)) * I(sigma_r) at the
     saddle abscissa sigma_r = stilde - 1/log r. Valid for alpha >= 0.
     """
-    r = float(r)
-    if not (math.isfinite(r) and r >= 10.0):
-        raise DomainError(f"saddle_point_bound requires r >= 10, got {r}")
+    r = _require_radius(r, 10.0, "saddle_point_bound", inclusive=True)
     frame = transform_frame(factorial=p)
     log_r = math.log(r)
     sigma = frame.stilde - 1.0 / log_r

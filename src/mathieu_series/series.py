@@ -18,7 +18,9 @@ factorial family is summed in shifted log space around its sharply peaked
 terms.
 
 Everything is pure and safe for concurrent use; sequence callbacks must be
-reentrant.
+pure and reentrant. The generic family calls them a block of terms at a
+time and checks the block afterwards, with numpy doing the per-term
+arithmetic of each block.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ DEFAULT_HARD_CAP = 1_000_000_000
 DEFAULT_GENERAL_CAP = 1_000_000
 
 _MAX_BLOCK = 1 << 20
+_LOG2 = math.log(2.0)
+_LOG_DBL_MIN = math.log(sys.float_info.min)
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 _LOG_HALF_DBL_MIN = math.log(0.5 * sys.float_info.min)
 
 
@@ -85,6 +90,25 @@ def _check_rel_tol(rel_tol: float) -> float:
     return rel_tol
 
 
+def _require_radius(r, floor: float, who: str, inclusive: bool = False, shown: str = "") -> float:
+    """r as a float; ``DomainError`` unless it is finite and > floor (>= when inclusive).
+
+    The message reads "<who> requires r > <floor>, got <r>", with ``shown``
+    in place of the floor's digits when given.
+    """
+    r = float(r)
+    if not (math.isfinite(r) and (r >= floor if inclusive else r > floor)):
+        relation = ">=" if inclusive else ">"
+        raise DomainError(f"{who} requires r {relation} {shown or f'{floor:g}'}, got {r}")
+    return r
+
+
+def _non_finite_error(n: int, a_n: float, b_n) -> ContractViolationError:
+    return ContractViolationError(
+        f"sequences must be finite, got a({n}) = {a_n}, b({n}) = {b_n}"
+    )
+
+
 def _sequence_values(s: SequencePair, n: int) -> tuple[float, object]:
     """(a_n as a float, b_n as returned); NaN or inf from either is a contract violation.
 
@@ -94,9 +118,7 @@ def _sequence_values(s: SequencePair, n: int) -> tuple[float, object]:
     a_n = float(s.a(n))
     b_n = s.b(n)
     if not math.isfinite(a_n) or b_n != b_n or abs(b_n) == math.inf:
-        raise ContractViolationError(
-            f"sequences must be finite, got a({n}) = {a_n}, b({n}) = {b_n}"
-        )
+        raise _non_finite_error(n, a_n, b_n)
     return a_n, b_n
 
 
@@ -172,7 +194,11 @@ class SequencePair:
     """User-supplied sequences a_n > 0 and b_n >= 0 for the generic series.
 
     ``b`` must be nondecreasing and divergent from ``b_monotone_from`` on;
-    this promise is spot-checked on the evaluated range.
+    this promise is checked on the evaluated range. ``eval_general`` calls
+    both a block at a time, up to its next checkpoint (n = 64, 128, ...),
+    before it checks that block's terms, so the callbacks must be pure (the
+    same n always gives the same value, and no call depends on an earlier
+    one). Errors still name the first offending n.
     """
 
     a: Callable[[int], float]
@@ -196,9 +222,30 @@ class GeneralEnvelope:
     b_logpow: float
     valid_from: int
 
+    def __post_init__(self):
+        for name in ("a_coeff", "a_pow", "a_logpow", "b_coeff", "b_pow", "b_logpow"):
+            _require_finite(getattr(self, name), name)
+        for name in ("a_coeff", "b_coeff"):
+            if getattr(self, name) <= 0.0:
+                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
+
     def tail_exponents(self, mu: float) -> tuple[float, float, float]:
-        """(scale, power, log_power) of the termwise majorant past the peak."""
-        scale = self.a_coeff / self.b_coeff ** (mu + 1.0)
+        """(scale, power, log_power) of the termwise majorant past the peak.
+
+        scale = a_coeff / b_coeff^(mu+1); ``NumericError`` when that is not
+        a normal double.
+        """
+        log_den = (mu + 1.0) * math.log(self.b_coeff)
+        log_scale = math.log(self.a_coeff) - log_den
+        if not _LOG_DBL_MIN < log_scale < _LOG_DBL_MAX:
+            raise NumericError(
+                f"envelope scale a_coeff / b_coeff^(mu+1) = exp({log_scale:.6g}) "
+                "is not a normal double"
+            )
+        if _LOG_DBL_MIN < log_den < _LOG_DBL_MAX:
+            scale = self.a_coeff / self.b_coeff ** (mu + 1.0)
+        else:  # b_coeff^(mu+1) alone leaves the double range
+            scale = math.exp(log_scale)
         power = self.a_pow - self.b_pow * (mu + 1.0)
         log_power = self.a_logpow - self.b_logpow * (mu + 1.0)
         return scale, power, log_power
@@ -316,9 +363,7 @@ def eval_powerlog(
     of the value; raises ``NumericError`` when the value is not a normal
     double.
     """
-    r = float(r)
-    if not (math.isfinite(r) and r > 1.0):
-        raise DomainError(f"eval_powerlog requires r > 1, got {r}")
+    r = _require_radius(r, 1.0, "eval_powerlog")
     rel_tol = _check_rel_tol(rel_tol)
 
     log_r2 = 2.0 * math.log(r)
@@ -384,57 +429,106 @@ def eval_powerlog(
 # ---------------------------------------------------------------------------
 
 
+def _logaddexp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) with numpy's formula, bit for bit, without numpy's call cost."""
+    if x == y:
+        return x + _LOG2
+    d = x - y
+    if d > 0.0:
+        return x + math.log1p(math.exp(-d))
+    return y + math.log1p(math.exp(d))
+
+
 def _general_term(a_n: float, b_n, log_r2: float, mu1: float) -> float:
     """a_n / (b_n + r^2)^(mu+1), stable for huge b_n (big ints allowed)."""
     if a_n == 0.0:
         return 0.0
     log_b = math.log(b_n) if b_n > 0 else -math.inf
-    log_den = mu1 * np.logaddexp(log_b, log_r2)
-    return math.exp(math.log(a_n) - log_den)
+    return math.exp(math.log(a_n) - mu1 * _logaddexp(log_b, log_r2))
 
 
-def _fit_envelope(
-    ns: list[int], log_a: list[float], log_b: list[float], mu: float
-) -> Optional[GeneralEnvelope]:
+def _sequence_block(
+    s: SequencePair, lo: int, hi: int, b_prev
+) -> tuple[list[float], list, object, Optional[Exception]]:
+    """a_n as floats and b_n as returned for lo <= n < hi, with the sequence contract checked.
+
+    Stops at the first n that breaks the contract (non-finite a or b,
+    negative a, b decreasing from ``b_monotone_from`` on) or whose callback
+    raises, and returns that error instead of raising it, with the values
+    before it: the caller checks those against the envelope first, so the
+    error for the lowest offending n wins. ``b_prev`` is the last b_n the
+    monotonicity promise applies to, carried from block to block.
+    """
+    a_vals: list[float] = []
+    b_vals: list = []
+    seq_a, seq_b, b_from = s.a, s.b, s.b_monotone_from
+    isfinite, inf = math.isfinite, math.inf
+    try:
+        for n in range(lo, hi):
+            a_n = float(seq_a(n))
+            b_n = seq_b(n)
+            if not isfinite(a_n) or b_n != b_n or abs(b_n) == inf:
+                raise _non_finite_error(n, a_n, b_n)
+            if a_n < 0.0:
+                raise ContractViolationError(f"sequence a must be nonnegative, a({n}) = {a_n}")
+            if n >= b_from:
+                if b_prev is not None and b_n < b_prev:
+                    raise ContractViolationError(
+                        f"sequence b must be nondecreasing from {b_from}, "
+                        f"but b({n}) = {b_n} < b({n - 1}) = {b_prev}"
+                    )
+                b_prev = b_n
+            a_vals.append(a_n)
+            b_vals.append(b_n)
+    except Exception as exc:  # deferred: an envelope breach before n must win
+        return a_vals, b_vals, b_prev, exc
+    return a_vals, b_vals, b_prev, None
+
+
+def _fit_envelope(points: np.ndarray, mu: float) -> Optional[GeneralEnvelope]:
     """Heuristic power-law envelope fitted on the evaluated range.
 
-    Margins of 0.15 on the fitted slopes and factor-2 headroom on the
-    coefficients; the caller re-validates it against every evaluated term.
+    ``points`` has rows n, log n, log a_n, log b_n over the evaluated n >= 4
+    with finite logs. Margins of 0.15 on the fitted slopes and factor-2
+    headroom on the coefficients; the caller re-validates it against every
+    evaluated term. Raises ``NumericError`` when the coefficients leave the
+    double range, which happens when b grows faster than any power of n.
     """
-    pts = [
-        (n, math.log(n), la, lb)
-        for n, la, lb in zip(ns, log_a, log_b)
-        if n >= 4 and math.isfinite(la) and math.isfinite(lb)
-    ]
-    if len(pts) < 16:
+    if points.shape[1] < 16:
         return None
     # Anchor on the later half of the evaluated range: the bound is only
     # ever applied past it, and small-n values would wreck the coefficients.
-    half = len(pts) // 2
-    window = pts[half:]
-    ln = np.array([q[1] for q in window])
-    la = np.array([q[2] for q in window])
-    lb = np.array([q[3] for q in window])
+    half = points.shape[1] // 2
+    _, ln, la, lb = points[:, half:]
+    lln = np.log(ln)
     # Joint power/log-power fit: log a ~ const + p log n + q log log n.
-    design = np.column_stack([np.ones_like(ln), ln, np.log(ln)])
+    design = np.column_stack([np.ones_like(ln), ln, lln])
     (_, a_p, a_q), *_ = np.linalg.lstsq(design, la, rcond=None)
     (_, b_p, b_q), *_ = np.linalg.lstsq(design, lb, rcond=None)
     a_pow, a_logpow = float(a_p) + 0.02, float(a_q) + 0.35
     b_pow, b_logpow = float(b_p) - 0.02, float(b_q) - 0.35
-    a_coeff = 2.0 * math.exp(float(np.max(la - a_pow * ln - a_logpow * np.log(ln))))
-    b_coeff = 0.5 * math.exp(float(np.min(lb - b_pow * ln - b_logpow * np.log(ln))))
-    env = GeneralEnvelope(
-        a_coeff=a_coeff,
+    if a_pow - b_pow * (mu + 1.0) >= -1.0:
+        return None
+    a_top = float(np.max(la - a_pow * ln - a_logpow * lln))
+    b_bottom = float(np.min(lb - b_pow * ln - b_logpow * lln))
+    log_a_coeff, log_b_coeff = a_top + _LOG2, b_bottom - _LOG2
+    log_scale = log_a_coeff - (mu + 1.0) * log_b_coeff
+    if not all(_LOG_DBL_MIN < x < _LOG_DBL_MAX for x in (log_a_coeff, log_b_coeff, log_scale)):
+        raise NumericError(
+            "sequence b outgrows every power-log envelope: the envelope fitted on "
+            f"n <= {int(points[0, -1])} has log a_coeff = {log_a_coeff:.6g}, "
+            f"log b_coeff = {log_b_coeff:.6g} and log scale = {log_scale:.6g}, "
+            "outside the double range"
+        )
+    return GeneralEnvelope(
+        a_coeff=2.0 * math.exp(a_top),
         a_pow=a_pow,
         a_logpow=a_logpow,
-        b_coeff=b_coeff,
+        b_coeff=0.5 * math.exp(b_bottom),
         b_pow=b_pow,
         b_logpow=b_logpow,
-        valid_from=window[0][0],
+        valid_from=int(points[0, half]),
     )
-    if env.tail_exponents(mu)[1] >= -1.0:
-        return None
-    return env
 
 
 def _envelope_tail_bound(
@@ -450,14 +544,20 @@ def _envelope_tail_bound(
     return g_at + scale * powerlog_tail_integral(power, log_power, float(n_next))
 
 
-def _envelope_holds(env: GeneralEnvelope, n: int, log_a_n: float, log_b_n: float) -> bool:
-    if n < env.valid_from or n < 2:
-        return True
-    log_n = math.log(n)
-    ll = math.log(log_n)
-    log_a_cap = math.log(env.a_coeff) + env.a_pow * log_n + env.a_logpow * ll
-    log_b_floor = math.log(env.b_coeff) + env.b_pow * log_n + env.b_logpow * ll
-    return log_a_n <= log_a_cap + 1e-12 and log_b_n >= log_b_floor - 1e-12
+def _envelope_breach(
+    env: GeneralEnvelope, log_n: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
+) -> Optional[int]:
+    """Index of the first point outside the envelope, or None.
+
+    The points are consecutive n >= max(valid_from, 2), given by their logs.
+    """
+    if not len(log_n):
+        return None
+    log_log_n = np.array(list(map(math.log, log_n.tolist())))
+    log_a_cap = math.log(env.a_coeff) + env.a_pow * log_n + env.a_logpow * log_log_n
+    log_b_floor = math.log(env.b_coeff) + env.b_pow * log_n + env.b_logpow * log_log_n
+    holds = (log_a <= log_a_cap + 1e-12) & (log_b >= log_b_floor - 1e-12)
+    return None if holds.all() else int(np.argmin(holds))
 
 
 def eval_general(
@@ -473,16 +573,24 @@ def eval_general(
 
     The certified tail bound combines the promised monotonicity of b with a
     termwise power-log envelope: explicitly supplied, or fitted on the
-    evaluated range with safety margins when omitted. Every evaluated term
-    is checked against the envelope in force; violations raise
-    ``ContractViolationError``.
+    evaluated range with safety margins when omitted.
+
+    Terms are summed in blocks that end at the checkpoints n = 64, 128,
+    256, ... (or at ``hard_cap``), where the envelope is refitted and the
+    bound tried. The callbacks are evaluated for a whole block before its
+    terms are checked, so they must be pure; they are never called past the
+    checkpoint that certifies. Every evaluated term is checked against the
+    sequence contract and the envelope in force. Violations raise
+    ``ContractViolationError`` naming the first offending n; a callback's
+    own exception is re-raised once the terms before it have passed. A
+    fitted envelope that a later term violates is dropped until the next
+    checkpoint. Raises ``NumericError`` when b outgrows every power-log
+    envelope, and ``ResourceLimitError`` at ``hard_cap`` terms.
     """
     mu = _require_finite(mu, "mu")
     if mu < 0.0:
         raise ParameterError(f"mu must be >= 0, got {mu}")
-    r = float(r)
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"eval_general requires r > 0, got {r}")
+    r = _require_radius(r, 0.0, "eval_general")
     rel_tol = _check_rel_tol(rel_tol)
     if envelope is not None and envelope.tail_exponents(mu)[1] >= -1.0:
         raise ParameterError(
@@ -494,59 +602,65 @@ def eval_general(
     fitted = envelope is None
     env = envelope
 
-    sums: list[float] = []
-    ns: list[int] = []
-    log_a_vals: list[float] = []
-    log_b_vals: list[float] = []
+    terms: list[float] = []
+    fit_points = np.empty((4, 0))  # n, log n, log a_n, log b_n for the fit
     best = -math.inf
     peak_index = n_start
     b_prev = None
     next_check = 64
 
     n = n_start
-    while n < n_start + hard_cap:
-        a_n, b_n = _sequence_values(s, n)
-        if a_n < 0.0:
-            raise ContractViolationError(f"sequence a must be nonnegative, a({n}) = {a_n}")
-        if n >= s.b_monotone_from:
-            if b_prev is not None and b_n < b_prev:
-                raise ContractViolationError(
-                    f"sequence b must be nondecreasing from {s.b_monotone_from}, "
-                    f"but b({n}) = {b_n} < b({n - 1}) = {b_prev}"
-                )
-            b_prev = b_n
-        log_a_n = math.log(a_n) if a_n > 0.0 else -math.inf
-        log_b_n = math.log(b_n) if b_n > 0 else -math.inf
-        if env is not None and not _envelope_holds(env, n, log_a_n, log_b_n):
-            if fitted:
+    end = n_start + hard_cap
+    while n < end:
+        stop = min(max(next_check, n + 1), end)
+        a_vals, b_vals, b_prev, error = _sequence_block(s, n, stop, b_prev)
+        # Logs through libm, as the per-term formula takes them: numpy's
+        # vectorised log can differ in the last bit.
+        log_a = np.array([math.log(a) if a > 0.0 else -math.inf for a in a_vals])
+        log_b = np.array([math.log(b) if b > 0 else -math.inf for b in b_vals])
+        logs_from = max(n, 2) - n  # log n is taken from n = 2 on
+        ns = np.arange(n + logs_from, n + len(a_vals), dtype=np.float64)
+        log_n = np.array(list(map(math.log, ns.tolist())))
+        if env is not None:
+            k0 = max(env.valid_from - n, logs_from)
+            j = _envelope_breach(env, log_n[k0 - logs_from :], log_a[k0:], log_b[k0:])
+            if j is not None:
+                if not fitted:
+                    raise ContractViolationError(
+                        f"supplied envelope violated at n={n + k0 + j}: "
+                        f"a={a_vals[k0 + j]}, b={b_vals[k0 + j]}"
+                    )
                 env = None  # refit later with the larger range
-            else:
-                raise ContractViolationError(
-                    f"supplied envelope violated at n={n}: a={a_n}, b={b_n}"
-                )
-        term = _general_term(a_n, b_n, log_r2, mu1)
-        sums.append(term)
-        ns.append(n)
-        log_a_vals.append(log_a_n)
-        log_b_vals.append(log_b_n)
-        if term > best:
-            best = term
-            peak_index = n
-        n += 1
+        if error is not None:
+            raise error
+
+        block = list(map(math.exp, (log_a - mu1 * np.logaddexp(log_b, log_r2)).tolist()))
+        top = max(block)
+        if top > best:
+            best = top
+            peak_index = n + block.index(top)
+        terms += block
+        if fitted:
+            k4 = max(4 - n, logs_from)
+            rows = np.stack(
+                [ns[k4 - logs_from :], log_n[k4 - logs_from :], log_a[k4:], log_b[k4:]]
+            )
+            finite = np.isfinite(rows[2]) & np.isfinite(rows[3])
+            fit_points = np.concatenate([fit_points, rows[:, finite]], axis=1)
+        n = stop
 
         if n >= next_check:
             next_check *= 2
             if fitted:
                 # Refit every checkpoint: larger windows tighten the bound.
-                env = _fit_envelope(ns, log_a_vals, log_b_vals, mu) or env
+                env = _fit_envelope(fit_points, mu) or env
             if env is not None:
                 bound = _envelope_tail_bound(env, mu, n)
                 if bound is not None:
-                    total = math.fsum(sums)
+                    total = math.fsum(terms)
                     if bound <= rel_tol * total:
-                        return EvalResult(total, bound, len(sums), peak_index)
+                        return EvalResult(total, bound, len(terms), peak_index)
 
-    total = math.fsum(sums)
     bound = _envelope_tail_bound(env, mu, n) if env is not None else None
     raise ResourceLimitError(
         f"eval_general hit the term cap {hard_cap} before certifying rel_tol={rel_tol}",
@@ -562,13 +676,11 @@ def eval_general(
 
 def factorial_summand_log(p: FactorialParams, r: float, n: int) -> float:
     """log of (n!)^alpha / ((n!)^beta + r^2)^(mu+1); never overflows."""
-    r = float(r)
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"factorial_summand_log requires r > 0, got {r}")
+    r = _require_radius(r, 0.0, "factorial_summand_log")
     if n < 0:
         raise DomainError(f"summand index must be >= 0, got {n}")
     lf = log_factorial(n)
-    return p.alpha * lf - (p.mu + 1.0) * float(np.logaddexp(p.beta * lf, 2.0 * math.log(r)))
+    return p.alpha * lf - (p.mu + 1.0) * _logaddexp(p.beta * lf, 2.0 * math.log(r))
 
 
 def peak_index_n0(beta: float, r: float) -> int:
@@ -576,9 +688,7 @@ def peak_index_n0(beta: float, r: float) -> int:
     beta = _require_finite(beta, "beta")
     if beta <= 0.0:
         raise ParameterError(f"beta must be > 0, got {beta}")
-    r = float(r)
-    if not (math.isfinite(r) and r >= 1.0):
-        raise DomainError(f"peak_index_n0 requires r >= 1, got {r}")
+    r = _require_radius(r, 1.0, "peak_index_n0", inclusive=True)
     target = 2.0 * math.log(r)
     n = 0
     while beta * log_factorial(n + 1) <= target:
@@ -599,9 +709,7 @@ def eval_factorial(
     r <= 1 are admitted for evaluation (all terms stay finite).
     """
     p.require_convergent("eval_factorial")
-    r = float(r)
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"eval_factorial requires r > 0, got {r}")
+    r = _require_radius(r, 0.0, "eval_factorial")
     rel_tol = _check_rel_tol(rel_tol)
 
     n0 = peak_index_n0(p.beta, r) if r >= 1.0 else 0
@@ -681,9 +789,7 @@ def eval_power_series(
     x = float(x)
     if not (math.isfinite(x) and abs(x) < 1.0):
         raise DomainError(f"eval_power_series requires |x| < 1, got {x}")
-    r = float(r)
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"eval_power_series requires r > 0, got {r}")
+    r = _require_radius(r, 0.0, "eval_power_series")
     rel_tol = _check_rel_tol(rel_tol)
 
     log_r2 = 2.0 * math.log(r)

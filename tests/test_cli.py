@@ -107,6 +107,31 @@ def test_eval_general_preset(capsys):
     assert json.loads(out)["value"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["eval", "general", "--sequences", "logfact", "--alpha", "1", "--beta", "3",
+             "--mu", "1", "--r", "100"],
+            '{"family": "general", "r": 100.0, "value": 8.244421690116138e-07, '
+            '"tail_bound": 7.424556584337012e-15, "terms_used": 510, "peak_index": 9}\n',
+        ),
+        (
+            ["eval", "general", "--sequences", "shifted-powerlog", "--alpha", "1", "--beta", "3",
+             "--gamma", "1", "--delta", "1", "--mu", "1", "--r", "100", "--tol", "1e-6"],
+            '{"family": "general", "r": 100.0, "value": 3.1202155616216004e-06, '
+            '"tail_bound": 3.1245530054243704e-13, "terms_used": 1024, "peak_index": 9}\n',
+        ),
+    ],
+)
+def test_eval_general_golden_bytes(capsys, argv, expected):
+    # stdout recorded in the benchmark's golden CLI set: the evaluator's
+    # results must not move by a single ulp
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------

@@ -18,10 +18,13 @@ from mathieu_series.errors import (
     ResourceLimitError,
 )
 from mathieu_series.series import (
+    EvalResult,
     FactorialParams,
     GeneralEnvelope,
     PowerLogParams,
     SequencePair,
+    _envelope_tail_bound,
+    _logaddexp,
     eval_factorial,
     eval_general,
     eval_power_series,
@@ -259,6 +262,229 @@ def test_general_initial_segment_is_negligible():
         assert initial_segment(r) <= 2.0 * c * scale(r)
 
 
+# The per-term loop eval_general ran before it was vectorised by blocks, kept
+# as the reference the block loop must reproduce bit for bit.
+
+
+def _reference_fit_envelope(ns, log_a, log_b, mu):
+    pts = [
+        (n, math.log(n), la, lb)
+        for n, la, lb in zip(ns, log_a, log_b)
+        if n >= 4 and math.isfinite(la) and math.isfinite(lb)
+    ]
+    if len(pts) < 16:
+        return None
+    window = pts[len(pts) // 2 :]
+    ln = np.array([q[1] for q in window])
+    la = np.array([q[2] for q in window])
+    lb = np.array([q[3] for q in window])
+    design = np.column_stack([np.ones_like(ln), ln, np.log(ln)])
+    (_, a_p, a_q), *_ = np.linalg.lstsq(design, la, rcond=None)
+    (_, b_p, b_q), *_ = np.linalg.lstsq(design, lb, rcond=None)
+    a_pow, a_logpow = float(a_p) + 0.02, float(a_q) + 0.35
+    b_pow, b_logpow = float(b_p) - 0.02, float(b_q) - 0.35
+    a_coeff = 2.0 * math.exp(float(np.max(la - a_pow * ln - a_logpow * np.log(ln))))
+    b_coeff = 0.5 * math.exp(float(np.min(lb - b_pow * ln - b_logpow * np.log(ln))))
+    env = GeneralEnvelope(a_coeff, a_pow, a_logpow, b_coeff, b_pow, b_logpow, window[0][0])
+    return None if env.tail_exponents(mu)[1] >= -1.0 else env
+
+
+def _reference_envelope_holds(env, n, log_a_n, log_b_n):
+    if n < env.valid_from or n < 2:
+        return True
+    log_n = math.log(n)
+    ll = math.log(log_n)
+    log_a_cap = math.log(env.a_coeff) + env.a_pow * log_n + env.a_logpow * ll
+    log_b_floor = math.log(env.b_coeff) + env.b_pow * log_n + env.b_logpow * ll
+    return log_a_n <= log_a_cap + 1e-12 and log_b_n >= log_b_floor - 1e-12
+
+
+def reference_eval_general(s, mu, r, rel_tol=1e-8, hard_cap=10**6, envelope=None, n_start=0):
+    log_r2 = 2.0 * math.log(r)
+    mu1 = mu + 1.0
+    fitted = envelope is None
+    env = envelope
+    sums, ns, log_a_vals, log_b_vals = [], [], [], []
+    best = -math.inf
+    peak_index = n_start
+    b_prev = None
+    next_check = 64
+    n = n_start
+    while n < n_start + hard_cap:
+        a_n = float(s.a(n))
+        b_n = s.b(n)
+        if not math.isfinite(a_n) or b_n != b_n or abs(b_n) == math.inf:
+            raise ContractViolationError(f"non-finite at {n}")
+        if a_n < 0.0:
+            raise ContractViolationError(f"negative a at {n}")
+        if n >= s.b_monotone_from:
+            if b_prev is not None and b_n < b_prev:
+                raise ContractViolationError(f"b decreasing at {n}")
+            b_prev = b_n
+        log_a_n = math.log(a_n) if a_n > 0.0 else -math.inf
+        log_b_n = math.log(b_n) if b_n > 0 else -math.inf
+        if env is not None and not _reference_envelope_holds(env, n, log_a_n, log_b_n):
+            if fitted:
+                env = None
+            else:
+                raise ContractViolationError(f"supplied envelope violated at n={n}")
+        term = 0.0
+        if a_n != 0.0:
+            term = math.exp(log_a_n - mu1 * np.logaddexp(log_b_n, log_r2))
+        sums.append(term)
+        ns.append(n)
+        log_a_vals.append(log_a_n)
+        log_b_vals.append(log_b_n)
+        if term > best:
+            best = term
+            peak_index = n
+        n += 1
+        if n >= next_check:
+            next_check *= 2
+            if fitted:
+                env = _reference_fit_envelope(ns, log_a_vals, log_b_vals, mu) or env
+            if env is not None:
+                bound = _envelope_tail_bound(env, mu, n)
+                if bound is not None:
+                    total = math.fsum(sums)
+                    if bound <= rel_tol * total:
+                        return EvalResult(total, bound, len(sums), peak_index)
+    raise ResourceLimitError("cap")
+
+
+_SHIFTED = SequencePair(
+    a=lambda n: (n + 3.0) * math.log(n + 2.0),
+    b=lambda n: float(n) ** 3 * math.log(n + 1.0),
+    b_monotone_from=1,
+)
+_LOGFACT = SequencePair(
+    a=lambda n: log_factorial(n), b=lambda n: log_factorial(n) ** 3, b_monotone_from=2
+)
+_CUBES = SequencePair(a=lambda n: 1.0, b=lambda n: float(n) ** 3, b_monotone_from=0)
+_SQUARES_ENVELOPE = GeneralEnvelope(
+    a_coeff=1.0, a_pow=1.0, a_logpow=0.0, b_coeff=1.0, b_pow=2.0, b_logpow=0.0, valid_from=4
+)
+
+
+@pytest.mark.parametrize(
+    "seq, mu, r, kwargs",
+    [
+        *[(_SHIFTED, 1.0, 10.0**k, dict(rel_tol=1e-6)) for k in (2, 3, 4)],
+        *[(_LOGFACT, 1.0, 10.0**k, dict(rel_tol=1e-5, n_start=2)) for k in (2, 3, 4)],
+        # a_0 = 0: the first term is exactly zero
+        (SequencePair(a=lambda n: float(n), b=lambda n: float(n) ** 3), 1.0, 100.0, {}),
+        (
+            SequencePair(a=lambda n: float(n), b=lambda n: float(n) ** 2),
+            1.0,
+            10.0,
+            dict(envelope=_SQUARES_ENVELOPE),
+        ),
+        # equal terms up to n = 100, across a block edge: the peak is the first
+        (SequencePair(a=lambda n: 1.0, b=lambda n: float(max(n, 100)) ** 3), 1.0, 10.0, {}),
+        # checkpoints right after a late start: blocks of one term, then doubling
+        (_SHIFTED, 1.0, 100.0, dict(rel_tol=1e-6, n_start=200)),
+    ],
+)
+def test_general_blocks_match_per_term_reference(seq, mu, r, kwargs):
+    assert eval_general(seq, mu, r, **kwargs) == reference_eval_general(seq, mu, r, **kwargs)
+
+
+@pytest.mark.parametrize("bad_n", [63, 64, 127, 128])
+def test_general_nan_at_block_edges(bad_n):
+    seq = SequencePair(
+        a=lambda n: math.nan if n == bad_n else 1.0, b=_CUBES.b, b_monotone_from=0
+    )
+    with pytest.raises(ContractViolationError, match=f"a\\({bad_n}\\) = nan"):
+        eval_general(seq, 1.0, 1e3, rel_tol=1e-8)
+
+
+def test_general_b_decreasing_across_blocks():
+    # b(64) opens the second block and falls below b(63), the first block's last
+    seq = SequencePair(a=lambda n: 1.0, b=lambda n: 1.0 if n == 64 else float(n) ** 3)
+    with pytest.raises(ContractViolationError, match="b\\(64\\) = 1.0 < b\\(63\\)"):
+        eval_general(seq, 1.0, 1e3, rel_tol=1e-8)
+
+
+@pytest.mark.parametrize("bad_n", [30, 90])  # in the first block the check starts at valid_from
+def test_general_supplied_envelope_violated_mid_block(bad_n):
+    seq = SequencePair(a=lambda n: 1e6 if n == bad_n else float(n), b=lambda n: float(n) ** 2)
+    with pytest.raises(ContractViolationError, match=f"supplied envelope violated at n={bad_n}:"):
+        eval_general(seq, 1.0, 1e3, envelope=_SQUARES_ENVELOPE)
+
+
+def test_general_first_breach_wins_over_later_callback_error():
+    def a(n):
+        if n == 100:
+            raise ValueError("callback failure at 100")
+        return math.nan if n == 90 else 1.0
+
+    seq = SequencePair(a=a, b=_CUBES.b)
+    with pytest.raises(ContractViolationError, match="a\\(90\\) = nan"):
+        eval_general(seq, 1.0, 1e3, rel_tol=1e-8)
+    # with no earlier breach the callback's own error comes through
+    clean = SequencePair(a=lambda n: a(n) if n != 90 else 1.0, b=_CUBES.b)
+    with pytest.raises(ValueError, match="callback failure at 100"):
+        eval_general(clean, 1.0, 1e3, rel_tol=1e-8)
+    # a supplied envelope violated before the callback error wins over it
+    over = SequencePair(a=lambda n: 1e6 if n == 80 else clean.a(n), b=lambda n: float(n) ** 2)
+    with pytest.raises(ContractViolationError, match="supplied envelope violated at n=80"):
+        eval_general(over, 1.0, 1e3, envelope=_SQUARES_ENVELOPE)
+
+
+def test_general_callbacks_stop_at_the_certifying_checkpoint():
+    calls = {"a": 0, "b": 0}
+
+    def counted(name, f):
+        def wrapper(n):
+            calls[name] += 1
+            return f(n)
+
+        return wrapper
+
+    seq = SequencePair(
+        a=counted("a", _LOGFACT.a), b=counted("b", _LOGFACT.b), b_monotone_from=2
+    )
+    res = eval_general(seq, 1.0, 1e3, rel_tol=1e-5, n_start=2)
+    assert calls == {"a": res.terms_used, "b": res.terms_used}
+    calls.update(a=0, b=0)
+    with pytest.raises(ResourceLimitError):
+        eval_general(seq, 1.0, 1e3, rel_tol=1e-5, n_start=2, hard_cap=100)
+    assert calls == {"a": 100, "b": 100}
+
+
+def test_general_factorial_b_raises_numeric_error_fast():
+    # b = n! outgrows every power-log envelope; the fit must say so, not overflow
+    seq = SequencePair(a=lambda n: 1.0, b=math.factorial)
+    t0 = time.perf_counter()
+    with pytest.raises(NumericError, match="b outgrows every power-log envelope"):
+        eval_general(seq, 1.0, 10.0)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_envelope_scale_past_the_double_range_of_b_coeff_power():
+    # b_coeff^(mu+1) = 1e400 is no double, the scale 1e300 / 1e400 is
+    env = GeneralEnvelope(1e300, 1.0, 0.0, 1e200, 2.0, 0.0, 4)
+    scale, power, log_power = env.tail_exponents(1.0)
+    assert scale == pytest.approx(1e-100, rel=1e-12)
+    assert (power, log_power) == (-3.0, 0.0)
+    with pytest.raises(NumericError, match="not a normal double"):
+        GeneralEnvelope(1.0, 1.0, 0.0, 1e200, 2.0, 0.0, 4).tail_exponents(1.0)
+    with pytest.raises(ParameterError, match="b_coeff must be > 0"):
+        GeneralEnvelope(1.0, 1.0, 0.0, 0.0, 2.0, 0.0, 4)
+    with pytest.raises(ParameterError, match="a_pow must be finite"):
+        GeneralEnvelope(1.0, math.nan, 0.0, 1.0, 2.0, 0.0, 4)
+
+
+def test_scalar_logaddexp_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(7)
+    near = rng.uniform(-5, 5, 20000)
+    xs = np.concatenate([rng.uniform(-800, 800, 20000), near])
+    ys = np.concatenate([rng.uniform(-800, 800, 20000), near + rng.uniform(-1e-6, 1e-6, 20000)])
+    special_pairs = [(1.5, 1.5), (-math.inf, 2.0), (2.0, -math.inf), (-math.inf, -math.inf)]
+    for x, y in [*zip(xs.tolist(), ys.tolist()), *special_pairs]:
+        assert _logaddexp(x, y) == float(np.logaddexp(x, y))
+
+
 # ---------------------------------------------------------------------------
 # Factorial family
 # ---------------------------------------------------------------------------
@@ -469,3 +695,61 @@ def test_power_series_slow_geometric_is_linear_time():
     assert time.perf_counter() - t0 < 2.0
     oracle = math.fsum(0.995**n / (n * n + 1.0) for n in range(20000))
     assert value == pytest.approx(oracle, rel=1e-10)
+
+
+def _radius_calls():
+    from mathieu_series import asymptotics, dirichlet
+
+    fp = FactorialParams(1, 2, 1)
+    pl = PowerLogParams(1, 2, 0, 0, 1)
+    seq = SequencePair(a=lambda n: 1.0, b=lambda n: float(n) ** 2)
+    return [
+        (lambda: eval_powerlog(pl, 1.0), "eval_powerlog requires r > 1, got 1.0"),
+        (lambda: eval_general(seq, 1.0, 0.0), "eval_general requires r > 0, got 0.0"),
+        (
+            lambda: factorial_summand_log(fp, -1.0, 3),
+            "factorial_summand_log requires r > 0, got -1.0",
+        ),
+        (lambda: peak_index_n0(2.0, 0.5), "peak_index_n0 requires r >= 1, got 0.5"),
+        (lambda: eval_factorial(fp, math.inf), "eval_factorial requires r > 0, got inf"),
+        (
+            lambda: eval_power_series(seq, 1.0, 0.5, math.nan),
+            "eval_power_series requires r > 0, got nan",
+        ),
+        (
+            lambda: asymptotics.predict_powerlog(pl, 2),
+            "the leading-order law requires r > e, got 2.0",
+        ),
+        (
+            lambda: asymptotics.factorial_diagnostics(fp, 5.0),
+            "factorial_diagnostics requires r >= 10, got 5.0",
+        ),
+        (
+            lambda: asymptotics.two_term_estimate(fp, 0.5),
+            "two_term_estimate requires r >= 1, got 0.5",
+        ),
+        (
+            lambda: asymptotics.factorial_envelope(fp, 50.0, 0.1),
+            "factorial_envelope requires r >= 100, got 50.0",
+        ),
+        (
+            lambda: asymptotics.factorial_upper_bound(fp, 50.0, 0.1),
+            "factorial_upper_bound requires r >= 100, got 50.0",
+        ),
+        (
+            lambda: asymptotics.eval_classical_expansion(2.0, 1.0),
+            "eval_classical_expansion requires r > 1, got 1.0",
+        ),
+        (
+            lambda: dirichlet.saddle_point_bound(fp, 9.5),
+            "saddle_point_bound requires r >= 10, got 9.5",
+        ),
+    ]
+
+
+def test_radius_checks_share_one_message_form():
+    # one helper raises all of these; the messages are the ones each function had
+    for call, message in _radius_calls():
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
