@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ParameterError
 from .series import FactorialParams, PowerLogParams, _check_rel_tol, _require_radius
-from .special import lambert_w
+from .special import lambert_w, log_log_factorial
 from .tails import euler_maclaurin_tail, exp_poly_tail, quad
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 _INTEGER_DETECTION_TOL = 1e-9
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # factorial_dirichlet: the direct head covers n < 2^14 (the Stirling summand
 # of its Euler-Maclaurin tail needs n >= 1e4); the tail's finite end stays
 # below 2^980, where log n! (~7e297) still fits a double.
@@ -241,7 +240,7 @@ def factorial_dirichlet(s: float, rel_tol: float = 1e-12) -> float:
             raise NumericError(f"factorial_dirichlet: s={s} is too small to sum")
 
     def log_f(lx):
-        return -s * np.exp(_log_lgamma1(lx))
+        return -s * np.exp(log_log_factorial(lx))
 
     def integrand(u: float) -> float:
         return math.exp(u + log_f(u))
@@ -278,17 +277,6 @@ def _factorial_geometric_tail(s: float, n: int, log_fact: float) -> tuple[float,
     return t_next, t_next / -math.expm1(-s * math.log(n + 2))
 
 
-def _log_lgamma1(lx):
-    """log lgamma(x+1) in terms of lx = log x, by Stirling's series (x >= 1e4).
-
-    lgamma(x+1) = x (log x - 1) + (log x + log 2 pi)/2 + 1/(12 x) - 1/(360 x^3)
-    + O(x^-5); the omitted terms are below 1e-27 relative for x >= 1e4.
-    """
-    inv = np.exp(-lx)
-    series = (inv * (1.0 / 12.0)) * (1.0 - (inv * inv) * (1.0 / 30.0))
-    return lx + np.log(lx - 1.0 + inv * (0.5 * lx + _HALF_LOG_2PI + series))
-
-
 def log_factorial_dirichlet(s: float, rel_tol: float = 1e-10) -> float:
     """Sum over n >= 2 of (log n!)^(-s) for s > 1.
 
@@ -303,7 +291,7 @@ def log_factorial_dirichlet(s: float, rel_tol: float = 1e-10) -> float:
     rel_tol = _check_rel_tol(rel_tol)
 
     def log_f(lx):
-        return -s * _log_lgamma1(lx)
+        return -s * log_log_factorial(lx)
 
     def integrand(u: float) -> float:
         return math.exp(u + log_f(u))

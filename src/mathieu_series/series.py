@@ -20,7 +20,9 @@ terms.
 Everything is pure and safe for concurrent use; sequence callbacks must be
 pure and reentrant. The generic family calls them a block of terms at a
 time and checks the block afterwards, with numpy doing the per-term
-arithmetic of each block.
+arithmetic of each block. When the sequences also come with smooth forms
+in log x, it adds the same Euler-Maclaurin tail to a 4096-term head;
+otherwise a termwise power-log envelope bounds the tail.
 """
 
 from __future__ import annotations
@@ -71,9 +73,16 @@ DEFAULT_GENERAL_CAP = 1_000_000
 
 _MAX_BLOCK = 1 << 20
 _LOG2 = math.log(2.0)
+_LOG_1E12 = math.log(1e12)
 _LOG_DBL_MIN = math.log(sys.float_info.min)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 _LOG_HALF_DBL_MIN = math.log(0.5 * sys.float_info.min)
+# eval_general with smooth forms: the Euler-Maclaurin tail is tried from this
+# checkpoint on, and head terms from _SMOOTH_MATCH_FROM on must match the
+# forms to _SMOOTH_MATCH in log.
+_SMOOTH_HEAD = 4096
+_SMOOTH_MATCH_FROM = 64
+_SMOOTH_MATCH = 1e-10
 
 
 def _require_finite(value, name: str) -> float:
@@ -109,8 +118,13 @@ def _non_finite_error(n: int, a_n: float, b_n) -> ContractViolationError:
     )
 
 
+def _negative_b_error(n: int, b_n) -> ContractViolationError:
+    return ContractViolationError(f"sequence b must be nonnegative, b({n}) = {b_n}")
+
+
 def _sequence_values(s: SequencePair, n: int) -> tuple[float, object]:
-    """(a_n as a float, b_n as returned); NaN or inf from either is a contract violation.
+    """(a_n as a float, b_n as returned); NaN or inf from either, or b_n < 0,
+    is a contract violation.
 
     b_n may be a big int, which has no float form, so it is tested by
     comparison rather than ``math.isfinite``.
@@ -119,6 +133,8 @@ def _sequence_values(s: SequencePair, n: int) -> tuple[float, object]:
     b_n = s.b(n)
     if not math.isfinite(a_n) or b_n != b_n or abs(b_n) == math.inf:
         raise _non_finite_error(n, a_n, b_n)
+    if b_n < 0:
+        raise _negative_b_error(n, b_n)
     return a_n, b_n
 
 
@@ -191,7 +207,7 @@ class FactorialParams:
 
 @dataclass(frozen=True)
 class SequencePair:
-    """User-supplied sequences a_n > 0 and b_n >= 0 for the generic series.
+    """User-supplied sequences a_n >= 0 and b_n >= 0 for the generic series.
 
     ``b`` must be nondecreasing and divergent from ``b_monotone_from`` on;
     this promise is checked on the evaluated range. ``eval_general`` calls
@@ -199,11 +215,28 @@ class SequencePair:
     before it checks that block's terms, so the callbacks must be pure (the
     same n always gives the same value, and no call depends on an earlier
     one). Errors still name the first offending n.
+
+    ``log_a`` and ``log_b``, given together or not at all, declare the
+    sequences smooth: log a(x) and log b(x) as functions of u = log x,
+    written with ``np.log``, ``np.exp``, ``np.logaddexp`` and arithmetic so
+    that one expression runs on floats, arrays and ``tails.Jet``s. They
+    must agree with the callbacks to 1e-10 on every evaluated n >= 64 with
+    a_n, b_n > 0, which ``eval_general`` checks, and they promise that
+    a(x) / (b(x) + r^2)^(mu+1) is smooth and positive past the evaluated
+    head, with derivatives vanishing at infinity: the Euler-Maclaurin tail
+    that certifies the sum rests on that promise, as a supplied envelope's
+    bound rests on the envelope.
     """
 
     a: Callable[[int], float]
     b: Callable[[int], float]
     b_monotone_from: int = 0
+    log_a: Optional[Callable] = None
+    log_b: Optional[Callable] = None
+
+    def __post_init__(self):
+        if (self.log_a is None) != (self.log_b is None):
+            raise ParameterError("give both smooth forms log_a and log_b, or neither")
 
 
 @dataclass(frozen=True)
@@ -276,19 +309,26 @@ def _powerlog_log_summand(p: PowerLogParams, log_r2: float, lx):
     )
 
 
-def _solve_b_equals(p: PowerLogParams, target: float) -> float:
-    """u with beta*u + delta*log(u) = target, on the monotone branch; u = log x."""
-    lo = max(math.log(2.0), 1.0, -p.delta / p.beta + 0.5)
-    if p.beta * lo + p.delta * math.log(lo) >= target:
+def _powerlog_log_b(p: PowerLogParams) -> tuple[Callable[[float], float], float]:
+    """log b(u) = beta*u + delta*log(u) in u = log x, and where its increasing branch starts."""
+    return (
+        lambda u: p.beta * u + p.delta * math.log(u),
+        max(math.log(2.0), 1.0, -p.delta / p.beta + 0.5),
+    )
+
+
+def _solve_b_equals(log_b: Callable[[float], float], target: float, lo: float) -> float:
+    """u >= lo with log_b(u) = target, log_b increasing from lo on; lo when log_b(lo) >= target."""
+    if log_b(lo) >= target:
         return lo
     hi = max(2.0 * lo, 4.0)
-    while p.beta * hi + p.delta * math.log(hi) < target:
+    while log_b(hi) < target:
         hi *= 2.0
         if hi > 1e6:
             raise NumericError("peak location search diverged")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if p.beta * mid + p.delta * math.log(mid) < target:
+        if log_b(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -310,8 +350,9 @@ def _powerlog_tail_integral(
     def integrand(u: float) -> float:
         return math.exp(u + _powerlog_log_summand(p, log_r2, u))
 
-    u_peak = max(_solve_b_equals(p, log_r2), u0)
-    u_hi = max(_solve_b_equals(p, log_r2 + math.log(1e12)), u0 + 1.0)
+    log_b, lo = _powerlog_log_b(p)
+    u_peak = max(_solve_b_equals(log_b, log_r2, lo), u0)
+    u_hi = max(_solve_b_equals(log_b, log_r2 + _LOG_1E12, lo), u0 + 1.0)
     integral = 0.0
     quad_err = 0.0
     for a, b in ((u0, u_peak), (u_peak, u_hi)):
@@ -327,23 +368,24 @@ def _powerlog_tail_integral(
     return integral, quad_err, (u_peak, u_hi)
 
 
-def _powerlog_peak(p: PowerLogParams, log_r2: float, u_lo: float) -> int:
-    """Index of the largest summand at or beyond exp(u_lo), the summand rising there.
+def _summand_peak(log_f: Callable, u_lo: float, u_hi: float) -> int:
+    """Index of the largest summand in [exp(u_lo), exp(u_hi)], the summand rising at u_lo.
 
-    Bisects on the sign of d log f / d log x (the jet's first coefficient)
-    up to where r^2 is 1e-12 of b, past which the summand only falls.
+    Bisects on the sign of d log f / d log x (the jet's first coefficient).
+    Callers put u_hi where r^2 is 1e-12 of b, past which the summand only
+    falls.
     """
     lo = u_lo
-    hi = max(_solve_b_equals(p, log_r2 + math.log(1e12)), lo)
+    hi = max(u_hi, lo)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _powerlog_log_summand(p, log_r2, Jet.log_variable(mid, 1)).c[1] > 0.0:
+        if log_f(Jet.log_variable(mid, 1)).c[1] > 0.0:
             lo = mid
         else:
             hi = mid
     x = math.exp(min(lo, 700.0))
     candidates = {max(int(x), 2), int(x) + 1}
-    return max(candidates, key=lambda n: _powerlog_log_summand(p, log_r2, math.log(n)))
+    return max(candidates, key=lambda n: log_f(math.log(n)))
 
 
 def eval_powerlog(
@@ -420,7 +462,9 @@ def eval_powerlog(
             )
 
     if peak_index == n - 1:  # still rising at the head's end
-        peak_index = _powerlog_peak(p, log_r2, math.log(n - 1))
+        log_b, lo = _powerlog_log_b(p)
+        u_hi = _solve_b_equals(log_b, log_r2 + _LOG_1E12, lo)
+        peak_index = _summand_peak(log_f, math.log(n - 1), u_hi)
     return EvalResult(value, bound, n - 2, peak_index)
 
 
@@ -453,7 +497,7 @@ def _sequence_block(
     """a_n as floats and b_n as returned for lo <= n < hi, with the sequence contract checked.
 
     Stops at the first n that breaks the contract (non-finite a or b,
-    negative a, b decreasing from ``b_monotone_from`` on) or whose callback
+    negative a or b, b decreasing from ``b_monotone_from`` on) or whose callback
     raises, and returns that error instead of raising it, with the values
     before it: the caller checks those against the envelope first, so the
     error for the lowest offending n wins. ``b_prev`` is the last b_n the
@@ -471,6 +515,8 @@ def _sequence_block(
                 raise _non_finite_error(n, a_n, b_n)
             if a_n < 0.0:
                 raise ContractViolationError(f"sequence a must be nonnegative, a({n}) = {a_n}")
+            if b_n < 0:
+                raise _negative_b_error(n, b_n)
             if n >= b_from:
                 if b_prev is not None and b_n < b_prev:
                     raise ContractViolationError(
@@ -532,8 +578,14 @@ def _fit_envelope(points: np.ndarray, mu: float) -> Optional[GeneralEnvelope]:
 
 
 def _envelope_tail_bound(
-    env: GeneralEnvelope, mu: float, n_next: int
+    env: GeneralEnvelope, mu: float, n_next: int, limit: float = math.inf
 ) -> Optional[float]:
+    """The envelope's bound on the terms from n_next on, or None where it gives none.
+
+    Also None when the bound's closed-form first term alone exceeds
+    ``limit``: the bound cannot come within it, so its incomplete-gamma
+    part is not evaluated.
+    """
     scale, power, log_power = env.tail_exponents(mu)
     if n_next < max(env.valid_from, 4):
         return None
@@ -541,6 +593,8 @@ def _envelope_tail_bound(
         return None
     log_n = math.log(n_next)
     g_at = scale * math.exp(power * log_n + log_power * math.log(log_n))
+    if g_at > limit:
+        return None
     return g_at + scale * powerlog_tail_integral(power, log_power, float(n_next))
 
 
@@ -560,6 +614,65 @@ def _envelope_breach(
     return None if holds.all() else int(np.argmin(holds))
 
 
+def _smooth_mismatch(
+    s: SequencePair, n_from: int, log_n: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
+) -> Optional[ContractViolationError]:
+    """The error for the first point the smooth forms miss by more than 1e-10, or None.
+
+    The points are consecutive n from n_from, given by their logs; those
+    with a_n = 0 or b_n = 0 are not compared.
+    """
+    if not len(log_n):
+        return None
+    miss_a = np.abs(s.log_a(log_n) - log_a)
+    miss_b = np.abs(s.log_b(log_n) - log_b)
+    compared = np.isfinite(log_a) & np.isfinite(log_b)
+    bad = compared & ~((miss_a <= _SMOOTH_MATCH) & (miss_b <= _SMOOTH_MATCH))
+    if not bad.any():
+        return None
+    j = int(np.argmax(bad))
+    return ContractViolationError(
+        f"smooth forms disagree with the sequences at n={n_from + j}: "
+        f"|log_a - log a| = {miss_a[j]:.3g}, |log_b - log b| = {miss_b[j]:.3g} "
+        f"(allowed {_SMOOTH_MATCH:g})"
+    )
+
+
+def _smooth_log_summand(s: SequencePair, log_r2: float, mu1: float, u):
+    """log of a(x) / (b(x) + r^2)^(mu+1) at u = log x from the smooth forms (float or Jet)."""
+    return s.log_a(u) - mu1 * np.logaddexp(s.log_b(u), log_r2)
+
+
+def _smooth_tail(
+    s: SequencePair, log_f: Callable, log_r2: float, n: int
+) -> tuple[float, float]:
+    """Euler-Maclaurin value and bound of the smooth summand's sum over x >= n.
+
+    The integral runs by quadrature in u = log x, split where b(x) = r^2
+    (the summand peaks near there); its error estimate joins the bound.
+    """
+
+    def integrand(u: float) -> float:
+        return math.exp(u + log_f(u))
+
+    u0 = math.log(n)
+    u_peak = _solve_b_equals(s.log_b, log_r2, u0)
+    integral = integral_err = 0.0
+    for lo, hi in ((u0, u_peak), (u_peak, math.inf)):
+        if hi > lo:
+            val, err = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)
+            integral += val
+            integral_err += err
+    return euler_maclaurin_tail(log_f, n, integral, integral_err, breaks=(u_peak,))
+
+
+def _below_normal(value: float, r: float, n: int) -> NumericError:
+    return NumericError(
+        f"eval_general value {value:.3e} at r={r} is below the smallest normal double "
+        f"(after {n} terms)"
+    )
+
+
 def eval_general(
     s: SequencePair,
     mu: float,
@@ -571,27 +684,45 @@ def eval_general(
 ) -> EvalResult:
     """Sum of a_n / (b_n + r^2)^(mu+1) for user-supplied sequences.
 
-    The certified tail bound combines the promised monotonicity of b with a
-    termwise power-log envelope: explicitly supplied, or fitted on the
-    evaluated range with safety margins when omitted.
-
     Terms are summed in blocks that end at the checkpoints n = 64, 128,
-    256, ... (or at ``hard_cap``), where the envelope is refitted and the
-    bound tried. The callbacks are evaluated for a whole block before its
-    terms are checked, so they must be pure; they are never called past the
-    checkpoint that certifies. Every evaluated term is checked against the
-    sequence contract and the envelope in force. Violations raise
-    ``ContractViolationError`` naming the first offending n; a callback's
-    own exception is re-raised once the terms before it have passed. A
-    fitted envelope that a later term violates is dropped until the next
-    checkpoint. Raises ``NumericError`` when b outgrows every power-log
-    envelope, and ``ResourceLimitError`` at ``hard_cap`` terms.
+    256, ... (or at ``hard_cap``), where the tail bound is tried. The
+    callbacks are evaluated for a whole block before its terms are checked,
+    so they must be pure; they are never called past the checkpoint that
+    certifies, so ``terms_used`` callback calls are made of each. Every
+    evaluated term is checked against the sequence contract. Violations
+    raise ``ContractViolationError`` naming the first offending n; a
+    callback's own exception is re-raised once the terms before it have
+    passed.
+
+    The tail bound past a checkpoint N comes from one of two sources:
+
+    * Smooth forms (``s.log_a`` and ``s.log_b``): from N = 4096 on, the
+      Euler-Maclaurin tail of the declared summand over x >= N (DLMF
+      2.10(i) remainder plus the tail integral's quadrature error), added
+      to the head's sum; ``tail_bound`` is that bound. Every head term with
+      n >= 64 and a_n, b_n > 0 must match the smooth forms to 1e-10 in log,
+      or ``ContractViolationError`` names the first that does not; past the
+      head the certificate rests on the declared forms. ``peak_index`` is
+      located past the head by bisection when the summand still rises
+      there. Not combinable with ``envelope``.
+    * Otherwise a termwise power-log envelope combined with the promised
+      monotonicity of b: ``envelope`` when supplied (every term from its
+      ``valid_from`` is checked against it), or fitted on the evaluated
+      range with safety margins at every checkpoint. A fitted envelope that
+      a later term violates is dropped until the next checkpoint. Raises
+      ``NumericError`` when b outgrows every power-log envelope.
+
+    Raises ``NumericError`` when the value is below the smallest normal
+    double, and ``ResourceLimitError`` at ``hard_cap`` terms.
     """
     mu = _require_finite(mu, "mu")
     if mu < 0.0:
         raise ParameterError(f"mu must be >= 0, got {mu}")
     r = _require_radius(r, 0.0, "eval_general")
     rel_tol = _check_rel_tol(rel_tol)
+    smooth = s.log_a is not None
+    if smooth and envelope is not None:
+        raise ParameterError("give smooth forms or an envelope, not both")
     if envelope is not None and envelope.tail_exponents(mu)[1] >= -1.0:
         raise ParameterError(
             "envelope does not certify convergence: a_pow - b_pow*(mu+1) must be < -1"
@@ -599,8 +730,10 @@ def eval_general(
 
     log_r2 = 2.0 * math.log(r)
     mu1 = mu + 1.0
-    fitted = envelope is None
+    fitted = envelope is None and not smooth
     env = envelope
+    log_f = functools.partial(_smooth_log_summand, s, log_r2, mu1) if smooth else None
+    bound = None
 
     terms: list[float] = []
     fit_points = np.empty((4, 0))  # n, log n, log a_n, log b_n for the fit
@@ -631,6 +764,13 @@ def eval_general(
                         f"a={a_vals[k0 + j]}, b={b_vals[k0 + j]}"
                     )
                 env = None  # refit later with the larger range
+        if smooth:
+            k0 = max(_SMOOTH_MATCH_FROM - n, logs_from)
+            mismatch = _smooth_mismatch(
+                s, n + k0, log_n[k0 - logs_from :], log_a[k0:], log_b[k0:]
+            )
+            if mismatch is not None:
+                raise mismatch
         if error is not None:
             raise error
 
@@ -649,19 +789,37 @@ def eval_general(
             fit_points = np.concatenate([fit_points, rows[:, finite]], axis=1)
         n = stop
 
-        if n >= next_check:
-            next_check *= 2
+        if n < next_check:
+            continue
+        next_check *= 2
+        if smooth:
+            if n < _SMOOTH_HEAD:
+                continue
+            tail, bound = _smooth_tail(s, log_f, log_r2, n)
+            value = math.fsum(terms) + tail
+            if value < sys.float_info.min:
+                raise _below_normal(value, r, len(terms))
+        else:
             if fitted:
                 # Refit every checkpoint: larger windows tighten the bound.
                 env = _fit_envelope(fit_points, mu) or env
-            if env is not None:
-                bound = _envelope_tail_bound(env, mu, n)
-                if bound is not None:
-                    total = math.fsum(terms)
-                    if bound <= rel_tol * total:
-                        return EvalResult(total, bound, len(terms), peak_index)
+            if env is None:
+                continue
+            value = math.fsum(terms)
+            bound = _envelope_tail_bound(env, mu, n, rel_tol * value)
+            if bound is None:
+                continue
+        if bound <= rel_tol * value:
+            if value < sys.float_info.min:
+                raise _below_normal(value, r, len(terms))
+            if smooth and peak_index == n - 1:  # still rising at the head's end
+                u_lo = math.log(n - 1)
+                u_hi = _solve_b_equals(s.log_b, log_r2 + _LOG_1E12, u_lo)
+                peak_index = _summand_peak(log_f, u_lo, u_hi)
+            return EvalResult(value, bound, len(terms), peak_index)
 
-    bound = _envelope_tail_bound(env, mu, n) if env is not None else None
+    if not smooth:
+        bound = _envelope_tail_bound(env, mu, n) if env is not None else None
     raise ResourceLimitError(
         f"eval_general hit the term cap {hard_cap} before certifying rel_tol={rel_tol}",
         cap=hard_cap,

@@ -1,10 +1,12 @@
 """Foundational special functions.
 
-Log-gamma, log-factorial and digamma in double precision, the principal
-branch of Lambert W, a numerical inverse of the gamma function on its
-increasing branch (seeded by a Lambert-W based asymptotic guess), and
-exact-rational Bernoulli numbers with the zeta values at negative odd
-integers they encode. Only the standard library is needed here.
+Log-gamma, log-factorial and digamma in double precision, log log x! in
+terms of log x (Stirling's series, for summands written in log x), the
+principal branch of Lambert W, a numerical inverse of the gamma function
+on its increasing branch (seeded by a Lambert-W based asymptotic guess),
+and exact-rational Bernoulli numbers with the zeta values at negative odd
+integers they encode. Only ``log_log_factorial`` uses numpy, whose ufuncs
+let it run on floats, arrays and ``tails.Jet``s alike.
 
 Everything here is pure and stateless; the Bernoulli table is built once
 and never mutated.
@@ -17,11 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import CapacityError, DomainError, NumericError
 
 __all__ = [
     "log_gamma",
     "log_factorial",
+    "log_log_factorial",
     "lambert_w",
     "BernoulliTable",
     "bernoulli_table",
@@ -61,6 +66,22 @@ def log_factorial(n: int) -> float:
     if n <= 20:
         return _LOG_FACTORIAL_TABLE[n]
     return math.lgamma(n + 1.0)
+
+
+def log_log_factorial(lx):
+    """log lgamma(x+1) = log log x! in terms of lx = log x, by Stirling's series.
+
+    lgamma(x+1) = x (log x - 1) + (log x + log 2 pi)/2 + 1/(12 x) - 1/(360 x^3)
+    + O(x^-5). Written with ``np.exp`` and ``np.log`` so that lx may be a
+    float, an array or a ``Jet``. Used from x = 64 on (the log-factorial
+    sequences of ``verify``, whose head is checked against it there) and
+    from x = 1e4 on (``dirichlet``). Against mpmath at 40 digits the
+    absolute error is 2.5e-11 at x = 16, 3.9e-15 at x = 64, and at most a
+    few units of the last place of the result from x ~ 100 on.
+    """
+    inv = np.exp(-lx)
+    series = (inv * (1.0 / 12.0)) * (1.0 - (inv * inv) * (1.0 / 30.0))
+    return lx + np.log(lx - 1.0 + inv * (0.5 * lx + _LOG_SQRT_2PI + series))
 
 
 # ---------------------------------------------------------------------------

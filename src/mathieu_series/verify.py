@@ -22,6 +22,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .asymptotics import (
     eval_classical_expansion,
     factorial_diagnostics,
@@ -50,12 +52,13 @@ from .series import (
     eval_power_series,
     eval_powerlog,
 )
-from .special import log_factorial
+from .special import log_factorial, log_log_factorial
 
 __all__ = ["CheckResult", "run_suite", "SUITE_NAMES"]
 
 # Strict mode demands this much extra clearance on every threshold.
 _STRICT_FACTOR = 0.8
+_LOG2, _LOG3, _LOG5 = math.log(2.0), math.log(3.0), math.log(5.0)
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,8 @@ def suite_thm12(strict: bool = False) -> list[CheckResult]:
         a=lambda n: (n + 3.0) * math.log(n + 2.0),
         b=lambda n: float(n) ** 3 * math.log(n + 1.0),
         b_monotone_from=1,
+        log_a=lambda u: np.logaddexp(u, _LOG3) + np.log(np.logaddexp(u, _LOG2)),
+        log_b=lambda u: 3.0 * u + np.log(np.logaddexp(u, 0.0)),
     )
     gaps = []
     for k in range(2, 6):
@@ -207,7 +212,13 @@ def suite_thm12(strict: bool = False) -> list[CheckResult]:
     )
 
     plain = PowerLogParams(1, 3, 0, 0, 1)
-    seq = SequencePair(a=lambda n: (n + 5.0), b=lambda n: float(n) ** 3, b_monotone_from=0)
+    seq = SequencePair(
+        a=lambda n: (n + 5.0),
+        b=lambda n: float(n) ** 3,
+        b_monotone_from=0,
+        log_a=lambda u: np.logaddexp(u, _LOG5),
+        log_b=lambda u: 3.0 * u,
+    )
     devs = []
     for k in (2, 3, 4):
         r = 10.0**k
@@ -461,6 +472,8 @@ def suite_cor61(strict: bool = False) -> list[CheckResult]:
         a=lambda n: log_factorial(n),
         b=lambda n: log_factorial(n) ** 3,
         b_monotone_from=2,
+        log_a=log_log_factorial,
+        log_b=lambda u: 3.0 * log_log_factorial(u),
     )
     p = PowerLogParams(1, 3, 1, 3, 1)
     devs = []

@@ -25,6 +25,7 @@ from mathieu_series.special import (
     lambert_w,
     zeta_neg_odd,
 )
+from mathieu_series import verify
 from mathieu_series.verify import run_suite
 
 
@@ -165,3 +166,21 @@ def test_criterion_12_special_function_floor():
         f"zeta exact {ok_zeta})"
     )
     assert ok
+
+
+def test_sequence_suites_sum_short_heads(monkeypatch):
+    # a deterministic cost guard: thm12 and cor61 certify their 12 eval_general
+    # calls from short heads (up to 65,536 terms each on the envelope path)
+    used = []
+    evaluate = verify.eval_general
+
+    def recording(*args, **kwargs):
+        res = evaluate(*args, **kwargs)
+        used.append(res.terms_used)
+        return res
+
+    monkeypatch.setattr(verify, "eval_general", recording)
+    for name in ("thm12", "cor61"):
+        assert all(c.passed for c in run_suite(name))
+    assert len(used) == 12
+    assert max(used) <= 8192

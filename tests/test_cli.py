@@ -67,6 +67,17 @@ def test_eval_unrepresentable_value_exit_1(capsys, family, r):
     assert "smallest normal double" in err
 
 
+def test_eval_general_unrepresentable_value_exit_1(capsys):
+    # every term underflows at mu = 300: it used to print "value": 0.0 and exit 0
+    code, out, err = run_cli(
+        capsys, "eval", "general", "--sequences", "shifted-powerlog", "--alpha", "1",
+        "--beta", "3", "--gamma", "1", "--delta", "1", "--mu", "300", "--r", "100",
+    )
+    assert code == 1
+    assert out == ""
+    assert "smallest normal double" in err
+
+
 def test_eval_invalid_powerlog_exit_2(capsys):
     code, _, err = run_cli(
         capsys, "eval", "powerlog", "--alpha", "1", "--beta", "1", "--mu", "0", "--r", "10"

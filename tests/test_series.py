@@ -1,5 +1,6 @@
 """Series evaluators against brute-force and exact-rational oracles."""
 
+import dataclasses
 import math
 import time
 import warnings
@@ -32,7 +33,7 @@ from mathieu_series.series import (
     factorial_summand_log,
     peak_index_n0,
 )
-from mathieu_series.special import log_factorial
+from mathieu_series.special import log_factorial, log_log_factorial
 
 
 def brute_powerlog(alpha, beta, gamma, delta, mu, r, n_max=10**7):
@@ -485,6 +486,188 @@ def test_scalar_logaddexp_matches_numpy_bit_for_bit():
         assert _logaddexp(x, y) == float(np.logaddexp(x, y))
 
 
+def test_general_negative_b_is_a_contract_violation():
+    # b(0) = -50 used to count as b = 0: a 26% error under a 7e-9 bound
+    seq = SequencePair(
+        a=lambda n: 1.0, b=lambda n: -50.0 if n == 0 else float(n) ** 2, b_monotone_from=1
+    )
+    with pytest.raises(ContractViolationError, match="b must be nonnegative, b\\(0\\) = -50.0"):
+        eval_general(seq, 1.0, 10.0)
+    # the lowest offending n wins: a NaN at 90 before a negative b at 100, and back
+    for nan_at, neg_at, first in ((90, 100, "a\\(90\\) = nan"), (100, 90, "b\\(90\\) = -1")):
+        seq = SequencePair(
+            a=lambda n, k=nan_at: math.nan if n == k else 1.0,
+            b=lambda n, k=neg_at: -1 if n == k else n**3,
+            b_monotone_from=200,
+        )
+        with pytest.raises(ContractViolationError, match=first):
+            eval_general(seq, 1.0, 1e3)
+
+
+# ---------------------------------------------------------------------------
+# Generic sequences with smooth forms: head plus Euler-Maclaurin tail
+# ---------------------------------------------------------------------------
+
+_LOG2, _LOG3, _LOG5 = math.log(2.0), math.log(3.0), math.log(5.0)
+_SHIFTED_SMOOTH = SequencePair(
+    a=_SHIFTED.a,
+    b=_SHIFTED.b,
+    b_monotone_from=1,
+    log_a=lambda u: np.logaddexp(u, _LOG3) + np.log(np.logaddexp(u, _LOG2)),
+    log_b=lambda u: 3.0 * u + np.log(np.logaddexp(u, 0.0)),
+)
+_PLUS5_SMOOTH = SequencePair(
+    a=lambda n: n + 5.0,
+    b=lambda n: float(n) ** 3,
+    log_a=lambda u: np.logaddexp(u, _LOG5),
+    log_b=lambda u: 3.0 * u,
+)
+_LOGFACT_SMOOTH = SequencePair(
+    a=_LOGFACT.a,
+    b=_LOGFACT.b,
+    b_monotone_from=2,
+    log_a=log_log_factorial,
+    log_b=lambda u: 3.0 * log_log_factorial(u),
+)
+# a_n = n, b_n = n^3: the power-log series (1, 3, 0, 0, 1) plus its n = 1 term
+_CUBIC_SMOOTH = SequencePair(
+    a=lambda n: float(n), b=lambda n: float(n) ** 3, log_a=lambda u: 1.0 * u, log_b=lambda u: 3.0 * u
+)
+
+
+def _callbacks_only(seq):
+    return dataclasses.replace(seq, log_a=None, log_b=None)
+
+
+@pytest.mark.parametrize(
+    "seq, r, kwargs",
+    [
+        *[(_SHIFTED_SMOOTH, 10.0**k, dict(rel_tol=1e-6)) for k in (2, 3, 4, 5)],
+        *[(_PLUS5_SMOOTH, 10.0**k, dict(rel_tol=1e-7)) for k in (2, 3, 4)],
+        *[(_LOGFACT_SMOOTH, 10.0**k, dict(rel_tol=1e-5, n_start=2)) for k in (2, 3, 4, 5, 6)],
+    ],
+)
+def test_general_smooth_agrees_with_the_callback_path(seq, r, kwargs):
+    # the thm12 and cor61 inputs of the verify suites
+    rel_tol = kwargs["rel_tol"]
+    smooth = eval_general(seq, 1.0, r, **kwargs)
+    plain = eval_general(_callbacks_only(seq), 1.0, r, **kwargs)
+    assert smooth.tail_bound <= rel_tol * smooth.value
+    assert abs(smooth.value - plain.value) <= rel_tol * plain.value
+    # the callback path returns a partial sum of positive terms, below the total
+    assert smooth.value + smooth.tail_bound >= plain.value * (1.0 - 1e-13)
+    assert smooth.peak_index == plain.peak_index
+    assert smooth.terms_used == 4096 - kwargs.get("n_start", 0)
+
+
+def test_general_smooth_callbacks_called_once_per_term():
+    calls = {"a": 0, "b": 0}
+
+    def counted(name, f):
+        def wrapper(n):
+            calls[name] += 1
+            return f(n)
+
+        return wrapper
+
+    seq = dataclasses.replace(
+        _LOGFACT_SMOOTH, a=counted("a", _LOGFACT.a), b=counted("b", _LOGFACT.b)
+    )
+    res = eval_general(seq, 1.0, 1e4, rel_tol=1e-5, n_start=2)
+    assert calls == {"a": res.terms_used, "b": res.terms_used}
+
+
+@pytest.mark.parametrize("bad_n", [64, 1000, 4095])
+def test_general_smooth_form_off_by_1e8_raises_at_its_n(bad_n):
+    at = math.log(bad_n)
+    seq = dataclasses.replace(
+        _PLUS5_SMOOTH, log_a=lambda u: _PLUS5_SMOOTH.log_a(u) + 1e-8 * (u == at)
+    )
+    with pytest.raises(ContractViolationError, match=f"disagree with the sequences at n={bad_n}:"):
+        eval_general(seq, 1.0, 1e3, rel_tol=1e-7)
+
+
+def test_general_smooth_forms_are_not_compared_below_64():
+    # a(63) leaves the smooth form: the head sums it as given
+    seq = dataclasses.replace(_PLUS5_SMOOTH, a=lambda n: 1e9 if n == 63 else n + 5.0)
+    res = eval_general(seq, 1.0, 1e3, rel_tol=1e-7)
+    ref = eval_general(_PLUS5_SMOOTH, 1.0, 1e3, rel_tol=1e-7)
+    extra = (1e9 - 68.0) / (63.0**3 + 1e6) ** 2
+    assert res.value == pytest.approx(ref.value + extra, rel=1e-14)
+
+
+def test_general_smooth_head_keeps_the_contract_checks():
+    def a(n):
+        return math.nan if n == 100 else n + 5.0
+
+    with pytest.raises(ContractViolationError, match="a\\(100\\) = nan"):
+        eval_general(dataclasses.replace(_PLUS5_SMOOTH, a=a), 1.0, 1e3)
+    # a smooth-form miss at 90 comes before the NaN at 100, and wins
+    seq = dataclasses.replace(
+        _PLUS5_SMOOTH, a=a, log_a=lambda u: _PLUS5_SMOOTH.log_a(u) + 1e-8 * (u == math.log(90))
+    )
+    with pytest.raises(ContractViolationError, match="at n=90:"):
+        eval_general(seq, 1.0, 1e3)
+    nonmonotone = dataclasses.replace(_PLUS5_SMOOTH, b=lambda n: 1.0 if n == 3000 else n**3.0)
+    with pytest.raises(ContractViolationError, match="b\\(3000\\) = 1.0 < b\\(2999\\)"):
+        eval_general(nonmonotone, 1.0, 1e3)
+
+
+def test_general_smooth_parameter_errors():
+    with pytest.raises(ParameterError, match="both smooth forms"):
+        SequencePair(a=_PLUS5_SMOOTH.a, b=_PLUS5_SMOOTH.b, log_a=_PLUS5_SMOOTH.log_a)
+    with pytest.raises(ParameterError, match="both smooth forms"):
+        SequencePair(a=_PLUS5_SMOOTH.a, b=_PLUS5_SMOOTH.b, log_b=_PLUS5_SMOOTH.log_b)
+    env = GeneralEnvelope(2.0, 1.0, 0.0, 1.0, 3.0, 0.0, 4)
+    with pytest.raises(ParameterError, match="smooth forms or an envelope"):
+        eval_general(_PLUS5_SMOOTH, 1.0, 100.0, envelope=env)
+
+
+def test_general_smooth_peak_past_the_head():
+    # the summand peaks at n = 27144: located by bisection, as eval_powerlog does
+    r = 1e7
+    res = eval_general(_CUBIC_SMOOTH, 1.0, r, rel_tol=1e-8)
+    ref = eval_powerlog(PowerLogParams(1, 3, 0, 0, 1), r, rel_tol=1e-12)
+    assert res.terms_used == 4096
+    assert res.peak_index == ref.peak_index == 27144
+    assert res.tail_bound <= 1e-8 * res.value
+    assert res.value == pytest.approx(ref.value + 1.0 / (1.0 + r * r) ** 2, rel=1e-12)
+
+
+def test_general_smooth_doubles_the_head_until_it_certifies():
+    # at rel_tol 1e-14 the tail integral's quadrature error is too large from 4096
+    r = 1e6
+    res = eval_general(_CUBIC_SMOOTH, 1.0, r, rel_tol=1e-14)
+    ref = eval_powerlog(PowerLogParams(1, 3, 0, 0, 1), r, rel_tol=1e-14)
+    assert res.terms_used == 8192
+    assert res.tail_bound <= 1e-14 * res.value
+    assert res.peak_index == ref.peak_index == 5848
+    assert res.value == pytest.approx(ref.value + 1.0 / (1.0 + r * r) ** 2, rel=1e-13)
+    with pytest.raises(ResourceLimitError) as info:
+        eval_general(_CUBIC_SMOOTH, 1.0, r, rel_tol=1e-14, hard_cap=6000)
+    assert info.value.bound_achieved > 1e-14 * res.value
+    with pytest.raises(ResourceLimitError) as info:  # the head never reaches 4096
+        eval_general(_CUBIC_SMOOTH, 1.0, r, rel_tol=1e-8, hard_cap=3000)
+    assert info.value.bound_achieved is None
+
+
+def test_general_value_below_the_smallest_normal_double():
+    # every term underflows: a NumericError, not EvalResult(0.0, 0.0, 64, 0)
+    with pytest.raises(NumericError, match="smallest normal double"):
+        eval_general(_SHIFTED, 300.0, 10.0)
+    with pytest.raises(NumericError, match="smallest normal double"):
+        eval_general(_SHIFTED_SMOOTH, 300.0, 10.0)
+
+
+def test_envelope_bound_skipped_when_its_first_term_exceeds_the_limit():
+    env = GeneralEnvelope(2.0, 1.0, 0.0, 0.5, 3.0, 0.0, 4)
+    full = _envelope_tail_bound(env, 1.0, 128)
+    g = 2.0 / 0.5**2 * 128.0**-5
+    assert g < full
+    assert _envelope_tail_bound(env, 1.0, 128, limit=0.99 * g) is None
+    assert _envelope_tail_bound(env, 1.0, 128, limit=1.01 * g) == full
+
+
 # ---------------------------------------------------------------------------
 # Factorial family
 # ---------------------------------------------------------------------------
@@ -655,6 +838,14 @@ def test_power_series_non_finite_callback():
     assert eval_power_series(big, 0.0, 0.5, 10.0) > 0.0
     big = SequencePair(a=lambda n: 1.0, b=lambda n: 10 ** (20 + n), b_monotone_from=0)
     assert eval_power_series(big, 0.0, 0.5, 10.0) > 0.0
+
+
+def test_power_series_negative_b_is_a_contract_violation():
+    seq = SequencePair(a=lambda n: 1.0, b=lambda n: -50.0 if n == 3 else float(n) ** 2)
+    with pytest.raises(ContractViolationError, match="b must be nonnegative, b\\(3\\) = -50.0"):
+        eval_power_series(seq, 1.0, 0.5, 10.0)
+    with pytest.raises(ContractViolationError, match="b\\(0\\) = -1"):
+        eval_power_series(SequencePair(a=lambda n: 1.0, b=lambda n: -1), 1.0, 0.0, 10.0)
 
 
 @pytest.mark.parametrize(

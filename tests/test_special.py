@@ -20,6 +20,7 @@ from mathieu_series.special import (
     lambert_w,
     log_factorial,
     log_gamma,
+    log_log_factorial,
     zeta_neg_odd,
 )
 
@@ -63,6 +64,20 @@ def test_log_factorial_small_and_large():
     assert log_factorial(170) == pytest.approx(math.log(ref), rel=1e-13)
     with pytest.raises(DomainError):
         log_factorial(-1)
+
+
+def test_log_log_factorial_matches_mpmath():
+    # the range it is used on: x >= 64 (verify's log-factorial sequences) and x >= 1e4
+    ns = np.unique(np.geomspace(64, 1e6, 300).astype(np.int64))
+    got = log_log_factorial(np.log(ns.astype(np.float64)))
+    with mpmath.workdps(40):
+        exact = [mpmath.log(mpmath.loggamma(int(n) + 1)) for n in ns]
+    worst = max(abs(float(g - e)) for g, e in zip(got.tolist(), exact))
+    assert worst <= 1e-14
+    # one expression for floats and arrays
+    assert log_log_factorial(math.log(1000.0)) == pytest.approx(
+        math.log(math.lgamma(1001.0)), abs=1e-15
+    )
 
 
 # ---------------------------------------------------------------------------

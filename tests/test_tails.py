@@ -74,12 +74,12 @@ def test_finite_segment_factorial_powers():
     # (n!)^(-s) for 2e4 <= n <= 2e5 at s = 1e-5: the summand falls from e^-1.8 to e^-22
     from scipy.integrate import quad
 
-    from mathieu_series.dirichlet import _log_lgamma1
+    from mathieu_series.special import log_log_factorial
 
     s, start, stop = 1e-5, 20_000, 200_000
 
     def log_f(lx):
-        return -s * np.exp(_log_lgamma1(lx))
+        return -s * np.exp(log_log_factorial(lx))
 
     integral, err = quad(
         lambda u: math.exp(u + log_f(u)), math.log(start), math.log(stop), epsabs=0.0, epsrel=1e-13
