@@ -28,7 +28,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericError, ParameterError
-from .series import FactorialParams, PowerLogParams, _check_rel_tol, _require_radius
+from .series import (
+    FactorialParams,
+    PowerLogParams,
+    _check_rel_tol,
+    _log_x_integral,
+    _require_radius,
+)
 from .special import lambert_w, log_log_factorial
 from .tails import euler_maclaurin_tail, exp_poly_tail, quad
 
@@ -242,19 +248,12 @@ def factorial_dirichlet(s: float, rel_tol: float = 1e-12) -> float:
     def log_f(lx):
         return -s * np.exp(log_log_factorial(lx))
 
-    def integrand(u: float) -> float:
-        return math.exp(u + log_f(u))
-
     # x (n!)^(-s) peaks in u = log x where u + log u = log(1/s)
     u_peak = lambert_w(1.0 / s)
-    edges = [math.log(start), math.log(stop)]
-    if edges[0] < u_peak < edges[1]:
-        edges.insert(1, u_peak)
-    integral = integral_err = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        val, err = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=400)
-        integral += val
-        integral_err += err
+    u_start, u_stop = math.log(start), math.log(stop)
+    integral, integral_err = _log_x_integral(
+        log_f, (u_start, min(max(u_peak, u_start), u_stop), u_stop)
+    )
     tail, bound = euler_maclaurin_tail(
         log_f, start, integral, integral_err, breaks=(u_peak,), stop=stop
     )
@@ -282,8 +281,8 @@ def log_factorial_dirichlet(s: float, rel_tol: float = 1e-10) -> float:
 
     Direct partial sum below a cutoff N, plus the Euler-Maclaurin tail
     from N on, with the summand lgamma(x+1)^(-s) taken from Stirling's
-    series. The tail integral runs by quadrature up to where the majorant
-    from log n! >= n log n - n bounds the rest, which counts as error.
+    series. The tail integral runs by quadrature in u = log x to infinity,
+    and its error estimate joins the bound.
     """
     s = float(s)
     if not (math.isfinite(s) and s > 1.0):
@@ -293,22 +292,14 @@ def log_factorial_dirichlet(s: float, rel_tol: float = 1e-10) -> float:
     def log_f(lx):
         return -s * log_log_factorial(lx)
 
-    def integrand(u: float) -> float:
-        return math.exp(u + log_f(u))
-
     n_cut = 20_000
     for _ in range(4):
         ns = np.arange(2, n_cut, dtype=np.float64)
         lf = np.cumsum(np.log(ns))  # log(2)+...+log(n) = log n!
         partial = float(np.sum(np.exp(-s * np.log(lf))))
 
-        u0 = math.log(n_cut)
-        u_cut = u0 + max(60.0, 50.0 / (s - 1.0))
-        integral, quad_err = quad(integrand, u0, u_cut, epsabs=0.0, epsrel=1e-12, limit=400)
-        # Majorant remainder past u_cut: (x log x - x)^(-s) decays like
-        # e^(u(1-s)) (u-1)^(-s); bound it by the incomplete-gamma tail.
-        far = math.exp(1.0 - s) * exp_poly_tail(s - 1.0, -s, u_cut - 1.0)
-        tail, bound = euler_maclaurin_tail(log_f, n_cut, integral + far, quad_err + far)
+        integral, integral_err = _log_x_integral(log_f, (math.log(n_cut), math.inf))
+        tail, bound = euler_maclaurin_tail(log_f, n_cut, integral, integral_err)
         value = partial + tail
         if bound <= rel_tol * value:
             return value

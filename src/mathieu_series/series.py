@@ -10,10 +10,12 @@ Covers four families, all with certified relative-error truncation:
 Power-logarithmic sums add doubling blocks of terms from n = 2 and, at
 each block end N, the Euler-Maclaurin tail from N (``tails``): the
 integral of the summand plus boundary corrections, with the DLMF 2.10(i)
-remainder bound plus the quadrature error as the certificate. They stop
-at the first block end where that bound is within rel_tol, usually the
-first, so radii far beyond any feasible term count stay cheap. Values that
-are not normal doubles raise ``NumericError`` instead of returning 0. The
+remainder bound plus the quadrature error as the certificate. The tail
+integral runs by quadrature in u = log x out to infinity (``_log_x_integral``,
+which also serves the Dirichlet sums of ``dirichlet``). The sums stop at the
+first block end where that bound is within rel_tol, usually the first, so
+radii far beyond any feasible term count stay cheap. Values that are not
+normal doubles raise ``NumericError`` instead of returning 0. The
 factorial family is summed in shifted log space around its sharply peaked
 terms.
 
@@ -21,8 +23,9 @@ Everything is pure and safe for concurrent use; sequence callbacks must be
 pure and reentrant. The generic family calls them a block of terms at a
 time and checks the block afterwards, with numpy doing the per-term
 arithmetic of each block. When the sequences also come with smooth forms
-in log x, it adds the same Euler-Maclaurin tail to a 4096-term head;
-otherwise a termwise power-log envelope bounds the tail.
+in log x, it adds the same Euler-Maclaurin tail to a 4096-term head, with
+the power-log family's stopping and give-up rules; otherwise a termwise
+power-log envelope bounds the tail.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .special import log_factorial
 from .tails import (
     Jet,
     euler_maclaurin_tail,
-    exp_poly_tail,
     powerlog_majorant_is_decreasing,
     powerlog_tail_integral,
     quad,
@@ -309,12 +311,9 @@ def _powerlog_log_summand(p: PowerLogParams, log_r2: float, lx):
     )
 
 
-def _powerlog_log_b(p: PowerLogParams) -> tuple[Callable[[float], float], float]:
-    """log b(u) = beta*u + delta*log(u) in u = log x, and where its increasing branch starts."""
-    return (
-        lambda u: p.beta * u + p.delta * math.log(u),
-        max(math.log(2.0), 1.0, -p.delta / p.beta + 0.5),
-    )
+def _powerlog_log_b(p: PowerLogParams) -> Callable[[float], float]:
+    """log b(u) = beta*u + delta*log(u) in u = log x."""
+    return lambda u: p.beta * u + p.delta * math.log(u)
 
 
 def _solve_b_equals(log_b: Callable[[float], float], target: float, lo: float) -> float:
@@ -335,48 +334,53 @@ def _solve_b_equals(log_b: Callable[[float], float], target: float, lo: float) -
     return 0.5 * (lo + hi)
 
 
-def _powerlog_tail_integral(
-    p: PowerLogParams, log_r2: float, u0: float
-) -> tuple[float, float, tuple[float, float]]:
-    """Integral of the summand over [exp(u0), inf), its error, and where it turns.
+def _log_x_integral(log_f: Callable, edges) -> tuple[float, float]:
+    """Integral of f over [exp(edges[0]), exp(edges[-1])] and its error estimate.
 
-    The quadrature runs in u = log x coordinates, split at the summand peak;
-    past the point where r^2 is 1e-12 of b the integral is the r^2-free
-    power-log majorant in closed form, whose excess counts as error.
-    Returns the two split points (u-coordinates) as the third item.
+    ``log_f`` maps u = log x to log f(x); the integral of exp(u + log f(u))
+    runs by quadrature over each segment between consecutive ``edges``
+    (u-coordinates, nondecreasing; the last may be inf), and empty segments
+    are skipped.
     """
-    mu1 = p.mu + 1.0
 
     def integrand(u: float) -> float:
-        return math.exp(u + _powerlog_log_summand(p, log_r2, u))
+        return math.exp(u + log_f(u))
 
-    log_b, lo = _powerlog_log_b(p)
-    u_peak = max(_solve_b_equals(log_b, log_r2, lo), u0)
-    u_hi = max(_solve_b_equals(log_b, log_r2 + _LOG_1E12, lo), u0 + 1.0)
-    integral = 0.0
-    quad_err = 0.0
-    for a, b in ((u0, u_peak), (u_peak, u_hi)):
-        if b > a:
-            val, err = quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=400)
+    integral = integral_err = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        if hi > lo:
+            val, err = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)
             integral += val
-            quad_err += err
-
-    # Far tail: drop r^2 from the denominator; overestimates by <= (1+1e-12)^(mu+1).
-    far = exp_poly_tail(-(p.alpha - p.beta * mu1 + 1.0), p.gamma - p.delta * mu1, u_hi)
-    integral += far
-    quad_err += far * (mu1 * 1e-12 + 1e-13)
-    return integral, quad_err, (u_peak, u_hi)
+            integral_err += err
+    return integral, integral_err
 
 
-def _summand_peak(log_f: Callable, u_lo: float, u_hi: float) -> int:
-    """Index of the largest summand in [exp(u_lo), exp(u_hi)], the summand rising at u_lo.
+def _smooth_tail(
+    log_f: Callable, log_b: Callable, log_r2: float, n: int
+) -> tuple[float, float, float, float]:
+    """Euler-Maclaurin value and bound of the sum of f(x) over x >= n, the tail
+    integral and its error.
 
-    Bisects on the sign of d log f / d log x (the jet's first coefficient).
-    Callers put u_hi where r^2 is 1e-12 of b, past which the summand only
-    falls.
+    The integral is split where b(x) = r^2 (the summand peaks near there)
+    and where r^2 is 1e-12 of b, and its last segment runs to infinity; the
+    remainder integral is split at the first point only.
     """
-    lo = u_lo
-    hi = max(u_hi, lo)
+    u0 = math.log(n)
+    u_peak = _solve_b_equals(log_b, log_r2, u0)
+    u_far = _solve_b_equals(log_b, log_r2 + _LOG_1E12, u0)
+    integral, integral_err = _log_x_integral(log_f, (u0, u_peak, u_far, math.inf))
+    value, bound = euler_maclaurin_tail(log_f, n, integral, integral_err, breaks=(u_peak,))
+    return value, bound, integral, integral_err
+
+
+def _summand_peak(log_f: Callable, log_b: Callable, log_r2: float, n: int) -> int:
+    """Index of the largest summand from n - 1 on, the summand rising at n - 1.
+
+    Bisects on the sign of d log f / d log x (the jet's first coefficient)
+    up to where r^2 is 1e-12 of b, past which the summand only falls.
+    """
+    lo = math.log(n - 1)
+    hi = _solve_b_equals(log_b, log_r2 + _LOG_1E12, lo)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if log_f(Jet.log_variable(mid, 1)).c[1] > 0.0:
@@ -386,6 +390,43 @@ def _summand_peak(log_f: Callable, u_lo: float, u_hi: float) -> int:
     x = math.exp(min(lo, 700.0))
     candidates = {max(int(x), 2), int(x) + 1}
     return max(candidates, key=lambda n: log_f(math.log(n)))
+
+
+def _below_normal(who: str, value: float, r: float, terms: int) -> NumericError:
+    return NumericError(
+        f"{who} value {value:.3e} at r={r} is below the smallest normal double "
+        f"(after {terms} terms)"
+    )
+
+
+def _uncertified(
+    who: str, rel_tol: float, cap: int, bound: float, value: float, terms: int
+) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"{who} cannot certify rel_tol={rel_tol} within {cap} terms "
+        f"(best bound {bound / value:.3e} relative, after {terms} terms)",
+        cap=cap,
+        bound_achieved=bound,
+    )
+
+
+def _beyond_reach(
+    rel_tol: float, value: float, integral: float, err: float, log_f_free: Callable, end: int
+) -> bool:
+    """True when no head that stops before n = ``end`` can certify rel_tol.
+
+    So it is when rel_tol is below the double resolution of the value, or
+    when the tail integral's error, a near-fixed fraction of the integral
+    (quadrature roundoff), is predicted to exceed it at ``end``: from there
+    on the integral is at most that of the r^2-free summand ``log_f_free``,
+    and close to it past the summand peak.
+    """
+    if rel_tol < sys.float_info.epsilon:
+        return True
+    if integral <= 0.0:
+        return False
+    end_tail, _ = _log_x_integral(log_f_free, (math.log(end), math.inf))
+    return err / integral * min(end_tail, integral) > rel_tol * value
 
 
 def eval_powerlog(
@@ -399,27 +440,28 @@ def eval_powerlog(
     Sums doubling blocks from n = 2 and, at each block end N, adds the
     Euler-Maclaurin tail from N with its remainder bound; it stops at the
     first N where that bound is <= rel_tol * value and returns it as
-    ``tail_bound``. Raises ``ResourceLimitError`` once ``hard_cap`` terms
-    leave the bound above rel_tol or the tail integral's error is predicted
-    to, and at once when rel_tol is below the double-precision resolution
-    of the value; raises ``NumericError`` when the value is not a normal
-    double.
+    ``tail_bound``. The tail integral runs by quadrature to infinity, split
+    where b = r^2 and where r^2 is 1e-12 of b. Raises ``ResourceLimitError``
+    once ``hard_cap`` terms leave the bound above rel_tol or the tail
+    integral's error is predicted to, and at once when rel_tol is below the
+    double-precision resolution of the value; raises ``NumericError`` when
+    the value is not a normal double.
     """
     r = _require_radius(r, 1.0, "eval_powerlog")
     rel_tol = _check_rel_tol(rel_tol)
 
     log_r2 = 2.0 * math.log(r)
     log_f = functools.partial(_powerlog_log_summand, p, log_r2)
-    mu1 = p.mu + 1.0
-    a_pow = p.alpha - p.beta * mu1  # majorant power, < -1 by the invariant
-    b_pow = p.gamma - p.delta * mu1
+    log_f_free = functools.partial(_powerlog_log_summand, p, -math.inf)
+    log_b = _powerlog_log_b(p)
     block_sums: list[float] = []
     best_log = -math.inf
     peak_index = 2
     n = 2
+    end = 2 + hard_cap
     block = 4096
     while True:
-        stop = min(n + block, 2 + hard_cap)
+        stop = min(n + block, end)
         if stop > n:
             ns = np.arange(n, stop, dtype=np.float64)
             logterms = log_f(np.log(ns))
@@ -431,40 +473,17 @@ def eval_powerlog(
             n = stop
             block = min(block * 2, _MAX_BLOCK)
 
-        integral, integral_err, breaks = _powerlog_tail_integral(p, log_r2, math.log(n))
-        tail_value, bound = euler_maclaurin_tail(log_f, n, integral, integral_err, breaks)
-        value = math.fsum(block_sums) + tail_value
+        tail, bound, integral, err = _smooth_tail(log_f, log_b, log_r2, n)
+        value = math.fsum(block_sums) + tail
         if value < sys.float_info.min:
-            raise NumericError(
-                f"eval_powerlog value {value:.3e} at r={r} is below the smallest normal double"
-            )
+            raise _below_normal("eval_powerlog", value, r, n - 2)
         if bound <= rel_tol * value:
             break
-        # The integral's error is a near-fixed fraction of the integral
-        # (quadrature roundoff). From the cap on, the integral is at most the
-        # r^2-free majorant's tail, and close to it past the summand peak;
-        # when that fraction of it still exceeds rel_tol, give up now rather
-        # than sum toward the cap.
-        err_at_cap = 0.0
-        if integral > 0.0:
-            cap_tail = exp_poly_tail(-(a_pow + 1.0), b_pow, math.log(2.0 + hard_cap))
-            err_at_cap = integral_err / integral * min(cap_tail, integral)
-        if (
-            n - 2 >= hard_cap
-            or rel_tol < sys.float_info.epsilon
-            or err_at_cap > rel_tol * value
-        ):
-            raise ResourceLimitError(
-                f"eval_powerlog cannot certify rel_tol={rel_tol} within {hard_cap} terms "
-                f"(best bound {bound / value:.3e} relative, after {n - 2} terms)",
-                cap=hard_cap,
-                bound_achieved=bound,
-            )
+        if n >= end or _beyond_reach(rel_tol, value, integral, err, log_f_free, end):
+            raise _uncertified("eval_powerlog", rel_tol, hard_cap, bound, value, n - 2)
 
     if peak_index == n - 1:  # still rising at the head's end
-        log_b, lo = _powerlog_log_b(p)
-        u_hi = _solve_b_equals(log_b, log_r2 + _LOG_1E12, lo)
-        peak_index = _summand_peak(log_f, math.log(n - 1), u_hi)
+        peak_index = _summand_peak(log_f, log_b, log_r2, n)
     return EvalResult(value, bound, n - 2, peak_index)
 
 
@@ -643,36 +662,6 @@ def _smooth_log_summand(s: SequencePair, log_r2: float, mu1: float, u):
     return s.log_a(u) - mu1 * np.logaddexp(s.log_b(u), log_r2)
 
 
-def _smooth_tail(
-    s: SequencePair, log_f: Callable, log_r2: float, n: int
-) -> tuple[float, float]:
-    """Euler-Maclaurin value and bound of the smooth summand's sum over x >= n.
-
-    The integral runs by quadrature in u = log x, split where b(x) = r^2
-    (the summand peaks near there); its error estimate joins the bound.
-    """
-
-    def integrand(u: float) -> float:
-        return math.exp(u + log_f(u))
-
-    u0 = math.log(n)
-    u_peak = _solve_b_equals(s.log_b, log_r2, u0)
-    integral = integral_err = 0.0
-    for lo, hi in ((u0, u_peak), (u_peak, math.inf)):
-        if hi > lo:
-            val, err = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)
-            integral += val
-            integral_err += err
-    return euler_maclaurin_tail(log_f, n, integral, integral_err, breaks=(u_peak,))
-
-
-def _below_normal(value: float, r: float, n: int) -> NumericError:
-    return NumericError(
-        f"eval_general value {value:.3e} at r={r} is below the smallest normal double "
-        f"(after {n} terms)"
-    )
-
-
 def eval_general(
     s: SequencePair,
     mu: float,
@@ -699,12 +688,16 @@ def eval_general(
     * Smooth forms (``s.log_a`` and ``s.log_b``): from N = 4096 on, the
       Euler-Maclaurin tail of the declared summand over x >= N (DLMF
       2.10(i) remainder plus the tail integral's quadrature error), added
-      to the head's sum; ``tail_bound`` is that bound. Every head term with
-      n >= 64 and a_n, b_n > 0 must match the smooth forms to 1e-10 in log,
-      or ``ContractViolationError`` names the first that does not; past the
-      head the certificate rests on the declared forms. ``peak_index`` is
-      located past the head by bisection when the summand still rises
-      there. Not combinable with ``envelope``.
+      to the head's sum; ``tail_bound`` is that bound. The tail is the one
+      ``eval_powerlog`` adds, and so is the give-up rule: a rel_tol below
+      the double-precision resolution of the value, or one the tail
+      integral's error is predicted to miss at ``hard_cap``, raises
+      ``ResourceLimitError`` at the first checkpoint that does not certify.
+      Every head term with n >= 64 and a_n, b_n > 0 must match the smooth
+      forms to 1e-10 in log, or ``ContractViolationError`` names the first
+      that does not; past the head the certificate rests on the declared
+      forms. ``peak_index`` is located past the head by bisection when the
+      summand still rises there. Not combinable with ``envelope``.
     * Otherwise a termwise power-log envelope combined with the promised
       monotonicity of b: ``envelope`` when supplied (every term from its
       ``valid_from`` is checked against it), or fitted on the evaluated
@@ -732,7 +725,9 @@ def eval_general(
     mu1 = mu + 1.0
     fitted = envelope is None and not smooth
     env = envelope
-    log_f = functools.partial(_smooth_log_summand, s, log_r2, mu1) if smooth else None
+    if smooth:
+        log_f = functools.partial(_smooth_log_summand, s, log_r2, mu1)
+        log_f_free = functools.partial(_smooth_log_summand, s, -math.inf, mu1)
     bound = None
 
     terms: list[float] = []
@@ -795,27 +790,27 @@ def eval_general(
         if smooth:
             if n < _SMOOTH_HEAD:
                 continue
-            tail, bound = _smooth_tail(s, log_f, log_r2, n)
+            tail, bound, integral, err = _smooth_tail(log_f, s.log_b, log_r2, n)
             value = math.fsum(terms) + tail
             if value < sys.float_info.min:
-                raise _below_normal(value, r, len(terms))
-        else:
-            if fitted:
-                # Refit every checkpoint: larger windows tighten the bound.
-                env = _fit_envelope(fit_points, mu) or env
-            if env is None:
-                continue
-            value = math.fsum(terms)
-            bound = _envelope_tail_bound(env, mu, n, rel_tol * value)
-            if bound is None:
-                continue
-        if bound <= rel_tol * value:
+                raise _below_normal("eval_general", value, r, len(terms))
+            if bound <= rel_tol * value:
+                if peak_index == n - 1:  # still rising at the head's end
+                    peak_index = _summand_peak(log_f, s.log_b, log_r2, n)
+                return EvalResult(value, bound, len(terms), peak_index)
+            if _beyond_reach(rel_tol, value, integral, err, log_f_free, end):
+                raise _uncertified("eval_general", rel_tol, hard_cap, bound, value, len(terms))
+            continue
+        if fitted:
+            # Refit every checkpoint: larger windows tighten the bound.
+            env = _fit_envelope(fit_points, mu) or env
+        if env is None:
+            continue
+        value = math.fsum(terms)
+        bound = _envelope_tail_bound(env, mu, n, rel_tol * value)
+        if bound is not None and bound <= rel_tol * value:
             if value < sys.float_info.min:
-                raise _below_normal(value, r, len(terms))
-            if smooth and peak_index == n - 1:  # still rising at the head's end
-                u_lo = math.log(n - 1)
-                u_hi = _solve_b_equals(s.log_b, log_r2 + _LOG_1E12, u_lo)
-                peak_index = _summand_peak(log_f, u_lo, u_hi)
+                raise _below_normal("eval_general", value, r, len(terms))
             return EvalResult(value, bound, len(terms), peak_index)
 
     if not smooth:

@@ -1,0 +1,60 @@
+"""The benchmark's tracer still finds the bindings it wraps in the package.
+
+``perfbench/tracing.py`` counts quadrature calls at ``series.quad`` and
+``dirichlet.quad``; every summand integral of ``series`` and ``dirichlet``
+must go through the ``series`` binding so that the count sees it.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from mathieu_series import dirichlet, series, verify
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings(tracing):
+    out = {}
+    for name in tracing.MODULES:
+        mod = importlib.import_module(f"{tracing.PACKAGE}.{name}")
+        out.update({(name, attr): value for attr, value in vars(mod).items() if callable(value)})
+    return out
+
+
+def test_tracer_counts_series_quad_and_puts_the_originals_back():
+    tracing = _load_tracing()
+    before = _bindings(tracing)
+    suites = dict(verify._SUITES)
+    cubic = series.SequencePair(
+        a=lambda n: float(n),
+        b=lambda n: float(n) ** 3,
+        log_a=lambda u: 1.0 * u,
+        log_b=lambda u: 3.0 * u,
+    )
+    calls = (
+        lambda: series.eval_powerlog(series.PowerLogParams(1, 2, 0, 0, 1), 1e3),
+        lambda: series.eval_general(cubic, 1.0, 1e3),
+        lambda: dirichlet.factorial_dirichlet(1e-8),
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert series.quad is not before[("series", "quad")]
+        for call in calls:
+            with tracer.traced_pass():
+                call()
+    finally:
+        tracer.uninstall()
+
+    for counts in tracer.pass_counts:
+        assert counts["series.quad.calls"] > 0
+    assert _bindings(tracing) == before
+    assert verify._SUITES == suites

@@ -3,6 +3,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +213,27 @@ def test_log_factorial_dirichlet_against_direct_sum():
     assert v == pytest.approx(oracle, rel=1e-7)
     with pytest.raises(DomainError):
         log_factorial_dirichlet(1.0)
+
+
+@pytest.mark.parametrize("s", [1.05, 1.5])
+def test_log_factorial_dirichlet_slow_tail_against_mpmath(s):
+    # near s = 1 the summand decays like e^(-(s-1) u) in u = log x, so the
+    # tail integral must run far past any fixed cutoff. Reference: a direct
+    # head below N, then Euler-Maclaurin from N with the integral from
+    # mpmath at 20 digits (the rest past u = log N + 3e4 is below e^-1000).
+    n_cut = 1000
+    f = lambda x: mpmath.loggamma(x + 1) ** (-s)
+    a = mpmath.log(n_cut)
+    with mpmath.workdps(20):
+        edges = [a, a + 10, a + 100, a + 1e3, a + 1e4, a + 3e4]
+        tail_integral = mpmath.quad(lambda u: mpmath.exp(u) * f(mpmath.exp(u)), edges)
+        ref = (
+            math.fsum(float(f(n)) for n in range(2, n_cut))
+            + float(tail_integral)
+            + float(f(n_cut)) / 2
+            - float(mpmath.diff(f, n_cut)) / 12
+        )
+    assert log_factorial_dirichlet(s, rel_tol=1e-10) == pytest.approx(ref, rel=1e-10)
 
 
 def test_log_factorial_dirichlet_near_one_vs_majorant_series():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mathieu_series import series
 from mathieu_series.errors import (
     ContractViolationError,
     DomainError,
@@ -34,6 +35,7 @@ from mathieu_series.series import (
     peak_index_n0,
 )
 from mathieu_series.special import log_factorial, log_log_factorial
+from mathieu_series.tails import euler_maclaurin_tail, exp_poly_tail, quad
 
 
 def brute_powerlog(alpha, beta, gamma, delta, mu, r, n_max=10**7):
@@ -164,6 +166,79 @@ def test_powerlog_unrepresentable_value():
         warnings.simplefilter("error")
         with pytest.raises(NumericError):
             eval_powerlog(PowerLogParams(1, 2, 0, 0, 1), 1e160)
+
+
+def reference_powerlog_tail_integral(p, log_r2, u0):
+    """The power-log tail integral as summed before the shared smooth tail.
+
+    Quadrature in u = log x up to where r^2 is 1e-12 of b, split at the
+    summand peak; past that the r^2-free majorant in closed form, whose
+    excess counts as error. Returns the two split points as the third item.
+    """
+    mu1 = p.mu + 1.0
+
+    def integrand(u):
+        return math.exp(u + series._powerlog_log_summand(p, log_r2, u))
+
+    def log_b(u):
+        return p.beta * u + p.delta * math.log(u)
+
+    lo = max(math.log(2.0), 1.0, -p.delta / p.beta + 0.5)
+    u_peak = max(series._solve_b_equals(log_b, log_r2, lo), u0)
+    u_hi = max(series._solve_b_equals(log_b, log_r2 + math.log(1e12), lo), u0 + 1.0)
+    integral = 0.0
+    quad_err = 0.0
+    for a, b in ((u0, u_peak), (u_peak, u_hi)):
+        if b > a:
+            val, err = quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=400)
+            integral += val
+            quad_err += err
+    far = exp_poly_tail(-(p.alpha - p.beta * mu1 + 1.0), p.gamma - p.delta * mu1, u_hi)
+    integral += far
+    quad_err += far * (mu1 * 1e-12 + 1e-13)
+    return integral, quad_err, (u_peak, u_hi)
+
+
+# the thm11, thm12 and expansion inputs of the verify suites
+_SUITE_POWERLOG_INPUTS = [
+    *[
+        (PowerLogParams(*ps), 10.0**k, 1e-9)
+        for ps in [(1, 2, 0, 0, 1), (1, 2, 1, 1, 1), (2, 3, -1, 2, 1), (1, 1, 0, 1, 2)]
+        for k in range(2, 7)
+    ],
+    *[(PowerLogParams(1, 3, 1, 1, 1), 10.0**k, 1e-9) for k in range(2, 6)],
+    *[(PowerLogParams(1, 3, 0, 0, 1), 10.0**k, 1e-9) for k in range(2, 5)],
+    (PowerLogParams(1, 2, 0, 0, 2), 10.0, 1e-13),
+    (PowerLogParams(1, 2, 0, 0, 2), 100.0, 1e-14),
+]
+
+
+@pytest.mark.parametrize("p, r, rel_tol", _SUITE_POWERLOG_INPUTS)
+def test_powerlog_tail_integral_matches_the_closed_form_far_tail(p, r, rel_tol, monkeypatch):
+    log_r2 = 2.0 * math.log(r)
+    log_f = lambda u: series._powerlog_log_summand(p, log_r2, u)
+    for n in (4098, 12290):
+        _, _, integral, err = series._smooth_tail(log_f, series._powerlog_log_b(p), log_r2, n)
+        ref, ref_err, _ = reference_powerlog_tail_integral(p, log_r2, math.log(n))
+        assert abs(integral - ref) <= err + ref_err
+
+    res = eval_powerlog(p, r, rel_tol=rel_tol)
+
+    def reference_tail(log_f, log_b, log_r2, n):
+        integral, err, breaks = reference_powerlog_tail_integral(p, log_r2, math.log(n))
+        value, bound = euler_maclaurin_tail(log_f, n, integral, err, breaks)
+        return value, bound, integral, err
+
+    monkeypatch.setattr(series, "_smooth_tail", reference_tail)
+    ref = eval_powerlog(p, r, rel_tol=rel_tol)
+    assert (res.value, res.terms_used, res.peak_index) == (
+        ref.value,
+        ref.terms_used,
+        ref.peak_index,
+    )
+    # the remainder integral's quadrature error, estimated on one segment
+    # past the peak instead of two, may come out larger in the 10th digit
+    assert res.tail_bound <= ref.tail_bound * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -635,13 +710,14 @@ def test_general_smooth_peak_past_the_head():
 
 
 def test_general_smooth_doubles_the_head_until_it_certifies():
-    # at rel_tol 1e-14 the tail integral's quadrature error is too large from 4096
-    r = 1e6
+    # at rel_tol 1e-14 the tail integral's quadrature error is too large from
+    # 4096 and 8192, before the summand peak at 27144
+    r = 1e7
     res = eval_general(_CUBIC_SMOOTH, 1.0, r, rel_tol=1e-14)
     ref = eval_powerlog(PowerLogParams(1, 3, 0, 0, 1), r, rel_tol=1e-14)
-    assert res.terms_used == 8192
+    assert res.terms_used == 16384
     assert res.tail_bound <= 1e-14 * res.value
-    assert res.peak_index == ref.peak_index == 5848
+    assert res.peak_index == ref.peak_index == 27144
     assert res.value == pytest.approx(ref.value + 1.0 / (1.0 + r * r) ** 2, rel=1e-13)
     with pytest.raises(ResourceLimitError) as info:
         eval_general(_CUBIC_SMOOTH, 1.0, r, rel_tol=1e-14, hard_cap=6000)
@@ -649,6 +725,29 @@ def test_general_smooth_doubles_the_head_until_it_certifies():
     with pytest.raises(ResourceLimitError) as info:  # the head never reaches 4096
         eval_general(_CUBIC_SMOOTH, 1.0, r, rel_tol=1e-8, hard_cap=3000)
     assert info.value.bound_achieved is None
+
+
+def test_general_smooth_gives_up_below_the_quadrature_floor():
+    # the summand peaks near n = 5.8e5, and the tail past the 1M-term cap
+    # still holds over half the value, so the tail integral's error stays
+    # ~1e-14 of the value up to the cap: give up at the first checkpoint
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="after 4096 terms") as info:
+        eval_general(_CUBIC_SMOOTH, 1.0, 1e9, rel_tol=1e-15)
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.cap == 1_000_000
+    value = eval_general(_CUBIC_SMOOTH, 1.0, 1e9, rel_tol=1e-13).value
+    assert info.value.bound_achieved > 1e-15 * value
+
+
+def test_general_smooth_refuses_rel_tol_below_double_resolution():
+    # as eval_powerlog does on the same summand
+    with pytest.raises(ResourceLimitError, match="after 4096 terms") as info:
+        eval_general(_CUBIC_SMOOTH, 1.0, 1e6, rel_tol=1e-17)
+    value = eval_general(_CUBIC_SMOOTH, 1.0, 1e6, rel_tol=1e-13).value
+    assert info.value.bound_achieved > 1e-17 * value
+    with pytest.raises(ResourceLimitError):
+        eval_powerlog(PowerLogParams(1, 3, 0, 0, 1), 1e6, rel_tol=1e-17)
 
 
 def test_general_value_below_the_smallest_normal_double():
