@@ -346,16 +346,17 @@ def _gamma_line_integral(mu: float, sigma: float) -> float:
     """(1/2pi) integral over y of |Gamma(mu+1-(sigma+iy)/2) Gamma((sigma+iy)/2)| / (2 Gamma(mu+1)).
 
     Even in y; truncated where the integrand falls below 1e-18 of its
-    center value (the gamma factors decay exponentially in |y|).
+    center value (the gamma factors decay exponentially in |y|), and
+    integrated by ``quad`` on arrays of y through scipy's complex log-gamma,
+    the package's one use of scipy.
     """
     from scipy.special import loggamma as complex_loggamma
 
     log_norm = math.lgamma(mu + 1.0) + math.log(2.0)
 
-    def integrand(y: float) -> float:
+    def integrand(y):
         z = 0.5 * (sigma + 1j * y)
-        val = complex_loggamma(mu + 1.0 - z).real + complex_loggamma(z).real - log_norm
-        return math.exp(val)
+        return np.exp(complex_loggamma(mu + 1.0 - z).real + complex_loggamma(z).real - log_norm)
 
     center = integrand(0.0)
     if center <= 0.0 or not math.isfinite(center):
@@ -365,7 +366,7 @@ def _gamma_line_integral(mu: float, sigma: float) -> float:
         y_max *= 2.0
         if y_max > 1e5:
             raise NumericError("gamma line integrand failed to decay")
-    val, _ = quad(integrand, 0.0, y_max, epsabs=0.0, epsrel=1e-10, limit=300)
+    val, _ = quad(integrand, 0.0, y_max, epsrel=1e-10, limit=300)
     return val / math.pi
 
 

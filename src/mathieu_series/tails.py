@@ -1,27 +1,32 @@
 """Tail sums and tail integrals for slowly decaying summands.
 
-Two tools live here:
+Three tools live here:
 
 * integral-comparison tails of x^A (log x)^B, reduced to upper incomplete
   gamma values through the substitution x = exp(u), which keeps them
   certified and cheap for any real log-power B;
+* ``quad``, the package's one quadrature rule: adaptive Gauss-Kronrod
+  10/21 panels with QUADPACK's error estimate and roundoff floor (Piessens
+  et al., 1983), evaluating the integrand once per refinement round on the
+  nodes of every panel it refines, so integrands are written on numpy
+  arrays;
 * the Euler-Maclaurin tail shared by every sum in the package that runs
   past its explicit head: the power-log series, the log-weighted zeta sum,
   the log-factorial Dirichlet sum, and the factorial Dirichlet sum at small
-  s (which stops the tail at a finite end). The summand is written once, as
-  its logarithm in terms of log x; evaluated on a ``Jet`` (truncated Taylor
-  series) it yields the derivatives the correction terms and the
-  remainder bound need, with no finite differences.
+  s (which stops the tail at a finite end). The summand is written once,
+  as its logarithm in terms of log x; evaluated on a ``Jet`` (truncated
+  Taylor series, with float or array coefficients) it yields the
+  derivatives the correction terms and the remainder bound need, with no
+  finite differences.
 
-``quad`` is scipy's, imported on its first call: the package imports
-without scipy, and only code that integrates loads it.
+``series`` and ``dirichlet`` bind ``quad`` under that name and call it once
+per integral segment.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-import warnings
+import sys
 from typing import Callable, Iterable
 
 import mpmath
@@ -37,18 +42,6 @@ __all__ = [
     "powerlog_majorant_is_decreasing",
     "euler_maclaurin_tail",
 ]
-
-
-def quad(func, a, b, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call.
-
-    scipy costs most of the package's import time and only quadrature
-    needs it, so importing the package alone never loads it. ``series``
-    and ``dirichlet`` bind this function as their own ``quad``.
-    """
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(func, a, b, **kwargs)
 
 
 def exp_poly_tail(decay: float, power: float, u0: float) -> float:
@@ -93,6 +86,152 @@ def powerlog_majorant_is_decreasing(power: float, log_power: float, from_x: floa
 
 
 # ---------------------------------------------------------------------------
+# Adaptive Gauss-Kronrod quadrature
+# ---------------------------------------------------------------------------
+
+# QUADPACK's qk21: the Kronrod abscissae on [0, 1] in descending order (the
+# 10-point Gauss abscissae at the odd positions, the centre last), their
+# Kronrod weights, and the Gauss weights.
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208745621137,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# The 21 nodes shifted from [-1, 1] to [0, 2], ascending; the Kronrod and
+# the Gauss weights of each as the two columns of one matrix.
+_GK_NODES = np.array([1.0 - x for x in _XGK[:-1]] + [1.0 + x for x in reversed(_XGK)])
+_GK_KRONROD = np.array(list(_WGK[:-1]) + list(reversed(_WGK)))
+_GK_WEIGHTS = np.zeros((21, 2))
+_GK_WEIGHTS[:, 0] = _GK_KRONROD
+_GK_WEIGHTS[1:10:2, 1] = _WG
+_GK_WEIGHTS[11:20:2, 1] = _WG[::-1]
+_EPS = sys.float_info.epsilon
+_ROUNDOFF = 50.0 * _EPS
+_UFLOW = sys.float_info.min
+
+
+def _gk21_panels(func: Callable, los: list, his: list, infinite_from) -> list[tuple]:
+    """(error, floor, lo, hi, value) of each panel [lo, hi], by Gauss-Kronrod 10/21.
+
+    One call of ``func`` on the 21 nodes of every panel. With
+    ``infinite_from`` = a the panels lie in t and the integrand is
+    f(a + t/(1-t)) / (1-t)^2. The error estimate is QUADPACK's:
+    resasc min(1, (200 |K - G| / resasc)^1.5), where K and G are the
+    Kronrod and Gauss values and resasc the Kronrod integral of
+    |f - mean f|, raised to the roundoff floor 50 eps resabs, resabs the
+    Kronrod integral of |f|.
+    """
+    lo = np.array(los)
+    half = 0.5 * (np.array(his) - lo)
+    x = (lo[:, None] + half[:, None] * _GK_NODES).ravel()
+    at = x if infinite_from is None else infinite_from + x / (1.0 - x)
+    fx = np.asarray(func(at), dtype=np.float64)
+    if not np.isfinite(fx).all():
+        j = int(np.flatnonzero(~np.isfinite(fx))[0])
+        raise NumericError(f"integrand is {float(fx[j])} at x = {float(at[j])}")
+    if infinite_from is not None:
+        fx = fx / ((1.0 - x) * (1.0 - x))
+    fx = fx.reshape(len(los), 21)
+    kg = fx @ _GK_WEIGHTS
+    kronrod = kg[:, 0]
+    abs_half = np.abs(half)
+    resabs = (np.abs(fx) @ _GK_KRONROD * abs_half).tolist()
+    resasc = (np.abs(fx - 0.5 * kronrod[:, None]) @ _GK_KRONROD * abs_half).tolist()
+    diff = (np.abs(kronrod - kg[:, 1]) * abs_half).tolist()
+    values = (kronrod * half).tolist()
+    out = []
+    for i, (err, spread, size) in enumerate(zip(diff, resasc, resabs)):
+        if spread != 0.0 and err != 0.0:
+            err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
+        floor = _ROUNDOFF * size if size > _UFLOW / _ROUNDOFF else 0.0
+        out.append((max(err, floor), floor, los[i], his[i], values[i]))
+    return out
+
+
+def quad(
+    func: Callable, a: float, b: float, epsrel: float = 1e-10, limit: int = 50
+) -> tuple[float, float]:
+    """Integral of ``func`` over [a, b] and its error estimate; b may be inf.
+
+    ``func`` takes and returns numpy arrays, elementwise. The rule bisects
+    Gauss-Kronrod 10/21 panels (QUADPACK's error estimate and roundoff
+    floor, see ``_gk21_panels``) until the summed error estimate is at most
+    epsrel |value|. Each round bisects the panels of largest error, as many
+    as it takes for those left alone to fit in that tolerance, and evaluates ``func`` once on all the new nodes. A panel
+    whose estimate is at its roundoff floor, or too narrow to bisect, is
+    not refined; with ``limit`` panels, or none left to refine, the value
+    and estimate are returned as they stand. An infinite end maps through
+    x = a + t/(1-t), t in [0, 1), as QUADPACK's qagi does. A non-finite
+    integrand value raises ``NumericError``.
+    """
+    infinite_from = a if b == math.inf else None
+    lo, hi = (0.0, 1.0) if infinite_from is not None else (a, b)
+    panels = _gk21_panels(func, [lo], [hi], infinite_from)
+    while True:
+        total = math.fsum(p[4] for p in panels)
+        total_err = math.fsum(p[0] for p in panels)
+        tol = epsrel * abs(total)
+        if total_err <= tol or len(panels) >= limit:
+            return total, total_err
+        # Bisect the largest errors until those left alone sum to at most tol.
+        ranked = sorted(
+            (i for i, p in enumerate(panels) if p[0] > p[1] and _bisectable(p[2], p[3])),
+            key=lambda i: -panels[i][0],
+        )
+        pick = []
+        for i in ranked[: limit - len(panels)]:
+            if total_err <= tol:
+                break
+            pick.append(i)
+            total_err -= panels[i][0]
+        if not pick:
+            return total, total_err
+        mids = [0.5 * (panels[i][2] + panels[i][3]) for i in pick]
+        new = _gk21_panels(
+            func,
+            [panels[i][2] for i in pick] + mids,
+            mids + [panels[i][3] for i in pick],
+            infinite_from,
+        )
+        picked = set(pick)
+        panels = [p for i, p in enumerate(panels) if i not in picked] + new
+
+
+def _bisectable(lo: float, hi: float) -> bool:
+    """False once the midpoint of [lo, hi] no longer separates its ends (QUADPACK's test)."""
+    mid = 0.5 * (lo + hi)
+    return max(abs(lo), abs(hi)) > (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _UFLOW)
+
+
+# ---------------------------------------------------------------------------
 # Truncated Taylor series
 # ---------------------------------------------------------------------------
 
@@ -100,18 +239,20 @@ def powerlog_majorant_is_decreasing(power: float, log_power: float, from_x: floa
 class Jet:
     """Truncated Taylor series c[0] + c[1] t + ... + c[K] t^K.
 
-    Supports +, -, * (with jets or scalars) and, through numpy's ufunc
+    The coefficients are floats or numpy arrays of one shape: an array jet
+    carries the series at many points at once, elementwise. Supports +, -,
+    * (with jets, scalars or arrays, either side) and, through numpy's ufunc
     protocol, ``np.log``, ``np.exp`` and ``np.logaddexp``; so a summand
     written with those operations runs unchanged on floats, arrays and jets.
     """
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs: list[float]):
+    def __init__(self, coeffs: list):
         self.c = coeffs
 
     @classmethod
-    def log_variable(cls, log_x: float, order: int) -> "Jet":
+    def log_variable(cls, log_x, order: int) -> "Jet":
         """log(x (1 + t)) around t = 0: the jet of log x in the scaled step t."""
         return cls([log_x] + [(-1.0) ** (k + 1) / k for k in range(1, order + 1)])
 
@@ -141,14 +282,14 @@ class Jet:
 
     def exp(self) -> "Jet":
         a = self.c
-        e = [math.exp(a[0])]
+        e = [np.exp(a[0])]
         for k in range(1, len(a)):
             e.append(sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k)
         return Jet(e)
 
     def log(self) -> "Jet":
         a = self.c
-        out = [math.log(a[0])]
+        out = [np.log(a[0])]
         for k in range(1, len(a)):
             acc = sum(j * out[j] * a[k - j] for j in range(1, k)) / k
             out.append((a[k] - acc) / a[0])
@@ -156,30 +297,36 @@ class Jet:
 
     def logaddexp(self, other) -> "Jet":
         if isinstance(other, Jet):
-            m = max(self.c[0], other.c[0])
+            m = np.maximum(self.c[0], other.c[0])
             return m + ((self - m).exp() + (other - m).exp()).log()
-        m = max(self.c[0], other)
-        return m + ((self - m).exp() + math.exp(other - m)).log()
+        m = np.maximum(self.c[0], other)
+        return m + ((self - m).exp() + np.exp(other - m)).log()
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        op = _JET_UFUNCS.get(ufunc)
-        if method != "__call__" or kwargs or op is None:
+        if method != "__call__" or kwargs:
             return NotImplemented
-        return op(*(x if isinstance(x, Jet) else float(x) for x in inputs))
-
-
-def _jet_logaddexp(a, b):
-    return a.logaddexp(b) if isinstance(a, Jet) else b.logaddexp(a)
+        if not isinstance(inputs[0], Jet):  # ndarray or numpy scalar on the left
+            op = _JET_REFLECTED.get(ufunc)
+            return NotImplemented if op is None else op(inputs[1], inputs[0])
+        op = _JET_UFUNCS.get(ufunc)
+        return NotImplemented if op is None else op(*inputs)
 
 
 _JET_UFUNCS = {
     np.log: Jet.log,
     np.exp: Jet.exp,
-    np.logaddexp: _jet_logaddexp,
-    np.add: operator.add,
-    np.subtract: operator.sub,
-    np.multiply: operator.mul,
-    np.negative: operator.neg,
+    np.logaddexp: Jet.logaddexp,
+    np.add: Jet.__add__,
+    np.subtract: Jet.__sub__,
+    np.multiply: Jet.__mul__,
+    np.negative: Jet.__neg__,
+}
+# ufunc(x, jet) for a non-jet x, as a method of the jet.
+_JET_REFLECTED = {
+    np.logaddexp: Jet.logaddexp,
+    np.add: Jet.__radd__,
+    np.subtract: Jet.__rsub__,
+    np.multiply: Jet.__rmul__,
 }
 
 
@@ -193,10 +340,11 @@ EM_ORDER = 3
 _REMAINDER_EPSREL = 1e-1
 
 
-def _scaled_derivatives(
-    log_f: Callable, log_x: float, order: int
-) -> tuple[float, list[float]]:
-    """(psi, e) with f^(k)(x) x^k / k! = e[k] exp(psi) at x = exp(log_x)."""
+def _scaled_derivatives(log_f: Callable, log_x, order: int) -> tuple:
+    """(psi, e) with f^(k)(x) x^k / k! = e[k] exp(psi) at x = exp(log_x).
+
+    ``log_x`` is a float or an array of points; psi and each e[k] follow it.
+    """
     psi = log_f(Jet.log_variable(log_x, order))
     psi0 = psi.c[0]
     return psi0, (psi - psi0).exp().c
@@ -234,9 +382,11 @@ def euler_maclaurin_tail(
     f(M)/2 + sum_{k<p} B_2k/(2k)! f^(2k-1)(M) at a finite end M. Bound:
     (2 - 2^(1-2p)) |B_2p|/(2p)! times the integral of |f^(2p)| over
     [N, M] or [N, inf) (DLMF 2.10(i)), plus ``integral_err``. That integral
-    runs by quadrature in u = log x, split at ``breaks`` (u-coordinates
-    where the summand turns), and its quadrature error estimate is added in.
-    A finite end keeps the jets away from where log f itself overflows.
+    runs by ``quad`` in u = log x, split at ``breaks`` (u-coordinates where
+    the summand turns), to an estimated error of 0.1 of its value: each
+    refinement round takes f^(2p) at all its nodes from one array jet, and
+    the QUADPACK error estimate is added to the integral. A finite end
+    keeps the jets away from where log f itself overflows.
     """
     p = EM_ORDER
     b = [float(v) for v in bernoulli_table(2 * p).values]  # b[k] = B_2k
@@ -248,22 +398,19 @@ def euler_maclaurin_tail(
         value += half + corrections
         u_end = math.log(stop)
 
-    # |f^(2p)(x)| dx = (2p)! |e[2p]| exp(psi + (1-2p) u) du at x = e^u.
-    def abs_high_derivative(u: float) -> float:
+    # |f^(2p)(x)| dx = (2p)! |e[2p]| exp(psi + (1-2p) u) du at x = e^u; one
+    # array jet evaluates a whole refinement round's nodes.
+    def abs_high_derivative(u: np.ndarray) -> np.ndarray:
         psi, ee = _scaled_derivatives(log_f, u, 2 * p)
-        return abs(ee[2 * p]) * math.exp(psi + (1 - 2 * p) * u)
-
-    from scipy.integrate import IntegrationWarning
+        return np.abs(ee[2 * p]) * np.exp(psi + (1 - 2 * p) * u)
 
     u0 = math.log(start)
     edges = [u0, *sorted(x for x in breaks if u0 < x < u_end), u_end]
     total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)  # its error estimate is added in
-        for lo, hi in zip(edges, edges[1:]):
-            val, err = quad(abs_high_derivative, lo, hi, epsabs=0.0, epsrel=_REMAINDER_EPSREL)
-            total += val + err
+    for lo, hi in zip(edges, edges[1:]):
+        val, err = quad(abs_high_derivative, lo, hi, epsrel=_REMAINDER_EPSREL)
+        total += val + err
     bound = (2.0 - 2.0 ** (1 - 2 * p)) * abs(b[p]) * total + integral_err
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise NumericError(f"Euler-Maclaurin tail from {start} gave {value} +- {bound}")
-    return value, bound
+    return float(value), float(bound)

@@ -184,3 +184,41 @@ def test_sequence_suites_sum_short_heads(monkeypatch):
         assert all(c.passed for c in run_suite(name))
     assert len(used) == 12
     assert max(used) <= 8192
+
+
+def test_thm11_integrates_on_node_arrays(monkeypatch):
+    # a deterministic cost guard: every quadrature of the thm11 suite (tail
+    # integrals and Euler-Maclaurin remainders) calls its integrand, and so
+    # the power-log summand, once per refinement round on arrays of nodes;
+    # today at most 5 rounds a call, where one call per node makes at least 21
+    from mathieu_series import dirichlet, series, tails
+
+    rule = tails.quad
+    summand = series._powerlog_log_summand
+    summand_calls = [0]
+    per_quad = []
+
+    def counting_summand(*args):
+        summand_calls[0] += 1
+        return summand(*args)
+
+    def counting_quad(func, a, b, **kwargs):
+        calls = [0]
+        before = summand_calls[0]
+
+        def counted(x):
+            calls[0] += 1
+            return func(x)
+
+        try:
+            return rule(counted, a, b, **kwargs)
+        finally:
+            per_quad.append((calls[0], summand_calls[0] - before))
+
+    monkeypatch.setattr(series, "_powerlog_log_summand", counting_summand)
+    for module in (tails, series, dirichlet):
+        monkeypatch.setattr(module, "quad", counting_quad)
+    assert all(c.passed for c in run_suite("thm11"))
+    assert len(per_quad) >= 60
+    assert max(integrand for integrand, _ in per_quad) <= 8
+    assert max(summand for _, summand in per_quad) <= 8

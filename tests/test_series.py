@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from mathieu_series import series
 from mathieu_series.errors import (
@@ -35,7 +36,7 @@ from mathieu_series.series import (
     peak_index_n0,
 )
 from mathieu_series.special import log_factorial, log_log_factorial
-from mathieu_series.tails import euler_maclaurin_tail, exp_poly_tail, quad
+from mathieu_series.tails import euler_maclaurin_tail, exp_poly_tail
 
 
 def brute_powerlog(alpha, beta, gamma, delta, mu, r, n_max=10**7):
@@ -231,14 +232,15 @@ def test_powerlog_tail_integral_matches_the_closed_form_far_tail(p, r, rel_tol, 
 
     monkeypatch.setattr(series, "_smooth_tail", reference_tail)
     ref = eval_powerlog(p, r, rel_tol=rel_tol)
-    assert (res.value, res.terms_used, res.peak_index) == (
-        ref.value,
-        ref.terms_used,
-        ref.peak_index,
-    )
-    # the remainder integral's quadrature error, estimated on one segment
-    # past the peak instead of two, may come out larger in the 10th digit
-    assert res.tail_bound <= ref.tail_bound * (1.0 + 1e-9)
+    assert (res.terms_used, res.peak_index) == (ref.terms_used, ref.peak_index)
+    # Both values carry a certified bound, so they agree within the sum; the
+    # bounds themselves, both led by the tail integral's quadrature error,
+    # agree within the sum of the two integrals' error estimates.
+    assert abs(res.value - ref.value) <= res.tail_bound + ref.tail_bound
+    n = 2 + res.terms_used
+    _, _, _, err = series._smooth_tail(log_f, series._powerlog_log_b(p), log_r2, n)
+    _, ref_err, _ = reference_powerlog_tail_integral(p, log_r2, math.log(n))
+    assert abs(res.tail_bound - ref.tail_bound) <= err + ref_err
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +727,50 @@ def test_general_smooth_doubles_the_head_until_it_certifies():
     with pytest.raises(ResourceLimitError) as info:  # the head never reaches 4096
         eval_general(_CUBIC_SMOOTH, 1.0, r, rel_tol=1e-8, hard_cap=3000)
     assert info.value.bound_achieved is None
+
+
+@pytest.mark.parametrize("smooth", [True, False], ids=["eval_general", "eval_powerlog"])
+def test_cap_tail_is_integrated_once_per_call(smooth, monkeypatch):
+    # a_n = n, b_n = n^3 at r = 1e7, rel_tol 1e-14: the checkpoints at 4096
+    # and 8192 do not certify, and each asks the give-up rule, whose tail of
+    # the r^2-free summand past the term cap does not depend on the checkpoint
+    if smooth:
+        evaluate = lambda: eval_general(_CUBIC_SMOOTH, 1.0, 1e7, rel_tol=1e-14)
+        cap_from = math.log(series.DEFAULT_GENERAL_CAP)
+    else:
+        evaluate = lambda: eval_powerlog(PowerLogParams(1, 3, 0, 0, 1), 1e7, rel_tol=1e-14)
+        cap_from = math.log(2 + series.DEFAULT_HARD_CAP)
+    original = series._log_x_integral
+    edges_seen = []
+
+    def counting(log_f, edges):
+        edges_seen.append(tuple(edges))
+        return original(log_f, edges)
+
+    monkeypatch.setattr(series, "_log_x_integral", counting)
+    res = evaluate()
+    assert edges_seen.count((cap_from, math.inf)) == 1
+    assert res.terms_used == (16384 if smooth else 28672)
+
+    # the same bits as a rule that integrates the cap tail at every checkpoint
+    def uncached(log_f_free, end):
+        return lambda: series._log_x_integral(log_f_free, (math.log(end), math.inf))[0]
+
+    edges_seen.clear()
+    monkeypatch.setattr(series, "_cap_tail", uncached)
+    assert evaluate() == res
+    assert edges_seen.count((cap_from, math.inf)) == 2
+
+
+def test_results_are_python_floats():
+    results = [
+        eval_powerlog(PowerLogParams(1, 2, 0, 0, 1), 1e3),
+        eval_general(_CUBIC_SMOOTH, 1.0, 1e3),
+        eval_general(SequencePair(a=lambda n: float(n), b=lambda n: float(n) ** 3), 1.0, 1e3),
+        eval_factorial(FactorialParams(1, 2, 1), 1e3),
+    ]
+    for res in results:
+        assert type(res.value) is float and type(res.tail_bound) is float
 
 
 def test_general_smooth_gives_up_below_the_quadrature_floor():

@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from mathieu_series.series import PowerLogParams, _powerlog_log_summand
+from mathieu_series.special import log_log_factorial
 from mathieu_series.tails import Jet, euler_maclaurin_tail
 
 
@@ -56,8 +58,16 @@ def test_infinite_tail_unchanged(s, start):
     value, bound = euler_maclaurin_tail(
         lambda lx: -s * lx, start, start ** (1.0 - s) / (s - 1.0), 0.0
     )
-    assert value == _ZETA_TAILS[s, start][0]
-    assert bound == pytest.approx(_ZETA_TAILS[s, start][1], rel=1e-9)
+    recorded_value, recorded_bound = _ZETA_TAILS[s, start]
+    assert value == recorded_value
+    # The bound is (2 - 2^-5) |B_6| / 6! times the remainder integral of
+    # |f^(6)|, exact here: s (s+1) ... (s+4) N^(-s-5), taken by quadrature
+    # at epsrel 0.1 with the error estimate added. So both bounds cover the
+    # exact one and exceed it by at most twice that tolerance: they agree
+    # within the sum of their quadrature error estimates.
+    exact = (2.0 - 2.0**-5) / 42.0 / 720.0 * math.prod(s + k for k in range(5)) * start ** (-s - 5)
+    for b in (bound, recorded_bound):
+        assert exact <= b <= exact * (1.0 + 2.0 * 0.1)
 
 
 @pytest.mark.parametrize("start, stop", [(10, 1000), (100, 100_000), (10, 11)])
@@ -74,8 +84,6 @@ def test_finite_segment_factorial_powers():
     # (n!)^(-s) for 2e4 <= n <= 2e5 at s = 1e-5: the summand falls from e^-1.8 to e^-22
     from scipy.integrate import quad
 
-    from mathieu_series.special import log_log_factorial
-
     s, start, stop = 1e-5, 20_000, 200_000
 
     def log_f(lx):
@@ -88,3 +96,65 @@ def test_finite_segment_factorial_powers():
     exact = math.fsum(math.exp(-s * math.lgamma(n + 1.0)) for n in range(start, stop + 1))
     assert 0.0 < bound < 1e-12 * exact
     assert abs(value - exact) <= bound
+
+
+# ---------------------------------------------------------------------------
+# Array-coefficient jets
+# ---------------------------------------------------------------------------
+
+_LOG2, _LOG3, _LOG5 = math.log(2.0), math.log(3.0), math.log(5.0)
+
+
+def _powerlog_log_f(lx):
+    return _powerlog_log_summand(PowerLogParams(2, 3, -1, 2, 1), 2.0 * math.log(1e3), lx)
+
+
+def _smooth_log_f(log_a, log_b):
+    return lambda u: log_a(u) - 2.0 * np.logaddexp(log_b(u), 2.0 * math.log(1e4))
+
+
+# The summands whose jets the Euler-Maclaurin tail and the peak search take:
+# the power-log summand, the thm12 and cor61 smooth forms (shifted, +5 and
+# log-factorial sequences, at mu = 1, r = 1e4), the log-factorial summand
+# itself, and factorial_dirichlet's x (n!)^(-s) at s = 1e-5.
+_LOG_SUMMANDS = {
+    "powerlog": _powerlog_log_f,
+    "thm12-shifted": _smooth_log_f(
+        lambda u: np.logaddexp(u, _LOG3) + np.log(np.logaddexp(u, _LOG2)),
+        lambda u: 3.0 * u + np.log(np.logaddexp(u, 0.0)),
+    ),
+    "thm12-plus5": _smooth_log_f(lambda u: np.logaddexp(u, _LOG5), lambda u: 3.0 * u),
+    "cor61": _smooth_log_f(log_log_factorial, lambda u: 3.0 * log_log_factorial(u)),
+    "log_log_factorial": log_log_factorial,
+    "factorial_dirichlet": lambda lx: -1e-5 * np.exp(log_log_factorial(lx)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOG_SUMMANDS))
+def test_array_jet_matches_scalar_jets(name):
+    log_f = _LOG_SUMMANDS[name]
+    u = np.linspace(math.log(64.0), 40.0, 57)
+    array_jet = log_f(Jet.log_variable(u, 6))
+    for i, ui in enumerate(u.tolist()):
+        scalar = log_f(Jet.log_variable(ui, 6)).c
+        for k, (coeffs, expected) in enumerate(zip(array_jet.c, scalar)):
+            got = np.broadcast_to(coeffs, u.shape)[i]
+            assert abs(got - expected) <= 1e-15 * abs(expected), (k, ui)
+
+
+def test_array_jet_operations_in_either_order():
+    u = np.array([1.0, 2.5, 7.0])
+    jet = Jet.log_variable(u, 3)
+    arr = np.array([0.5, -2.0, 3.0])
+    for left, right in ((arr + jet, jet + arr), (arr * jet, jet * arr)):
+        assert isinstance(left, Jet) and isinstance(right, Jet)
+        for a, b in zip(left.c, right.c):
+            assert np.array_equal(np.broadcast_to(a, u.shape), np.broadcast_to(b, u.shape))
+    assert np.array_equal((arr - jet).c[0], arr - u)
+    assert np.array_equal(np.logaddexp(arr, jet).c[0], np.logaddexp(u, arr))
+    # a scalar jet combined with an array gives the array jet
+    scalar = Jet.log_variable(2.5, 3)
+    spread = arr * scalar + arr
+    for k in range(4):
+        for i in range(3):
+            assert spread.c[k][i] == (arr[i] * scalar + arr[i]).c[k]
