@@ -25,8 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
+from ._deferred import DeferredModule
 from .errors import DomainError, NumericError, ParameterError
 from .series import (
     FactorialParams,
@@ -37,6 +36,9 @@ from .series import (
 )
 from .special import lambert_w, log_log_factorial
 from .tails import euler_maclaurin_tail, exp_poly_tail, quad
+
+np = DeferredModule("numpy")
+scipy_special = DeferredModule("scipy.special")
 
 __all__ = [
     "DirichletParams",
@@ -350,8 +352,7 @@ def _gamma_line_integral(mu: float, sigma: float) -> float:
     integrated by ``quad`` on arrays of y through scipy's complex log-gamma,
     the package's one use of scipy.
     """
-    from scipy.special import loggamma as complex_loggamma
-
+    complex_loggamma = scipy_special.loggamma
     log_norm = math.lgamma(mu + 1.0) + math.log(2.0)
 
     def integrand(y):

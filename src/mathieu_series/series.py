@@ -36,8 +36,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
+from ._deferred import DeferredModule
 from .errors import (
     ContractViolationError,
     DomainError,
@@ -53,6 +52,8 @@ from .tails import (
     powerlog_tail_integral,
     quad,
 )
+
+np = DeferredModule("numpy")
 
 __all__ = [
     "PowerLogParams",
@@ -915,7 +916,7 @@ def eval_factorial(
             f"eval_factorial value at r={r} is below the smallest normal double "
             f"(log value {shift + math.log(mass):.6g})"
         )
-    peak_index = int(np.argmax(log_terms))
+    peak_index = log_terms.index(shift)  # the first maximum
     return EvalResult(
         value=value,
         tail_bound=math.exp(tail_log_bound),

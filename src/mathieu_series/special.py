@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
+from ._deferred import DeferredModule
 from .errors import CapacityError, DomainError, NumericError
+
+np = DeferredModule("numpy")
 
 __all__ = [
     "log_gamma",

@@ -25,15 +25,17 @@ per integral segment.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Callable, Iterable
 
-import mpmath
-import numpy as np
-
+from ._deferred import DeferredModule
 from .errors import DomainError, NumericError
 from .special import bernoulli_table
+
+mpmath = DeferredModule("mpmath")
+np = DeferredModule("numpy")
 
 __all__ = [
     "Jet",
@@ -125,17 +127,28 @@ _WG = (
     0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-# The 21 nodes shifted from [-1, 1] to [0, 2], ascending; the Kronrod and
-# the Gauss weights of each as the two columns of one matrix.
-_GK_NODES = np.array([1.0 - x for x in _XGK[:-1]] + [1.0 + x for x in reversed(_XGK)])
-_GK_KRONROD = np.array(list(_WGK[:-1]) + list(reversed(_WGK)))
-_GK_WEIGHTS = np.zeros((21, 2))
-_GK_WEIGHTS[:, 0] = _GK_KRONROD
-_GK_WEIGHTS[1:10:2, 1] = _WG
-_GK_WEIGHTS[11:20:2, 1] = _WG[::-1]
 _EPS = sys.float_info.epsilon
 _ROUNDOFF = 50.0 * _EPS
 _UFLOW = sys.float_info.min
+
+
+@functools.cache
+def _gk21_rule() -> tuple:
+    """(nodes, Kronrod weights, weight matrix) of the rule, built on first use.
+
+    The 21 nodes shifted from [-1, 1] to [0, 2], ascending; the Kronrod and
+    the Gauss weights of each as the two columns of the (21, 2) matrix.
+    The arrays are shared, so they are read-only.
+    """
+    nodes = np.array([1.0 - x for x in _XGK[:-1]] + [1.0 + x for x in reversed(_XGK)])
+    kronrod = np.array(list(_WGK[:-1]) + list(reversed(_WGK)))
+    weights = np.zeros((21, 2))
+    weights[:, 0] = kronrod
+    weights[1:10:2, 1] = _WG
+    weights[11:20:2, 1] = _WG[::-1]
+    for a in (nodes, kronrod, weights):
+        a.flags.writeable = False
+    return nodes, kronrod, weights
 
 
 def _gk21_panels(func: Callable, los: list, his: list, infinite_from) -> list[tuple]:
@@ -149,9 +162,10 @@ def _gk21_panels(func: Callable, los: list, his: list, infinite_from) -> list[tu
     |f - mean f|, raised to the roundoff floor 50 eps resabs, resabs the
     Kronrod integral of |f|.
     """
+    gk_nodes, gk_kronrod, gk_weights = _gk21_rule()
     lo = np.array(los)
     half = 0.5 * (np.array(his) - lo)
-    x = (lo[:, None] + half[:, None] * _GK_NODES).ravel()
+    x = (lo[:, None] + half[:, None] * gk_nodes).ravel()
     at = x if infinite_from is None else infinite_from + x / (1.0 - x)
     fx = np.asarray(func(at), dtype=np.float64)
     if not np.isfinite(fx).all():
@@ -160,11 +174,11 @@ def _gk21_panels(func: Callable, los: list, his: list, infinite_from) -> list[tu
     if infinite_from is not None:
         fx = fx / ((1.0 - x) * (1.0 - x))
     fx = fx.reshape(len(los), 21)
-    kg = fx @ _GK_WEIGHTS
+    kg = fx @ gk_weights
     kronrod = kg[:, 0]
     abs_half = np.abs(half)
-    resabs = (np.abs(fx) @ _GK_KRONROD * abs_half).tolist()
-    resasc = (np.abs(fx - 0.5 * kronrod[:, None]) @ _GK_KRONROD * abs_half).tolist()
+    resabs = (np.abs(fx) @ gk_kronrod * abs_half).tolist()
+    resasc = (np.abs(fx - 0.5 * kronrod[:, None]) @ gk_kronrod * abs_half).tolist()
     diff = (np.abs(kronrod - kg[:, 1]) * abs_half).tolist()
     values = (kronrod * half).tolist()
     out = []
@@ -306,27 +320,28 @@ class Jet:
         if method != "__call__" or kwargs:
             return NotImplemented
         if not isinstance(inputs[0], Jet):  # ndarray or numpy scalar on the left
-            op = _JET_REFLECTED.get(ufunc)
+            op = _JET_REFLECTED.get(ufunc.__name__)
             return NotImplemented if op is None else op(inputs[1], inputs[0])
-        op = _JET_UFUNCS.get(ufunc)
+        op = _JET_UFUNCS.get(ufunc.__name__)
         return NotImplemented if op is None else op(*inputs)
 
 
+# Keyed by ufunc name, so that defining them imports no numpy.
 _JET_UFUNCS = {
-    np.log: Jet.log,
-    np.exp: Jet.exp,
-    np.logaddexp: Jet.logaddexp,
-    np.add: Jet.__add__,
-    np.subtract: Jet.__sub__,
-    np.multiply: Jet.__mul__,
-    np.negative: Jet.__neg__,
+    "log": Jet.log,
+    "exp": Jet.exp,
+    "logaddexp": Jet.logaddexp,
+    "add": Jet.__add__,
+    "subtract": Jet.__sub__,
+    "multiply": Jet.__mul__,
+    "negative": Jet.__neg__,
 }
 # ufunc(x, jet) for a non-jet x, as a method of the jet.
 _JET_REFLECTED = {
-    np.logaddexp: Jet.logaddexp,
-    np.add: Jet.__radd__,
-    np.subtract: Jet.__rsub__,
-    np.multiply: Jet.__rmul__,
+    "logaddexp": Jet.logaddexp,
+    "add": Jet.__radd__,
+    "subtract": Jet.__rsub__,
+    "multiply": Jet.__rmul__,
 }
 
 

@@ -22,8 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
+from ._deferred import DeferredModule
 from .asymptotics import (
     eval_classical_expansion,
     factorial_diagnostics,
@@ -53,6 +52,8 @@ from .series import (
     eval_powerlog,
 )
 from .special import log_factorial, log_log_factorial
+
+np = DeferredModule("numpy")
 
 __all__ = ["CheckResult", "run_suite", "SUITE_NAMES"]
 

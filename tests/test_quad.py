@@ -11,7 +11,9 @@ from mathieu_series import series
 from mathieu_series.errors import NumericError
 from mathieu_series.series import PowerLogParams
 from mathieu_series.special import log_log_factorial
-from mathieu_series.tails import _GK_NODES, _GK_WEIGHTS, quad
+from mathieu_series.tails import _gk21_rule, quad
+
+_GK_NODES, _, _GK_WEIGHTS = _gk21_rule()
 
 
 def _agrees(integrand, log_f_mp, a, b, oracle_points=None):

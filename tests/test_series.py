@@ -927,6 +927,13 @@ def test_factorial_small_radius_allowed():
     assert res.value > 0
 
 
+def test_factorial_peak_index_is_the_first_maximum():
+    # 0! = 1! = 1, so the n = 0 and n = 1 terms tie for the largest
+    p = FactorialParams(1, 2, 0)
+    assert factorial_summand_log(p, 1.0, 0) == factorial_summand_log(p, 1.0, 1)
+    assert eval_factorial(p, 1.0).peak_index == 0
+
+
 def test_factorial_boundary_tuple_rejected_for_summation():
     # alpha - beta(mu+1) = 0: summands are fine, the series diverges
     boundary = FactorialParams(1, 1, 0)
