@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dirichlet import is_positive_integer
 from .errors import (
     CapacityError,
     DomainError,
@@ -30,7 +29,13 @@ from .series import (
     factorial_summand_log,
     peak_index_n0,
 )
-from .special import bernoulli_table, inverse_gamma_log, log_factorial, zeta_neg_odd
+from .special import (
+    bernoulli_table,
+    inverse_gamma_log,
+    is_positive_integer,
+    log_factorial,
+    zeta_neg_odd,
+)
 
 __all__ = [
     "AsymptoticPrediction",

@@ -5,6 +5,10 @@ Output is machine-readable (JSON by default, CSV with --format csv), with
 flags produce byte-identical output. Exit codes: 0 success, 1 verification
 or numeric failure, 2 parameter error, 3 resource cap, 4 unmet
 precondition (e.g. radius outside the good set).
+
+A command imports the modules that only it needs (``asymptotics`` for
+predict and sweep, ``verify`` for verify) when it runs, so a CLI process
+loads only the code its command runs.
 """
 
 from __future__ import annotations
@@ -20,13 +24,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .asymptotics import (
-    asymptotic_prediction,
-    eval_classical_expansion,
-    factorial_diagnostics,
-    predict_factorial,
-    predict_powerlog,
-)
+from ._suites import SUITE_NAMES
 from .errors import (
     CapacityError,
     DomainError,
@@ -48,7 +46,6 @@ from .series import (
     eval_powerlog,
 )
 from .special import log_factorial
-from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "entrypoint"]
 
@@ -190,6 +187,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from .asymptotics import asymptotic_prediction, factorial_diagnostics, predict_factorial
+
     if args.family == "powerlog":
         gamma = args.alpha if args.gamma_eq_alpha else args.gamma
         delta = args.beta if args.delta_eq_beta else args.delta
@@ -247,6 +246,13 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _sweep_row(args: argparse.Namespace, r: float) -> dict:
+    from .asymptotics import (
+        eval_classical_expansion,
+        factorial_diagnostics,
+        predict_factorial,
+        predict_powerlog,
+    )
+
     if args.family == "powerlog":
         p = PowerLogParams(args.alpha, args.beta, args.gamma, args.delta, args.mu)
         res = eval_powerlog(p, r, rel_tol=args.tol, hard_cap=_term_cap(DEFAULT_HARD_CAP))
@@ -333,6 +339,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
+
     params = None
     override = [args.alpha, args.beta, args.gamma, args.delta, args.mu]
     if any(v is not None for v in override):

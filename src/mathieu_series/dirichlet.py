@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from ._deferred import DeferredModule
+from ._deferred import deferred_module
 from .errors import DomainError, NumericError, ParameterError
 from .series import (
     FactorialParams,
@@ -34,11 +34,16 @@ from .series import (
     _log_x_integral,
     _require_radius,
 )
-from .special import lambert_w, log_log_factorial
+from .special import (
+    _INTEGER_DETECTION_TOL,
+    is_positive_integer,
+    lambert_w,
+    log_log_factorial,
+)
 from .tails import euler_maclaurin_tail, exp_poly_tail, quad
 
-np = DeferredModule("numpy")
-scipy_special = DeferredModule("scipy.special")
+np = deferred_module("numpy")
+scipy_special = deferred_module("scipy.special")
 
 __all__ = [
     "DirichletParams",
@@ -51,27 +56,13 @@ __all__ = [
     "mellin_powerlog",
     "mellin_factorial",
     "saddle_point_bound",
-    "is_positive_integer",
 ]
 
-_INTEGER_DETECTION_TOL = 1e-9
 # factorial_dirichlet: the direct head covers n < 2^14 (the Stirling summand
 # of its Euler-Maclaurin tail needs n >= 1e4); the tail's finite end stays
 # below 2^980, where log n! (~7e297) still fits a double.
 _FACTORIAL_HEAD_END = 2**14
 _FACTORIAL_STOP_MAX = 2**980
-
-
-def is_positive_integer(m: float, force: Optional[bool] = None) -> bool:
-    """Detection rule for integer-branch selection.
-
-    Floating inputs cannot distinguish exact integers, so m counts as a
-    positive integer when it is within 1e-9 of one; ``force`` overrides
-    either way.
-    """
-    if force is not None:
-        return force
-    return abs(m - round(m)) < _INTEGER_DETECTION_TOL and round(m) >= 1
 
 
 @dataclass(frozen=True)

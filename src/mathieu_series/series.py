@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ._deferred import DeferredModule
+from ._deferred import deferred_module
 from .errors import (
     ContractViolationError,
     DomainError,
@@ -50,10 +50,11 @@ from .tails import (
     euler_maclaurin_tail,
     powerlog_majorant_is_decreasing,
     powerlog_tail_integral,
+    powerlog_tail_lower_bound,
     quad,
 )
 
-np = DeferredModule("numpy")
+np = deferred_module("numpy")
 
 __all__ = [
     "PowerLogParams",
@@ -610,7 +611,7 @@ def _envelope_tail_bound(
 ) -> Optional[float]:
     """The envelope's bound on the terms from n_next on, or None where it gives none.
 
-    Also None when the bound's closed-form first term alone exceeds
+    Also None when a closed-form lower bound on it already exceeds
     ``limit``: the bound cannot come within it, so its incomplete-gamma
     part is not evaluated.
     """
@@ -621,7 +622,7 @@ def _envelope_tail_bound(
         return None
     log_n = math.log(n_next)
     g_at = scale * math.exp(power * log_n + log_power * math.log(log_n))
-    if g_at > limit:
+    if g_at + scale * powerlog_tail_lower_bound(power, log_power, float(n_next)) > limit:
         return None
     return g_at + scale * powerlog_tail_integral(power, log_power, float(n_next))
 
@@ -942,7 +943,8 @@ def eval_power_series(
     """Sum of a_n x^n / (b_n + r^2)^(mu+1) for |x| < 1.
 
     ``growth = (A, p)`` declares |a_n| <= A * max(n,1)^p, which certifies the
-    geometric tail; by default p = 8 with A twice the largest observed
+    geometric tail; A must be finite and >= 0 (A = 0 declares every a_n to
+    be 0) and p finite. By default p = 8 with A twice the largest observed
     normalized coefficient. Raises ``NumericError`` once the sum is known to
     lie below the smallest normal double.
     """
@@ -954,6 +956,14 @@ def eval_power_series(
         raise DomainError(f"eval_power_series requires |x| < 1, got {x}")
     r = _require_radius(r, 0.0, "eval_power_series")
     rel_tol = _check_rel_tol(rel_tol)
+    declared = growth is not None
+    if declared:
+        g_coeff = _require_finite(growth[0], "growth coefficient A")
+        g_pow = _require_finite(growth[1], "growth power p")
+        if g_coeff < 0.0:
+            raise ParameterError(f"growth coefficient A must be >= 0, got {g_coeff}")
+    else:
+        g_coeff, g_pow = 0.0, 8.0
 
     log_r2 = 2.0 * math.log(r)
     mu1 = mu + 1.0
@@ -965,10 +975,6 @@ def eval_power_series(
                 f"eval_power_series value at r={r} is below the smallest normal double"
             )
         return value
-
-    declared = growth is not None
-    g_pow = growth[1] if declared else 8.0
-    g_coeff = growth[0] if declared else 0.0
 
     log_rel_tol = math.log(rel_tol)
     total = []
@@ -998,9 +1004,13 @@ def eval_power_series(
         xn *= x
         n += 1
 
-        if n >= 8 and g_coeff > 0.0:
-            q = ax * ((n + 1.0) / n) ** g_pow
-            if q < 1.0:
+        if n >= 8 and (declared or g_coeff > 0.0):
+            if g_coeff == 0.0:
+                log_tail = -math.inf  # declared A = 0: every later term is 0
+            else:
+                q = ax * ((n + 1.0) / n) ** g_pow
+                if q >= 1.0:
+                    continue
                 # Tail over m > n of A m^p |x|^m / r^(2(mu+1)).
                 log_tail = (
                     math.log(g_coeff)
@@ -1009,19 +1019,19 @@ def eval_power_series(
                     - mu1 * log_r2
                     - math.log1p(-q)
                 )
-                partial = abs(running + compensation)
-                log_partial = math.log(partial) if partial > 0.0 else -math.inf
-                certified = log_tail <= log_rel_tol + log_partial
-                # |sum| <= partial + tail < the smallest normal double.
-                negligible = max(log_partial, log_tail) < _LOG_HALF_DBL_MIN
-                if certified or negligible:
-                    value = math.fsum(total)
-                    if negligible or abs(value) < sys.float_info.min:
-                        raise NumericError(
-                            f"eval_power_series value at r={r} is below the smallest "
-                            f"normal double (after {n} terms)"
-                        )
-                    return value
+            partial = abs(running + compensation)
+            log_partial = math.log(partial) if partial > 0.0 else -math.inf
+            certified = log_tail <= log_rel_tol + log_partial
+            # |sum| <= partial + tail < the smallest normal double.
+            negligible = max(log_partial, log_tail) < _LOG_HALF_DBL_MIN
+            if certified or negligible:
+                value = math.fsum(total)
+                if negligible or abs(value) < sys.float_info.min:
+                    raise NumericError(
+                        f"eval_power_series value at r={r} is below the smallest "
+                        f"normal double (after {n} terms)"
+                    )
+                return value
     raise ResourceLimitError(
         f"eval_power_series exceeded the term cap {hard_cap}",
         cap=hard_cap,

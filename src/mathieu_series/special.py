@@ -5,7 +5,8 @@ terms of log x (Stirling's series, for summands written in log x), the
 principal branch of Lambert W, a numerical inverse of the gamma function
 on its increasing branch (seeded by a Lambert-W based asymptotic guess),
 and exact-rational Bernoulli numbers with the zeta values at negative odd
-integers they encode. Only ``log_log_factorial`` uses numpy, whose ufuncs
+integers they encode, and the rule that decides when a float counts as
+a positive integer. Only ``log_log_factorial`` uses numpy, whose ufuncs
 let it run on floats, arrays and ``tails.Jet``s alike.
 
 Everything here is pure and stateless; the Bernoulli table is built once
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._deferred import DeferredModule
+from ._deferred import deferred_module
 from .errors import CapacityError, DomainError, NumericError
 
-np = DeferredModule("numpy")
+np = deferred_module("numpy")
 
 __all__ = [
     "log_gamma",
@@ -37,6 +38,7 @@ __all__ = [
     "inverse_gamma_seed",
     "inverse_gamma",
     "inverse_gamma_log",
+    "is_positive_integer",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -330,3 +332,18 @@ def inverse_gamma(x: float) -> float:
     if x < 2.0:
         raise DomainError(f"inverse_gamma is restricted to x >= 2, got {x}")
     return inverse_gamma_log(math.log(x))
+
+
+_INTEGER_DETECTION_TOL = 1e-9
+
+
+def is_positive_integer(m: float, force: bool | None = None) -> bool:
+    """Detection rule for integer-branch selection.
+
+    Floating inputs cannot distinguish exact integers, so m counts as a
+    positive integer when it is within 1e-9 of one; ``force`` overrides
+    either way.
+    """
+    if force is not None:
+        return force
+    return abs(m - round(m)) < _INTEGER_DETECTION_TOL and round(m) >= 1

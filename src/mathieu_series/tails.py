@@ -30,17 +30,18 @@ import math
 import sys
 from typing import Callable, Iterable
 
-from ._deferred import DeferredModule
+from ._deferred import deferred_module
 from .errors import DomainError, NumericError
 from .special import bernoulli_table
 
-mpmath = DeferredModule("mpmath")
-np = DeferredModule("numpy")
+mpmath = deferred_module("mpmath")
+np = deferred_module("numpy")
 
 __all__ = [
     "Jet",
     "exp_poly_tail",
     "powerlog_tail_integral",
+    "powerlog_tail_lower_bound",
     "powerlog_majorant_is_decreasing",
     "euler_maclaurin_tail",
 ]
@@ -80,6 +81,32 @@ def powerlog_tail_integral(power: float, log_power: float, from_x: float) -> flo
         raise DomainError(f"powerlog tail integral needs from_x > 1, got {from_x}")
     # x = exp(u):  integral of exp((power+1) u) u^log_power du over [log from_x, inf)
     return exp_poly_tail(-(power + 1.0), log_power, math.log(from_x))
+
+
+def powerlog_tail_lower_bound(power: float, log_power: float, from_x: float) -> float:
+    """A closed-form lower bound on ``powerlog_tail_integral(power, log_power, from_x)``.
+
+    With u = log x, s = -(power+1) and u0 = log from_x, the integral is that
+    of u^q e^(-s u) over [u0, inf), q = log_power. For q >= 0, u^q >= u0^q
+    there, which gives u0^q e^(-s u0) / s; for q < 0, u^q >= (u0 + 1/s)^q
+    on [u0, u0 + 1/s], which gives (u0 + 1/s)^q (1 - 1/e) e^(-s u0) / s.
+    It is formed in log space and capped at e^709, which keeps it finite,
+    and lowered by a relative 1e-12, so that rounding cannot lift it above
+    the integral (which it equals at q = 0). Same requirements as
+    ``powerlog_tail_integral``.
+    """
+    if power >= -1.0:
+        raise DomainError(f"powerlog tail integral needs power < -1, got {power}")
+    if from_x <= 1.0:
+        raise DomainError(f"powerlog tail integral needs from_x > 1, got {from_x}")
+    s = -(power + 1.0)
+    u0 = math.log(from_x)
+    log_bound = -s * u0 - math.log(s)
+    if log_power > 0.0:
+        log_bound += log_power * math.log(u0)
+    elif log_power < 0.0:
+        log_bound += log_power * math.log(u0 + 1.0 / s) + math.log(-math.expm1(-1.0))
+    return math.exp(min(log_bound, 709.0)) * (1.0 - 1e-12)
 
 
 def powerlog_majorant_is_decreasing(power: float, log_power: float, from_x: float) -> bool:

@@ -22,7 +22,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ._deferred import DeferredModule
+from ._deferred import deferred_module
+from ._suites import SUITE_NAMES
 from .asymptotics import (
     eval_classical_expansion,
     factorial_diagnostics,
@@ -53,7 +54,7 @@ from .series import (
 )
 from .special import log_factorial, log_log_factorial
 
-np = DeferredModule("numpy")
+np = deferred_module("numpy")
 
 __all__ = ["CheckResult", "run_suite", "SUITE_NAMES"]
 
@@ -533,21 +534,10 @@ def suite_prop62(strict: bool = False) -> list[CheckResult]:
     return out
 
 
+# Suite "<name>" runs suite_<name>.
 _SUITES: dict[str, Callable[..., list[CheckResult]]] = {
-    "thm11": suite_thm11,
-    "thm12": suite_thm12,
-    "thm13": suite_thm13,
-    "thm14": suite_thm14,
-    "thm15": suite_thm15,
-    "lemma22": suite_lemma22,
-    "lemma31": suite_lemma31,
-    "lemma41": suite_lemma41,
-    "expansion": suite_expansion,
-    "prop62": suite_prop62,
-    "cor61": suite_cor61,
+    name: globals()[f"suite_{name}"] for name in SUITE_NAMES
 }
-
-SUITE_NAMES = tuple(sorted(_SUITES))
 
 
 def run_suite(

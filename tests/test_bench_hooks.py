@@ -2,13 +2,16 @@
 
 ``perfbench/tracing.py`` counts quadrature calls at ``series.quad`` and
 ``dirichlet.quad``; every summand integral of ``series`` and ``dirichlet``
-must go through the ``series`` binding so that the count sees it.
+must go through the ``series`` binding so that the count sees it. The
+package's own names must show the wrapper while the tracer is installed and
+the original after.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import mathieu_series
 from mathieu_series import dirichlet, series, verify
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -48,6 +51,9 @@ def test_tracer_counts_series_quad_and_puts_the_originals_back():
     tracer.install()
     try:
         assert series.quad is not before[("series", "quad")]
+        # the package reads its names from the submodule, so it sees the wrapper
+        assert mathieu_series.eval_general is series.eval_general
+        assert mathieu_series.eval_general is not before[("series", "eval_general")]
         for call in calls:
             with tracer.traced_pass():
                 call()
@@ -57,4 +63,5 @@ def test_tracer_counts_series_quad_and_puts_the_originals_back():
     for counts in tracer.pass_counts:
         assert counts["series.quad.calls"] > 0
     assert _bindings(tracing) == before
+    assert mathieu_series.eval_general is before[("series", "eval_general")]
     assert verify._SUITES == suites

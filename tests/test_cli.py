@@ -362,6 +362,15 @@ def test_verify_rejects_override_for_other_suites(capsys):
     assert "thm11" in err
 
 
+def test_verify_unknown_suite_exits_2_with_the_suite_list(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm99"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument suite: invalid choice: 'thm99'" in err
+    assert "'cor61', 'expansion', 'lemma22', 'lemma31', 'lemma41', 'prop62', 'thm11'" in err
+
+
 # ---------------------------------------------------------------------------
 # environment cap
 # ---------------------------------------------------------------------------

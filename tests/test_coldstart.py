@@ -1,9 +1,12 @@
-"""Cold start: numpy, mpmath and scipy load only when a computation needs them."""
+"""Cold start: numpy, mpmath, scipy and the package's own submodules load
+only when a computation needs them."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -91,19 +94,93 @@ print("ok")
 """
 
 
-def _run_child(code: str) -> None:
+def _run_child(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; the last line it printed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "ok"
+    return proc.stdout.splitlines()[-1]
+
+
+def _submodules_loaded_by(code: str) -> set[str]:
+    """The package's submodules that ``code`` loads in a fresh interpreter."""
+    last = _run_child(
+        code
+        + "\nimport sys\n"
+        + "print('loaded:', *sorted(m for m in sys.modules if m.startswith('mathieu_series.')))"
+    )
+    assert last.startswith("loaded:"), last
+    return {m.removeprefix("mathieu_series.") for m in last.split()[1:]}
+
+
+NOT_FOR_SCALAR_WORK = {"asymptotics", "dirichlet", "verify"}
 
 
 def test_heavy_modules_load_on_first_use():
-    _run_child(CHILD)
+    assert _run_child(CHILD) == "ok"
 
 
 def test_concurrent_first_use_of_numpy():
-    _run_child(THREADS_CHILD)
+    assert _run_child(THREADS_CHILD) == "ok"
+
+
+def test_package_import_loads_no_submodule():
+    assert _submodules_loaded_by("import mathieu_series") == set()
+
+
+def test_eval_factorial_loads_only_the_modules_it_runs():
+    loaded = _submodules_loaded_by(
+        "import mathieu_series as m\nm.eval_factorial(m.FactorialParams(1, 2, 1), 1e6)"
+    )
+    assert "series" in loaded
+    assert not loaded & NOT_FOR_SCALAR_WORK, loaded
+
+
+@pytest.mark.parametrize(
+    "argv, not_loaded",
+    [
+        (["eval", "factorial", "--alpha", "1", "--beta", "2", "--mu", "1", "--r", "1e6"],
+         NOT_FOR_SCALAR_WORK),
+        (["eval", "powerseries", "--sequences", "ones-squares", "--mu", "0", "--x", "0.5",
+          "--r", "100"], NOT_FOR_SCALAR_WORK),
+        (["eval", "powerlog", "--alpha", "1", "--beta", "2", "--mu", "1", "--r", "10"],
+         NOT_FOR_SCALAR_WORK),
+        (["predict", "powerlog", "--alpha", "1", "--beta", "2", "--mu", "1", "--r", "100"],
+         {"verify"}),
+        (["predict", "factorial", "--alpha", "1", "--beta", "2", "--mu", "1",
+          "--r", "137846287.9"], {"verify"}),
+        (["sweep", "factorial", "--alpha", "1", "--beta", "2", "--mu", "1",
+          "--r-grid", "1e3:1e6:4", "--tol", "1e-10"], {"verify"}),
+    ],
+    ids=["eval-factorial", "eval-powerseries", "eval-powerlog", "predict-powerlog",
+         "predict-factorial", "sweep-factorial"],
+)
+def test_cli_command_loads_only_the_modules_it_runs(argv, not_loaded):
+    loaded = _submodules_loaded_by(
+        "import contextlib, io\n"
+        "from mathieu_series import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+    )
+    assert not loaded & not_loaded, loaded
+
+
+def test_every_exported_name_resolves():
+    code = """
+import mathieu_series as m
+
+star = {}
+exec("from mathieu_series import *", star)
+assert set(star) - {"__builtins__"} == set(m.__all__), set(star) ^ set(m.__all__)
+assert set(m.__all__) <= set(dir(m))
+for name in m.__all__:
+    value = getattr(m, name)
+    home = getattr(value, "__module__", None) or value.__name__
+    assert home.startswith("mathieu_series."), (name, home)
+assert m.eval_general is m.series.eval_general
+print("ok")
+"""
+    assert _run_child(code) == "ok"

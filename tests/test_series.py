@@ -810,7 +810,9 @@ def test_envelope_bound_skipped_when_its_first_term_exceeds_the_limit():
     g = 2.0 / 0.5**2 * 128.0**-5
     assert g < full
     assert _envelope_tail_bound(env, 1.0, 128, limit=0.99 * g) is None
-    assert _envelope_tail_bound(env, 1.0, 128, limit=1.01 * g) == full
+    # with no log power the closed-form lower bound is the integral itself
+    assert _envelope_tail_bound(env, 1.0, 128, limit=(1.0 - 1e-9) * full) is None
+    assert _envelope_tail_bound(env, 1.0, 128, limit=1.01 * full) == full
 
 
 # ---------------------------------------------------------------------------
@@ -1028,6 +1030,33 @@ def test_power_series_x_zero_unrepresentable_value():
 def test_power_series_x_zero_negative_coefficient():
     seq = SequencePair(a=lambda n: -2.0, b=lambda n: float(n) ** 2, b_monotone_from=0)
     assert eval_power_series(seq, 1.0, 0.0, 10.0) == pytest.approx(-2e-4, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "growth", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, -math.inf)]
+)
+def test_power_series_rejects_a_malformed_growth_declaration(growth):
+    # a ParameterError at once: not a run to the term cap, not a blamed sequence
+    seq = SequencePair(a=lambda n: 1.0, b=lambda n: float(n) ** 2, b_monotone_from=0)
+    t0 = time.perf_counter()
+    with pytest.raises(ParameterError, match="growth"):
+        eval_power_series(seq, 0.0, 0.5, 10.0, growth=growth)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_power_series_declared_zero_growth_is_a_zero_sum():
+    # A = 0 declares every term 0: the sum is 0, known after the first 8 terms
+    calls = []
+    seq = SequencePair(a=lambda n: calls.append(n) or 0.0, b=lambda n: float(n) ** 2)
+    t0 = time.perf_counter()
+    with pytest.raises(NumericError, match="after 8 terms"):
+        eval_power_series(seq, 0.0, 0.5, 10.0, growth=(0.0, 1.0))
+    assert time.perf_counter() - t0 < 0.1
+    assert calls == list(range(8))
+    # a nonzero term breaks that declaration
+    seq = SequencePair(a=lambda n: float(n == 3), b=lambda n: float(n) ** 2)
+    with pytest.raises(ContractViolationError, match="n=3"):
+        eval_power_series(seq, 0.0, 0.5, 10.0, growth=(0.0, 1.0))
 
 
 def test_power_series_slow_geometric_is_linear_time():

@@ -8,7 +8,12 @@ import pytest
 
 from mathieu_series.series import PowerLogParams, _powerlog_log_summand
 from mathieu_series.special import log_log_factorial
-from mathieu_series.tails import Jet, euler_maclaurin_tail
+from mathieu_series.tails import (
+    Jet,
+    euler_maclaurin_tail,
+    powerlog_tail_integral,
+    powerlog_tail_lower_bound,
+)
 
 
 def test_jet_derivatives_of_log1p():
@@ -158,3 +163,12 @@ def test_array_jet_operations_in_either_order():
     for k in range(4):
         for i in range(3):
             assert spread.c[k][i] == (arr[i] * scalar + arr[i]).c[k]
+
+
+def test_powerlog_tail_lower_bound_is_below_the_integral():
+    for power in (-1.001, -1.05, -1.5, -2.0, -5.0, -10.0):
+        for log_power in (-6.0, -2.0, -0.5, 0.0, 0.5, 2.0, 6.0):
+            for from_x in (4.0, 64.0, 4096.0, 1e9):
+                lower = powerlog_tail_lower_bound(power, log_power, from_x)
+                integral = powerlog_tail_integral(power, log_power, from_x)
+                assert 0.0 < lower <= integral, (power, log_power, from_x)
