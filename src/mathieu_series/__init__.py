@@ -76,6 +76,7 @@ _EXPORTS = {
             "SequencePair",
             "eval_factorial",
             "eval_general",
+            "eval_general_grid",
             "eval_power_series",
             "eval_powerlog",
             "factorial_summand_log",

@@ -25,7 +25,9 @@ time and checks the block afterwards, with numpy doing the per-term
 arithmetic of each block. When the sequences also come with smooth forms
 in log x, it adds the same Euler-Maclaurin tail to a 4096-term head, with
 the power-log family's stopping and give-up rules; otherwise a termwise
-power-log envelope bounds the tail.
+power-log envelope bounds the tail. Over a grid of radii
+(``eval_general_grid``) it builds the head once, keeping only the terms,
+peak and tail bound per radius.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from ._deferred import deferred_module
 from .errors import (
@@ -64,6 +66,7 @@ __all__ = [
     "EvalResult",
     "eval_powerlog",
     "eval_general",
+    "eval_general_grid",
     "eval_power_series",
     "factorial_summand_log",
     "peak_index_n0",
@@ -218,7 +221,9 @@ class SequencePair:
     both a block at a time, up to its next checkpoint (n = 64, 128, ...),
     before it checks that block's terms, so the callbacks must be pure (the
     same n always gives the same value, and no call depends on an earlier
-    one). Errors still name the first offending n.
+    one). Errors still name the first offending n. Each callback is called
+    once per n per grid: ``terms_used`` times for one radius, and the
+    largest ``terms_used`` times for ``eval_general_grid``.
 
     ``log_a`` and ``log_b``, given together or not at all, declare the
     sequences smooth: log a(x) and log b(x) as functions of u = log x,
@@ -672,6 +677,97 @@ def _smooth_log_summand(s: SequencePair, log_r2: float, mu1: float, u):
     return s.log_a(u) - mu1 * np.logaddexp(s.log_b(u), log_r2)
 
 
+class _RadiusSum:
+    """What a generic sum keeps for one radius: its terms, peak and last tail bound.
+
+    Everything else a checkpoint needs (the callback values, their contract
+    checks and logs, the smooth-form match, the envelope) does not depend
+    on r and is shared by all radii of a grid.
+    """
+
+    __slots__ = ("r", "log_r2", "log_f", "terms", "best", "peak_index", "bound")
+
+    def __init__(self, s: SequencePair, mu1: float, r: float, n_start: int):
+        self.r = r
+        self.log_r2 = 2.0 * math.log(r)
+        self.log_f = functools.partial(_smooth_log_summand, s, self.log_r2, mu1)
+        self.terms: list[float] = []
+        self.best = -math.inf
+        self.peak_index = n_start
+        self.bound: Optional[float] = None
+
+    def add(self, n: int, log_a: np.ndarray, log_b: np.ndarray, mu1: float) -> None:
+        """Append the terms from n on, given the logs of their a_n and b_n."""
+        block = list(map(math.exp, (log_a - mu1 * np.logaddexp(log_b, self.log_r2)).tolist()))
+        top = max(block)
+        if top > self.best:
+            self.best = top
+            self.peak_index = n + block.index(top)
+        self.terms += block
+
+    def smooth_result(
+        self, s: SequencePair, n: int, rel_tol: float, hard_cap: int, cap_tail: Callable
+    ) -> Optional[EvalResult]:
+        """The result if the Euler-Maclaurin tail from n certifies, else None."""
+        tail, self.bound, integral, err = _smooth_tail(self.log_f, s.log_b, self.log_r2, n)
+        value = math.fsum(self.terms) + tail
+        if value < sys.float_info.min:
+            raise _below_normal("eval_general", value, self.r, len(self.terms))
+        if self.bound <= rel_tol * value:
+            peak_index = self.peak_index
+            if peak_index == n - 1:  # still rising at the head's end
+                peak_index = _summand_peak(self.log_f, s.log_b, self.log_r2, n)
+            return EvalResult(value, self.bound, len(self.terms), peak_index)
+        if _beyond_reach(rel_tol, value, integral, err, cap_tail):
+            raise _uncertified(
+                "eval_general", rel_tol, hard_cap, self.bound, value, len(self.terms)
+            )
+        return None
+
+    def envelope_result(
+        self, env: GeneralEnvelope, mu: float, n: int, rel_tol: float
+    ) -> Optional[EvalResult]:
+        """The result if the envelope's bound on the terms from n certifies, else None."""
+        value = math.fsum(self.terms)
+        bound = _envelope_tail_bound(env, mu, n, rel_tol * value)
+        if bound is not None and bound <= rel_tol * value:
+            if value < sys.float_info.min:
+                raise _below_normal("eval_general", value, self.r, len(self.terms))
+            return EvalResult(value, bound, len(self.terms), self.peak_index)
+        return None
+
+
+def _each_open(runs: list, step: Callable[[_RadiusSum], Optional[EvalResult]]) -> None:
+    """Run ``step`` for every open radius; a result or an exception closes it.
+
+    Any exception is kept, not handled: it is the radius's outcome, raised
+    unchanged by ``eval_general_grid`` when no earlier radius failed.
+    """
+    for i, run in enumerate(runs):
+        if isinstance(run, _RadiusSum):
+            try:
+                outcome = step(run)
+            except Exception as exc:
+                runs[i] = exc
+            else:
+                if outcome is not None:
+                    runs[i] = outcome
+
+
+def _pending(runs: list) -> bool:
+    """True while an open radius comes before every failed one.
+
+    Radii after the first failure cannot change the outcome: the grid
+    raises that failure.
+    """
+    for run in runs:
+        if isinstance(run, _RadiusSum):
+            return True
+        if isinstance(run, Exception):
+            return False
+    return False
+
+
 def eval_general(
     s: SequencePair,
     mu: float,
@@ -687,11 +783,12 @@ def eval_general(
     256, ... (or at ``hard_cap``), where the tail bound is tried. The
     callbacks are evaluated for a whole block before its terms are checked,
     so they must be pure; they are never called past the checkpoint that
-    certifies, so ``terms_used`` callback calls are made of each. Every
-    evaluated term is checked against the sequence contract. Violations
-    raise ``ContractViolationError`` naming the first offending n; a
-    callback's own exception is re-raised once the terms before it have
-    passed.
+    certifies, so ``terms_used`` callback calls are made of each (for a
+    grid of radii, ``eval_general_grid``, once per n up to the largest
+    ``terms_used``). Every evaluated term is checked against the sequence
+    contract. Violations raise ``ContractViolationError`` naming the first
+    offending n; a callback's own exception is re-raised once the terms
+    before it have passed.
 
     The tail bound past a checkpoint N comes from one of two sources:
 
@@ -718,10 +815,40 @@ def eval_general(
     Raises ``NumericError`` when the value is below the smallest normal
     double, and ``ResourceLimitError`` at ``hard_cap`` terms.
     """
+    return eval_general_grid(s, mu, (r,), rel_tol, hard_cap, envelope, n_start)[0]
+
+
+def eval_general_grid(
+    s: SequencePair,
+    mu: float,
+    radii: Iterable[float],
+    rel_tol: float = 1e-8,
+    hard_cap: int = DEFAULT_GENERAL_CAP,
+    envelope: Optional[GeneralEnvelope] = None,
+    n_start: int = 0,
+) -> list[EvalResult]:
+    """``[eval_general(s, mu, r, ...) for r in radii]``, with the head built once.
+
+    The results, and the error raised (that of the first radius in order
+    that fails), are those of the loop. One walk over the checkpoints
+    serves every radius: the callback values, their contract checks and
+    logs, the smooth-form match and the envelope fit do not depend on r and
+    are computed once per block. Each radius keeps only its own terms, peak
+    and tail bound, and drops out once it certifies or fails; the head
+    grows while a radius that can still change the outcome is open. So each
+    callback is called once per n, up to the largest ``terms_used``.
+
+    An error of the shared work is raised at once: while it runs, the first
+    radius that has not returned is still open, and the loop would raise
+    that error for it.
+    """
+    radii = list(radii)
+    if not radii:
+        return []
     mu = _require_finite(mu, "mu")
     if mu < 0.0:
         raise ParameterError(f"mu must be >= 0, got {mu}")
-    r = _require_radius(r, 0.0, "eval_general")
+    _require_radius(radii[0], 0.0, "eval_general")  # ahead of rel_tol, as for one radius
     rel_tol = _check_rel_tol(rel_tol)
     smooth = s.log_a is not None
     if smooth and envelope is not None:
@@ -731,26 +858,27 @@ def eval_general(
             "envelope does not certify convergence: a_pow - b_pow*(mu+1) must be < -1"
         )
 
-    log_r2 = 2.0 * math.log(r)
     mu1 = mu + 1.0
+    # Per radius: a _RadiusSum while open, then its EvalResult or its exception.
+    runs: list = []
+    for r in radii:
+        try:
+            runs.append(_RadiusSum(s, mu1, _require_radius(r, 0.0, "eval_general"), n_start))
+        except (TypeError, ValueError) as exc:  # raised only if every radius before succeeds
+            runs.append(exc)
     fitted = envelope is None and not smooth
     env = envelope
     if smooth:
-        log_f = functools.partial(_smooth_log_summand, s, log_r2, mu1)
         log_f_free = functools.partial(_smooth_log_summand, s, -math.inf, mu1)
         cap_tail = _cap_tail(log_f_free, n_start + hard_cap)
-    bound = None
 
-    terms: list[float] = []
     fit_points = np.empty((4, 0))  # n, log n, log a_n, log b_n for the fit
-    best = -math.inf
-    peak_index = n_start
     b_prev = None
     next_check = 64
 
     n = n_start
     end = n_start + hard_cap
-    while n < end:
+    while n < end and _pending(runs):
         stop = min(max(next_check, n + 1), end)
         a_vals, b_vals, b_prev, error = _sequence_block(s, n, stop, b_prev)
         # Logs through libm, as the per-term formula takes them: numpy's
@@ -780,12 +908,7 @@ def eval_general(
         if error is not None:
             raise error
 
-        block = list(map(math.exp, (log_a - mu1 * np.logaddexp(log_b, log_r2)).tolist()))
-        top = max(block)
-        if top > best:
-            best = top
-            peak_index = n + block.index(top)
-        terms += block
+        _each_open(runs, lambda run: run.add(n, log_a, log_b, mu1))
         if fitted:
             k4 = max(4 - n, logs_from)
             rows = np.stack(
@@ -795,42 +918,33 @@ def eval_general(
             fit_points = np.concatenate([fit_points, rows[:, finite]], axis=1)
         n = stop
 
-        if n < next_check:
+        if n < next_check or not _pending(runs):
             continue
         next_check *= 2
         if smooth:
-            if n < _SMOOTH_HEAD:
-                continue
-            tail, bound, integral, err = _smooth_tail(log_f, s.log_b, log_r2, n)
-            value = math.fsum(terms) + tail
-            if value < sys.float_info.min:
-                raise _below_normal("eval_general", value, r, len(terms))
-            if bound <= rel_tol * value:
-                if peak_index == n - 1:  # still rising at the head's end
-                    peak_index = _summand_peak(log_f, s.log_b, log_r2, n)
-                return EvalResult(value, bound, len(terms), peak_index)
-            if _beyond_reach(rel_tol, value, integral, err, cap_tail):
-                raise _uncertified("eval_general", rel_tol, hard_cap, bound, value, len(terms))
+            if n >= _SMOOTH_HEAD:
+                _each_open(runs, lambda run: run.smooth_result(s, n, rel_tol, hard_cap, cap_tail))
             continue
         if fitted:
             # Refit every checkpoint: larger windows tighten the bound.
             env = _fit_envelope(fit_points, mu) or env
-        if env is None:
-            continue
-        value = math.fsum(terms)
-        bound = _envelope_tail_bound(env, mu, n, rel_tol * value)
-        if bound is not None and bound <= rel_tol * value:
-            if value < sys.float_info.min:
-                raise _below_normal("eval_general", value, r, len(terms))
-            return EvalResult(value, bound, len(terms), peak_index)
+        if env is not None:
+            _each_open(runs, lambda run: run.envelope_result(env, mu, n, rel_tol))
 
-    if not smooth:
-        bound = _envelope_tail_bound(env, mu, n) if env is not None else None
-    raise ResourceLimitError(
-        f"eval_general hit the term cap {hard_cap} before certifying rel_tol={rel_tol}",
-        cap=hard_cap,
-        bound_achieved=bound,
-    )
+    if _pending(runs):  # the term cap
+        cap_bound = _envelope_tail_bound(env, mu, n) if env is not None else None
+        for i, run in enumerate(runs):
+            if isinstance(run, _RadiusSum):
+                runs[i] = ResourceLimitError(
+                    f"eval_general hit the term cap {hard_cap} before certifying "
+                    f"rel_tol={rel_tol}",
+                    cap=hard_cap,
+                    bound_achieved=run.bound if smooth else cap_bound,
+                )
+    for run in runs:
+        if not isinstance(run, EvalResult):
+            raise run  # the first radius in order that failed
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -931,6 +1045,15 @@ def eval_factorial(
 # ---------------------------------------------------------------------------
 
 
+def _over_power(a: float, n: int, p: float) -> float:
+    """a / n^p for a >= 0 and n >= 2, in logs: n^p is outside the double range; inf
+    when the quotient is too."""
+    if a == 0.0:
+        return 0.0
+    log_q = math.log(a) - p * math.log(n)
+    return math.exp(log_q) if log_q < _LOG_DBL_MAX else math.inf
+
+
 def eval_power_series(
     s: SequencePair,
     mu: float,
@@ -984,7 +1107,10 @@ def eval_power_series(
     n = 0
     while n < hard_cap:
         a_n, b_n = _sequence_values(s, n)
-        norm = abs(a_n) / max(n, 1) ** g_pow
+        try:
+            norm = abs(a_n) / max(n, 1) ** g_pow
+        except (OverflowError, ZeroDivisionError):  # n^p outside the double range
+            norm = _over_power(abs(a_n), n, g_pow)
         if declared:
             if norm > g_coeff * (1.0 + 1e-12):
                 raise ContractViolationError(
@@ -1008,7 +1134,10 @@ def eval_power_series(
             if g_coeff == 0.0:
                 log_tail = -math.inf  # declared A = 0: every later term is 0
             else:
-                q = ax * ((n + 1.0) / n) ** g_pow
+                try:
+                    q = ax * ((n + 1.0) / n) ** g_pow
+                except OverflowError:  # ((n+1)/n)^p past the double range: no ratio below 1
+                    continue
                 if q >= 1.0:
                     continue
                 # Tail over m > n of A m^p |x|^m / r^(2(mu+1)).

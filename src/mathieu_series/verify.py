@@ -48,7 +48,7 @@ from .series import (
     PowerLogParams,
     SequencePair,
     eval_factorial,
-    eval_general,
+    eval_general_grid,
     eval_power_series,
     eval_powerlog,
 )
@@ -186,6 +186,7 @@ def suite_thm11(
 def suite_thm12(strict: bool = False) -> list[CheckResult]:
     """Shifted sequences share the power-log first-order law."""
     out = []
+    t0 = time.perf_counter()
     p = PowerLogParams(1, 3, 1, 1, 1)
     shifted = SequencePair(
         a=lambda n: (n + 3.0) * math.log(n + 2.0),
@@ -195,11 +196,9 @@ def suite_thm12(strict: bool = False) -> list[CheckResult]:
         log_b=lambda u: 3.0 * u + np.log(np.logaddexp(u, 0.0)),
     )
     gaps = []
-    for k in range(2, 6):
-        r = 10.0**k
-        dev_sh = abs(
-            eval_general(shifted, 1.0, r, rel_tol=1e-6).value / predict_powerlog(p, r) - 1.0
-        )
+    radii = [10.0**k for k in range(2, 6)]
+    for r, res in zip(radii, eval_general_grid(shifted, 1.0, radii, rel_tol=1e-6)):
+        dev_sh = abs(res.value / predict_powerlog(p, r) - 1.0)
         dev_un = abs(eval_powerlog(p, r, rel_tol=1e-9).value / predict_powerlog(p, r) - 1.0)
         gaps.append(abs(dev_sh - dev_un))
     out.append(
@@ -222,10 +221,10 @@ def suite_thm12(strict: bool = False) -> list[CheckResult]:
         log_b=lambda u: 3.0 * u,
     )
     devs = []
-    for k in (2, 3, 4):
-        r = 10.0**k
+    radii = [10.0**k for k in (2, 3, 4)]
+    for r, res in zip(radii, eval_general_grid(seq, 1.0, radii, rel_tol=1e-7)):
         head = 5.0 / (r * r) ** 2 + 6.0 / (1.0 + r * r) ** 2
-        v = eval_general(seq, 1.0, r, rel_tol=1e-7).value - head
+        v = res.value - head
         devs.append(abs(v / eval_powerlog(plain, r, rel_tol=1e-9).value - 1.0))
     out.append(
         _check(
@@ -237,6 +236,8 @@ def suite_thm12(strict: bool = False) -> list[CheckResult]:
             strict=strict,
         )
     )
+    elapsed = time.perf_counter() - t0
+    out.append(_check("thm12/runtime", elapsed, 60.0, note="seconds", strict=strict))
     return out
 
 
@@ -470,6 +471,7 @@ def suite_lemma41(strict: bool = False) -> list[CheckResult]:
 
 def suite_cor61(strict: bool = False) -> list[CheckResult]:
     """Log-factorial series against its closed-form first-order law."""
+    t0 = time.perf_counter()
     seq = SequencePair(
         a=lambda n: log_factorial(n),
         b=lambda n: log_factorial(n) ** 3,
@@ -478,11 +480,10 @@ def suite_cor61(strict: bool = False) -> list[CheckResult]:
         log_b=lambda u: 3.0 * log_log_factorial(u),
     )
     p = PowerLogParams(1, 3, 1, 3, 1)
-    devs = []
-    for k in range(2, 7):
-        r = 10.0**k
-        v = eval_general(seq, 1.0, r, rel_tol=1e-5, n_start=2).value
-        devs.append(abs(v / predict_powerlog(p, r) - 1.0))
+    radii = [10.0**k for k in range(2, 7)]
+    results = eval_general_grid(seq, 1.0, radii, rel_tol=1e-5, n_start=2)
+    devs = [abs(res.value / predict_powerlog(p, r) - 1.0) for r, res in zip(radii, results)]
+    elapsed = time.perf_counter() - t0
     # calibrated: the deviation rises to 0.40 at r=1e3 before the log-speed
     # decay sets in, then falls to 0.321 at r=1e6.
     return [
@@ -493,7 +494,8 @@ def suite_cor61(strict: bool = False) -> list[CheckResult]:
             extra_ok=_strictly_decreasing(devs[1:]),
             note="|ratio-1| decreasing over r=1e3..1e6",
             strict=strict,
-        )
+        ),
+        _check("cor61/runtime", elapsed, 60.0, note="seconds", strict=strict),
     ]
 
 

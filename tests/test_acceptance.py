@@ -7,8 +7,10 @@ frozen values recorded in the verify module; the calibration evidence
 lives in the repository notes.
 """
 
+import dataclasses
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -169,21 +171,35 @@ def test_criterion_12_special_function_floor():
 
 
 def test_sequence_suites_sum_short_heads(monkeypatch):
-    # a deterministic cost guard: thm12 and cor61 certify their 12 eval_general
-    # calls from short heads (up to 65,536 terms each on the envelope path)
+    # a deterministic cost guard: thm12 and cor61 certify their 12 radii from
+    # short heads (up to 65,536 terms each on the envelope path), and each grid
+    # builds its head once, calling every callback at most once per n
     used = []
-    evaluate = verify.eval_general
+    calls = []
+    evaluate = verify.eval_general_grid
 
-    def recording(*args, **kwargs):
-        res = evaluate(*args, **kwargs)
-        used.append(res.terms_used)
-        return res
+    def counted(f, seen):
+        def wrapper(n):
+            seen[n] += 1
+            return f(n)
 
-    monkeypatch.setattr(verify, "eval_general", recording)
+        return wrapper
+
+    def recording(s, *args, **kwargs):
+        seen_a, seen_b = Counter(), Counter()
+        calls.extend((seen_a, seen_b))
+        s = dataclasses.replace(s, a=counted(s.a, seen_a), b=counted(s.b, seen_b))
+        results = evaluate(s, *args, **kwargs)
+        used.extend(res.terms_used for res in results)
+        return results
+
+    monkeypatch.setattr(verify, "eval_general_grid", recording)
     for name in ("thm12", "cor61"):
         assert all(c.passed for c in run_suite(name))
     assert len(used) == 12
     assert max(used) <= 8192
+    assert len(calls) == 6  # a and b of the three sequences
+    assert all(seen and max(seen.values()) == 1 for seen in calls)
 
 
 def test_thm11_integrates_on_node_arrays(monkeypatch):

@@ -131,6 +131,19 @@ def test_package_import_loads_no_submodule():
     assert _submodules_loaded_by("import mathieu_series") == set()
 
 
+def test_reading_the_grid_entry_loads_series_only():
+    code = """
+import sys
+
+import mathieu_series
+
+mathieu_series.eval_general_grid
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "mpmath", "scipy"))
+assert not heavy, heavy
+"""
+    assert "series" in _submodules_loaded_by(code)
+
+
 def test_eval_factorial_loads_only_the_modules_it_runs():
     loaded = _submodules_loaded_by(
         "import mathieu_series as m\nm.eval_factorial(m.FactorialParams(1, 2, 1), 1e6)"
@@ -181,6 +194,7 @@ for name in m.__all__:
     home = getattr(value, "__module__", None) or value.__name__
     assert home.startswith("mathieu_series."), (name, home)
 assert m.eval_general is m.series.eval_general
+assert m.eval_general_grid is m.series.eval_general_grid
 print("ok")
 """
     assert _run_child(code) == "ok"

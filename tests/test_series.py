@@ -4,6 +4,7 @@ import dataclasses
 import math
 import time
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from mathieu_series import series
 from mathieu_series.errors import (
     ContractViolationError,
     DomainError,
+    MathieuError,
     NumericError,
     ParameterError,
     ResourceLimitError,
@@ -30,6 +32,7 @@ from mathieu_series.series import (
     _logaddexp,
     eval_factorial,
     eval_general,
+    eval_general_grid,
     eval_power_series,
     eval_powerlog,
     factorial_summand_log,
@@ -816,6 +819,135 @@ def test_envelope_bound_skipped_when_its_first_term_exceeds_the_limit():
 
 
 # ---------------------------------------------------------------------------
+# Generic sequences over a radius grid
+# ---------------------------------------------------------------------------
+
+
+def _loop_outcome(seq, mu, radii, **kwargs):
+    """The per-radius loop's results, or the type, message and cap bound of its error."""
+    try:
+        return [eval_general(seq, mu, r, **kwargs) for r in radii]
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "bound_achieved", None)
+
+
+def _grid_outcome(seq, mu, radii, **kwargs):
+    try:
+        return eval_general_grid(seq, mu, radii, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "bound_achieved", None)
+
+
+def _counting(seq):
+    """``seq`` with callbacks that count their calls per n, and the two counters."""
+    seen_a, seen_b = Counter(), Counter()
+
+    def counted(f, seen):
+        def wrapper(n):
+            seen[n] += 1
+            return f(n)
+
+        return wrapper
+
+    counted_seq = dataclasses.replace(seq, a=counted(seq.a, seen_a), b=counted(seq.b, seen_b))
+    return counted_seq, (seen_a, seen_b)
+
+
+_VERIFY_GRIDS = [  # the radii of the verify suites thm12 and cor61, one grid each
+    (_SHIFTED_SMOOTH, [10.0**k for k in (2, 3, 4, 5)], dict(rel_tol=1e-6)),
+    (_PLUS5_SMOOTH, [10.0**k for k in (2, 3, 4)], dict(rel_tol=1e-7)),
+    (_LOGFACT_SMOOTH, [10.0**k for k in (2, 3, 4, 5, 6)], dict(rel_tol=1e-5, n_start=2)),
+]
+
+
+@pytest.mark.parametrize(
+    "seq, radii, kwargs",
+    [
+        *_VERIFY_GRIDS,
+        # the sequence sweep's inputs, which fit their envelopes
+        (_LOGFACT, [10.0**k for k in (2, 3, 4, 5, 6)], dict(rel_tol=1e-5, n_start=2)),
+        (_SHIFTED, [10.0**k for k in (2, 3, 4, 5)], dict(rel_tol=1e-6)),
+        (
+            SequencePair(a=lambda n: float(n), b=lambda n: float(n) ** 2),
+            [10.0, 3.0, 5.0],
+            dict(envelope=_SQUARES_ENVELOPE),
+        ),
+        # out of order, with a duplicate
+        (_SHIFTED_SMOOTH, [1e4, 1e2, 1e5, 1e2, 1e3], dict(rel_tol=1e-6)),
+        (_LOGFACT, [1e4, 1e2, 1e4], dict(rel_tol=1e-5, n_start=2)),
+    ],
+    ids=["thm12-shifted", "thm12-plus5", "cor61", "sweep-logfact", "sweep-shifted",
+         "supplied-envelope", "unordered-smooth", "unordered-fitted"],
+)
+def test_grid_equals_the_per_radius_loop(seq, radii, kwargs):
+    results = eval_general_grid(seq, 1.0, radii, **kwargs)
+    assert results == _loop_outcome(seq, 1.0, radii, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "seq, radii, kwargs",
+    [*_VERIFY_GRIDS[::2], (_LOGFACT, [1e2, 1e4, 1e6], dict(rel_tol=1e-5, n_start=2))],
+    ids=["smooth-shifted", "smooth-logfact", "fitted-logfact"],
+)
+def test_grid_calls_each_callback_once_per_n(seq, radii, kwargs):
+    counted, seen = _counting(seq)
+    results = eval_general_grid(counted, 1.0, radii, **kwargs)
+    n_start = kwargs.get("n_start", 0)
+    used = max(res.terms_used for res in results)
+    for calls in seen:
+        assert sorted(calls) == list(range(n_start, n_start + used))
+        assert set(calls.values()) == {1}
+
+
+# a_n = n, b_n = n^3 with smooth forms, NaN at n = 10000: at rel_tol 1e-14
+# r = 1e3 certifies at 4096, r = 1e7 needs 16384 terms, and r = 1e200 is
+# below the smallest normal double at 4096
+_CUBIC_NAN_AT_10000 = dataclasses.replace(
+    _CUBIC_SMOOTH, a=lambda n: math.nan if n == 10000 else float(n)
+)
+
+
+@pytest.mark.parametrize(
+    "radii, head",
+    [
+        ([1e3, 1e7], 10001),  # 1e3 certifies at 4096, 1e7 meets the NaN
+        ([1e7, 1e3], 10001),
+        ([1e3, 1e3], 4096),  # both certify before the NaN
+        ([1e7, 1e200], 10001),  # 1e200 fails at 4096, 1e7 before it is still open
+        ([1e200, 1e7], 4096),  # the first radius fails: the rest cannot matter
+        ([1e3, 1e200, 1e7], 4096),
+    ],
+)
+def test_grid_raises_the_error_of_the_first_failing_radius(radii, head):
+    kwargs = dict(rel_tol=1e-14)
+    outcome = _grid_outcome(_CUBIC_NAN_AT_10000, 1.0, radii, **kwargs)
+    assert outcome == _loop_outcome(_CUBIC_NAN_AT_10000, 1.0, radii, **kwargs)
+    counted, (seen_a, _) = _counting(_CUBIC_NAN_AT_10000)
+    _grid_outcome(counted, 1.0, radii, **kwargs)
+    # the head grows only while the outcome is open, one callback call per n
+    assert sorted(seen_a) == list(range(head))
+    assert set(seen_a.values()) == {1}
+
+
+def test_grid_errors_before_and_between_radii():
+    # a bad first radius is reported ahead of a bad rel_tol, as one call does;
+    # a bad later radius only once every radius before it has succeeded
+    cases = [
+        ([-1.0, 1e3], dict(rel_tol=1.0)),
+        ([1e3, -1.0, 1e7], dict(rel_tol=1e-14)),
+        ([1e3, math.inf], dict(rel_tol=1e-8)),
+        ([1e7, -1.0], dict(rel_tol=1e-14)),
+        ([1e2, 1e3], dict(rel_tol=1e-8, hard_cap=3000)),
+        ([1e3, 1e7], dict(rel_tol=1e-14, hard_cap=6000)),
+    ]
+    for radii, kwargs in cases:
+        outcome = _grid_outcome(_CUBIC_NAN_AT_10000, 1.0, radii, **kwargs)
+        assert outcome == _loop_outcome(_CUBIC_NAN_AT_10000, 1.0, radii, **kwargs), radii
+        assert isinstance(outcome, tuple), radii
+    assert eval_general_grid(_CUBIC_SMOOTH, -1.0, []) == []  # as the loop over no radii
+
+
+# ---------------------------------------------------------------------------
 # Factorial family
 # ---------------------------------------------------------------------------
 
@@ -1018,6 +1150,18 @@ def test_power_series_unrepresentable_value(b, r):
     with pytest.raises(NumericError, match="smallest normal double"):
         eval_power_series(seq, 0.0, 0.5, r)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("power, cap", [(1e4, 300_000), (-1e4, 10), (1e6, 1000)])
+def test_power_series_large_declared_growth_power(power, cap):
+    # ((n+1)/n)^p and n^p overflow (or underflow to 0) for |p| this large: the
+    # call returns a value or raises a MathieuError, never an OverflowError
+    seq = SequencePair(a=lambda n: 1.0, b=lambda n: float(n) ** 2, b_monotone_from=0)
+    try:
+        value = eval_power_series(seq, 0.0, 0.5, 10.0, growth=(1.0, power), hard_cap=cap)
+    except MathieuError:
+        return
+    assert value == pytest.approx(eval_power_series(seq, 0.0, 0.5, 10.0), rel=1e-10)
 
 
 def test_power_series_x_zero_unrepresentable_value():
