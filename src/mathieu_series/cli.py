@@ -167,7 +167,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:  # powerseries
         pair = _POWER_SERIES_PRESETS[args.sequences]()
         value = eval_power_series(
-            pair, args.mu, args.x, args.r, rel_tol=args.tol, hard_cap=_term_cap(DEFAULT_GENERAL_CAP)
+            pair, args.mu, args.x, args.r, rel_tol=args.tol, hard_cap=_term_cap(args.hard_cap)
         )
         record = {"family": args.family, "r": args.r, "x": args.x, "value": value}
         _emit_record(record, args, ["family", "sequences", "mu", "x", "r", "tol"])

@@ -20,11 +20,13 @@ factorial family is summed in shifted log space around its sharply peaked
 terms.
 
 Everything is pure and safe for concurrent use; sequence callbacks must be
-pure and reentrant. The generic family calls them a block of terms at a
-time and checks the block afterwards, with numpy doing the per-term
-arithmetic of each block. When the sequences also come with smooth forms
-in log x, it adds the same Euler-Maclaurin tail to a 4096-term head, with
-the power-log family's stopping and give-up rules; otherwise a termwise
+pure and reentrant. The generic family and the power series call them a
+block of terms at a time, through one contract check (``_sequence_block``),
+and check the block afterwards: the generic family with numpy doing the
+per-term arithmetic of each block, the power series term by term. When
+the generic family's sequences also come with smooth forms in log x, it
+adds the same Euler-Maclaurin tail to a 4096-term head, with the
+power-log family's stopping and give-up rules; otherwise a termwise
 power-log envelope bounds the tail. Over a grid of radii
 (``eval_general_grid``) it builds the head once, keeping only the terms,
 peak and tail bound per radius.
@@ -129,22 +131,6 @@ def _negative_b_error(n: int, b_n) -> ContractViolationError:
     return ContractViolationError(f"sequence b must be nonnegative, b({n}) = {b_n}")
 
 
-def _sequence_values(s: SequencePair, n: int) -> tuple[float, object]:
-    """(a_n as a float, b_n as returned); NaN or inf from either, or b_n < 0,
-    is a contract violation.
-
-    b_n may be a big int, which has no float form, so it is tested by
-    comparison rather than ``math.isfinite``.
-    """
-    a_n = float(s.a(n))
-    b_n = s.b(n)
-    if not math.isfinite(a_n) or b_n != b_n or abs(b_n) == math.inf:
-        raise _non_finite_error(n, a_n, b_n)
-    if b_n < 0:
-        raise _negative_b_error(n, b_n)
-    return a_n, b_n
-
-
 @dataclass(frozen=True)
 class PowerLogParams:
     """Exponent tuple for the power-logarithmic family.
@@ -214,16 +200,20 @@ class FactorialParams:
 
 @dataclass(frozen=True)
 class SequencePair:
-    """User-supplied sequences a_n >= 0 and b_n >= 0 for the generic series.
+    """User-supplied sequences a_n and b_n >= 0 for the generic and power series.
 
-    ``b`` must be nondecreasing and divergent from ``b_monotone_from`` on;
-    this promise is checked on the evaluated range. ``eval_general`` calls
-    both a block at a time, up to its next checkpoint (n = 64, 128, ...),
-    before it checks that block's terms, so the callbacks must be pure (the
-    same n always gives the same value, and no call depends on an earlier
-    one). Errors still name the first offending n. Each callback is called
-    once per n per grid: ``terms_used`` times for one radius, and the
-    largest ``terms_used`` times for ``eval_general_grid``.
+    a_n must be >= 0 for ``eval_general`` and may be signed for
+    ``eval_power_series``. ``b`` must be nondecreasing and divergent from
+    ``b_monotone_from`` on. Both evaluators check the same contract on the
+    evaluated range (finite values, b_n >= 0, b nondecreasing from
+    ``b_monotone_from``), and both call the callbacks a block at a time
+    before they check that block: ``eval_general`` up to its next
+    checkpoint (n = 64, 128, ...), ``eval_power_series`` in blocks of 8,
+    8, 16, ... up to 512 terms. So the callbacks must be pure (the same n
+    always gives the same value, and no call depends on an earlier one).
+    Errors still name the first offending n. ``eval_general`` calls each
+    callback once per n per grid: ``terms_used`` times for one radius, and
+    the largest ``terms_used`` times for ``eval_general_grid``.
 
     ``log_a`` and ``log_b``, given together or not at all, declare the
     sequences smooth: log a(x) and log b(x) as functions of u = log x,
@@ -517,25 +507,19 @@ def _logaddexp(x: float, y: float) -> float:
     return y + math.log1p(math.exp(d))
 
 
-def _general_term(a_n: float, b_n, log_r2: float, mu1: float) -> float:
-    """a_n / (b_n + r^2)^(mu+1), stable for huge b_n (big ints allowed)."""
-    if a_n == 0.0:
-        return 0.0
-    log_b = math.log(b_n) if b_n > 0 else -math.inf
-    return math.exp(math.log(a_n) - mu1 * _logaddexp(log_b, log_r2))
-
-
 def _sequence_block(
     s: SequencePair, lo: int, hi: int, b_prev
 ) -> tuple[list[float], list, object, Optional[Exception]]:
     """a_n as floats and b_n as returned for lo <= n < hi, with the sequence contract checked.
 
-    Stops at the first n that breaks the contract (non-finite a or b,
-    negative a or b, b decreasing from ``b_monotone_from`` on) or whose callback
-    raises, and returns that error instead of raising it, with the values
-    before it: the caller checks those against the envelope first, so the
-    error for the lowest offending n wins. ``b_prev`` is the last b_n the
-    monotonicity promise applies to, carried from block to block.
+    Every callback call of ``eval_general`` and ``eval_power_series`` goes
+    through here. Stops at the first n that breaks the ``SequencePair``
+    contract (non-finite a or b, negative b, b decreasing from
+    ``b_monotone_from`` on) or whose callback raises, and returns that error
+    instead of raising it, with the values before it: the caller checks
+    those first (against its own rules), so the error for the lowest
+    offending n wins. ``b_prev`` is the last b_n the monotonicity promise
+    applies to, carried from block to block.
     """
     a_vals: list[float] = []
     b_vals: list = []
@@ -547,8 +531,6 @@ def _sequence_block(
             b_n = seq_b(n)
             if not isfinite(a_n) or b_n != b_n or abs(b_n) == inf:
                 raise _non_finite_error(n, a_n, b_n)
-            if a_n < 0.0:
-                raise ContractViolationError(f"sequence a must be nonnegative, a({n}) = {a_n}")
             if b_n < 0:
                 raise _negative_b_error(n, b_n)
             if n >= b_from:
@@ -881,6 +863,12 @@ def eval_general_grid(
     while n < end and _pending(runs):
         stop = min(max(next_check, n + 1), end)
         a_vals, b_vals, b_prev, error = _sequence_block(s, n, stop, b_prev)
+        if a_vals and min(a_vals) < 0.0:  # only the power series admits a signed a
+            k = next(k for k, a_n in enumerate(a_vals) if a_n < 0.0)
+            error = ContractViolationError(
+                f"sequence a must be nonnegative, a({n + k}) = {a_vals[k]}"
+            )
+            del a_vals[k:], b_vals[k:]
         # Logs through libm, as the per-term formula takes them: numpy's
         # vectorised log can differ in the last bit.
         log_a = np.array([math.log(a) if a > 0.0 else -math.inf for a in a_vals])
@@ -1063,13 +1051,20 @@ def eval_power_series(
     growth: tuple[float, float] | None = None,
     hard_cap: int = DEFAULT_GENERAL_CAP,
 ) -> float:
-    """Sum of a_n x^n / (b_n + r^2)^(mu+1) for |x| < 1.
+    """Sum of a_n x^n / (b_n + r^2)^(mu+1) for |x| < 1; a_n may be signed.
 
     ``growth = (A, p)`` declares |a_n| <= A * max(n,1)^p, which certifies the
     geometric tail; A must be finite and >= 0 (A = 0 declares every a_n to
     be 0) and p finite. By default p = 8 with A twice the largest observed
-    normalized coefficient. Raises ``NumericError`` once the sum is known to
-    lie below the smallest normal double.
+    normalized coefficient. After the terms below n, the tail bound is the
+    geometric sum over m >= n of A m^p |x|^m / (b_{n-1} + r^2)^(mu+1), with
+    r^(2(mu+1)) in place of the denominator until n - 1 reaches
+    ``b_monotone_from``. The callbacks run through the contract checks of
+    ``eval_general``, a block at a time: [0, 8), [8, 16), [16, 32), ... up
+    to 512 terms a block (one term at x = 0), so they may be called up to
+    511 times past the n where the sum stops; errors still name the first
+    offending n. Raises ``NumericError`` once the sum is known to lie below
+    the smallest normal double.
     """
     mu = _require_finite(mu, "mu")
     if mu < 0.0:
@@ -1090,49 +1085,48 @@ def eval_power_series(
 
     log_r2 = 2.0 * math.log(r)
     mu1 = mu + 1.0
-    if x == 0.0:
-        a_0, b_0 = _sequence_values(s, 0)
-        value = math.copysign(_general_term(abs(a_0), b_0, log_r2, mu1), a_0)
-        if abs(value) < sys.float_info.min:
-            raise NumericError(
-                f"eval_power_series value at r={r} is below the smallest normal double"
-            )
-        return value
-
+    log_den = mu1 * log_r2  # log of a floor on (b_m + r^2)^(mu+1) for the omitted m
     log_rel_tol = math.log(rel_tol)
     total = []
     running, compensation = 0.0, 0.0  # Neumaier sum of ``total``, for the stopping test
     xn = 1.0
     ax = abs(x)
+    b_prev = None
     n = 0
     while n < hard_cap:
-        a_n, b_n = _sequence_values(s, n)
-        try:
-            norm = abs(a_n) / max(n, 1) ** g_pow
-        except (OverflowError, ZeroDivisionError):  # n^p outside the double range
-            norm = _over_power(abs(a_n), n, g_pow)
-        if declared:
-            if norm > g_coeff * (1.0 + 1e-12):
-                raise ContractViolationError(
-                    f"declared growth envelope violated at n={n}: |a| = {abs(a_n)}"
-                )
-        else:
-            g_coeff = max(g_coeff, 2.0 * norm)
-        term_mag = _general_term(abs(a_n), b_n, log_r2, mu1) * abs(xn)
-        term = math.copysign(term_mag, a_n * xn) if term_mag else 0.0
-        total.append(term)
-        t = running + term
-        if abs(running) >= abs(term):
-            compensation += (running - t) + term
-        else:
-            compensation += (term - t) + running
-        running = t
-        xn *= x
-        n += 1
+        stop = min(1 if x == 0.0 else max(8, n + min(n, 512)), hard_cap)
+        a_vals, b_vals, b_prev, error = _sequence_block(s, n, stop, b_prev)
+        for a_n, b_n in zip(a_vals, b_vals):
+            try:
+                norm = abs(a_n) / max(n, 1) ** g_pow
+            except (OverflowError, ZeroDivisionError):  # n^p outside the double range
+                norm = _over_power(abs(a_n), n, g_pow)
+            if declared:
+                if norm > g_coeff * (1.0 + 1e-12):
+                    raise ContractViolationError(
+                        f"declared growth envelope violated at n={n}: |a| = {abs(a_n)}"
+                    )
+            else:
+                g_coeff = max(g_coeff, 2.0 * norm)
+            log_den_n = mu1 * _logaddexp(math.log(b_n) if b_n > 0 else -math.inf, log_r2)
+            term_mag = math.exp(math.log(abs(a_n)) - log_den_n) * abs(xn) if a_n else 0.0
+            term = math.copysign(term_mag, a_n * xn) if term_mag else 0.0
+            total.append(term)
+            t = running + term
+            if abs(running) >= abs(term):
+                compensation += (running - t) + term
+            else:
+                compensation += (term - t) + running
+            running = t
+            if n >= s.b_monotone_from:  # every later b_m >= b_n
+                log_den = log_den_n
+            xn *= x
+            n += 1
 
-        if n >= 8 and (declared or g_coeff > 0.0):
-            if g_coeff == 0.0:
-                log_tail = -math.inf  # declared A = 0: every later term is 0
+            if x == 0.0 or (n >= 8 and declared and g_coeff == 0.0):
+                log_tail = -math.inf  # every later term is 0
+            elif n < 8 or g_coeff == 0.0:
+                continue
             else:
                 try:
                     q = ax * ((n + 1.0) / n) ** g_pow
@@ -1140,12 +1134,12 @@ def eval_power_series(
                     continue
                 if q >= 1.0:
                     continue
-                # Tail over m > n of A m^p |x|^m / r^(2(mu+1)).
+                # Tail over m >= n of A m^p |x|^m / exp(log_den).
                 log_tail = (
                     math.log(g_coeff)
-                    + g_pow * math.log(n + 1.0)
-                    + (n + 1.0) * math.log(ax)
-                    - mu1 * log_r2
+                    + g_pow * math.log(n)
+                    + n * math.log(ax)
+                    - log_den
                     - math.log1p(-q)
                 )
             partial = abs(running + compensation)
@@ -1161,6 +1155,8 @@ def eval_power_series(
                         f"normal double (after {n} terms)"
                     )
                 return value
+        if error is not None:
+            raise error
     raise ResourceLimitError(
         f"eval_power_series exceeded the term cap {hard_cap}",
         cap=hard_cap,

@@ -394,3 +394,18 @@ def test_term_cap_environment_invalid(capsys, monkeypatch):
     )
     assert code == 2
     assert "MATHIEU_TERM_CAP" in err
+
+
+def test_powerseries_honours_the_hard_cap_flag(capsys, monkeypatch):
+    # x = 0.99 needs more than 100 terms: the flag and the environment both cap it
+    argv = ["eval", "powerseries", "--sequences", "ones-squares", "--mu", "0", "--x", "0.99",
+            "--r", "100"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["value"] > 0
+    code, out, err = run_cli(capsys, *argv, "--hard-cap", "100")
+    assert (code, out) == (3, "")
+    assert "term cap 100" in err
+    monkeypatch.setenv("MATHIEU_TERM_CAP", "100")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "term cap 100" in err

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import time
 import warnings
 from collections import Counter
@@ -582,6 +583,19 @@ def test_general_negative_b_is_a_contract_violation():
         )
         with pytest.raises(ContractViolationError, match=first):
             eval_general(seq, 1.0, 1e3)
+
+
+@pytest.mark.parametrize("neg_at, nan_at", [(40, 50), (63, 64), (64, 100)])
+def test_general_negative_a_is_a_contract_violation(neg_at, nan_at):
+    # mid-block and at both edges of the first checkpoint, ahead of a NaN later on
+    seq = SequencePair(
+        a=lambda n: -1.0 if n == neg_at else math.nan if n == nan_at else 1.0,
+        b=lambda n: float(n) ** 2,
+        b_monotone_from=0,
+    )
+    with pytest.raises(ContractViolationError) as err:
+        eval_general(seq, 1.0, 10.0)
+    assert str(err.value) == f"sequence a must be nonnegative, a({neg_at}) = -1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -1211,6 +1225,197 @@ def test_power_series_slow_geometric_is_linear_time():
     assert time.perf_counter() - t0 < 2.0
     oracle = math.fsum(0.995**n / (n * n + 1.0) for n in range(20000))
     assert value == pytest.approx(oracle, rel=1e-10)
+
+
+
+def reference_eval_power_series(s, mu, x, r, rel_tol=1e-10, growth=None, hard_cap=10**6):
+    """eval_power_series as a per-term loop: one a_n and b_n at a time, with the
+    contract checked per n. Arguments are taken as valid."""
+    declared = growth is not None
+    g_coeff, g_pow = growth if declared else (0.0, 8.0)
+    log_r2 = 2.0 * math.log(r)
+    mu1 = mu + 1.0
+    log_den = mu1 * log_r2
+    total = []
+    running, compensation = 0.0, 0.0
+    xn = 1.0
+    b_prev = None
+    n = 0
+    while n < hard_cap:
+        a_n = float(s.a(n))
+        b_n = s.b(n)
+        if not math.isfinite(a_n) or b_n != b_n or abs(b_n) == math.inf:
+            raise ContractViolationError(
+                f"sequences must be finite, got a({n}) = {a_n}, b({n}) = {b_n}"
+            )
+        if b_n < 0:
+            raise ContractViolationError(f"sequence b must be nonnegative, b({n}) = {b_n}")
+        if n >= s.b_monotone_from:
+            if b_prev is not None and b_n < b_prev:
+                raise ContractViolationError(
+                    f"sequence b must be nondecreasing from {s.b_monotone_from}, "
+                    f"but b({n}) = {b_n} < b({n - 1}) = {b_prev}"
+                )
+            b_prev = b_n
+        try:
+            norm = abs(a_n) / max(n, 1) ** g_pow
+        except (OverflowError, ZeroDivisionError):
+            norm = series._over_power(abs(a_n), n, g_pow)
+        if declared:
+            if norm > g_coeff * (1.0 + 1e-12):
+                raise ContractViolationError(
+                    f"declared growth envelope violated at n={n}: |a| = {abs(a_n)}"
+                )
+        else:
+            g_coeff = max(g_coeff, 2.0 * norm)
+        log_den_n = mu1 * _logaddexp(math.log(b_n) if b_n > 0 else -math.inf, log_r2)
+        term_mag = math.exp(math.log(abs(a_n)) - log_den_n) * abs(xn) if a_n else 0.0
+        term = math.copysign(term_mag, a_n * xn) if term_mag else 0.0
+        total.append(term)
+        t = running + term
+        if abs(running) >= abs(term):
+            compensation += (running - t) + term
+        else:
+            compensation += (term - t) + running
+        running = t
+        if n >= s.b_monotone_from:
+            log_den = log_den_n
+        xn *= x
+        n += 1
+        if x == 0.0 or (n >= 8 and declared and g_coeff == 0.0):
+            log_tail = -math.inf
+        elif n < 8 or g_coeff == 0.0:
+            continue
+        else:
+            try:
+                q = abs(x) * ((n + 1.0) / n) ** g_pow
+            except OverflowError:
+                continue
+            if q >= 1.0:
+                continue
+            log_tail = (
+                math.log(g_coeff)
+                + g_pow * math.log(n)
+                + n * math.log(abs(x))
+                - log_den
+                - math.log1p(-q)
+            )
+        partial = abs(running + compensation)
+        log_partial = math.log(partial) if partial > 0.0 else -math.inf
+        negligible = max(log_partial, log_tail) < math.log(0.5 * sys.float_info.min)
+        if log_tail <= math.log(rel_tol) + log_partial or negligible:
+            value = math.fsum(total)
+            if negligible or abs(value) < sys.float_info.min:
+                raise NumericError(
+                    f"eval_power_series value at r={r} is below the smallest "
+                    f"normal double (after {n} terms)"
+                )
+            return value
+    raise ResourceLimitError(f"eval_power_series exceeded the term cap {hard_cap}")
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except MathieuError as exc:
+        return type(exc), str(exc)
+
+
+_ONES_SQUARES = SequencePair(a=lambda n: 1.0, b=lambda n: float(n) ** 2, b_monotone_from=0)
+_LINEAR_FACTORIAL = SequencePair(
+    a=lambda n: float(n), b=lambda n: math.factorial(n), b_monotone_from=0
+)
+
+
+def _bad_at(k, what):
+    """ones-squares with a NaN a_k or b_k, or b_k below b_(k-1)."""
+    return SequencePair(
+        a=lambda n: math.nan if (what, n) == ("a", k) else 1.0,
+        b=lambda n: {("b", k): math.nan, ("drop", k): 1.0}.get((what, n), float(n) ** 2),
+    )
+
+
+_POWER_SERIES_CASES = [
+    *[
+        (seq, mu, x, r, dict(growth=growth))
+        for seq, mu, growth in (
+            (_ONES_SQUARES, 0.0, None),
+            (_ONES_SQUARES, 0.0, (1.0, 0.0)),
+            (_LINEAR_FACTORIAL, 1.0, None),
+            (_LINEAR_FACTORIAL, 1.0, (1.0, 1.0)),
+        )
+        for x in (0.5, 0.9, 0.99, -0.7, 1.0 / 3.0, 0.01, 0.0)
+        for r in (0.5, 10.0, 1e3)
+    ],
+    # contract breaches at and around the block edges 8, 16 and 512; at x = 0.5
+    # the sum stops before the late ones and never sees them
+    *[
+        (_bad_at(k, what), 0.0, x, 10.0, {})
+        for k in (7, 8, 15, 16, 511, 512)
+        for what in ("a", "b", "drop")
+        for x in (0.5, 0.99)
+    ],
+    # a declared-growth breach mid-block, before and after a NaN in the same block
+    *[
+        (
+            SequencePair(
+                a=lambda n, k=k: 5.0 if n == 300 else math.nan if n == k else 1.0,
+                b=_ONES_SQUARES.b,
+            ),
+            0.0,
+            0.99,
+            10.0,
+            dict(growth=(1.0, 0.0)),
+        )
+        for k in (290, 310)
+    ],
+    # b is checked from b_monotone_from on only
+    (dataclasses.replace(_bad_at(9, "drop"), b_monotone_from=10), 0.0, 0.99, 10.0, {}),
+    (SequencePair(a=lambda n: 1.0, b=lambda n: 10 ** (300 + n)), 0.0, 0.5, 10.0, {}),
+    (SequencePair(a=lambda n: 0.0, b=_ONES_SQUARES.b), 0.0, 0.5, 10.0, dict(growth=(0.0, 1.0))),
+    *[(_ONES_SQUARES, 0.0, 0.99, 10.0, dict(hard_cap=cap)) for cap in (7, 8, 9, 100, 513)],
+]
+
+
+def test_power_series_blocks_match_per_term_reference():
+    for seq, mu, x, r, kwargs in _POWER_SERIES_CASES:
+        got = _outcome(eval_power_series, seq, mu, x, r, **kwargs)
+        assert got == _outcome(reference_eval_power_series, seq, mu, x, r, **kwargs), (x, r, kwargs)
+
+
+@pytest.mark.parametrize("x", [1.0 / 3.0, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-6, 1e-10])
+def test_power_series_declared_growth_bound_covers_the_first_omitted_term(x, rel_tol):
+    # the tail bound must include m = n: with A = 1, p = 0 it is then the exact tail
+    seq = SequencePair(a=lambda n: 1.0, b=lambda n: 0.0, b_monotone_from=0)
+    value = eval_power_series(seq, 0.0, x, 1.0, rel_tol=rel_tol, growth=(1.0, 0.0))
+    assert abs(value - 1.0 / (1.0 - x)) <= rel_tol / (1.0 - x)
+
+
+def test_power_series_tail_bound_uses_monotone_b():
+    # b_n = n! certifies soon after the peak; a bound with r^2 alone in the
+    # denominator waited for 0.99^n and summed ~9,300 terms of growing big ints
+    calls = []
+    seq = SequencePair(
+        a=lambda n: float(n), b=lambda n: calls.append(n) or math.factorial(n), b_monotone_from=0
+    )
+    t0 = time.perf_counter()
+    value = eval_power_series(seq, 1.0, 0.99, 1e3, rel_tol=1e-8)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(calls) <= 1100
+    x = Fraction(0.99)
+    exact = math.fsum(
+        float(n * x**n / Fraction(math.factorial(n) + 10**6) ** 2) for n in range(200)
+    )
+    assert value == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("x", [-0.7, 0.7])
+def test_power_series_signed_coefficients(x):
+    seq = SequencePair(a=lambda n: (-1.0) ** n * (n + 1.0), b=lambda n: float(n) ** 2)
+    value = eval_power_series(seq, 1.0, x, 3.0, rel_tol=1e-10)
+    brute = math.fsum((-1.0) ** n * (n + 1.0) * x**n / (n * n + 9.0) ** 2 for n in range(400))
+    assert value == pytest.approx(brute, rel=1e-10)
 
 
 def _radius_calls():
