@@ -21,12 +21,16 @@ terms.
 
 Everything is pure and safe for concurrent use; sequence callbacks must be
 pure and reentrant. The generic family and the power series call them a
-block of terms at a time, through one contract check (``_sequence_block``),
-and check the block afterwards: the generic family with numpy doing the
-per-term arithmetic of each block, the power series term by term. When
-the generic family's sequences also come with smooth forms in log x, it
-adds the same Euler-Maclaurin tail to a 4096-term head, with the
-power-log family's stopping and give-up rules; otherwise a termwise
+block of terms at a time, through one contract check (``_sequence_block``)
+that tests each n as it comes and calls neither callback past the first n
+that breaks the contract, and check the block afterwards: the generic
+family with numpy doing the per-term arithmetic of each block, the power
+series term by term. Every log is libm's (``math.log``), as the per-term
+formulas take it; the generic family reads log n and log log n from a
+table cached for the whole process (``_log_table``, at most 2^20
+entries). When the generic family's sequences also come with smooth forms
+in log x, it adds the same Euler-Maclaurin tail to a 4096-term head, with
+the power-log family's stopping and give-up rules; otherwise a termwise
 power-log envelope bounds the tail. Over a grid of radii
 (``eval_general_grid``) it builds the head once, keeping only the terms,
 peak and tail bound per radius.
@@ -37,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -121,16 +126,6 @@ def _require_radius(r, floor: float, who: str, inclusive: bool = False, shown: s
     return r
 
 
-def _non_finite_error(n: int, a_n: float, b_n) -> ContractViolationError:
-    return ContractViolationError(
-        f"sequences must be finite, got a({n}) = {a_n}, b({n}) = {b_n}"
-    )
-
-
-def _negative_b_error(n: int, b_n) -> ContractViolationError:
-    return ContractViolationError(f"sequence b must be nonnegative, b({n}) = {b_n}")
-
-
 @dataclass(frozen=True)
 class PowerLogParams:
     """Exponent tuple for the power-logarithmic family.
@@ -206,8 +201,11 @@ class SequencePair:
     ``eval_power_series``. ``b`` must be nondecreasing and divergent from
     ``b_monotone_from`` on. Both evaluators check the same contract on the
     evaluated range (finite values, b_n >= 0, b nondecreasing from
-    ``b_monotone_from``), and both call the callbacks a block at a time
-    before they check that block: ``eval_general`` up to its next
+    ``b_monotone_from``) n by n as they call the callbacks, and call
+    neither callback past the first n that breaks it or whose callback
+    raises. They call the callbacks a block at a time and make their own
+    checks (the sign of a, an envelope, the smooth forms, a declared
+    growth) on the block afterwards: ``eval_general`` up to its next
     checkpoint (n = 64, 128, ...), ``eval_power_series`` in blocks of 8,
     8, 16, ... up to 512 terms. So the callbacks must be pure (the same n
     always gives the same value, and no call depends on an earlier one).
@@ -507,44 +505,140 @@ def _logaddexp(x: float, y: float) -> float:
     return y + math.log1p(math.exp(d))
 
 
+# log n and log log n for every n below its length, from math.log: numpy's
+# vectorised log can differ from libm in the last bit, and the per-term
+# formulas take libm's. Shared by every call in the process; its arrays are
+# never written, and a larger table replaces it under the lock.
+_LOG_TABLE_CAP = 1 << 20
+_log_table: Optional[tuple[np.ndarray, np.ndarray]] = None
+_log_table_lock = threading.Lock()
+
+
+def _log_table_to(end: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The (log n, log log n) table grown to hold every n < end, or None past the cap.
+
+    Sizes double from 1024 up to ``_LOG_TABLE_CAP``; entries for n < 2 are NaN.
+    """
+    global _log_table
+    if end > _LOG_TABLE_CAP:
+        return None
+    with _log_table_lock:
+        table = _log_table
+        size = 0 if table is None else len(table[0])
+        if size < end:
+            grown = max(size, 1024)
+            while grown < end:
+                grown *= 2
+            if table is None:
+                table = (np.full(2, math.nan), np.full(2, math.nan))
+            log_n = list(map(math.log, range(len(table[0]), grown)))
+            table = (
+                np.concatenate((table[0], log_n)),
+                np.concatenate((table[1], list(map(math.log, log_n)))),
+            )
+            for column in table:
+                column.flags.writeable = False
+            _log_table = table
+    return table
+
+
+def _log_n(lo: int, hi: int) -> np.ndarray:
+    """math.log(n) for 2 <= lo <= n < hi, as a new array."""
+    table = _log_table_to(hi)
+    if table is None:
+        return np.array(list(map(math.log, range(lo, hi))))
+    return table[0][lo:hi].copy()
+
+
+def _log_log_n(lo: int, hi: int, log_n: np.ndarray) -> np.ndarray:
+    """math.log(log n) for 2 <= lo <= n < hi, given their ``log_n``."""
+    table = _log_table_to(hi)
+    if table is None:
+        return np.array(list(map(math.log, log_n.tolist())))
+    return table[1][lo:hi]
+
+
+def _term_error(n: int, a_n: float, b_n, b_from: int, b_prev) -> Optional[ContractViolationError]:
+    """The error for the n-th term of a ``SequencePair``, or None when it keeps the contract.
+
+    Checked in this order: a_n or b_n not finite, b_n negative, and from
+    ``b_from`` on, b_n below ``b_prev`` (the b before it, None if there is
+    none to compare with).
+    """
+    if not math.isfinite(a_n) or b_n != b_n or abs(b_n) == math.inf:
+        return ContractViolationError(
+            f"sequences must be finite, got a({n}) = {a_n}, b({n}) = {b_n}"
+        )
+    if b_n < 0:
+        return ContractViolationError(f"sequence b must be nonnegative, b({n}) = {b_n}")
+    if n >= b_from and b_prev is not None and b_n < b_prev:
+        return ContractViolationError(
+            f"sequence b must be nondecreasing from {b_from}, "
+            f"but b({n}) = {b_n} < b({n - 1}) = {b_prev}"
+        )
+    return None
+
+
 def _sequence_block(
     s: SequencePair, lo: int, hi: int, b_prev
 ) -> tuple[list[float], list, object, Optional[Exception]]:
     """a_n as floats and b_n as returned for lo <= n < hi, with the sequence contract checked.
 
     Every callback call of ``eval_general`` and ``eval_power_series`` goes
-    through here. Stops at the first n that breaks the ``SequencePair``
-    contract (non-finite a or b, negative b, b decreasing from
-    ``b_monotone_from`` on) or whose callback raises, and returns that error
-    instead of raising it, with the values before it: the caller checks
-    those first (against its own rules), so the error for the lowest
-    offending n wins. ``b_prev`` is the last b_n the monotonicity promise
-    applies to, carried from block to block.
+    through here, one n at a time. Stops at the first n that breaks the
+    ``SequencePair`` contract (non-finite a or b, negative b, b decreasing
+    from ``b_monotone_from`` on) or whose callback raises, so no callback
+    is called past it, and returns that error instead of raising it, with
+    the values before it: the caller checks those first (against its own
+    rules), so the error for the lowest offending n wins. ``b_prev`` is the
+    last b_n the monotonicity promise applies to, carried from block to
+    block.
+
+    Each n passes two cheap tests: a_n - a_n == 0 (a finite) and
+    floor <= b_n < inf, with floor 0 before ``b_monotone_from`` and the
+    previous b from there on. Only an n that fails them, or whose b does
+    not compare with numbers, goes through ``_term_error``, which builds
+    the error with its precedence and message.
     """
     a_vals: list[float] = []
     b_vals: list = []
+    append_a, append_b = a_vals.append, b_vals.append
     seq_a, seq_b, b_from = s.a, s.b, s.b_monotone_from
-    isfinite, inf = math.isfinite, math.inf
+    inf = math.inf
+    split = min(max(lo, b_from), hi)  # where b must stop decreasing
+    floor = 0 if b_prev is None else b_prev
+    n = lo
     try:
-        for n in range(lo, hi):
+        for n in range(lo, split):
             a_n = float(seq_a(n))
             b_n = seq_b(n)
-            if not isfinite(a_n) or b_n != b_n or abs(b_n) == inf:
-                raise _non_finite_error(n, a_n, b_n)
-            if b_n < 0:
-                raise _negative_b_error(n, b_n)
-            if n >= b_from:
-                if b_prev is not None and b_n < b_prev:
-                    raise ContractViolationError(
-                        f"sequence b must be nondecreasing from {b_from}, "
-                        f"but b({n}) = {b_n} < b({n - 1}) = {b_prev}"
-                    )
-                b_prev = b_n
-            a_vals.append(a_n)
-            b_vals.append(b_n)
+            try:
+                kept = a_n - a_n == 0.0 and 0 <= b_n < inf
+            except Exception:  # b does not compare with numbers: take the exact check
+                kept = False
+            if not kept:
+                error = _term_error(n, a_n, b_n, b_from, None)
+                if error is not None:
+                    raise error
+            append_a(a_n)
+            append_b(b_n)
+        for n in range(split, hi):
+            a_n = float(seq_a(n))
+            b_n = seq_b(n)
+            try:
+                kept = a_n - a_n == 0.0 and floor <= b_n < inf
+            except Exception:
+                kept = False
+            if not kept:
+                error = _term_error(n, a_n, b_n, b_from, b_prev if n == split else floor)
+                if error is not None:
+                    raise error
+            floor = b_n
+            append_a(a_n)
+            append_b(b_n)
     except Exception as exc:  # deferred: an envelope breach before n must win
-        return a_vals, b_vals, b_prev, exc
-    return a_vals, b_vals, b_prev, None
+        return a_vals, b_vals, floor if n > split else b_prev, exc
+    return a_vals, b_vals, floor if hi > split else b_prev, None
 
 
 def _fit_envelope(points: np.ndarray, mu: float) -> Optional[GeneralEnvelope]:
@@ -615,15 +709,15 @@ def _envelope_tail_bound(
 
 
 def _envelope_breach(
-    env: GeneralEnvelope, log_n: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
+    env: GeneralEnvelope, n_from: int, log_n: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
 ) -> Optional[int]:
     """Index of the first point outside the envelope, or None.
 
-    The points are consecutive n >= max(valid_from, 2), given by their logs.
+    The points are consecutive n from n_from >= max(valid_from, 2), given by their logs.
     """
     if not len(log_n):
         return None
-    log_log_n = np.array(list(map(math.log, log_n.tolist())))
+    log_log_n = _log_log_n(n_from, n_from + len(log_n), log_n)
     log_a_cap = math.log(env.a_coeff) + env.a_pow * log_n + env.a_logpow * log_log_n
     log_b_floor = math.log(env.b_coeff) + env.b_pow * log_n + env.b_logpow * log_log_n
     holds = (log_a <= log_a_cap + 1e-12) & (log_b >= log_b_floor - 1e-12)
@@ -863,22 +957,30 @@ def eval_general_grid(
     while n < end and _pending(runs):
         stop = min(max(next_check, n + 1), end)
         a_vals, b_vals, b_prev, error = _sequence_block(s, n, stop, b_prev)
-        if a_vals and min(a_vals) < 0.0:  # only the power series admits a signed a
+        a_min = min(a_vals, default=0.0)
+        if a_min < 0.0:  # only the power series admits a signed a
             k = next(k for k, a_n in enumerate(a_vals) if a_n < 0.0)
             error = ContractViolationError(
                 f"sequence a must be nonnegative, a({n + k}) = {a_vals[k]}"
             )
             del a_vals[k:], b_vals[k:]
         # Logs through libm, as the per-term formula takes them: numpy's
-        # vectorised log can differ in the last bit.
-        log_a = np.array([math.log(a) if a > 0.0 else -math.inf for a in a_vals])
-        log_b = np.array([math.log(b) if b > 0 else -math.inf for b in b_vals])
+        # vectorised log can differ in the last bit. A zero a_n or b_n has
+        # log -inf.
+        if a_min > 0.0:
+            log_a = np.array(list(map(math.log, a_vals)))
+        else:
+            log_a = np.array([math.log(a) if a > 0.0 else -math.inf for a in a_vals])
+        if min(b_vals, default=0) > 0:
+            log_b = np.array(list(map(math.log, b_vals)))
+        else:
+            log_b = np.array([math.log(b) if b > 0 else -math.inf for b in b_vals])
         logs_from = max(n, 2) - n  # log n is taken from n = 2 on
         ns = np.arange(n + logs_from, n + len(a_vals), dtype=np.float64)
-        log_n = np.array(list(map(math.log, ns.tolist())))
+        log_n = _log_n(n + logs_from, n + len(a_vals))
         if env is not None:
             k0 = max(env.valid_from - n, logs_from)
-            j = _envelope_breach(env, log_n[k0 - logs_from :], log_a[k0:], log_b[k0:])
+            j = _envelope_breach(env, n + k0, log_n[k0 - logs_from :], log_a[k0:], log_b[k0:])
             if j is not None:
                 if not fitted:
                     raise ContractViolationError(
@@ -1059,12 +1161,14 @@ def eval_power_series(
     normalized coefficient. After the terms below n, the tail bound is the
     geometric sum over m >= n of A m^p |x|^m / (b_{n-1} + r^2)^(mu+1), with
     r^(2(mu+1)) in place of the denominator until n - 1 reaches
-    ``b_monotone_from``. The callbacks run through the contract checks of
-    ``eval_general``, a block at a time: [0, 8), [8, 16), [16, 32), ... up
-    to 512 terms a block (one term at x = 0), so they may be called up to
-    511 times past the n where the sum stops; errors still name the first
-    offending n. Raises ``NumericError`` once the sum is known to lie below
-    the smallest normal double.
+    ``b_monotone_from``; its ratio is |x| * max(1, ((n+1)/n)^p), as for
+    p < 0 the ratio of successive terms tends to |x| from below. The
+    callbacks run through the contract checks of ``eval_general``, a block
+    at a time: [0, 8), [8, 16), [16, 32), ... up to 512 terms a block (one
+    term at x = 0), so they may be called up to 511 times past the n where
+    the sum stops, but never past the first n that breaks the contract;
+    errors still name the first offending n. Raises ``NumericError`` once
+    the sum is known to lie below the smallest normal double.
     """
     mu = _require_finite(mu, "mu")
     if mu < 0.0:
@@ -1088,66 +1192,74 @@ def eval_power_series(
     log_den = mu1 * log_r2  # log of a floor on (b_m + r^2)^(mu+1) for the omitted m
     log_rel_tol = math.log(rel_tol)
     total = []
+    append = total.append
     running, compensation = 0.0, 0.0  # Neumaier sum of ``total``, for the stopping test
     xn = 1.0
     ax = abs(x)
+    log_ax = math.log(ax) if ax else -math.inf
+    b_from = s.b_monotone_from
+    log, exp, log1p, copysign, inf = math.log, math.exp, math.log1p, math.copysign, math.inf
     b_prev = None
     n = 0
     while n < hard_cap:
         stop = min(1 if x == 0.0 else max(8, n + min(n, 512)), hard_cap)
         a_vals, b_vals, b_prev, error = _sequence_block(s, n, stop, b_prev)
         for a_n, b_n in zip(a_vals, b_vals):
+            abs_a = abs(a_n)
             try:
-                norm = abs(a_n) / max(n, 1) ** g_pow
+                norm = abs_a / (n or 1) ** g_pow
             except (OverflowError, ZeroDivisionError):  # n^p outside the double range
-                norm = _over_power(abs(a_n), n, g_pow)
+                norm = _over_power(abs_a, n, g_pow)
             if declared:
                 if norm > g_coeff * (1.0 + 1e-12):
                     raise ContractViolationError(
-                        f"declared growth envelope violated at n={n}: |a| = {abs(a_n)}"
+                        f"declared growth envelope violated at n={n}: |a| = {abs_a}"
                     )
+            elif 2.0 * norm > g_coeff:
+                g_coeff = 2.0 * norm
+            # mu1 * _logaddexp(log b_n, log_r2), written out
+            log_b = log(b_n) if b_n > 0 else -inf
+            if log_b == log_r2:
+                log_den_n = mu1 * (log_b + _LOG2)
+            elif log_b > log_r2:
+                log_den_n = mu1 * (log_b + log1p(exp(log_r2 - log_b)))
             else:
-                g_coeff = max(g_coeff, 2.0 * norm)
-            log_den_n = mu1 * _logaddexp(math.log(b_n) if b_n > 0 else -math.inf, log_r2)
-            term_mag = math.exp(math.log(abs(a_n)) - log_den_n) * abs(xn) if a_n else 0.0
-            term = math.copysign(term_mag, a_n * xn) if term_mag else 0.0
-            total.append(term)
+                log_den_n = mu1 * (log_r2 + log1p(exp(log_b - log_r2)))
+            term_mag = exp(log(abs_a) - log_den_n) * abs(xn) if a_n else 0.0
+            term = copysign(term_mag, a_n * xn) if term_mag else 0.0
+            append(term)
             t = running + term
             if abs(running) >= abs(term):
                 compensation += (running - t) + term
             else:
                 compensation += (term - t) + running
             running = t
-            if n >= s.b_monotone_from:  # every later b_m >= b_n
+            if n >= b_from:  # every later b_m >= b_n
                 log_den = log_den_n
             xn *= x
             n += 1
 
             if x == 0.0 or (n >= 8 and declared and g_coeff == 0.0):
-                log_tail = -math.inf  # every later term is 0
+                log_tail = -inf  # every later term is 0
             elif n < 8 or g_coeff == 0.0:
                 continue
             else:
+                # The ratio of A m^p |x|^m from m to m + 1 is at most q for m >= n;
+                # for p < 0 it tends to |x| from below.
                 try:
-                    q = ax * ((n + 1.0) / n) ** g_pow
+                    ratio = ((n + 1.0) / n) ** g_pow
                 except OverflowError:  # ((n+1)/n)^p past the double range: no ratio below 1
                     continue
+                q = ax * ratio if ratio > 1.0 else ax
                 if q >= 1.0:
                     continue
                 # Tail over m >= n of A m^p |x|^m / exp(log_den).
-                log_tail = (
-                    math.log(g_coeff)
-                    + g_pow * math.log(n)
-                    + n * math.log(ax)
-                    - log_den
-                    - math.log1p(-q)
-                )
+                log_tail = log(g_coeff) + g_pow * log(n) + n * log_ax - log_den - log1p(-q)
             partial = abs(running + compensation)
-            log_partial = math.log(partial) if partial > 0.0 else -math.inf
-            certified = log_tail <= log_rel_tol + log_partial
-            # |sum| <= partial + tail < the smallest normal double.
-            negligible = max(log_partial, log_tail) < _LOG_HALF_DBL_MIN
-            if certified or negligible:
+            log_partial = log(partial) if partial > 0.0 else -inf
+            # negligible: |sum| <= partial + tail < the smallest normal double.
+            negligible = log_partial < _LOG_HALF_DBL_MIN and log_tail < _LOG_HALF_DBL_MIN
+            if log_tail <= log_rel_tol + log_partial or negligible:
                 value = math.fsum(total)
                 if negligible or abs(value) < sys.float_info.min:
                     raise NumericError(

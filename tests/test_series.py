@@ -1,6 +1,7 @@
 """Series evaluators against brute-force and exact-rational oracles."""
 
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -1390,6 +1391,25 @@ def test_power_series_declared_growth_bound_covers_the_first_omitted_term(x, rel
     seq = SequencePair(a=lambda n: 1.0, b=lambda n: 0.0, b_monotone_from=0)
     value = eval_power_series(seq, 0.0, x, 1.0, rel_tol=rel_tol, growth=(1.0, 0.0))
     assert abs(value - 1.0 / (1.0 - x)) <= rel_tol / (1.0 - x)
+
+
+_INVERSE_SQUARES = SequencePair(a=lambda n: 1.0 / max(n, 1) ** 2, b=lambda n: 0.0)
+
+
+@functools.cache
+def _inverse_squares_sum(x):
+    return math.fsum(x**n / max(n, 1) ** 2 for n in range(200_000))
+
+
+@pytest.mark.parametrize("x", [0.9, 0.99, 0.999])
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-6, 1e-10])
+def test_power_series_declared_negative_growth_power_bounds_the_tail(x, rel_tol):
+    # with p < 0 the ratio of A m^p |x|^m tends to |x| from below, so the
+    # geometric sum needs ratio |x|, not |x| ((n+1)/n)^p; the latter missed
+    # rel_tol by up to 1.58x at x = 0.999
+    value = eval_power_series(_INVERSE_SQUARES, 0.0, x, 1.0, rel_tol=rel_tol, growth=(1.0, -2.0))
+    exact = _inverse_squares_sum(x)
+    assert abs(value - exact) <= rel_tol * exact
 
 
 def test_power_series_tail_bound_uses_monotone_b():
