@@ -1,7 +1,7 @@
 """A module handle that imports its module on first attribute access.
 
 ``series``, ``tails``, ``dirichlet``, ``special`` and ``verify`` bind numpy
-(and ``tails`` mpmath, ``dirichlet`` scipy.special) through it, so that
+(and ``dirichlet`` scipy.special) through it, so that
 importing the package, and the evaluators that need only scalar
 arithmetic, load none of them.
 """

@@ -64,15 +64,19 @@ def _fmt(x) -> str:
 
 
 def _term_cap(default: int) -> int:
+    """MATHIEU_TERM_CAP when set, else ``default`` (the --hard-cap value or
+    the family's default); ``ParameterError`` unless it is positive."""
     raw = os.environ.get(_ENV_TERM_CAP)
     if raw is None:
-        return default
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"{_ENV_TERM_CAP} must be an integer, got {raw!r}") from exc
+        name, cap = "--hard-cap", default
+    else:
+        name = _ENV_TERM_CAP
+        try:
+            cap = int(raw)
+        except ValueError as exc:
+            raise ParameterError(f"{name} must be an integer, got {raw!r}") from exc
     if cap <= 0:
-        raise ParameterError(f"{_ENV_TERM_CAP} must be positive, got {cap}")
+        raise ParameterError(f"{name} must be positive, got {cap}")
     return cap
 
 
@@ -237,8 +241,10 @@ def _parse_grid(spec: str) -> list[float]:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise ParameterError(f"grid spec must be r_min:r_max:points, got {spec!r}") from exc
-    if not (0 < lo < hi) or n < 1:
-        raise ParameterError(f"grid spec must satisfy 0 < r_min < r_max, points >= 1: {spec!r}")
+    if not (0 < lo < hi < math.inf) or n < 1:
+        raise ParameterError(
+            f"grid spec must satisfy 0 < r_min < r_max < inf, points >= 1: {spec!r}"
+        )
     if n == 1:
         return [lo]
     ratio = (hi / lo) ** (1.0 / (n - 1))

@@ -21,7 +21,6 @@ All operations are pure and stateless.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -122,9 +121,10 @@ def log_weighted_zeta(p: DirichletParams, s: float, rel_tol: float = 1e-10) -> f
     """Sum over n >= 2 of (log n)^eta / (n (log n)^theta)^s, for real s > 1.
 
     Explicit partial sum below a cutoff N, plus the Euler-Maclaurin tail
-    from N on: the exact incomplete-gamma value of the integral, boundary
-    corrections, and the remainder bound, which must come within rel_tol
-    (N grows fourfold, up to three times, until it does).
+    from N on: the integral as an incomplete-gamma value by quadrature
+    (``tails.exp_poly_tail``), boundary corrections, and the remainder
+    bound plus the quadrature's error estimate, which must come within
+    rel_tol (N grows fourfold, up to three times, until it does).
     """
     s = float(s)
     if not (math.isfinite(s) and s > 1.0):
@@ -141,11 +141,9 @@ def log_weighted_zeta(p: DirichletParams, s: float, rel_tol: float = 1e-10) -> f
         ns = np.arange(2, n_cut, dtype=np.float64)
         partial = float(np.sum(np.exp(log_f(np.log(ns)))))
 
-        # integral of (log x)^c x^(-s) over [n_cut, inf) via x = exp(u), to 30 digits
-        integral = exp_poly_tail(s - 1.0, c, math.log(n_cut))
-        tail, bound = euler_maclaurin_tail(
-            log_f, n_cut, integral, integral * sys.float_info.epsilon
-        )
+        # integral of (log x)^c x^(-s) over [n_cut, inf) via x = exp(u)
+        integral, integral_err = exp_poly_tail(s - 1.0, c, math.log(n_cut))
+        tail, bound = euler_maclaurin_tail(log_f, n_cut, integral, integral_err)
         value = partial + tail
         if not math.isfinite(value):
             raise NumericError(f"log_weighted_zeta produced {value} at s={s}")

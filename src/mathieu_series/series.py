@@ -19,11 +19,13 @@ normal doubles raise ``NumericError`` instead of returning 0. The
 factorial family is summed in shifted log space around its sharply peaked
 terms.
 
-Everything is pure and safe for concurrent use; sequence callbacks must be
-pure and reentrant. The generic family and the power series call them a
-block of terms at a time, through one contract check (``_sequence_block``)
-that tests each n as it comes and calls neither callback past the first n
-that breaks the contract, and check the block afterwards: the generic
+Everything is pure and safe for concurrent use, on every path: no
+evaluator keeps process-wide state but the log table below, which grows
+under a lock. Sequence callbacks must be pure and reentrant. The generic
+family and the power series call them a block of terms at a time,
+through one contract check (``_sequence_block``) that tests each n as it
+comes and calls neither callback past the first n that breaks the
+contract, and check the block afterwards: the generic
 family with numpy doing the per-term arithmetic of each block, the power
 series term by term. Every log is libm's (``math.log``), as the per-term
 formulas take it; the generic family reads log n and log log n from a
@@ -58,8 +60,7 @@ from .tails import (
     Jet,
     euler_maclaurin_tail,
     powerlog_majorant_is_decreasing,
-    powerlog_tail_integral,
-    powerlog_tail_lower_bound,
+    powerlog_tail_bound,
     quad,
 )
 
@@ -687,15 +688,8 @@ def _fit_envelope(points: np.ndarray, mu: float) -> Optional[GeneralEnvelope]:
     )
 
 
-def _envelope_tail_bound(
-    env: GeneralEnvelope, mu: float, n_next: int, limit: float = math.inf
-) -> Optional[float]:
-    """The envelope's bound on the terms from n_next on, or None where it gives none.
-
-    Also None when a closed-form lower bound on it already exceeds
-    ``limit``: the bound cannot come within it, so its incomplete-gamma
-    part is not evaluated.
-    """
+def _envelope_tail_bound(env: GeneralEnvelope, mu: float, n_next: int) -> Optional[float]:
+    """The envelope's bound on the terms from n_next on, or None where it gives none."""
     scale, power, log_power = env.tail_exponents(mu)
     if n_next < max(env.valid_from, 4):
         return None
@@ -703,9 +697,7 @@ def _envelope_tail_bound(
         return None
     log_n = math.log(n_next)
     g_at = scale * math.exp(power * log_n + log_power * math.log(log_n))
-    if g_at + scale * powerlog_tail_lower_bound(power, log_power, float(n_next)) > limit:
-        return None
-    return g_at + scale * powerlog_tail_integral(power, log_power, float(n_next))
+    return g_at + scale * powerlog_tail_bound(power, log_power, float(n_next))
 
 
 def _envelope_breach(
@@ -805,7 +797,7 @@ class _RadiusSum:
     ) -> Optional[EvalResult]:
         """The result if the envelope's bound on the terms from n certifies, else None."""
         value = math.fsum(self.terms)
-        bound = _envelope_tail_bound(env, mu, n, rel_tol * value)
+        bound = _envelope_tail_bound(env, mu, n)
         if bound is not None and bound <= rel_tol * value:
             if value < sys.float_info.min:
                 raise _below_normal("eval_general", value, self.r, len(self.terms))

@@ -2,9 +2,11 @@
 
 Three tools live here:
 
-* integral-comparison tails of x^A (log x)^B, reduced to upper incomplete
-  gamma values through the substitution x = exp(u), which keeps them
-  certified and cheap for any real log-power B;
+* integral-comparison tails of x^A (log x)^B, through the substitution
+  x = exp(u) integrals of u^B e^(-s u), that is upper incomplete gamma
+  values: a closed-form rigorous upper bound for any real log-power B
+  (``powerlog_tail_bound``), and the value with its error estimate by
+  ``quad`` in double precision (``exp_poly_tail``);
 * ``quad``, the package's one quadrature rule: adaptive Gauss-Kronrod
   10/21 panels with QUADPACK's error estimate and roundoff floor (Piessens
   et al., 1983), evaluating the integrand once per refinement round on the
@@ -34,79 +36,113 @@ from ._deferred import deferred_module
 from .errors import DomainError, NumericError
 from .special import bernoulli_table
 
-mpmath = deferred_module("mpmath")
 np = deferred_module("numpy")
+
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 __all__ = [
     "Jet",
     "exp_poly_tail",
-    "powerlog_tail_integral",
-    "powerlog_tail_lower_bound",
+    "powerlog_tail_bound",
     "powerlog_majorant_is_decreasing",
     "euler_maclaurin_tail",
 ]
 
 
-def exp_poly_tail(decay: float, power: float, u0: float) -> float:
-    """Integral of u^power * exp(-decay*u) over [u0, infinity).
+def exp_poly_tail(decay: float, power: float, u0: float) -> tuple[float, float]:
+    """Integral of u^power * exp(-decay*u) over [u0, infinity) and its error estimate.
 
-    Requires decay > 0 and u0 > 0. Equals decay^(-power-1) times the upper
-    incomplete gamma function at (power+1, decay*u0), taken from mpmath at
-    30 digits, which covers every real power, power + 1 <= 0 included.
+    Requires decay > 0 and u0 > 0; any real power. With t = decay*u0 the
+    integral is decay^(-power-1) times the upper incomplete gamma function
+    at (power+1, t), which in v = e^w is the integral of
+    exp((power+1) w - e^w) over w >= log t. ``quad`` integrates that
+    divided by its value at w = log t, so that it starts at 1 whatever the
+    scale, with w - log t in units of the integrand's initial decay length
+    1/(t - power - 1) where that is below 1. The scale u0^(power+1) e^(-t),
+    the factor decay^(-power-1) included, goes back on in logs. The error
+    is the quadrature's estimate on the same scale plus the rounding of
+    those logs. A value below the smallest subnormal reads 0; one
+    above the double range raises ``NumericError``.
     """
     if decay <= 0.0:
         raise DomainError(f"exp_poly_tail requires positive decay, got {decay}")
     if u0 <= 0.0:
         raise DomainError(f"exp_poly_tail requires u0 > 0, got {u0}")
-    with mpmath.workdps(30):
-        try:
-            upper = mpmath.gammainc(power + 1.0, a=decay * u0, b=mpmath.inf)
-            value = mpmath.exp(-(power + 1.0) * mpmath.log(decay)) * upper
-        except (ValueError, mpmath.libmp.NoConvergence) as exc:  # pragma: no cover
-            raise NumericError(f"incomplete-gamma tail evaluation failed: {exc}") from exc
-        out = float(value)
-    if not math.isfinite(out) or out < 0.0:
-        raise NumericError(f"incomplete-gamma tail returned {out}")
-    return out
+    t = decay * u0
+    q1 = power + 1.0
+    width = 1.0 / max(1.0, t - q1)
+
+    def integrand(y: np.ndarray) -> np.ndarray:  # w = log t + width * y
+        d = width * y
+        with np.errstate(over="ignore"):  # e^d overflows far out, where the integrand is 0
+            return np.exp(q1 * d - t * np.expm1(d))
+
+    integral, err = quad(integrand, 0.0, math.inf, epsrel=1e-13, limit=400)
+    log_u0_power = q1 * math.log(u0)
+    log_value = log_u0_power - t + math.log(width * integral)
+    if log_value >= _LOG_DBL_MAX:
+        raise NumericError(f"incomplete-gamma tail e^{log_value:.6g} overflows")
+    value = math.exp(log_value)
+    # the rounding of the logs moves the value by up to 4 eps times their size
+    log_rounding = 4.0 * _EPS * (abs(log_u0_power) + t + abs(log_value) + 1.0)
+    return value, value * (err / integral + log_rounding)
 
 
-def powerlog_tail_integral(power: float, log_power: float, from_x: float) -> float:
-    """Integral of x^power * (log x)^log_power over [from_x, infinity).
+def powerlog_tail_bound(power: float, log_power: float, from_x: float) -> float:
+    """A rigorous upper bound on the integral of x^power (log x)^log_power over [from_x, inf).
 
-    Requires power < -1 and from_x > 1 so the integral converges.
+    Requires power < -1 and from_x > 1 so the integral converges. In
+    u = log x it is I, the integral of u^q e^(-s u) over [u0, inf), with
+    s = -(power+1), u0 = log from_x, q = log_power; write t = s u0. The
+    bound is the least of these upper bounds on I:
+
+    * K-fold integration by parts, K <= 30: I = u0^q e^(-t)/s S_K + R_K,
+      S_K the sum over k < K of c_k = (q)_k / t^k ((q)_k the falling
+      factorial) and R_K = c_K u0^K times the integral of
+      u^(q-K) e^(-s u), which has the sign of c_K and is at most |c_K| I
+      in size, as u^(-K) <= u0^(-K). So
+      I <= u0^q e^(-t)/s S_K when c_K <= 0, and that divided by 1 - c_K
+      when 0 < c_K < 1. S_K and c_K are pushed outward by their rounding
+      (below 4 K eps times the sum of |c_k|, and 4 K eps |c_K|);
+    * e^(-t) u0^(q+1) / (-q-1) for q < -1, from e^(-s u) <= e^(-t);
+    * Gamma(q+1) s^(-q-1), the integral over u > 0, for q > -1.
+
+    Formed in logs and raised by a relative 1e-12 for the rounding of the
+    logs. A bound above the double range is inf; one below the smallest
+    subnormal reads 0.
     """
     if power >= -1.0:
         raise DomainError(f"powerlog tail integral needs power < -1, got {power}")
     if from_x <= 1.0:
         raise DomainError(f"powerlog tail integral needs from_x > 1, got {from_x}")
-    # x = exp(u):  integral of exp((power+1) u) u^log_power du over [log from_x, inf)
-    return exp_poly_tail(-(power + 1.0), log_power, math.log(from_x))
-
-
-def powerlog_tail_lower_bound(power: float, log_power: float, from_x: float) -> float:
-    """A closed-form lower bound on ``powerlog_tail_integral(power, log_power, from_x)``.
-
-    With u = log x, s = -(power+1) and u0 = log from_x, the integral is that
-    of u^q e^(-s u) over [u0, inf), q = log_power. For q >= 0, u^q >= u0^q
-    there, which gives u0^q e^(-s u0) / s; for q < 0, u^q >= (u0 + 1/s)^q
-    on [u0, u0 + 1/s], which gives (u0 + 1/s)^q (1 - 1/e) e^(-s u0) / s.
-    It is formed in log space and capped at e^709, which keeps it finite,
-    and lowered by a relative 1e-12, so that rounding cannot lift it above
-    the integral (which it equals at q = 0). Same requirements as
-    ``powerlog_tail_integral``.
-    """
-    if power >= -1.0:
-        raise DomainError(f"powerlog tail integral needs power < -1, got {power}")
-    if from_x <= 1.0:
-        raise DomainError(f"powerlog tail integral needs from_x > 1, got {from_x}")
+    q = log_power
     s = -(power + 1.0)
     u0 = math.log(from_x)
-    log_bound = -s * u0 - math.log(s)
-    if log_power > 0.0:
-        log_bound += log_power * math.log(u0)
-    elif log_power < 0.0:
-        log_bound += log_power * math.log(u0 + 1.0 / s) + math.log(-math.expm1(-1.0))
-    return math.exp(min(log_bound, 709.0)) * (1.0 - 1e-12)
+    t = s * u0
+    log_lead = q * math.log(u0) - t - math.log(s)  # log of u0^q e^(-t) / s
+    logs = []
+    if q < -1.0:
+        logs.append((q + 1.0) * math.log(u0) - t - math.log(-q - 1.0))
+    elif q > -1.0:
+        logs.append(math.lgamma(q + 1.0) - (q + 1.0) * math.log(s))
+    c_k, partial, size = 1.0, 0.0, 0.0  # after step k: c_k, S_k, the sum of |c_j| over j < k
+    for k in range(1, 31):
+        partial += c_k
+        size += abs(c_k)
+        c_k *= (q - (k - 1)) / t
+        if not math.isfinite(c_k):
+            break
+        rounding = 4.0 * k * _EPS
+        high = partial + rounding * size
+        if high > 0.0:
+            if c_k <= 0.0:
+                logs.append(log_lead + math.log(high))
+            elif c_k * (1.0 + rounding) < 1.0:
+                logs.append(log_lead + math.log(high) - math.log1p(-c_k * (1.0 + rounding)))
+        if c_k == 0.0:
+            break
+    log_bound = min(logs) + 1e-12
+    return math.exp(log_bound) if log_bound < _LOG_DBL_MAX else math.inf
 
 
 def powerlog_majorant_is_decreasing(power: float, log_power: float, from_x: float) -> bool:

@@ -125,13 +125,13 @@ def test_eval_general_preset(capsys):
             ["eval", "general", "--sequences", "logfact", "--alpha", "1", "--beta", "3",
              "--mu", "1", "--r", "100"],
             '{"family": "general", "r": 100.0, "value": 8.244421690116138e-07, '
-            '"tail_bound": 7.424556584337012e-15, "terms_used": 510, "peak_index": 9}\n',
+            '"tail_bound": 7.424633072469277e-15, "terms_used": 510, "peak_index": 9}\n',
         ),
         (
             ["eval", "general", "--sequences", "shifted-powerlog", "--alpha", "1", "--beta", "3",
              "--gamma", "1", "--delta", "1", "--mu", "1", "--r", "100", "--tol", "1e-6"],
             '{"family": "general", "r": 100.0, "value": 3.1202155616216004e-06, '
-            '"tail_bound": 3.1245530054243704e-13, "terms_used": 1024, "peak_index": 9}\n',
+            '"tail_bound": 3.1245530054278066e-13, "terms_used": 1024, "peak_index": 9}\n',
         ),
     ],
 )
@@ -303,6 +303,17 @@ def test_sweep_bad_grid_spec(capsys):
     assert "grid spec" in err
 
 
+@pytest.mark.parametrize("grid", ["10:inf:3", "10:1e400:2"])
+def test_sweep_rejects_a_non_finite_grid_end(capsys, grid):
+    # an infinite r_max used to print "r": Infinity, which is not JSON
+    code, out, err = run_cli(
+        capsys, "sweep", "powerlog", "--alpha", "1", "--beta", "2", "--mu", "1",
+        "--r-grid", grid,
+    )
+    assert (code, out) == (2, "")
+    assert "grid spec" in err
+
+
 def test_sweep_writes_file(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, out, _ = run_cli(
@@ -394,6 +405,28 @@ def test_term_cap_environment_invalid(capsys, monkeypatch):
     )
     assert code == 2
     assert "MATHIEU_TERM_CAP" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "general", "--sequences", "logfact", "--alpha", "1", "--beta", "3",
+         "--mu", "1", "--r", "100"],
+        ["eval", "powerseries", "--sequences", "ones-squares", "--mu", "0", "--x", "0.5",
+         "--r", "100"],
+    ],
+    ids=["general", "powerseries"],
+)
+def test_non_positive_term_cap_is_a_parameter_error(capsys, monkeypatch, argv, cap):
+    # the flag used to reach the evaluator and exit 3 as a resource cap
+    code, out, err = run_cli(capsys, *argv, "--hard-cap", cap)
+    assert (code, out) == (2, "")
+    assert f"--hard-cap must be positive, got {cap}" in err
+    monkeypatch.setenv("MATHIEU_TERM_CAP", cap)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"MATHIEU_TERM_CAP must be positive, got {cap}" in err
 
 
 def test_powerseries_honours_the_hard_cap_flag(capsys, monkeypatch):

@@ -1,5 +1,5 @@
-"""Cold start: numpy, mpmath, scipy and the package's own submodules load
-only when a computation needs them."""
+"""Cold start: numpy, scipy and the package's own submodules load only when
+a computation needs them, and mpmath never does."""
 
 import os
 import subprocess
@@ -12,10 +12,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs in a fresh interpreter. The imports and the five CLI commands that
 # compute in scalar arithmetic load none of numpy, mpmath and scipy; a
-# power-log sum then loads numpy, a fitted-envelope eval_general mpmath
-# (its incomplete-gamma tail), and none of the integrating evaluators
-# (a power-log sum, a smooth eval_general, a small-s factorial Dirichlet
-# sum) loads scipy.
+# power-log sum then loads numpy. No evaluator and no command here loads
+# mpmath, and none of the integrating evaluators (a power-log sum, a
+# smooth eval_general, a small-s factorial Dirichlet sum, the log-weighted
+# zeta of verify lemma22) loads scipy.
 CHILD = """
 import sys
 
@@ -56,12 +56,23 @@ assert not loaded("mpmath"), loaded("mpmath")
 assert not loaded("scipy"), loaded("scipy")
 assert not loaded("numpy.polynomial"), loaded("numpy.polynomial")
 
-# A sequence with no log_a/log_b: eval_general fits an envelope and bounds
-# the tail by an incomplete-gamma integral.
+# A sequence with no log_a/log_b: eval_general fits an envelope, or takes
+# the one supplied, and bounds the tail by the envelope's closed form.
 plain = mathieu_series.SequencePair(a=lambda n: float(n), b=lambda n: float(n) ** 3)
 res = mathieu_series.eval_general(plain, 1.0, 10.0, rel_tol=1e-6)
 assert res.value > 0.0 and res.tail_bound <= 1e-6 * res.value
-assert loaded("mpmath")
+envelope = mathieu_series.GeneralEnvelope(2.0, 1.0, 0.0, 0.5, 3.0, 0.0, 4)
+res = mathieu_series.eval_general(plain, 1.0, 10.0, rel_tol=1e-6, envelope=envelope)
+assert res.value > 0.0 and res.tail_bound <= 1e-6 * res.value
+for argv in (
+    ["eval", "general", "--sequences", "logfact", "--alpha", "1", "--beta", "3", "--mu", "1",
+     "--r", "100"],
+    ["eval", "general", "--sequences", "shifted-powerlog", "--alpha", "1", "--beta", "3",
+     "--gamma", "1", "--delta", "1", "--mu", "1", "--r", "100", "--tol", "1e-6"],
+    ["verify", "lemma22"],
+):
+    assert cli.main(argv) == 0, argv
+assert not loaded("mpmath"), loaded("mpmath")
 assert not loaded("scipy"), loaded("scipy")
 print("ok")
 """

@@ -308,30 +308,20 @@ def test_log_n_is_a_private_copy():
     assert series._log_n(2, 100).tolist() == [math.log(n) for n in range(2, 100)]
 
 
-def test_concurrent_first_use_of_the_log_table(empty_log_table):
-    # eight threads make their first eval_general call at once and race to
-    # grow the table from empty to 16384 entries; all get the serial result.
-    # The sequences are smooth: a fitted envelope's incomplete-gamma bound
-    # runs in mpmath's process-wide precision context, which threads share.
-    seq = SequencePair(
-        a=lambda n: float(n),
-        b=lambda n: float(n) ** 3,
-        log_a=lambda u: 1.0 * u,
-        log_b=lambda u: 3.0 * u,
-    )
-    call = dict(mu=1.0, r=1e7, rel_tol=1e-14)
-    workers = 8
+def _all_at_once(call, workers=8):
+    """The results of ``call()`` in ``workers`` threads released together by
+    a barrier, with the interpreter switching threads every microsecond."""
     barrier = threading.Barrier(workers, timeout=60)
     results = [None] * workers
 
-    def first_call(i):
+    def run(i):
         barrier.wait()
-        results[i] = eval_general(seq, **call)
+        results[i] = call()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(workers)]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
         for t in threads:
             t.start()
         for t in threads:
@@ -339,6 +329,20 @@ def test_concurrent_first_use_of_the_log_table(empty_log_table):
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)
+    return results
+
+
+def test_concurrent_first_use_of_the_log_table(empty_log_table):
+    # eight threads make their first eval_general call at once and race to
+    # grow the table from empty to 16384 entries; all get the serial result
+    seq = SequencePair(
+        a=lambda n: float(n),
+        b=lambda n: float(n) ** 3,
+        log_a=lambda u: 1.0 * u,
+        log_b=lambda u: 3.0 * u,
+    )
+    call = dict(mu=1.0, r=1e7, rel_tol=1e-14)
+    results = _all_at_once(lambda: eval_general(seq, **call))
     assert results[0] is not None and results[0].terms_used == 16384
     assert all(res == results[0] for res in results)
     assert results[0] == eval_general(seq, **call)
@@ -346,3 +350,20 @@ def test_concurrent_first_use_of_the_log_table(empty_log_table):
     assert len(log_n) == len(log_log_n) == 16384
     assert log_n[2:].tolist() == [math.log(n) for n in range(2, 16384)]
     assert log_log_n[2:].tolist() == [math.log(math.log(n)) for n in range(2, 16384)]
+
+
+def test_concurrent_fitted_envelope_calls_agree():
+    # The sweep's shifted power-log pair with no smooth forms: each call
+    # fits an envelope and bounds its tail at every checkpoint. That bound
+    # once ran in a process-wide precision context that concurrent calls
+    # set and restored under each other, so a tail_bound could differ from
+    # the serial one in its last digits.
+    seq = SequencePair(
+        a=lambda n: (n + 3.0) * math.log(n + 2.0),
+        b=lambda n: float(n) ** 3 * math.log(n + 1.0),
+        b_monotone_from=1,
+    )
+    call = dict(mu=1.0, r=1e4, rel_tol=1e-6)
+    serial = eval_general(seq, **call)
+    for _ in range(6):
+        assert _all_at_once(lambda: eval_general(seq, **call)) == [serial] * 8

@@ -1,4 +1,5 @@
-"""Euler-Maclaurin tail engine and the jets behind it, against mpmath oracles."""
+"""Tail integrals, the Euler-Maclaurin tail engine and the jets behind it,
+against mpmath oracles."""
 
 import math
 
@@ -6,13 +7,14 @@ import mpmath
 import numpy as np
 import pytest
 
+from mathieu_series.errors import DomainError
 from mathieu_series.series import PowerLogParams, _powerlog_log_summand
 from mathieu_series.special import log_log_factorial
 from mathieu_series.tails import (
     Jet,
     euler_maclaurin_tail,
-    powerlog_tail_integral,
-    powerlog_tail_lower_bound,
+    exp_poly_tail,
+    powerlog_tail_bound,
 )
 
 
@@ -165,10 +167,78 @@ def test_array_jet_operations_in_either_order():
             assert spread.c[k][i] == (arr[i] * scalar + arr[i]).c[k]
 
 
-def test_powerlog_tail_lower_bound_is_below_the_integral():
+def _exp_poly_tail_exact(decay, power, u0):
+    """The integral of u^power e^(-decay u) over [u0, inf) at 40 digits, as an mpf.
+
+    decay^(-power-1) times the upper incomplete gamma function at
+    (power+1, decay*u0), both from mpmath; the product decay*u0 is exact.
+    """
+    with mpmath.workdps(40):
+        decay = mpmath.mpf(decay)
+        t = decay * mpmath.mpf(u0)
+        return mpmath.gammainc(power + 1.0, a=t, b=mpmath.inf) * decay ** -(power + 1.0)
+
+
+_LEMMA22_TAILS = [
+    (d, q, math.log(1e4)) for d in (1e-2, 1e-3, 1e-4, 1e-8) for q in (0.0, -(1.0 + d), 0.5)
+]
+_SWEEP_TAILS = [
+    (s, q, u0) for s in (3.77, 3.94) for q in (-5.9, -3.0, -1.0, 0.05) for u0 in (4.8, 11.1)
+]
+
+
+@pytest.mark.parametrize(
+    "decay, power, u0",
+    [*_LEMMA22_TAILS, *_SWEEP_TAILS, (903.03, -155.55, 4.159), (1e6, 0.0, 1.0), (90.0, 2e3, 1e2)],
+)
+def test_exp_poly_tail_within_its_error_estimate(decay, power, u0):
+    # lemma22's arguments (s - 1, eta - theta s, log 1e4), the envelope
+    # bound's over a sweep, and three with t = decay u0 far above 1: two
+    # whose value lies far below the double range (0, within the smallest
+    # subnormal of the integral) and one near e^200.
+    value, err = exp_poly_tail(decay, power, u0)
+    exact = _exp_poly_tail_exact(decay, power, u0)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(value) - exact) <= err + math.ulp(0.0)
+    assert err <= 1e-10 * value  # far below lemma22's rel_tol of 1e-8
+
+
+def test_exp_poly_tail_rejects_a_divergent_integral():
+    with pytest.raises(DomainError):
+        exp_poly_tail(0.0, 1.0, 2.0)
+    with pytest.raises(DomainError):
+        exp_poly_tail(1.0, 1.0, 0.0)
+
+
+def test_powerlog_tail_bound_is_above_the_integral():
     for power in (-1.001, -1.05, -1.5, -2.0, -5.0, -10.0):
         for log_power in (-6.0, -2.0, -0.5, 0.0, 0.5, 2.0, 6.0):
             for from_x in (4.0, 64.0, 4096.0, 1e9):
-                lower = powerlog_tail_lower_bound(power, log_power, from_x)
-                integral = powerlog_tail_integral(power, log_power, from_x)
-                assert 0.0 < lower <= integral, (power, log_power, from_x)
+                bound = powerlog_tail_bound(power, log_power, from_x)
+                exact = _exp_poly_tail_exact(-(power + 1.0), log_power, math.log(from_x))
+                with mpmath.workdps(40):
+                    excess = mpmath.mpf(bound) / exact - 1
+                assert excess >= 0.0, (power, log_power, from_x)
+                if log_power == 0.0:  # one integration by parts is exact
+                    assert excess <= 1.1e-12, (power, from_x)
+
+
+def test_powerlog_tail_bound_is_tight_on_the_sweep_envelopes():
+    # the fitted envelopes of the sequence sweep: s = 3.77..3.94, q up to
+    # -5.9, from n = 128; within 0.1% of the integral, so that certifying
+    # the envelope costs no extra checkpoint
+    for s, q, u0 in _SWEEP_TAILS:
+        from_x = math.exp(u0)
+        bound = powerlog_tail_bound(-(s + 1.0), q, from_x)
+        exact = _exp_poly_tail_exact(s, q, math.log(from_x))
+        with mpmath.workdps(40):
+            assert 0.0 <= mpmath.mpf(bound) / exact - 1 <= 1e-3, (s, q, u0)
+
+
+def test_powerlog_tail_bound_leaves_the_double_range_as_inf_or_0():
+    assert powerlog_tail_bound(-1.001, 200.0, 4.0) == math.inf
+    assert powerlog_tail_bound(-1000.0, 0.0, 1e9) == 0.0
+    with pytest.raises(DomainError):
+        powerlog_tail_bound(-1.0, 0.0, 4.0)
+    with pytest.raises(DomainError):
+        powerlog_tail_bound(-2.0, 0.0, 1.0)
