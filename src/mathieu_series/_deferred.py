@@ -1,9 +1,8 @@
 """A module handle that imports its module on first attribute access.
 
 ``series``, ``tails``, ``dirichlet``, ``special`` and ``verify`` bind numpy
-(and ``dirichlet`` scipy.special) through it, so that
-importing the package, and the evaluators that need only scalar
-arithmetic, load none of them.
+through it, so that importing the package, and the evaluators that need
+only scalar arithmetic, do not load it.
 """
 
 from __future__ import annotations

@@ -328,6 +328,12 @@ def classical_expansion_terms(mu: float, K: int, max_bernoulli: int = 64) -> lis
     return terms
 
 
+def _require_expansion_mu(mu: float) -> None:
+    """``DomainError`` unless the classical series converges, mu > 3/2."""
+    if not (math.isfinite(mu) and mu > 1.5):
+        raise DomainError(f"the classical series requires mu > 3/2, got {mu}")
+
+
 def eval_classical_expansion(
     mu: float,
     r: float,
@@ -342,8 +348,7 @@ def eval_classical_expansion(
     estimate. In "fixed" mode, K counts the correction terms beyond the
     leading one, and the estimate is the next term's magnitude.
     """
-    if not (math.isfinite(mu) and mu > 1.5):
-        raise DomainError(f"the classical series requires mu > 3/2, got {mu}")
+    _require_expansion_mu(mu)
     r = _require_radius(r, 1.0, "eval_classical_expansion")
     if mode not in ("optimal", "fixed"):
         raise ParameterError(f"mode must be 'optimal' or 'fixed', got {mode!r}")

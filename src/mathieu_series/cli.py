@@ -146,6 +146,17 @@ _POWER_SERIES_PRESETS = {
 }
 
 
+def _power_series_preset(name: str) -> SequencePair:
+    try:
+        make = _POWER_SERIES_PRESETS[name]
+    except KeyError:
+        raise ParameterError(
+            f"unknown power-series preset {name!r}; choose one of "
+            + ", ".join(_POWER_SERIES_PRESETS)
+        ) from None
+    return make()
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -169,7 +180,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             n_start=n_start,
         )
     else:  # powerseries
-        pair = _POWER_SERIES_PRESETS[args.sequences]()
+        pair = _power_series_preset(args.sequences)
         value = eval_power_series(
             pair, args.mu, args.x, args.r, rel_tol=args.tol, hard_cap=_term_cap(args.hard_cap)
         )
@@ -307,6 +318,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         PowerLogParams(args.alpha, args.beta, args.gamma, args.delta, args.mu)
     elif args.family == "factorial":
         FactorialParams(args.alpha, args.beta, args.mu)
+    else:
+        from .asymptotics import _require_expansion_mu
+
+        _require_expansion_mu(args.mu)
 
     rows = []
     failures = 0

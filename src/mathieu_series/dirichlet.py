@@ -37,12 +37,12 @@ from .special import (
     _INTEGER_DETECTION_TOL,
     is_positive_integer,
     lambert_w,
+    log_abs_gamma,
     log_log_factorial,
 )
 from .tails import euler_maclaurin_tail, exp_poly_tail, quad
 
 np = deferred_module("numpy")
-scipy_special = deferred_module("scipy.special")
 
 __all__ = [
     "DirichletParams",
@@ -336,27 +336,18 @@ def mellin_factorial(p: FactorialParams, s: float, rel_tol: float = 1e-10) -> fl
 def _gamma_line_integral(mu: float, sigma: float) -> float:
     """(1/2pi) integral over y of |Gamma(mu+1-(sigma+iy)/2) Gamma((sigma+iy)/2)| / (2 Gamma(mu+1)).
 
-    Even in y; truncated where the integrand falls below 1e-18 of its
-    center value (the gamma factors decay exponentially in |y|), and
-    integrated by ``quad`` on arrays of y through scipy's complex log-gamma,
-    the package's one use of scipy.
+    Even in y, so (1/pi) times the integral over [0, inf), by ``quad`` on
+    arrays of y. |Gamma(a - iy)| = |Gamma(a + iy)|, so both factors come
+    from one ``special.log_abs_gamma`` call on the real parts
+    (mu+1-sigma/2, sigma/2) at y/2.
     """
-    complex_loggamma = scipy_special.loggamma
+    real_parts = np.array([[mu + 1.0 - 0.5 * sigma], [0.5 * sigma]])
     log_norm = math.lgamma(mu + 1.0) + math.log(2.0)
 
     def integrand(y):
-        z = 0.5 * (sigma + 1j * y)
-        return np.exp(complex_loggamma(mu + 1.0 - z).real + complex_loggamma(z).real - log_norm)
+        return np.exp(log_abs_gamma(real_parts, 0.5 * y).sum(axis=0) - log_norm)
 
-    center = integrand(0.0)
-    if center <= 0.0 or not math.isfinite(center):
-        raise NumericError(f"gamma line integrand degenerate at sigma={sigma}")
-    y_max = 8.0
-    while integrand(y_max) > 1e-18 * center:
-        y_max *= 2.0
-        if y_max > 1e5:
-            raise NumericError("gamma line integrand failed to decay")
-    val, _ = quad(integrand, 0.0, y_max, epsrel=1e-10, limit=300)
+    val, _ = quad(integrand, 0.0, math.inf, epsrel=1e-10, limit=300)
     return val / math.pi
 
 

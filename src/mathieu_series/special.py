@@ -5,9 +5,11 @@ terms of log x (Stirling's series, for summands written in log x), the
 principal branch of Lambert W, a numerical inverse of the gamma function
 on its increasing branch (seeded by a Lambert-W based asymptotic guess),
 and exact-rational Bernoulli numbers with the zeta values at negative odd
-integers they encode, and the rule that decides when a float counts as
-a positive integer. Only ``log_log_factorial`` uses numpy, whose ufuncs
-let it run on floats, arrays and ``tails.Jet``s alike.
+integers they encode, log |Gamma(x + iy)| on numpy arrays (Stirling's
+series with coefficients from that table), and the rule that decides when
+a float counts as a positive integer. Only ``log_log_factorial``, whose
+ufuncs let it run on floats, arrays and ``tails.Jet``s alike, and
+``log_abs_gamma`` use numpy.
 
 Everything here is pure and stateless; the Bernoulli table is built once
 and never mutated.
@@ -231,6 +233,47 @@ def digamma(x: float) -> float:
     for c in reversed(_DIGAMMA_COEFFS):
         series = (series + c) * t
     return math.log(x) - 0.5 / x - series - shift
+
+
+# ---------------------------------------------------------------------------
+# log |Gamma| on a vertical line, numpy arrays
+# ---------------------------------------------------------------------------
+
+# B_2k / (2k (2k-1)), k = 1..7: Stirling's series in 1/w^(2k-1).
+_STIRLING_COEFFS = tuple(c / (2 * k - 1) for k, c in enumerate(_DIGAMMA_COEFFS[:7], start=1))
+
+
+def log_abs_gamma(x, y):
+    """log |Gamma(x + iy)| for real x > 0, elementwise on broadcast numpy arrays.
+
+    Shifts the real part up to a = x + K >= 8 with
+    log |Gamma(w)| = log |Gamma(w + K)| - sum_{k<K} log |w + k|, where K is
+    one count for every element; the log |w + k|, and log |a + iy| for the
+    shifted point, come from one ``np.log`` of the factors (x+k)^2 + y^2.
+    Then Stirling's series Re[(w - 1/2) log w - w + log(2 pi)/2
+    + sum_{k<=7} B_2k / (2k (2k-1) w^(2k-1))] at w = a + iy, whose first
+    omitted term is below 1e-15 for |w| >= 8. Only the real part is taken,
+    so arg w = atan2(y, a) needs no branch correction.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    shift = max(0, math.ceil(8.0 - float(x.min())))
+    k = np.arange(shift + 1.0).reshape((-1,) + (1,) * max(x.ndim, y.ndim))
+    logs = np.log((x + k) ** 2 + y * y)
+    a = x + shift
+    inv = 1.0 / (a + 1j * y)
+    inv2 = inv * inv
+    series = _STIRLING_COEFFS[-1]
+    for c in reversed(_STIRLING_COEFFS[:-1]):
+        series = series * inv2 + c
+    return (
+        (a - 0.5) * (0.5 * logs[-1])
+        - y * np.arctan2(y, a)
+        - a
+        + _LOG_SQRT_2PI
+        + (series * inv).real
+        - 0.5 * logs[:-1].sum(axis=0)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -328,13 +328,14 @@ def suite_thm14(strict: bool = False) -> list[CheckResult]:
 def suite_thm15(strict: bool = False) -> list[CheckResult]:
     """Saddle-point bound dominance and its growth scale."""
     out = []
+    bounds = {}
     for p in (FactorialParams(1, 2, 1), FactorialParams(0.5, 1, 1), FactorialParams(0, 1, 1)):
         tag = f"({p.alpha:g},{p.beta:g},{p.mu:g})"
-        worst = math.inf
-        for r in _FACTORIAL_GRID:
-            worst = min(
-                worst, saddle_point_bound(p, r) / eval_factorial(p, r, rel_tol=1e-12).value
-            )
+        bounds[p] = [saddle_point_bound(p, r) for r in _FACTORIAL_GRID]
+        worst = min(
+            b / eval_factorial(p, r, rel_tol=1e-12).value
+            for b, r in zip(bounds[p], _FACTORIAL_GRID)
+        )
         out.append(
             _check(
                 f"thm15/dominates{tag}",
@@ -348,10 +349,10 @@ def suite_thm15(strict: bool = False) -> list[CheckResult]:
 
     p = FactorialParams(1, 2, 1)
     stilde = transform_frame(factorial=p).stilde
-    scaled = []
-    for r in _FACTORIAL_GRID:
-        b = saddle_point_bound(p, r)
-        scaled.append(b * math.exp(stilde * math.log(r)) * math.log(math.log(r)) / math.log(r))
+    scaled = [
+        b * math.exp(stilde * math.log(r)) * math.log(math.log(r)) / math.log(r)
+        for b, r in zip(bounds[p], _FACTORIAL_GRID)
+    ]
     spread = max(scaled) / min(scaled)
     out.append(
         _check(

@@ -108,6 +108,17 @@ def test_eval_powerseries_preset(capsys):
     assert 100.0**2 * json.loads(out)["value"] == pytest.approx(2.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("flags", [[], ["--sequences", "bogus"]], ids=["default", "bogus"])
+def test_eval_powerseries_unknown_preset_exit_2(capsys, flags):
+    # without --sequences the preset is the general family's logfact, which
+    # used to escape as a KeyError traceback
+    code, out, err = run_cli(capsys, "eval", "powerseries", *flags, "--mu", "0", "--r", "100")
+    assert code == 2
+    assert out == ""
+    assert "unknown power-series preset" in err
+    assert "ones-squares, linear-factorial" in err
+
+
 def test_eval_general_preset(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -282,6 +293,14 @@ def test_sweep_expansion_error_shrinks(capsys):
     recs = json.loads(out)["records"]
     gaps = [abs(rec["value"] - rec["prediction"]) for rec in recs]
     assert gaps == sorted(gaps, reverse=True)
+
+
+def test_sweep_expansion_rejects_mu_at_most_three_halves(capsys):
+    # it used to fail at every grid point and exit 1
+    code, out, err = run_cli(capsys, "sweep", "expansion", "--mu", "1", "--r-grid", "10:100:2")
+    assert code == 2
+    assert out == ""
+    assert "the classical series requires mu > 3/2, got 1.0" in err
 
 
 def test_sweep_deterministic_output(capsys):

@@ -1,5 +1,5 @@
-"""Cold start: numpy, scipy and the package's own submodules load only when
-a computation needs them, and mpmath never does."""
+"""Cold start: numpy and the package's own submodules load only when a
+computation needs them, and mpmath and scipy never do."""
 
 import os
 import subprocess
@@ -13,9 +13,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Runs in a fresh interpreter. The imports and the five CLI commands that
 # compute in scalar arithmetic load none of numpy, mpmath and scipy; a
 # power-log sum then loads numpy. No evaluator and no command here loads
-# mpmath, and none of the integrating evaluators (a power-log sum, a
+# mpmath or scipy: not the integrating evaluators (a power-log sum, a
 # smooth eval_general, a small-s factorial Dirichlet sum, the log-weighted
-# zeta of verify lemma22) loads scipy.
+# zeta of verify lemma22), and not the saddle-point bound with its
+# gamma-line integral, alone or in verify thm15.
 CHILD = """
 import sys
 
@@ -72,6 +73,8 @@ for argv in (
     ["verify", "lemma22"],
 ):
     assert cli.main(argv) == 0, argv
+assert mathieu_series.saddle_point_bound(mathieu_series.FactorialParams(1, 2, 1), 1e6) > 0.0
+assert cli.main(["verify", "thm15"]) == 0
 assert not loaded("mpmath"), loaded("mpmath")
 assert not loaded("scipy"), loaded("scipy")
 print("ok")

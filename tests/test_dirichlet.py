@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 from mathieu_series.dirichlet import (
     DirichletParams,
+    _gamma_line_integral,
     factorial_dirichlet,
     log_factorial_dirichlet,
     log_weighted_zeta,
@@ -426,3 +427,48 @@ def test_saddle_bound_scaling():
 def test_saddle_bound_domain():
     with pytest.raises(DomainError):
         saddle_point_bound(FactorialParams(1, 2, 1), 5.0)
+
+
+def _gamma_line_exact(mu, sigma):
+    """(1/pi) times the integral over y >= 0 of |Gamma(mu+1-z) Gamma(z)| / (2 Gamma(mu+1)),
+    z = (sigma + iy)/2, by mpmath at 30 digits. The breaks scale with the
+    nearer gamma pole, as the peak at y = 0 is that narrow; mpmath's own
+    error estimate must be below 1e-16 of the value."""
+    with mpmath.workdps(30):
+        mu, sigma = mpmath.mpf(mu), mpmath.mpf(sigma)
+        log_norm = mpmath.loggamma(mu + 1) + mpmath.log(2)
+
+        def f(y):
+            z = mpmath.mpc(sigma, y) / 2
+            return mpmath.exp(mpmath.re(mpmath.loggamma(mu + 1 - z) + mpmath.loggamma(z)) - log_norm)
+
+        near = min(mu + 1 - sigma / 2, sigma / 2)
+        breaks = [0, near, 10 * near, 1, 8, mpmath.inf]
+        value, err = mpmath.quad(f, breaks, maxdegree=4, error=True)
+        assert err <= 1e-16 * value
+        return value / mpmath.pi
+
+
+def _thm15_pairs():
+    # the (mu, sigma) of every saddle_point_bound in verify thm15
+    pairs = set()
+    for prm in ((1, 2, 1), (0.5, 1, 1), (0, 1, 1)):
+        stilde = transform_frame(factorial=FactorialParams(*prm)).stilde
+        pairs |= {(prm[2], stilde - 1.0 / math.log(10.0**k)) for k in range(3, 13)}
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize(
+    "mu, sigma",
+    [
+        *_thm15_pairs(),
+        (1.0, 4.0 - 1.0 / math.log(1e300)),  # alpha = 0: mu+1-sigma/2 = 7e-4, by the pole
+        (0.0, 0.3),
+        (0.5, 0.05),
+        (2.5, 5.9),
+    ],
+)
+def test_gamma_line_integral_against_mpmath(mu, sigma):
+    exact = _gamma_line_exact(mu, sigma)
+    got = _gamma_line_integral(mu, sigma)
+    assert abs(got - exact) <= 1e-12 * exact

@@ -18,6 +18,7 @@ from mathieu_series.special import (
     inverse_gamma_log,
     inverse_gamma_seed,
     lambert_w,
+    log_abs_gamma,
     log_factorial,
     log_gamma,
     log_log_factorial,
@@ -198,6 +199,41 @@ def test_digamma_matches_mpmath():
 def test_digamma_domain(bad):
     with pytest.raises(DomainError):
         digamma(bad)
+
+
+# ---------------------------------------------------------------------------
+# log |Gamma(x + iy)|
+# ---------------------------------------------------------------------------
+
+_LOG_ABS_GAMMA_X = [1e-3, 0.05, 0.5, 1.0, 1.43, 2.0, 7.9, 8.0, 10.0, 50.0]
+_LOG_ABS_GAMMA_Y = [0.0, 1e-3, -1e-3, 0.5, 1.0, 3.0, 10.0, 32.0, 1e3, 1e6]
+
+
+def _log_abs_gamma_exact(x, y):
+    with mpmath.workdps(30):
+        return mpmath.loggamma(mpmath.mpc(x, y)).real
+
+
+@pytest.mark.parametrize("x", _LOG_ABS_GAMMA_X)
+def test_log_abs_gamma_matches_mpmath(x):
+    # both sides of the shift to real part 8, near the pole at 0, far up the line
+    for y in _LOG_ABS_GAMMA_Y:
+        exact = _log_abs_gamma_exact(x, y)
+        got = log_abs_gamma(x, y)
+        assert abs(got - exact) <= 4e-15 * max(1.0, abs(exact)), (x, y)
+
+
+def test_log_abs_gamma_broadcasts():
+    # one call on a column of real parts and a row of y, as the gamma-line
+    # integrand makes it; every element takes the shift of the smallest x,
+    # which adds up to eight more rounded logs
+    x = np.array(_LOG_ABS_GAMMA_X)[:, None]
+    got = log_abs_gamma(x, np.array(_LOG_ABS_GAMMA_Y))
+    assert got.shape == (len(_LOG_ABS_GAMMA_X), len(_LOG_ABS_GAMMA_Y))
+    for i, xi in enumerate(_LOG_ABS_GAMMA_X):
+        for j, y in enumerate(_LOG_ABS_GAMMA_Y):
+            exact = _log_abs_gamma_exact(xi, y)
+            assert abs(got[i, j] - exact) <= 1e-14 * max(1.0, abs(exact)), (xi, y)
 
 
 # ---------------------------------------------------------------------------
