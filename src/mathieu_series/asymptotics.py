@@ -25,7 +25,9 @@ from .errors import (
 from .series import (
     FactorialParams,
     PowerLogParams,
+    _normal_exp,
     _require_radius,
+    eval_powerlog,
     factorial_summand_log,
     peak_index_n0,
 )
@@ -72,9 +74,12 @@ class AsymptoticPrediction:
         """
         r = _require_radius(r, math.e, "the leading-order law", shown="e")
         log_r = math.log(r)
-        value = self.constant * math.exp(
-            self.r_exponent * log_r + self.log_exponent * math.log(log_r)
-        )
+        try:
+            value = self.constant * math.exp(
+                self.r_exponent * log_r + self.log_exponent * math.log(log_r)
+            )
+        except OverflowError:
+            value = math.inf
         if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
             raise NumericError(f"leading-order value at r={r} is {value}, not a normal double")
         return value
@@ -124,6 +129,24 @@ def _gamma_checked(x: float, label: str) -> float:
         raise DomainError(f"gamma pole in {label}: argument {x}") from exc
 
 
+def _gamma_ratio(a: float, x: float) -> float:
+    """Gamma(a)/Gamma(x) for 0 < a < x where Gamma(x) overflows a double (x > 171.6).
+
+    Both arguments shift down by the same k, so that Gamma(x - k) is finite:
+    Gamma(a)/Gamma(x) = Gamma(a-k)/Gamma(x-k) * prod_{j=1..k} (a-j)/(x-j),
+    within 5e-15 of mpmath for x <= 401. Where a - k would reach a pole, the
+    difference of ``math.lgamma`` is taken instead; it is only good to
+    ~x * 1e-15 relative, since both logs are ~x log x.
+    """
+    k = math.ceil(x) - 171
+    if a - k <= 0.0:
+        return math.exp(math.lgamma(a) - math.lgamma(x))
+    ratio = math.gamma(a - k) / math.gamma(x - k)
+    for j in range(1, k + 1):
+        ratio *= (a - j) / (x - j)
+    return ratio
+
+
 def leading_constant(
     p: PowerLogParams, force_integer_branch: Optional[bool] = None
 ) -> float:
@@ -131,21 +154,37 @@ def leading_constant(
 
     Branch selection follows the shared positive-integer detection rule on
     m = delta*(alpha+1)/beta - gamma; m = 0 goes to the generic branch.
+    Past mu ~ 170, where Gamma(mu+1) overflows, the ratio
+    Gamma(mu+1-(alpha+1)/beta)/Gamma(mu+1) is taken as one number
+    (``_gamma_ratio``). Raises ``NumericError`` when the constant still
+    overflows a double.
     """
     m = p.delta * (p.alpha + 1.0) / p.beta - p.gamma
-    common = _gamma_checked(
-        -(p.alpha + 1.0) / p.beta + p.mu + 1.0, "Gamma(mu+1-(alpha+1)/beta)"
-    ) * _gamma_checked((p.alpha + 1.0) / p.beta, "Gamma((alpha+1)/beta)")
-    gamma_mu1 = math.gamma(p.mu + 1.0)
-    if is_positive_integer(m, force_integer_branch):
-        mi = round(m)
-        return p.beta ** (mi - 1) * common / (2.0**mi * gamma_mu1)
-    return (
-        (0.5 * p.beta) ** (m - 1.0)
-        * _gamma_checked(m + 1.0, "Gamma(m+1)")
-        / (2.0 * gamma_mu1 * _gamma_checked(-m + 1.0, "Gamma(1-m)"))
-        * common
-    )
+    a = -(p.alpha + 1.0) / p.beta + p.mu + 1.0
+    b = (p.alpha + 1.0) / p.beta
+    try:
+        try:
+            common = _gamma_checked(a, "Gamma(mu+1-(alpha+1)/beta)") * _gamma_checked(
+                b, "Gamma((alpha+1)/beta)"
+            )
+            gamma_mu1 = math.gamma(p.mu + 1.0)
+        except OverflowError:
+            common, gamma_mu1 = _gamma_ratio(a, p.mu + 1.0) * math.gamma(b), 1.0
+        if is_positive_integer(m, force_integer_branch):
+            mi = round(m)
+            constant = p.beta ** (mi - 1) * common / (2.0**mi * gamma_mu1)
+        else:
+            constant = (
+                (0.5 * p.beta) ** (m - 1.0)
+                * _gamma_checked(m + 1.0, "Gamma(m+1)")
+                / (2.0 * gamma_mu1 * _gamma_checked(-m + 1.0, "Gamma(1-m)"))
+                * common
+            )
+    except OverflowError:
+        constant = math.inf
+    if not math.isfinite(constant):
+        raise NumericError(f"the leading constant of {p} overflows a double")
+    return constant
 
 
 def asymptotic_prediction(
@@ -225,8 +264,10 @@ def predict_factorial(
             diagnostics=diag,
         )
     log_r = math.log(r)
-    return math.exp(
-        -2.0 * (p.mu + 1.0 - p.alpha / p.beta) * log_r - diag.m_r * math.log(log_r)
+    return _normal_exp(
+        -2.0 * (p.mu + 1.0 - p.alpha / p.beta) * log_r - diag.m_r * math.log(log_r),
+        "predict_factorial",
+        r,
     )
 
 
@@ -245,7 +286,7 @@ def two_term_estimate(p: FactorialParams, r: float) -> float:
     la = factorial_summand_log(p, r, n0)
     lb = factorial_summand_log(p, r, n0 + 1)
     hi, lo = (la, lb) if la >= lb else (lb, la)
-    return math.exp(hi) * (1.0 + math.exp(lo - hi))
+    return _normal_exp(hi + math.log1p(math.exp(lo - hi)), "two_term_estimate", r)
 
 
 def factorial_envelope(p: FactorialParams, r: float, epsilon: float) -> FactorialEnvelope:
@@ -262,8 +303,8 @@ def factorial_envelope(p: FactorialParams, r: float, epsilon: float) -> Factoria
     exponent = 2.0 * p.alpha / p.beta - 2.0 * (p.mu + 1.0)
     log_r = math.log(r)
     return FactorialEnvelope(
-        lower=math.exp((exponent - epsilon) * log_r),
-        upper=math.exp((exponent + epsilon) * log_r),
+        lower=_normal_exp((exponent - epsilon) * log_r, "factorial_envelope", r),
+        upper=_normal_exp((exponent + epsilon) * log_r, "factorial_envelope", r),
         log_center=exponent * log_r,
     )
 
@@ -282,10 +323,12 @@ def factorial_upper_bound(
     if not epsilon > 0.0:
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
     log_r = math.log(r)
-    return math.exp(
+    return _normal_exp(
         -2.0 * (p.mu + 1.0 - p.alpha / p.beta) * log_r
         + epsilon * math.log(log_r)
-        + slack * math.log(math.log(log_r))
+        + slack * math.log(math.log(log_r)),
+        "factorial_upper_bound",
+        r,
     )
 
 
@@ -367,11 +410,22 @@ def eval_classical_expansion(
     if mode == "fixed":
         value = leading + math.fsum(corrections[:K])
         estimate = abs(corrections[K]) if K < len(corrections) else abs(corrections[-1])
-        return value, estimate
+    else:
+        stop = len(corrections) - 1
+        for j in range(len(corrections) - 1):
+            if abs(corrections[j + 1]) >= abs(corrections[j]):
+                stop = j
+                break
+        value, estimate = leading + math.fsum(corrections[:stop]), abs(corrections[stop])
+    if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
+        raise NumericError(f"classical expansion value at r={r} is {value}, not a normal double")
+    return value, estimate
 
-    stop = len(corrections) - 1
-    for j in range(len(corrections) - 1):
-        if abs(corrections[j + 1]) >= abs(corrections[j]):
-            stop = j
-            break
-    return leading + math.fsum(corrections[:stop]), abs(corrections[stop])
+
+def _classical_series(mu: float, r: float, rel_tol: float) -> float:
+    """The classical series sum over n >= 1 of 2n/(n^2+r^2)^(mu+1), summed directly.
+
+    Twice the power-log sum over n >= 2 at (1, 2, 0, 0, mu), plus the n = 1 term.
+    """
+    p = PowerLogParams(1, 2, 0, 0, mu)
+    return 2.0 * eval_powerlog(p, r, rel_tol=rel_tol).value + 2.0 / (1.0 + r * r) ** (mu + 1.0)

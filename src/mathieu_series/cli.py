@@ -63,18 +63,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _term_cap(default: int) -> int:
-    """MATHIEU_TERM_CAP when set, else ``default`` (the --hard-cap value or
-    the family's default); ``ParameterError`` unless it is positive."""
+def _term_cap(args: argparse.Namespace) -> int:
+    """The first set of MATHIEU_TERM_CAP, --hard-cap and the family's library
+    cap; ``ParameterError`` unless it is a positive integer."""
     raw = os.environ.get(_ENV_TERM_CAP)
-    if raw is None:
-        name, cap = "--hard-cap", default
-    else:
+    if raw is not None:
         name = _ENV_TERM_CAP
         try:
             cap = int(raw)
         except ValueError as exc:
             raise ParameterError(f"{name} must be an integer, got {raw!r}") from exc
+    elif getattr(args, "hard_cap", None) is not None:
+        name, cap = "--hard-cap", args.hard_cap
+    else:
+        return _FAMILIES[args.family].cap
     if cap <= 0:
         raise ParameterError(f"{name} must be positive, got {cap}")
     return cap
@@ -97,64 +99,113 @@ def _meta_line(args: argparse.Namespace, keys: list[str]) -> str:
     return "# " + " ".join(parts)
 
 
+def _write_csv(args: argparse.Namespace, meta_keys: list[str], columns, rows) -> None:
+    """The meta line, a header of ``columns`` and one line per row (missing cells empty)."""
+    buf = io.StringIO()
+    buf.write(_meta_line(args, meta_keys) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(row.get(col)) for col in columns] for row in rows)
+    _write_output(buf.getvalue(), args.out)
+
+
 def _emit_record(record: dict, args: argparse.Namespace, meta_keys: list[str]) -> None:
     if args.format == "json":
         _write_output(json.dumps(record) + "\n", args.out)
     else:
-        buf = io.StringIO()
-        buf.write(_meta_line(args, meta_keys) + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(record.keys())
-        writer.writerow([_fmt(v) for v in record.values()])
-        _write_output(buf.getvalue(), args.out)
+        _write_csv(args, meta_keys, list(record), [record])
+
+
+def _diagnostics_fields(diag) -> dict:
+    """The factorial diagnostics columns of predict and sweep."""
+    return {"g": diag.g, "frac_g": diag.frac_g, "n0": diag.n0, "m_r": diag.m_r, "in_R": diag.in_R}
 
 
 # ---------------------------------------------------------------------------
-# Sequence presets for the general and power-series families
+# Families and the sequence presets of the general and power-series families
 # ---------------------------------------------------------------------------
 
 
-def _general_preset(args: argparse.Namespace) -> tuple[SequencePair, int]:
-    name = args.sequences
-    if name == "logfact":
-        # Validates convergence through the equivalent power-log tuple.
-        PowerLogParams(args.alpha, args.beta, args.alpha, args.beta, args.mu)
-        pair = SequencePair(
-            a=lambda n: log_factorial(n) ** args.alpha,
-            b=lambda n: log_factorial(n) ** args.beta,
-            b_monotone_from=2,
-        )
-        return pair, 2
-    if name == "shifted-powerlog":
-        PowerLogParams(args.alpha, args.beta, args.gamma, args.delta, args.mu)
-        pair = SequencePair(
-            a=lambda n: (n + 3.0) ** args.alpha * math.log(n + 2.0) ** args.gamma,
-            b=lambda n: float(n) ** args.beta * math.log(n + 1.0) ** args.delta,
-            b_monotone_from=1,
-        )
-        return pair, 0
-    raise ParameterError(f"unknown general-series preset {name!r}")
+def _logfact(args: argparse.Namespace) -> tuple[SequencePair, int]:
+    # Validates convergence through the equivalent power-log tuple.
+    PowerLogParams(args.alpha, args.beta, args.alpha, args.beta, args.mu)
+    pair = SequencePair(
+        a=lambda n: log_factorial(n) ** args.alpha,
+        b=lambda n: log_factorial(n) ** args.beta,
+        b_monotone_from=2,
+    )
+    return pair, 2
 
 
-_POWER_SERIES_PRESETS = {
-    "ones-squares": lambda: SequencePair(
-        a=lambda n: 1.0, b=lambda n: float(n) ** 2, b_monotone_from=0
-    ),
-    "linear-factorial": lambda: SequencePair(
-        a=lambda n: float(n), b=lambda n: math.factorial(n), b_monotone_from=0
+def _shifted_powerlog(args: argparse.Namespace) -> tuple[SequencePair, int]:
+    PowerLogParams(args.alpha, args.beta, args.gamma, args.delta, args.mu)
+    pair = SequencePair(
+        a=lambda n: (n + 3.0) ** args.alpha * math.log(n + 2.0) ** args.gamma,
+        b=lambda n: float(n) ** args.beta * math.log(n + 1.0) ** args.delta,
+        b_monotone_from=1,
+    )
+    return pair, 0
+
+
+# family -> (its name in errors, {--sequences: builder}). A general preset
+# builds (pair, first n); a power series always starts at n = 0.
+_PRESETS = {
+    "general": ("general-series", {"logfact": _logfact, "shifted-powerlog": _shifted_powerlog}),
+    "powerseries": (
+        "power-series",
+        {
+            "ones-squares": lambda args: SequencePair(
+                a=lambda n: 1.0, b=lambda n: float(n) ** 2, b_monotone_from=0
+            ),
+            "linear-factorial": lambda args: SequencePair(
+                a=lambda n: float(n), b=lambda n: math.factorial(n), b_monotone_from=0
+            ),
+        },
     ),
 }
 
 
-def _power_series_preset(name: str) -> SequencePair:
-    try:
-        make = _POWER_SERIES_PRESETS[name]
-    except KeyError:
+def _preset(args: argparse.Namespace):
+    kind, presets = _PRESETS[args.family]
+    if args.sequences not in presets:
         raise ParameterError(
-            f"unknown power-series preset {name!r}; choose one of "
-            + ", ".join(_POWER_SERIES_PRESETS)
-        ) from None
-    return make()
+            f"unknown {kind} preset {args.sequences!r}; choose one of " + ", ".join(presets)
+        )
+    return presets[args.sequences](args)
+
+
+def _expansion_mu(args: argparse.Namespace) -> float:
+    from .asymptotics import _require_expansion_mu
+
+    _require_expansion_mu(args.mu)
+    return args.mu
+
+
+@dataclasses.dataclass(frozen=True)
+class _Family:
+    required: tuple[str, ...]  # flags the family needs
+    params: object  # builds its parameters from the parsed flags
+    cap: Optional[int] = None  # the library's term cap
+    evaluate: object = None  # the series evaluator of powerlog and factorial
+
+
+_FAMILIES = {
+    "powerlog": _Family(
+        ("alpha", "beta", "mu"),
+        lambda a: PowerLogParams(a.alpha, a.beta, a.gamma, a.delta, a.mu),
+        DEFAULT_HARD_CAP,
+        eval_powerlog,
+    ),
+    "factorial": _Family(
+        ("alpha", "beta", "mu"),
+        lambda a: FactorialParams(a.alpha, a.beta, a.mu),
+        DEFAULT_HARD_CAP,
+        eval_factorial,
+    ),
+    "general": _Family(("alpha", "beta", "mu"), _preset, DEFAULT_GENERAL_CAP),
+    "powerseries": _Family(("mu",), _preset, DEFAULT_GENERAL_CAP),
+    "expansion": _Family(("mu",), _expansion_mu),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -163,27 +214,16 @@ def _power_series_preset(name: str) -> SequencePair:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    if args.family == "powerlog":
-        p = PowerLogParams(args.alpha, args.beta, args.gamma, args.delta, args.mu)
-        res = eval_powerlog(p, args.r, rel_tol=args.tol, hard_cap=_term_cap(DEFAULT_HARD_CAP))
-    elif args.family == "factorial":
-        p = FactorialParams(args.alpha, args.beta, args.mu)
-        res = eval_factorial(p, args.r, rel_tol=args.tol, hard_cap=_term_cap(DEFAULT_HARD_CAP))
+    family = _FAMILIES[args.family]
+    params = family.params(args)
+    cap = _term_cap(args)
+    if family.evaluate is not None:
+        res = family.evaluate(params, args.r, rel_tol=args.tol, hard_cap=cap)
     elif args.family == "general":
-        pair, n_start = _general_preset(args)
-        res = eval_general(
-            pair,
-            args.mu,
-            args.r,
-            rel_tol=args.tol,
-            hard_cap=_term_cap(args.hard_cap),
-            n_start=n_start,
-        )
+        pair, n_start = params
+        res = eval_general(pair, args.mu, args.r, rel_tol=args.tol, hard_cap=cap, n_start=n_start)
     else:  # powerseries
-        pair = _power_series_preset(args.sequences)
-        value = eval_power_series(
-            pair, args.mu, args.x, args.r, rel_tol=args.tol, hard_cap=_term_cap(args.hard_cap)
-        )
+        value = eval_power_series(params, args.mu, args.x, args.r, rel_tol=args.tol, hard_cap=cap)
         record = {"family": args.family, "r": args.r, "x": args.x, "value": value}
         _emit_record(record, args, ["family", "sequences", "mu", "x", "r", "tol"])
         return 0
@@ -225,24 +265,18 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
     p = FactorialParams(args.alpha, args.beta, args.mu)
     diag = factorial_diagnostics(p, args.r, args.d1, args.d2)
-    diag_fields = {
-        "g": diag.g,
-        "frac_g": diag.frac_g,
-        "n0": diag.n0,
-        "m_r": diag.m_r,
-        "in_R": diag.in_R,
-    }
+    fields = _diagnostics_fields(diag)
+    meta = ["family", "alpha", "beta", "mu", "r", "d1", "d2"]
     if not diag.in_R:
-        record = {"family": "factorial", "r": args.r, "error": "outside the good set", **diag_fields}
-        _emit_record(record, args, ["family", "alpha", "beta", "mu", "r", "d1", "d2"])
+        record = {"family": "factorial", "r": args.r, "error": "outside the good set", **fields}
+        _emit_record(record, args, meta)
         print(
             f"precondition failed: frac_g={diag.frac_g:.6f} outside [{args.d1}, {args.d2}]",
             file=sys.stderr,
         )
         return 4
     value = predict_factorial(p, args.r, args.d1, args.d2)
-    record = {"family": "factorial", "r": args.r, "value": value, **diag_fields}
-    _emit_record(record, args, ["family", "alpha", "beta", "mu", "r", "d1", "d2"])
+    _emit_record({"family": "factorial", "r": args.r, "value": value, **fields}, args, meta)
     return 0
 
 
@@ -262,72 +296,46 @@ def _parse_grid(spec: str) -> list[float]:
     return [lo * ratio**i for i in range(n)]
 
 
-def _sweep_row(args: argparse.Namespace, r: float) -> dict:
+def _sweep_row(args: argparse.Namespace, p, cap: Optional[int], r: float) -> dict:
     from .asymptotics import (
+        _classical_series,
         eval_classical_expansion,
         factorial_diagnostics,
         predict_factorial,
         predict_powerlog,
     )
 
-    if args.family == "powerlog":
-        p = PowerLogParams(args.alpha, args.beta, args.gamma, args.delta, args.mu)
-        res = eval_powerlog(p, r, rel_tol=args.tol, hard_cap=_term_cap(DEFAULT_HARD_CAP))
-        pred = predict_powerlog(p, r)
-        return {
-            "r": r,
-            "value": res.value,
-            "prediction": pred,
-            "ratio": res.value / pred if pred > 0 else None,
-            "tail_bound": res.tail_bound,
-        }
-    if args.family == "factorial":
-        p = FactorialParams(args.alpha, args.beta, args.mu)
-        res = eval_factorial(p, r, rel_tol=args.tol, hard_cap=_term_cap(DEFAULT_HARD_CAP))
-        diag = factorial_diagnostics(p, r, args.d1, args.d2)
-        pred = predict_factorial(p, r, args.d1, args.d2) if diag.in_R else None
-        return {
-            "r": r,
-            "value": res.value,
-            "prediction": pred,
-            "ratio": res.value / pred if pred else None,
-            "tail_bound": res.tail_bound,
-            "g": diag.g,
-            "frac_g": diag.frac_g,
-            "n0": diag.n0,
-            "m_r": diag.m_r,
-            "in_R": diag.in_R,
-        }
-    # expansion: optimal truncation against the direct evaluation
-    value, err = eval_classical_expansion(args.mu, r, mode="optimal")
-    p = PowerLogParams(1, 2, 0, 0, args.mu)
-    direct = 2.0 * eval_powerlog(p, r, rel_tol=1e-13).value + 2.0 / (1.0 + r * r) ** (args.mu + 1)
-    return {
-        "r": r,
-        "value": value,
-        "prediction": direct,
-        "ratio": value / direct,
-        "tail_bound": err,
-    }
+    fields = {}
+    if args.family == "expansion":
+        # optimal truncation against the direct evaluation
+        value, bound = eval_classical_expansion(p, r, mode="optimal")
+        pred = _classical_series(p, r, 1e-13)
+    else:
+        res = _FAMILIES[args.family].evaluate(p, r, rel_tol=args.tol, hard_cap=cap)
+        value, bound = res.value, res.tail_bound
+        if args.family == "powerlog":
+            pred = predict_powerlog(p, r)
+        else:
+            diag = factorial_diagnostics(p, r, args.d1, args.d2)
+            pred = predict_factorial(p, r, args.d1, args.d2) if diag.in_R else None
+            fields = _diagnostics_fields(diag)
+    ratio = value / pred if pred and pred > 0 else None
+    row = {"r": r, "value": value, "prediction": pred, "ratio": ratio, "tail_bound": bound}
+    return {**row, **fields}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.r_grid)
-    # Validate parameters once up front so bad tuples exit 2 before work.
-    if args.family == "powerlog":
-        PowerLogParams(args.alpha, args.beta, args.gamma, args.delta, args.mu)
-    elif args.family == "factorial":
-        FactorialParams(args.alpha, args.beta, args.mu)
-    else:
-        from .asymptotics import _require_expansion_mu
-
-        _require_expansion_mu(args.mu)
+    # Parameters and the term cap are read once, so that bad ones exit 2 before any work.
+    family = _FAMILIES[args.family]
+    p = family.params(args)
+    cap = _term_cap(args) if family.evaluate is not None else None
 
     rows = []
     failures = 0
     for r in sorted(grid):
         try:
-            rows.append(_sweep_row(args, r))
+            rows.append(_sweep_row(args, p, cap, r))
         except MathieuError as exc:
             failures += 1
             rows.append({"r": r, "error": str(exc)})
@@ -349,13 +357,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         }
         _write_output(json.dumps(payload, indent=None) + "\n", args.out)
     else:
-        buf = io.StringIO()
-        buf.write(_meta_line(args, meta_keys) + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(base_cols)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in base_cols])
-        _write_output(buf.getvalue(), args.out)
+        _write_csv(args, meta_keys, base_cols, rows)
     return 0
 
 
@@ -417,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="preset for general/powerseries: logfact, shifted-powerlog, "
         "ones-squares, linear-factorial",
     )
-    ev.add_argument("--hard-cap", type=int, default=DEFAULT_GENERAL_CAP)
+    ev.add_argument("--hard-cap", type=int, default=None, help="term cap (default: the family's)")
     _add_common_output(ev)
     ev.set_defaults(func=_cmd_eval)
 
@@ -457,23 +459,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
 
-    # Required numeric flags per family, enforced here so argparse stays simple.
-    required = {
-        ("eval", "powerlog"): ("alpha", "beta", "mu"),
-        ("eval", "factorial"): ("alpha", "beta", "mu"),
-        ("eval", "general"): ("alpha", "beta", "mu"),
-        ("eval", "powerseries"): ("mu",),
-        ("predict", "powerlog"): ("alpha", "beta", "mu"),
-        ("predict", "factorial"): ("alpha", "beta", "mu"),
-        ("sweep", "powerlog"): ("alpha", "beta", "mu"),
-        ("sweep", "factorial"): ("alpha", "beta", "mu"),
-        ("sweep", "expansion"): ("mu",),
-    }
     try:
-        key = (args.command, getattr(args, "family", None))
-        for field in required.get(key, ()):
+        # Required numeric flags per family, enforced here so argparse stays simple.
+        family = _FAMILIES.get(getattr(args, "family", None))
+        for field in family.required if family else ():
             if getattr(args, field) is None:
-                raise ParameterError(f"--{field} is required for {key[0]} {key[1]}")
+                raise ParameterError(f"--{field} is required for {args.command} {args.family}")
         return args.func(args)
     except (ParameterError, DomainError, CapacityError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ All operations are pure and stateless.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +32,7 @@ from .series import (
     PowerLogParams,
     _check_rel_tol,
     _log_x_integral,
+    _normal_exp,
     _require_radius,
 )
 from .special import (
@@ -124,7 +126,8 @@ def log_weighted_zeta(p: DirichletParams, s: float, rel_tol: float = 1e-10) -> f
     from N on: the integral as an incomplete-gamma value by quadrature
     (``tails.exp_poly_tail``), boundary corrections, and the remainder
     bound plus the quadrature's error estimate, which must come within
-    rel_tol (N grows fourfold, up to three times, until it does).
+    rel_tol (N grows fourfold, up to three times, until it does). Raises
+    ``NumericError`` when the value is not a normal double.
     """
     s = float(s)
     if not (math.isfinite(s) and s > 1.0):
@@ -145,8 +148,8 @@ def log_weighted_zeta(p: DirichletParams, s: float, rel_tol: float = 1e-10) -> f
         integral, integral_err = exp_poly_tail(s - 1.0, c, math.log(n_cut))
         tail, bound = euler_maclaurin_tail(log_f, n_cut, integral, integral_err)
         value = partial + tail
-        if not math.isfinite(value):
-            raise NumericError(f"log_weighted_zeta produced {value} at s={s}")
+        if not (math.isfinite(value) and value >= sys.float_info.min):
+            raise NumericError(f"log_weighted_zeta produced {value} at s={s}, not a normal double")
         if bound <= rel_tol * abs(value):
             return value
         n_cut *= 4
@@ -355,7 +358,9 @@ def saddle_point_bound(p: FactorialParams, r: float) -> float:
     """Rigorous upper bound for the factorial series from its Mellin line.
 
     Evaluates e * r^(-stilde) * eta(beta/(2 log r)) * I(sigma_r) at the
-    saddle abscissa sigma_r = stilde - 1/log r. Valid for alpha >= 0.
+    saddle abscissa sigma_r = stilde - 1/log r, as the exp of its log.
+    Valid for alpha >= 0. Raises ``NumericError`` when the bound is not a
+    normal double.
     """
     r = _require_radius(r, 10.0, "saddle_point_bound", inclusive=True)
     frame = transform_frame(factorial=p)
@@ -367,4 +372,6 @@ def saddle_point_bound(p: FactorialParams, r: float) -> float:
         )
     eta_val = factorial_dirichlet(0.5 * p.beta / log_r, rel_tol=1e-10)
     line = _gamma_line_integral(p.mu, sigma)
-    return math.e * math.exp(-frame.stilde * log_r) * eta_val * line
+    return _normal_exp(
+        1.0 - frame.stilde * log_r + math.log(eta_val) + math.log(line), "saddle_point_bound", r
+    )

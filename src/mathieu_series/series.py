@@ -127,6 +127,17 @@ def _require_radius(r, floor: float, who: str, inclusive: bool = False, shown: s
     return r
 
 
+def _normal_exp(log_value: float, who: str, r: float) -> float:
+    """exp(log_value) when it is a normal double, else ``NumericError`` naming who and r."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not (math.isfinite(value) and value >= sys.float_info.min):
+        raise NumericError(f"{who} value at r={r} is exp({log_value:.6g}), not a normal double")
+    return value
+
+
 @dataclass(frozen=True)
 class PowerLogParams:
     """Exponent tuple for the power-logarithmic family.

@@ -1,12 +1,17 @@
 """Asymptotic constants, factorial diagnostics, bounds, classical expansion."""
 
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mathieu_series.asymptotics import (
+    AsymptoticPrediction,
     asymptotic_prediction,
     classical_expansion_terms,
     eval_classical_expansion,
@@ -22,6 +27,7 @@ from mathieu_series.asymptotics import (
 from mathieu_series.errors import (
     CapacityError,
     DomainError,
+    MathieuError,
     NumericError,
     ParameterError,
     PreconditionError,
@@ -86,6 +92,54 @@ def test_predict_powerlog_unrepresentable_value():
     # 0.5 r^-2 is 5e-601 at r = 1e300: an error, not a silent 0.0
     with pytest.raises(NumericError, match="not a normal double"):
         predict_powerlog(PowerLogParams(1, 2, 0, 0, 1), 1e300)
+
+
+@pytest.mark.parametrize("mu", [172.0, 300.0])
+def test_predict_powerlog_past_gamma_overflow_against_mpmath(mu):
+    # Gamma(mu+1) overflows a double from mu ~ 170.6 on: this used to raise OverflowError
+    p = PowerLogParams(1, 2, 0, 0, mu)
+    with mpmath.workdps(30):
+        exact = mpmath.gamma(mpmath.mpf(mu)) / (2 * mpmath.gamma(mpmath.mpf(mu) + 1))
+        exact_value = exact * mpmath.mpf(3) ** (2 - 2 * (mpmath.mpf(mu) + 1))
+        assert abs(leading_constant(p) - exact) <= 1e-13 * exact
+        assert abs(predict_powerlog(p, 3.0) - exact_value) <= 1e-13 * exact_value
+
+
+def test_leading_order_overflow_is_a_numeric_error():
+    # Gamma((alpha+1)/beta) = Gamma(200) overflows; so does (log 3)^1e4 / 3
+    with pytest.raises(NumericError, match="overflows a double"):
+        leading_constant(PowerLogParams(399, 2, 0, 0, 300))
+    with pytest.raises(NumericError, match="not a normal double"):
+        AsymptoticPrediction(1.0, -1.0, 1e4).value_at(3.0)
+
+
+def _normal_or_mathieu_error(call) -> None:
+    """The property of every float result: a normal double, or a MathieuError."""
+    try:
+        value = call()
+    except MathieuError:
+        return
+    assert math.isfinite(value) and value >= sys.float_info.min, value
+
+
+@given(
+    st.floats(min_value=0.01, max_value=3.0),
+    st.floats(min_value=0.25, max_value=4.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=0.0, max_value=400.0),
+    st.floats(min_value=0.5, max_value=300.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_predict_powerlog_is_normal_or_raises(alpha, beta, gamma, delta, mu, log10_r):
+    if not alpha - beta * (mu + 1.0) < -1.0:
+        return
+    try:
+        value = predict_powerlog(PowerLogParams(alpha, beta, gamma, delta, mu), 10.0**log10_r)
+    except MathieuError:
+        return
+    # the constant is negative where Gamma(1-m) is, for non-integer m > 1
+    assert math.isfinite(value) and abs(value) >= sys.float_info.min, value
 
 
 def test_predict_powerlog_ratio_trend():
@@ -254,6 +308,69 @@ def test_good_set_selector_matches_peak():
     assert seen_false  # the grid exercises both sides of the selector
 
 
+def test_factorial_closed_forms_past_the_double_range_raise():
+    # each used to return 0.0 (or, for the envelope at 1e100, the subnormal 1e-310)
+    from mathieu_series.dirichlet import saddle_point_bound
+
+    p = FactorialParams(1, 2, 1)
+    for call in (
+        lambda: predict_factorial(p, 1e200),
+        lambda: two_term_estimate(p, 1e200),
+        lambda: factorial_upper_bound(p, 1e200, 0.2),
+        lambda: factorial_envelope(p, 1e200, 0.1),
+        lambda: factorial_envelope(p, 1e100, 0.1),
+        lambda: saddle_point_bound(p, 1e200),
+    ):
+        with pytest.raises(NumericError, match="not a normal double"):
+            call()
+
+
+_FACTORIAL_PROPERTY = (
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=0.25, max_value=3.0),
+    st.floats(min_value=0.0, max_value=200.0),
+    st.floats(min_value=0.0, max_value=300.0),
+)
+
+
+@given(*_FACTORIAL_PROPERTY)
+@settings(max_examples=60, deadline=None)
+def test_factorial_family_results_are_normal_or_raise(alpha, beta, mu, log10_r):
+    from mathieu_series.dirichlet import saddle_point_bound
+
+    if not alpha < beta * (mu + 1.0):
+        return
+    p, r = FactorialParams(alpha, beta, mu), 10.0**log10_r
+    for call in (
+        lambda: predict_factorial(p, r),
+        lambda: two_term_estimate(p, r),
+        lambda: factorial_upper_bound(p, r, 0.2),
+        lambda: factorial_envelope(p, r, 0.1).lower,
+        lambda: factorial_envelope(p, r, 0.1).upper,
+        lambda: saddle_point_bound(p, r),
+        # the cap keeps a slowly decaying tail, which the ratio bound cannot
+        # certify, from summing up to the default 1e9 terms
+        lambda: eval_factorial(p, r, hard_cap=100_000).value,
+    ):
+        _normal_or_mathieu_error(call)
+
+
+@given(
+    st.floats(min_value=0.01, max_value=3.0),
+    st.floats(min_value=0.25, max_value=4.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=0.0, max_value=200.0),
+    st.floats(min_value=0.0, max_value=300.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_eval_powerlog_is_normal_or_raises(alpha, beta, gamma, delta, mu, log10_r):
+    if not alpha - beta * (mu + 1.0) < -1.0:
+        return
+    p = PowerLogParams(alpha, beta, gamma, delta, mu)
+    _normal_or_mathieu_error(lambda: eval_powerlog(p, 10.0**log10_r).value)
+
+
 # ---------------------------------------------------------------------------
 # Classical expansion
 # ---------------------------------------------------------------------------
@@ -325,3 +442,22 @@ def test_expansion_gates():
         eval_classical_expansion(2.0, 10.0, mode="bogus")
     with pytest.raises(ParameterError):
         eval_classical_expansion(2.0, 10.0, mode="fixed")
+
+
+def test_expansion_past_the_double_range_raises():
+    # (0.0, 0.0) used to come back at r = 1e200
+    with pytest.raises(NumericError, match="not a normal double"):
+        eval_classical_expansion(2.0, 1e200)
+
+
+@given(st.floats(min_value=1.5, max_value=200.0, exclude_min=True), st.floats(0.0, 300.0))
+@settings(max_examples=100, deadline=None)
+def test_expansion_is_normal_or_raises(mu, log10_r):
+    try:
+        value, estimate = eval_classical_expansion(mu, 10.0**log10_r)
+    except MathieuError:
+        return
+    # at small r the divergent expansion's partial sum can be negative; its
+    # error estimate then exceeds it
+    assert math.isfinite(value) and abs(value) >= sys.float_info.min, value
+    assert value > 0.0 or estimate > abs(value)

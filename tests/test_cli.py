@@ -461,3 +461,59 @@ def test_powerseries_honours_the_hard_cap_flag(capsys, monkeypatch):
     code, _, err = run_cli(capsys, *argv)
     assert code == 3
     assert "term cap 100" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "powerlog", "--alpha", "1", "--beta", "2", "--mu", "1", "--r", "10"],
+        ["eval", "factorial", "--alpha", "1", "--beta", "2", "--mu", "1", "--r", "1e6"],
+    ],
+    ids=["powerlog", "factorial"],
+)
+def test_hard_cap_flag_caps_every_eval_family(capsys, argv):
+    # the flag used to reach only general and powerseries: powerlog and factorial ignored it
+    code, out, err = run_cli(capsys, *argv, "--hard-cap", "5")
+    assert (code, out) == (3, "")
+    assert "resource cap" in err
+
+
+@pytest.mark.parametrize("cap", ["abc", "0"])
+@pytest.mark.parametrize("family", ["powerlog", "factorial"])
+def test_sweep_bad_term_cap_is_a_parameter_error(capsys, monkeypatch, family, cap):
+    # it used to fail at every grid point and exit 1
+    monkeypatch.setenv("MATHIEU_TERM_CAP", cap)
+    code, out, err = run_cli(
+        capsys, "sweep", family, "--alpha", "1", "--beta", "2", "--mu", "1",
+        "--r-grid", "100:1e6:3",
+    )
+    assert (code, out) == (2, "")
+    assert "parameter error: MATHIEU_TERM_CAP must be" in err
+
+
+def test_eval_general_unknown_preset_names_the_choices(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "general", "--sequences", "ones-squares", "--alpha", "1", "--beta", "3",
+        "--mu", "1", "--r", "100",
+    )
+    assert (code, out) == (2, "")
+    assert "unknown general-series preset 'ones-squares'" in err
+    assert "logfact, shifted-powerlog" in err
+
+
+def test_predict_factorial_unrepresentable_value_exit_1(capsys):
+    # it used to print "value": 0.0 and exit 0
+    code, out, err = run_cli(
+        capsys, "predict", "factorial", "--alpha", "1", "--beta", "2", "--mu", "1", "--r", "1e200"
+    )
+    assert (code, out) == (1, "")
+    assert "numeric failure" in err and "not a normal double" in err
+
+
+def test_predict_powerlog_past_gamma_overflow(capsys):
+    # Gamma(mu+1) overflows at mu = 172: it used to die with an OverflowError traceback
+    code, out, _ = run_cli(
+        capsys, "predict", "powerlog", "--alpha", "1", "--beta", "2", "--mu", "172", "--r", "3"
+    )
+    assert code == 0
+    assert json.loads(out)["constant"] == pytest.approx(1.0 / 344.0, rel=1e-15)

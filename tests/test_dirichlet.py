@@ -1,6 +1,7 @@
 """Dirichlet sums, singular models, Mellin closed forms, saddle bound."""
 
 import math
+import sys
 import time
 
 import mpmath
@@ -22,7 +23,7 @@ from mathieu_series.dirichlet import (
     transform_frame,
     zeta_singular_prediction,
 )
-from mathieu_series.errors import DomainError, MathieuError, ParameterError
+from mathieu_series.errors import DomainError, MathieuError, NumericError, ParameterError
 from mathieu_series.series import FactorialParams, PowerLogParams, eval_factorial
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,26 @@ def test_zeta_against_direct_summation():
 def test_zeta_near_pole():
     v = log_weighted_zeta(DirichletParams(0, 0), 1.001, rel_tol=1e-10)
     assert 0.9 <= 0.001 * v <= 1.1
+
+
+def test_zeta_past_the_double_range_raises():
+    # 2^-1100 + 3^-1100 + ... is ~1e-331: this used to return 0.0
+    with pytest.raises(NumericError, match="not a normal double"):
+        log_weighted_zeta(DirichletParams(0, 0), 1100.0)
+
+
+@given(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-3.0, max_value=3.3),
+)
+@settings(max_examples=60, deadline=None)
+def test_zeta_is_normal_or_raises(eta, theta, log10_s_minus_1):
+    try:
+        value = log_weighted_zeta(DirichletParams(eta, theta), 1.0 + 10.0**log10_s_minus_1)
+    except MathieuError:
+        return
+    assert math.isfinite(value) and value >= sys.float_info.min, value
 
 
 def test_zeta_domain():
