@@ -157,9 +157,18 @@ def leading_constant(
     Past mu ~ 170, where Gamma(mu+1) overflows, the ratio
     Gamma(mu+1-(alpha+1)/beta)/Gamma(mu+1) is taken as one number
     (``_gamma_ratio``). Raises ``NumericError`` when the constant still
-    overflows a double.
+    overflows a double, and ``PreconditionError`` off the integer branch
+    for m > 1: there the singular part of the log-weighted zeta is only a
+    correction around a finite limit (``zeta_singular_prediction``), and
+    the generic formula, whose Gamma(1-m) changes sign, is not the law.
     """
     m = p.delta * (p.alpha + 1.0) / p.beta - p.gamma
+    integer = is_positive_integer(m, force_integer_branch)
+    if not integer and m > 1.0:
+        raise PreconditionError(
+            f"no first-order law for {p}: m = delta(alpha+1)/beta - gamma = {m:.6g} "
+            "is above 1 and not an integer, where the singular part is only a correction"
+        )
     a = -(p.alpha + 1.0) / p.beta + p.mu + 1.0
     b = (p.alpha + 1.0) / p.beta
     try:
@@ -170,7 +179,7 @@ def leading_constant(
             gamma_mu1 = math.gamma(p.mu + 1.0)
         except OverflowError:
             common, gamma_mu1 = _gamma_ratio(a, p.mu + 1.0) * math.gamma(b), 1.0
-        if is_positive_integer(m, force_integer_branch):
+        if integer:
             mi = round(m)
             constant = p.beta ** (mi - 1) * common / (2.0**mi * gamma_mu1)
         else:

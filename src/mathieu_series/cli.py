@@ -314,7 +314,10 @@ def _sweep_row(args: argparse.Namespace, p, cap: Optional[int], r: float) -> dic
         res = _FAMILIES[args.family].evaluate(p, r, rel_tol=args.tol, hard_cap=cap)
         value, bound = res.value, res.tail_bound
         if args.family == "powerlog":
-            pred = predict_powerlog(p, r)
+            try:
+                pred = predict_powerlog(p, r)
+            except PreconditionError as exc:  # the value stands; the row says why no ratio
+                pred, fields = None, {"error": str(exc)}
         else:
             diag = factorial_diagnostics(p, r, args.d1, args.d2)
             pred = predict_factorial(p, r, args.d1, args.d2) if diag.in_R else None
@@ -346,7 +349,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base_cols = ["r", "value", "prediction", "ratio", "tail_bound"]
     if args.family == "factorial":
         base_cols += ["g", "frac_g", "n0", "m_r", "in_R"]
-    if failures:
+    if any("error" in row for row in rows):
         base_cols += ["error"]
 
     meta_keys = ["family", "alpha", "beta", "gamma", "delta", "mu", "d1", "d2", "r-grid", "tol"]

@@ -295,7 +295,12 @@ class GeneralEnvelope:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A series value with its certified truncation bound and diagnostics."""
+    """A series value with its certified truncation bound and diagnostics.
+
+    ``peak_index`` is the index of the largest summand; where the peak lies
+    far out (past ~1e8), adjacent summands agree to ~1e-16 relative, and it
+    is exact only up to such ties.
+    """
 
     value: float
     tail_bound: float
@@ -345,9 +350,9 @@ def _log_x_integral(log_f: Callable, edges) -> tuple[float, float]:
     """Integral of f over [exp(edges[0]), exp(edges[-1])] and its error estimate.
 
     ``log_f`` maps u = log x to log f(x), elementwise on numpy arrays; the
-    integral of exp(u + log f(u)) runs by ``quad`` over each segment between
-    consecutive ``edges`` (u-coordinates, nondecreasing; the last may be
-    inf), and empty segments are skipped. Each segment stops at a summed
+    integral of exp(u + log f(u)) runs by one ``quad`` call over the segments
+    between consecutive ``edges`` (u-coordinates, nondecreasing; the last
+    may be inf; empty segments are skipped). Each segment stops at a summed
     QUADPACK error estimate of 1e-13 of its value, or at its roundoff floor
     of 50 eps times the integral of |f| (~1.1e-14), or at 400 panels; the
     returned error is the sum of the segments' estimates.
@@ -356,10 +361,11 @@ def _log_x_integral(log_f: Callable, edges) -> tuple[float, float]:
     def integrand(u: np.ndarray) -> np.ndarray:
         return np.exp(u + log_f(u))
 
+    kept = [edges[0]] + [hi for lo, hi in zip(edges, edges[1:]) if hi > lo]
     integral = integral_err = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        if hi > lo:
-            val, err = quad(integrand, lo, hi, epsrel=1e-13, limit=400)
+    if len(kept) > 1:
+        segments = quad(integrand, kept[0], kept[-1], epsrel=1e-13, limit=400, points=kept[1:-1])
+        for val, err in segments:
             integral += val
             integral_err += err
     return integral, integral_err
@@ -383,20 +389,25 @@ def _smooth_tail(
     return value, bound, integral, integral_err
 
 
-def _summand_peak(log_f: Callable, log_b: Callable, log_r2: float, n: int) -> int:
-    """Index of the largest summand from n - 1 on, the summand rising at n - 1.
-
-    Bisects on the sign of d log f / d log x (the jet's first coefficient)
-    up to where r^2 is 1e-12 of b, past which the summand only falls.
+def _summand_peak(log_f: Callable, log_b: Callable, log_r2: float, n: int, head_peak: int) -> int:
+    """Index of the largest summand: ``head_peak``, the head's below n, unless the
+    summand still rises at n - 1; then it brackets where d log f / d log x (an
+    order-1 jet's slope) turns negative, up to where r^2 is 1e-12 of b: each of
+    10 rounds takes the sign at 63 points cutting the bracket in 64, on one
+    array jet, so it ends as narrow as after 60 bisections. For a far peak
+    (past ~1e8) adjacent summands agree to ~1e-16, so the index is exact only
+    up to such ties.
     """
+    if head_peak != n - 1:
+        return head_peak
     lo = math.log(n - 1)
     hi = _solve_b_equals(log_b, log_r2 + _LOG_1E12, lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if log_f(Jet.log_variable(mid, 1)).c[1] > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    cuts = np.arange(1.0, 64.0) / 64.0
+    for _ in range(10):
+        grid = lo + (hi - lo) * cuts
+        rising = np.append(log_f(Jet.log_variable(grid, 1)).c[1] > 0.0, False)
+        j = int(np.argmin(rising))  # the first point not rising; 63 for none
+        lo, hi = (float(grid[j - 1]) if j else lo), (float(grid[j]) if j < 63 else hi)
     x = math.exp(min(lo, 700.0))
     candidates = {max(int(x), 2), int(x) + 1}
     return max(candidates, key=lambda n: log_f(math.log(n)))
@@ -497,9 +508,7 @@ def eval_powerlog(
         if n >= end or _beyond_reach(rel_tol, value, integral, err, cap_tail):
             raise _uncertified("eval_powerlog", rel_tol, hard_cap, bound, value, n - 2)
 
-    if peak_index == n - 1:  # still rising at the head's end
-        peak_index = _summand_peak(log_f, log_b, log_r2, n)
-    return EvalResult(value, bound, n - 2, peak_index)
+    return EvalResult(value, bound, n - 2, _summand_peak(log_f, log_b, log_r2, n, peak_index))
 
 
 # ---------------------------------------------------------------------------
@@ -793,9 +802,7 @@ class _RadiusSum:
         if value < sys.float_info.min:
             raise _below_normal("eval_general", value, self.r, len(self.terms))
         if self.bound <= rel_tol * value:
-            peak_index = self.peak_index
-            if peak_index == n - 1:  # still rising at the head's end
-                peak_index = _summand_peak(self.log_f, s.log_b, self.log_r2, n)
+            peak_index = _summand_peak(self.log_f, s.log_b, self.log_r2, n, self.peak_index)
             return EvalResult(value, self.bound, len(self.terms), peak_index)
         if _beyond_reach(rel_tol, value, integral, err, cap_tail):
             raise _uncertified(
@@ -1077,7 +1084,9 @@ def eval_factorial(
 
     Shifted log-space summation from n = 0 past the peak until the
     geometric-domination ratio bound certifies the omitted tail. Radii
-    r <= 1 are admitted for evaluation (all terms stay finite).
+    r <= 1 are admitted for evaluation (all terms stay finite). Raises
+    ``ResourceLimitError`` past ``hard_cap`` terms, and at once when no
+    n <= ``hard_cap`` past the peak has a ratio bound below 1.
     """
     p.require_convergent("eval_factorial")
     r = _require_radius(r, 0.0, "eval_factorial")
@@ -1085,13 +1094,14 @@ def eval_factorial(
 
     n0 = peak_index_n0(p.beta, r) if r >= 1.0 else 0
     decay = p.alpha - p.beta * (p.mu + 1.0)  # < 0
+    # The stop test needs n0 < n <= hard_cap with q(n) < 0, and q falls in n.
+    q_cap = (p.mu + 1.0) * math.log(2.0) + decay * math.log(hard_cap + 1.0)
     log_rel_tol = math.log(rel_tol)
     log_terms: list[float] = []
     shift = -math.inf
     acc = 0.0  # sum of exp(log_term - shift)
-    tail_log_bound = math.inf
     n = 0
-    while True:
+    while n <= hard_cap and n0 < hard_cap and q_cap < 0.0:
         lt = factorial_summand_log(p, r, n)
         log_terms.append(lt)
         if lt > shift:
@@ -1108,12 +1118,10 @@ def eval_factorial(
                     tail_log_bound = log_bound
                     break
         n += 1
-        if n > hard_cap:
-            raise ResourceLimitError(
-                f"eval_factorial exceeded the term cap {hard_cap}",
-                cap=hard_cap,
-                bound_achieved=None,
-            )
+    else:
+        raise ResourceLimitError(
+            f"eval_factorial exceeded the term cap {hard_cap}", cap=hard_cap, bound_achieved=None
+        )
 
     # Exact recombination of the collected terms (their count is tiny).
     shift = max(log_terms)

@@ -9,20 +9,18 @@ Three tools live here:
   ``quad`` in double precision (``exp_poly_tail``);
 * ``quad``, the package's one quadrature rule: adaptive Gauss-Kronrod
   10/21 panels with QUADPACK's error estimate and roundoff floor (Piessens
-  et al., 1983), evaluating the integrand once per refinement round on the
-  nodes of every panel it refines, so integrands are written on numpy
-  arrays;
+  et al., 1983). Given breakpoints, as QUADPACK's qagp, it refines each
+  segment on its own but in lockstep, evaluating the integrand once per
+  round on the new nodes of every segment, so integrands are written on
+  numpy arrays; ``series`` and ``dirichlet`` bind it under that name;
 * the Euler-Maclaurin tail shared by every sum in the package that runs
   past its explicit head: the power-log series, the log-weighted zeta sum,
   the log-factorial Dirichlet sum, and the factorial Dirichlet sum at small
   s (which stops the tail at a finite end). The summand is written once,
   as its logarithm in terms of log x; evaluated on a ``Jet`` (truncated
-  Taylor series, with float or array coefficients) it yields the
+  Taylor series, its coefficients one (K+1, *shape) array) it yields the
   derivatives the correction terms and the remainder bound need, with no
-  finite differences.
-
-``series`` and ``dirichlet`` bind ``quad`` under that name and call it once
-per integral segment.
+  finite differences: one array jet per quadrature round.
 """
 
 from __future__ import annotations
@@ -214,98 +212,113 @@ def _gk21_rule() -> tuple:
     return nodes, kronrod, weights
 
 
-def _gk21_panels(func: Callable, los: list, his: list, infinite_from) -> list[tuple]:
-    """(error, floor, lo, hi, value) of each panel [lo, hi], by Gauss-Kronrod 10/21.
+def _gk21_panels(func: Callable, segments: list[tuple]) -> list[list[tuple]]:
+    """Per segment (los, his, infinite_from), (error, floor, lo, hi, value) of each panel.
 
-    One call of ``func`` on the 21 nodes of every panel. With
-    ``infinite_from`` = a the panels lie in t and the integrand is
-    f(a + t/(1-t)) / (1-t)^2. The error estimate is QUADPACK's:
-    resasc min(1, (200 |K - G| / resasc)^1.5), where K and G are the
-    Kronrod and Gauss values and resasc the Kronrod integral of
-    |f - mean f|, raised to the roundoff floor 50 eps resabs, resabs the
-    Kronrod integral of |f|.
+    One call of ``func`` on the 21 nodes of every panel of every segment.
+    With ``infinite_from`` = a the panels lie in t and the integrand is
+    f(a + t/(1-t)) / (1-t)^2. The sums by Gauss-Kronrod 10/21 run per
+    segment: a row of a matrix product can change with the row count.
+    The error estimate is QUADPACK's: resasc min(1, (200 |K - G| / resasc)^1.5),
+    where K and G are the Kronrod and Gauss values and resasc the Kronrod
+    integral of |f - mean f|, raised to the roundoff floor 50 eps resabs,
+    resabs the Kronrod integral of |f|. Where the panel is too narrow to
+    bisect, its floor reads as its error: no error above the floor is refined.
     """
     gk_nodes, gk_kronrod, gk_weights = _gk21_rule()
-    lo = np.array(los)
-    half = 0.5 * (np.array(his) - lo)
-    x = (lo[:, None] + half[:, None] * gk_nodes).ravel()
-    at = x if infinite_from is None else infinite_from + x / (1.0 - x)
-    fx = np.asarray(func(at), dtype=np.float64)
-    if not np.isfinite(fx).all():
-        j = int(np.flatnonzero(~np.isfinite(fx))[0])
-        raise NumericError(f"integrand is {float(fx[j])} at x = {float(at[j])}")
-    if infinite_from is not None:
-        fx = fx / ((1.0 - x) * (1.0 - x))
-    fx = fx.reshape(len(los), 21)
-    kg = fx @ gk_weights
-    kronrod = kg[:, 0]
-    abs_half = np.abs(half)
-    resabs = (np.abs(fx) @ gk_kronrod * abs_half).tolist()
-    resasc = (np.abs(fx - 0.5 * kronrod[:, None]) @ gk_kronrod * abs_half).tolist()
-    diff = (np.abs(kronrod - kg[:, 1]) * abs_half).tolist()
-    values = (kronrod * half).tolist()
-    out = []
-    for i, (err, spread, size) in enumerate(zip(diff, resasc, resabs)):
-        if spread != 0.0 and err != 0.0:
-            err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
-        floor = _ROUNDOFF * size if size > _UFLOW / _ROUNDOFF else 0.0
-        out.append((max(err, floor), floor, los[i], his[i], values[i]))
+    nodes = []
+    for los, his, infinite_from in segments:
+        lo = np.array(los)
+        half = 0.5 * (np.array(his) - lo)
+        x = (lo[:, None] + half[:, None] * gk_nodes).ravel()
+        nodes.append((half, x, x if infinite_from is None else infinite_from + x / (1.0 - x)))
+    at = np.concatenate([n[2] for n in nodes]) if len(nodes) > 1 else nodes[0][2]
+    fx_all = np.asarray(func(at), dtype=np.float64)
+    if not np.isfinite(fx_all).all():
+        j = int(np.flatnonzero(~np.isfinite(fx_all))[0])
+        raise NumericError(f"integrand is {float(fx_all[j])} at x = {float(at[j])}")
+    out, start = [], 0
+    for (los, his, infinite_from), (half, x, _) in zip(segments, nodes):
+        fx = fx_all[start : start + len(x)]
+        start += len(x)
+        if infinite_from is not None:
+            fx = fx / ((1.0 - x) * (1.0 - x))
+        fx = fx.reshape(len(los), 21)
+        kg = fx @ gk_weights
+        kronrod = kg[:, 0]
+        abs_half = np.abs(half)
+        resabs = (np.abs(fx) @ gk_kronrod * abs_half).tolist()
+        resasc = (np.abs(fx - 0.5 * kronrod[:, None]) @ gk_kronrod * abs_half).tolist()
+        diff = (np.abs(kronrod - kg[:, 1]) * abs_half).tolist()
+        values = (kronrod * half).tolist()
+        out.append([])
+        for i, (err, spread, size) in enumerate(zip(diff, resasc, resabs)):
+            if spread != 0.0 and err != 0.0:
+                err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
+            floor = _ROUNDOFF * size if size > _UFLOW / _ROUNDOFF else 0.0
+            err, lo, hi = max(err, floor), los[i], his[i]
+            mid = abs(0.5 * (lo + hi))
+            if max(abs(lo), abs(hi)) <= (1.0 + 100.0 * _EPS) * (mid + 1000.0 * _UFLOW):
+                floor = err  # the midpoint no longer separates the ends (QUADPACK's test)
+            out[-1].append((err, floor, lo, hi, values[i]))
     return out
 
 
 def quad(
-    func: Callable, a: float, b: float, epsrel: float = 1e-10, limit: int = 50
-) -> tuple[float, float]:
+    func: Callable, a: float, b: float, epsrel: float = 1e-10, limit: int = 50, points=None
+):
     """Integral of ``func`` over [a, b] and its error estimate; b may be inf.
 
     ``func`` takes and returns numpy arrays, elementwise. The rule bisects
     Gauss-Kronrod 10/21 panels (QUADPACK's error estimate and roundoff
     floor, see ``_gk21_panels``) until the summed error estimate is at most
     epsrel |value|. Each round bisects the panels of largest error, as many
-    as it takes for those left alone to fit in that tolerance, and evaluates ``func`` once on all the new nodes. A panel
-    whose estimate is at its roundoff floor, or too narrow to bisect, is
-    not refined; with ``limit`` panels, or none left to refine, the value
-    and estimate are returned as they stand. An infinite end maps through
-    x = a + t/(1-t), t in [0, 1), as QUADPACK's qagi does. A non-finite
-    integrand value raises ``NumericError``.
+    as it takes for those left alone to fit in that tolerance, and evaluates
+    ``func`` once on all the new nodes. A panel whose estimate is at its
+    roundoff floor, or too narrow to bisect, is not refined; with ``limit``
+    panels, or none left to refine, the value and estimate are returned as
+    they stand. An infinite end maps through x = a + t/(1-t), t in [0, 1),
+    as QUADPACK's qagi does. A non-finite integrand value raises
+    ``NumericError``. With ``points``, increasing breakpoints inside (a, b)
+    as QUADPACK's qagp takes them, it returns the (value, error) of each
+    segment, == that of ``quad`` on the segment alone: the segments refine
+    in lockstep, sharing each round's one call of ``func``.
     """
-    infinite_from = a if b == math.inf else None
-    lo, hi = (0.0, 1.0) if infinite_from is not None else (a, b)
-    panels = _gk21_panels(func, [lo], [hi], infinite_from)
-    while True:
-        total = math.fsum(p[4] for p in panels)
-        total_err = math.fsum(p[0] for p in panels)
-        tol = epsrel * abs(total)
-        if total_err <= tol or len(panels) >= limit:
-            return total, total_err
-        # Bisect the largest errors until those left alone sum to at most tol.
-        ranked = sorted(
-            (i for i, p in enumerate(panels) if p[0] > p[1] and _bisectable(p[2], p[3])),
-            key=lambda i: -panels[i][0],
-        )
-        pick = []
-        for i in ranked[: limit - len(panels)]:
-            if total_err <= tol:
-                break
-            pick.append(i)
-            total_err -= panels[i][0]
-        if not pick:
-            return total, total_err
-        mids = [0.5 * (panels[i][2] + panels[i][3]) for i in pick]
-        new = _gk21_panels(
-            func,
-            [panels[i][2] for i in pick] + mids,
-            mids + [panels[i][3] for i in pick],
-            infinite_from,
-        )
-        picked = set(pick)
-        panels = [p for i, p in enumerate(panels) if i not in picked] + new
-
-
-def _bisectable(lo: float, hi: float) -> bool:
-    """False once the midpoint of [lo, hi] no longer separates its ends (QUADPACK's test)."""
-    mid = 0.5 * (lo + hi)
-    return max(abs(lo), abs(hi)) > (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _UFLOW)
+    edges = [a, b] if points is None else [a, *points, b]
+    asks = {  # segment: (los, his, infinite_from) of the panels it asks for
+        s: ([0.0], [1.0], lo) if hi == math.inf else ([lo], [hi], None)
+        for s, (lo, hi) in enumerate(zip(edges, edges[1:]))
+    }
+    segments: list[list] = [[] for _ in asks]
+    results: list = [None] * len(asks)
+    while asks:
+        for s, new in zip(list(asks), _gk21_panels(func, list(asks.values()))):
+            segments[s] += new
+        asks_done, asks = asks, {}
+        for s, (_, _, infinite_from) in asks_done.items():
+            panels = segments[s]
+            total = math.fsum(p[4] for p in panels)
+            total_err = math.fsum(p[0] for p in panels)
+            tol = epsrel * abs(total)
+            results[s] = total, total_err
+            if total_err <= tol or len(panels) >= limit:
+                continue
+            # Bisect the largest errors until those left alone sum to at most tol.
+            ranked = [i for i, p in enumerate(panels) if p[0] > p[1]]
+            ranked.sort(key=lambda i: -panels[i][0])
+            pick = []
+            for i in ranked[: limit - len(panels)]:
+                if total_err <= tol:
+                    break
+                pick.append(i)
+                total_err -= panels[i][0]
+            if pick:
+                mids = [0.5 * (panels[i][2] + panels[i][3]) for i in pick]
+                los = [panels[i][2] for i in pick] + mids
+                asks[s] = los, mids + [panels[i][3] for i in pick], infinite_from
+                picked = set(pick)
+                segments[s] = [p for i, p in enumerate(panels) if i not in picked]
+    return results[0] if points is None else results
 
 
 # ---------------------------------------------------------------------------
@@ -316,32 +329,43 @@ def _bisectable(lo: float, hi: float) -> bool:
 class Jet:
     """Truncated Taylor series c[0] + c[1] t + ... + c[K] t^K.
 
-    The coefficients are floats or numpy arrays of one shape: an array jet
-    carries the series at many points at once, elementwise. Supports +, -,
-    * (with jets, scalars or arrays, either side) and, through numpy's ufunc
-    protocol, ``np.log``, ``np.exp`` and ``np.logaddexp``; so a summand
-    written with those operations runs unchanged on floats, arrays and jets.
+    ``c`` is one float array of shape (K+1, *shape): the series at one point
+    (shape ()) or at many, elementwise. Supports +, -, * (with jets, scalars
+    or arrays, either side) and, through numpy's ufunc protocol, ``np.log``,
+    ``np.exp`` and ``np.logaddexp``; so a summand written with those runs
+    unchanged on floats, arrays and jets. Each coefficient of *, exp and log
+    adds its products left to right, in one ``np.add.reduce`` along axis 0:
+    an element of an array jet is == the jet at that point alone.
     """
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs: list):
-        self.c = coeffs
+    def __init__(self, coeffs):
+        self.c = coeffs if isinstance(coeffs, np.ndarray) else np.array(coeffs, dtype=np.float64)
 
     @classmethod
     def log_variable(cls, log_x, order: int) -> "Jet":
         """log(x (1 + t)) around t = 0: the jet of log x in the scaled step t."""
-        return cls([log_x] + [(-1.0) ** (k + 1) / k for k in range(1, order + 1)])
+        log_x = np.asarray(log_x, dtype=np.float64)
+        c = np.empty((order + 1,) + log_x.shape)
+        c[0] = log_x
+        c[1:] = _lift(np.array([(-1.0) ** (k + 1) / k for k in range(1, order + 1)]), log_x.ndim)
+        return cls(c)
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet([a + b for a, b in zip(self.c, other.c)])
-        return Jet([self.c[0] + other, *self.c[1:]])
+            a, b = _lift(self.c, other.c.ndim - 1), _lift(other.c, self.c.ndim - 1)
+            return Jet(a + b)
+        first = self.c[0] + other  # a constant of more axes spreads the jet over them
+        c = np.empty(self.c.shape[:1] + first.shape)
+        c[1:] = _lift(self.c[1:], first.ndim)
+        c[0] = first
+        return Jet(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet([-a for a in self.c])
+        return Jet(-self.c)
 
     def __sub__(self, other):
         return self + (-other)
@@ -350,43 +374,55 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Jet):
-            a, b = self.c, other.c
-            return Jet([sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))])
-        return Jet([other * a for a in self.c])
+        if not isinstance(other, Jet):
+            return Jet(_lift(self.c, getattr(other, "ndim", 0)) * other)
+        a, b = _lift(self.c, other.c.ndim - 1), _lift(other.c, self.c.ndim - 1)
+        c = np.empty(np.broadcast_shapes(a.shape, b.shape))
+        for k in range(len(c)):
+            c[k] = np.add.reduce(a[: k + 1] * b[k::-1], axis=0)
+        return Jet(c)
 
     __rmul__ = __mul__
 
     def exp(self) -> "Jet":
         a = self.c
-        e = [np.exp(a[0])]
+        e = np.empty_like(a)
+        e[0] = np.exp(a[0])
+        ja = _lift(np.arange(1.0, len(a)), a.ndim - 1) * a[1:]  # row j - 1: j a[j]
         for k in range(1, len(a)):
-            e.append(sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k)
+            e[k] = np.add.reduce(ja[:k] * e[k - 1 :: -1], axis=0) / k
         return Jet(e)
 
     def log(self) -> "Jet":
         a = self.c
-        out = [np.log(a[0])]
+        out = np.empty_like(a)
+        out[0] = np.log(a[0])
+        jo = np.empty_like(a[1:])  # row j - 1: j out[j]
         for k in range(1, len(a)):
-            acc = sum(j * out[j] * a[k - j] for j in range(1, k)) / k
-            out.append((a[k] - acc) / a[0])
+            acc = np.add.reduce(jo[: k - 1] * a[k - 1 : 0 : -1], axis=0) / k if k > 1 else 0.0
+            out[k] = (a[k] - acc) / a[0]
+            jo[k - 1] = k * out[k]
         return Jet(out)
 
     def logaddexp(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            m = np.maximum(self.c[0], other.c[0])
-            return m + ((self - m).exp() + (other - m).exp()).log()
-        m = np.maximum(self.c[0], other)
+        m = np.maximum(self.c[0], other.c[0] if isinstance(other, Jet) else other)
         return m + ((self - m).exp() + np.exp(other - m)).log()
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs:
+        op = _JET_UFUNCS.get(ufunc.__name__) if method == "__call__" and not kwargs else None
+        if op is None:
             return NotImplemented
-        if not isinstance(inputs[0], Jet):  # ndarray or numpy scalar on the left
-            op = _JET_REFLECTED.get(ufunc.__name__)
-            return NotImplemented if op is None else op(inputs[1], inputs[0])
-        op = _JET_UFUNCS.get(ufunc.__name__)
-        return NotImplemented if op is None else op(*inputs)
+        if isinstance(inputs[0], Jet):
+            return op(*inputs)
+        # x op jet for an ndarray or numpy scalar x: +, * and logaddexp commute
+        return inputs[1].__rsub__(inputs[0]) if op is Jet.__sub__ else op(inputs[1], inputs[0])
+
+
+def _lift(c, ndim: int):
+    """Coefficients c, (K+1, *shape), with ones put after the first axis so that
+    each row broadcasts as an array of ``ndim`` axes."""
+    extra = (1,) * (ndim + 1 - c.ndim)
+    return c.reshape(c.shape[:1] + extra + c.shape[1:]) if extra else c
 
 
 # Keyed by ufunc name, so that defining them imports no numpy.
@@ -399,13 +435,6 @@ _JET_UFUNCS = {
     "multiply": Jet.__mul__,
     "negative": Jet.__neg__,
 }
-# ufunc(x, jet) for a non-jet x, as a method of the jet.
-_JET_REFLECTED = {
-    "logaddexp": Jet.logaddexp,
-    "add": Jet.__radd__,
-    "subtract": Jet.__rsub__,
-    "multiply": Jet.__rmul__,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -416,28 +445,6 @@ _JET_REFLECTED = {
 # bounded from f^(2p).
 EM_ORDER = 3
 _REMAINDER_EPSREL = 1e-1
-
-
-def _scaled_derivatives(log_f: Callable, log_x, order: int) -> tuple:
-    """(psi, e) with f^(k)(x) x^k / k! = e[k] exp(psi) at x = exp(log_x).
-
-    ``log_x`` is a float or an array of points; psi and each e[k] follow it.
-    """
-    psi = log_f(Jet.log_variable(log_x, order))
-    psi0 = psi.c[0]
-    return psi0, (psi - psi0).exp().c
-
-
-def _boundary_terms(log_f: Callable, n: int, b: list[float]) -> tuple[float, float]:
-    """f(n)/2 and sum_{k<p} B_2k/(2k)! f^(2k-1)(n): one end's Euler-Maclaurin terms."""
-    p = EM_ORDER
-    u = math.log(n)
-    psi0, e = _scaled_derivatives(log_f, u, 2 * p)
-    # f^(j)(n) = j! e[j] exp(psi0 - j u), so B_2k/(2k)! f^(2k-1)(n) = B_2k/(2k) e[2k-1] ...
-    corrections = math.fsum(
-        b[k] / (2 * k) * e[2 * k - 1] * math.exp(psi0 - (2 * k - 1) * u) for k in range(1, p)
-    )
-    return 0.5 * math.exp(psi0), corrections
 
 
 def euler_maclaurin_tail(
@@ -468,26 +475,34 @@ def euler_maclaurin_tail(
     """
     p = EM_ORDER
     b = [float(v) for v in bernoulli_table(2 * p).values]  # b[k] = B_2k
-    half, corrections = _boundary_terms(log_f, start, b)
-    value = integral + half - corrections
-    u_end = math.inf
-    if stop is not None:
-        half, corrections = _boundary_terms(log_f, stop, b)
-        value += half + corrections
-        u_end = math.log(stop)
+    u_ends = [math.log(start)] if stop is None else [math.log(start), math.log(stop)]
+    at_ends = []  # f(n)/2 and sum_{k<p} B_2k/(2k)! f^(2k-1)(n) at each end
 
-    # |f^(2p)(x)| dx = (2p)! |e[2p]| exp(psi + (1-2p) u) du at x = e^u; one
-    # array jet evaluates a whole refinement round's nodes.
+    # One array jet per refinement round, on its nodes and, in the first
+    # round, the ends: with psi = log f(x) and e[k] = f^(k)(x) x^k / k! / f(x)
+    # at x = e^u, |f^(2p)(x)| dx = (2p)! |e[2p]| exp(psi + (1-2p) u) du.
     def abs_high_derivative(u: np.ndarray) -> np.ndarray:
-        psi, ee = _scaled_derivatives(log_f, u, 2 * p)
-        return np.abs(ee[2 * p]) * np.exp(psi + (1 - 2 * p) * u)
+        m = len(u)
+        jet = log_f(Jet.log_variable(np.concatenate((u, u_ends[len(at_ends) :])), 2 * p))
+        psi = jet.c[0]
+        ee = (jet - psi).exp().c
+        for un, psi0, e in zip(u_ends, psi[m:].tolist(), ee[:, m:].T.tolist()):
+            # f^(j)(n) = j! e[j] exp(psi0 - j u): B_2k/(2k)! f^(2k-1)(n) is B_2k/(2k) e[2k-1] ...
+            corrections = math.fsum(
+                b[k] / (2 * k) * e[2 * k - 1] * math.exp(psi0 - (2 * k - 1) * un) for k in range(1, p)
+            )
+            at_ends.append((0.5 * math.exp(psi0), corrections))
+        return np.abs(ee[2 * p, :m]) * np.exp(psi[:m] + (1 - 2 * p) * u)
 
-    u0 = math.log(start)
-    edges = [u0, *sorted(x for x in breaks if u0 < x < u_end), u_end]
+    u0, u_end = u_ends[0], math.inf if stop is None else u_ends[1]
+    inner = sorted(x for x in breaks if u0 < x < u_end)
     total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        val, err = quad(abs_high_derivative, lo, hi, epsrel=_REMAINDER_EPSREL)
+    for val, err in quad(abs_high_derivative, u0, u_end, epsrel=_REMAINDER_EPSREL, points=inner):
         total += val + err
+    (half, corrections), *at_stop = at_ends
+    value = integral + half - corrections
+    for half, corrections in at_stop:
+        value += half + corrections
     bound = (2.0 - 2.0 ** (1 - 2 * p)) * abs(b[p]) * total + integral_err
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise NumericError(f"Euler-Maclaurin tail from {start} gave {value} +- {bound}")

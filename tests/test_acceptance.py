@@ -204,9 +204,11 @@ def test_sequence_suites_sum_short_heads(monkeypatch):
 
 def test_thm11_integrates_on_node_arrays(monkeypatch):
     # a deterministic cost guard: every quadrature of the thm11 suite (tail
-    # integrals and Euler-Maclaurin remainders) calls its integrand, and so
-    # the power-log summand, once per refinement round on arrays of nodes;
-    # today at most 5 rounds a call, where one call per node makes at least 21
+    # integrals and Euler-Maclaurin remainders, one quad call over all the
+    # segments of each) calls its integrand, and so the power-log summand,
+    # once per refinement round on arrays of nodes, whatever its number of
+    # segments; today at most 5 rounds a call, where one call per node makes
+    # at least 21
     from mathieu_series import dirichlet, series, tails
 
     rule = tails.quad
@@ -229,12 +231,13 @@ def test_thm11_integrates_on_node_arrays(monkeypatch):
         try:
             return rule(counted, a, b, **kwargs)
         finally:
-            per_quad.append((calls[0], summand_calls[0] - before))
+            segments = 1 + len(kwargs.get("points") or ())
+            per_quad.append((calls[0], summand_calls[0] - before, segments))
 
     monkeypatch.setattr(series, "_powerlog_log_summand", counting_summand)
     for module in (tails, series, dirichlet):
         monkeypatch.setattr(module, "quad", counting_quad)
     assert all(c.passed for c in run_suite("thm11"))
-    assert len(per_quad) >= 60
-    assert max(integrand for integrand, _ in per_quad) <= 8
-    assert max(summand for _, summand in per_quad) <= 8
+    assert sum(segments for *_, segments in per_quad) >= 60
+    assert max(integrand for integrand, _, _ in per_quad) <= 8
+    assert max(summand for _, summand, _ in per_quad) <= 8

@@ -71,6 +71,17 @@ def test_leading_constant_gamma_pole():
         leading_constant(PowerLogParams(1, 2, 1.0, 0, 1))
 
 
+def test_leading_constant_needs_the_integer_branch_above_one():
+    # m = delta(alpha+1)/beta - gamma = 4/3: Gamma(1-m) < 0 gave -0.6085 for a
+    # positive series; past m = 1 the singular part is only a correction
+    p = PowerLogParams(1, 3, 0, 2, 0)
+    with pytest.raises(PreconditionError, match="1.33333"):
+        leading_constant(p)
+    with pytest.raises(PreconditionError):
+        predict_powerlog(p, 10.0)
+    assert leading_constant(PowerLogParams(1, 1, 0, 1, 2)) > 0.0  # m = 2, the integer branch
+
+
 def test_predict_powerlog_examples():
     assert predict_powerlog(PowerLogParams(1, 2, 0, 0, 1), 100.0) == pytest.approx(
         5e-5, rel=1e-12

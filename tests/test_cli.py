@@ -202,6 +202,18 @@ def test_predict_powerlog_radius_at_most_e_exit_2(capsys, r):
     assert "error:" in err and "r > e" in err
 
 
+def test_predict_powerlog_without_a_first_order_law_exit_4(capsys):
+    # m = 4/3, off the integer branch: the law used to print a negative value
+    code, out, err = run_cli(
+        capsys,
+        "predict", "powerlog", "--alpha", "1", "--beta", "3", "--delta", "2", "--mu", "0",
+        "--r", "10",
+    )
+    assert code == 4
+    assert out == ""
+    assert "precondition failed" in err and "1.33333" in err
+
+
 def test_predict_factorial_outside_good_set(capsys):
     r = math.exp(math.lgamma(7.0))  # fractional part exactly zero
     code, out, err = run_cli(
@@ -283,6 +295,19 @@ def test_sweep_error_column_on_partial_failure(capsys):
     assert first["r"] == "5.0"
     assert "requires r >= 10" in first["error"]
     assert all(len(r) == len(header) for r in rows[1:])  # quoting keeps rows rectangular
+
+
+def test_sweep_powerlog_says_why_the_ratio_is_empty(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "sweep", "powerlog", "--alpha", "1", "--beta", "3", "--delta", "2", "--mu", "0",
+        "--r-grid", "10:1000:3",
+    )
+    assert code == 0
+    for record in json.loads(out)["records"]:
+        assert record["value"] > 0.0
+        assert record["prediction"] is None and record["ratio"] is None
+        assert "no first-order law" in record["error"]
 
 
 def test_sweep_expansion_error_shrinks(capsys):

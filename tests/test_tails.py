@@ -6,8 +6,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mathieu_series.errors import DomainError
+from mathieu_series.errors import DomainError, NumericError
 from mathieu_series.series import PowerLogParams, _powerlog_log_summand
 from mathieu_series.special import log_log_factorial
 from mathieu_series.tails import (
@@ -15,6 +17,7 @@ from mathieu_series.tails import (
     euler_maclaurin_tail,
     exp_poly_tail,
     powerlog_tail_bound,
+    quad,
 )
 
 
@@ -139,14 +142,13 @@ _LOG_SUMMANDS = {
 
 @pytest.mark.parametrize("name", sorted(_LOG_SUMMANDS))
 def test_array_jet_matches_scalar_jets(name):
+    # to the last bit: the Euler-Maclaurin tail takes its boundary terms
+    # from the elements of the remainder's array jet
     log_f = _LOG_SUMMANDS[name]
     u = np.linspace(math.log(64.0), 40.0, 57)
     array_jet = log_f(Jet.log_variable(u, 6))
     for i, ui in enumerate(u.tolist()):
-        scalar = log_f(Jet.log_variable(ui, 6)).c
-        for k, (coeffs, expected) in enumerate(zip(array_jet.c, scalar)):
-            got = np.broadcast_to(coeffs, u.shape)[i]
-            assert abs(got - expected) <= 1e-15 * abs(expected), (k, ui)
+        assert array_jet.c[:, i].tolist() == log_f(Jet.log_variable(ui, 6)).c.tolist(), ui
 
 
 def test_array_jet_operations_in_either_order():
@@ -165,6 +167,52 @@ def test_array_jet_operations_in_either_order():
     for k in range(4):
         for i in range(3):
             assert spread.c[k][i] == (arr[i] * scalar + arr[i]).c[k]
+
+
+# ---------------------------------------------------------------------------
+# Quadrature over breakpoints
+# ---------------------------------------------------------------------------
+
+
+@given(
+    start=st.floats(-5.0, 30.0),
+    width=st.floats(0.5, 40.0),
+    cuts=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4, unique=True),
+    infinite=st.booleans(),
+    peak=st.floats(-5.0, 60.0),
+    epsrel=st.sampled_from([1e-13, 1e-10, 0.1]),
+    limit=st.sampled_from([50, 400]),
+)
+@settings(max_examples=80, deadline=None)
+def test_segments_are_the_one_segment_rule_in_lockstep(
+    start, width, cuts, infinite, peak, epsrel, limit
+):
+    # a peak over a slow decay, as in the tail integrals and remainders
+    def integrand(u):
+        calls.append(u.size)
+        return np.exp(-0.5 * (u - peak) ** 2) + np.exp(-0.1 * u - 0.02 * u * u)
+
+    points = sorted({start + width * c for c in cuts} - {start, start + width})
+    end = math.inf if infinite else start + width
+    edges = [start, *points, end]
+    calls = []
+    alone, rounds = [], []
+    for lo, hi in zip(edges, edges[1:]):
+        alone.append(quad(integrand, lo, hi, epsrel=epsrel, limit=limit))
+        rounds.append(len(calls))
+        calls.clear()
+    together = quad(integrand, start, end, epsrel=epsrel, limit=limit, points=points)
+    assert together == alone
+    assert len(calls) == max(rounds)  # one call per round, on every segment still refining
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_segments_name_a_non_finite_node(bad):
+    def integrand(u):
+        return np.where(np.abs(u - 2.5) < 0.3, bad, np.exp(-u))
+
+    with pytest.raises(NumericError, match=r"integrand is \S+ at x = 2\.[2-8]"):
+        quad(integrand, 0.0, math.inf, points=[1.0, 3.0])
 
 
 def _exp_poly_tail_exact(decay, power, u0):
