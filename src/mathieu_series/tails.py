@@ -289,8 +289,7 @@ def quad(
         s: ([0.0], [1.0], lo) if hi == math.inf else ([lo], [hi], None)
         for s, (lo, hi) in enumerate(zip(edges, edges[1:]))
     }
-    segments: list[list] = [[] for _ in asks]
-    results: list = [None] * len(asks)
+    segments, results = [[] for _ in asks], [None] * len(asks)
     while asks:
         for s, new in zip(list(asks), _gk21_panels(func, list(asks.values()))):
             segments[s] += new
@@ -419,8 +418,7 @@ class Jet:
 
 
 def _lift(c, ndim: int):
-    """Coefficients c, (K+1, *shape), with ones put after the first axis so that
-    each row broadcasts as an array of ``ndim`` axes."""
+    """Coefficients c with ones put after axis 0: each row broadcasts as ``ndim`` axes."""
     extra = (1,) * (ndim + 1 - c.ndim)
     return c.reshape(c.shape[:1] + extra + c.shape[1:]) if extra else c
 
@@ -469,9 +467,10 @@ def euler_maclaurin_tail(
     [N, M] or [N, inf) (DLMF 2.10(i)), plus ``integral_err``. That integral
     runs by ``quad`` in u = log x, split at ``breaks`` (u-coordinates where
     the summand turns), to an estimated error of 0.1 of its value: each
-    refinement round takes f^(2p) at all its nodes from one array jet, and
-    the QUADPACK error estimate is added to the integral. A finite end
-    keeps the jets away from where log f itself overflows.
+    refinement round takes f^(2p) at all its nodes from one array jet (the
+    first round also the ends' terms), and the QUADPACK error estimate is
+    added to the integral. A finite end keeps the jets away from where
+    log f itself overflows.
     """
     p = EM_ORDER
     b = [float(v) for v in bernoulli_table(2 * p).values]  # b[k] = B_2k
@@ -483,7 +482,7 @@ def euler_maclaurin_tail(
     # at x = e^u, |f^(2p)(x)| dx = (2p)! |e[2p]| exp(psi + (1-2p) u) du.
     def abs_high_derivative(u: np.ndarray) -> np.ndarray:
         m = len(u)
-        jet = log_f(Jet.log_variable(np.concatenate((u, u_ends[len(at_ends) :])), 2 * p))
+        jet = log_f(Jet.log_variable(np.concatenate((u, [] if at_ends else u_ends)), 2 * p))
         psi = jet.c[0]
         ee = (jet - psi).exp().c
         for un, psi0, e in zip(u_ends, psi[m:].tolist(), ee[:, m:].T.tolist()):
