@@ -222,8 +222,7 @@ def _gk21_panels(func: Callable, segments: list[tuple]) -> list[list[tuple]]:
     The error estimate is QUADPACK's: resasc min(1, (200 |K - G| / resasc)^1.5),
     where K and G are the Kronrod and Gauss values and resasc the Kronrod
     integral of |f - mean f|, raised to the roundoff floor 50 eps resabs,
-    resabs the Kronrod integral of |f|. Where the panel is too narrow to
-    bisect, its floor reads as its error: no error above the floor is refined.
+    resabs the Kronrod integral of |f|.
     """
     gk_nodes, gk_kronrod, gk_weights = _gk21_rule()
     nodes = []
@@ -251,16 +250,12 @@ def _gk21_panels(func: Callable, segments: list[tuple]) -> list[list[tuple]]:
         resasc = (np.abs(fx - 0.5 * kronrod[:, None]) @ gk_kronrod * abs_half).tolist()
         diff = (np.abs(kronrod - kg[:, 1]) * abs_half).tolist()
         values = (kronrod * half).tolist()
-        out.append([])
+        out.append(panels := [])
         for i, (err, spread, size) in enumerate(zip(diff, resasc, resabs)):
             if spread != 0.0 and err != 0.0:
                 err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
             floor = _ROUNDOFF * size if size > _UFLOW / _ROUNDOFF else 0.0
-            err, lo, hi = max(err, floor), los[i], his[i]
-            mid = abs(0.5 * (lo + hi))
-            if max(abs(lo), abs(hi)) <= (1.0 + 100.0 * _EPS) * (mid + 1000.0 * _UFLOW):
-                floor = err  # the midpoint no longer separates the ends (QUADPACK's test)
-            out[-1].append((err, floor, lo, hi, values[i]))
+            panels.append((max(err, floor), floor, los[i], his[i], values[i]))
     return out
 
 
@@ -303,7 +298,7 @@ def quad(
             if total_err <= tol or len(panels) >= limit:
                 continue
             # Bisect the largest errors until those left alone sum to at most tol.
-            ranked = [i for i, p in enumerate(panels) if p[0] > p[1]]
+            ranked = [i for i, p in enumerate(panels) if p[0] > p[1] and _bisectable(p[2], p[3])]
             ranked.sort(key=lambda i: -panels[i][0])
             pick = []
             for i in ranked[: limit - len(panels)]:
@@ -318,6 +313,12 @@ def quad(
                 picked = set(pick)
                 segments[s] = [p for i, p in enumerate(panels) if i not in picked]
     return results[0] if points is None else results
+
+
+def _bisectable(lo: float, hi: float) -> bool:
+    """False once the midpoint of [lo, hi] no longer separates its ends (QUADPACK's test)."""
+    mid = 0.5 * (lo + hi)
+    return max(abs(lo), abs(hi)) > (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _UFLOW)
 
 
 # ---------------------------------------------------------------------------
