@@ -1,10 +1,10 @@
 """Exact values of the evaluators that run on the shared smooth-tail code.
 
-Every number here is the ``repr`` of what the evaluator returned before its
-Euler-Maclaurin tail, quadrature and jets were batched into array calls;
-the batching keeps the order of every floating-point operation, so each
-must stay ``==``. A change that moves the arithmetic on purpose re-records
-them and says why.
+Every number here is the ``repr`` of what the evaluator returns. The
+Euler-Maclaurin tail, the quadrature rounds and the jets evaluate on
+arrays of points in the order of floating-point operations of one point at
+a time, so each must stay ``==``. A change that moves the arithmetic on
+purpose re-records them and says why.
 """
 
 import math
