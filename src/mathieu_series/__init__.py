@@ -10,7 +10,11 @@ Importing the package loads none of its submodules. Each name below is
 imported from its submodule the first time it is read (PEP 562), so a
 caller pays only for the code it runs. The name is looked up in the
 submodule on every read, never stored here, so a rebinding in the
-submodule shows through the package as well.
+submodule shows through the package as well. The records and the
+factorial family are read from ``_core``, the scalar core that ``series``
+re-exports, so that ``mathieu_series.eval_factorial`` loads neither
+``series`` nor ``tails``; a rebinding of one of them at ``series`` alone
+does not show through the package.
 """
 
 import sys
@@ -75,13 +79,13 @@ _EXPORTS = {
             "PowerLogParams",
             "SequencePair",
             "eval_factorial",
-            "eval_general",
-            "eval_general_grid",
-            "eval_power_series",
-            "eval_powerlog",
             "factorial_summand_log",
             "peak_index_n0",
         ),
+        "_core",
+    ),
+    **dict.fromkeys(
+        ("eval_general", "eval_general_grid", "eval_power_series", "eval_powerlog"),
         "series",
     ),
     **dict.fromkeys(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (
@@ -22,12 +21,11 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .series import (
+from ._core import (
     FactorialParams,
     PowerLogParams,
     _normal_exp,
     _require_radius,
-    eval_powerlog,
     factorial_summand_log,
     peak_index_n0,
 )
@@ -370,7 +368,7 @@ def classical_expansion_terms(mu: float, K: int, max_bernoulli: int = 64) -> lis
     for k in range(K + 1):
         zeta_val = zeta_neg_odd(k, table)
         if mu_is_int:
-            coeff = float(2 * Fraction(-1) ** k * zeta_val * math.comb(k + int(mu), k))
+            coeff = float(2 * (-1) ** k * zeta_val * math.comb(k + int(mu), k))
         else:
             ratio = math.exp(
                 math.lgamma(k + mu + 1.0) - math.lgamma(mu + 1.0) - log_factorial(k)
@@ -436,5 +434,7 @@ def _classical_series(mu: float, r: float, rel_tol: float) -> float:
 
     Twice the power-log sum over n >= 2 at (1, 2, 0, 0, mu), plus the n = 1 term.
     """
+    from .series import eval_powerlog  # the closed forms above run without series
+
     p = PowerLogParams(1, 2, 0, 0, mu)
     return 2.0 * eval_powerlog(p, r, rel_tol=rel_tol).value + 2.0 / (1.0 + r * r) ** (mu + 1.0)

@@ -6,9 +6,19 @@ flags produce byte-identical output. Exit codes: 0 success, 1 verification
 or numeric failure, 2 parameter error, 3 resource cap, 4 unmet
 precondition (e.g. radius outside the good set).
 
-A command imports the modules that only it needs (``asymptotics`` for
-predict and sweep, ``verify`` for verify) when it runs, so a CLI process
-loads only the code its command runs.
+Importing this module loads the scalar core (``_core``: the parameter
+records, the argument checks and the factorial family) with ``special``
+and ``errors``. A command imports the rest of what it runs when it runs,
+so a CLI process loads only the code its command runs:
+
+* ``eval factorial``: nothing more;
+* ``predict powerlog``, ``predict factorial`` and ``sweep factorial``:
+  ``asymptotics``;
+* ``eval powerlog``, ``eval general`` and ``eval powerseries``: ``series``
+  and ``tails``;
+* ``sweep powerlog`` and ``sweep expansion``: ``asymptotics``, ``series``
+  and ``tails``;
+* ``verify``: ``verify``, which loads all of the above and ``dirichlet``.
 """
 
 from __future__ import annotations
@@ -24,6 +34,14 @@ import sys
 from typing import Optional
 
 from . import __version__
+from ._core import (
+    DEFAULT_GENERAL_CAP,
+    DEFAULT_HARD_CAP,
+    FactorialParams,
+    PowerLogParams,
+    SequencePair,
+    eval_factorial,
+)
 from ._suites import SUITE_NAMES
 from .errors import (
     CapacityError,
@@ -33,17 +51,6 @@ from .errors import (
     ParameterError,
     PreconditionError,
     ResourceLimitError,
-)
-from .series import (
-    DEFAULT_GENERAL_CAP,
-    DEFAULT_HARD_CAP,
-    FactorialParams,
-    PowerLogParams,
-    SequencePair,
-    eval_factorial,
-    eval_general,
-    eval_power_series,
-    eval_powerlog,
 )
 from .special import log_factorial
 
@@ -181,6 +188,14 @@ def _expansion_mu(args: argparse.Namespace) -> float:
     return args.mu
 
 
+def _eval_powerlog(p: PowerLogParams, r: float, **kwargs):
+    """``series.eval_powerlog``, looked up when called, so that importing this
+    module does not load ``series``."""
+    from . import series
+
+    return series.eval_powerlog(p, r, **kwargs)
+
+
 @dataclasses.dataclass(frozen=True)
 class _Family:
     required: tuple[str, ...]  # flags the family needs
@@ -194,7 +209,7 @@ _FAMILIES = {
         ("alpha", "beta", "mu"),
         lambda a: PowerLogParams(a.alpha, a.beta, a.gamma, a.delta, a.mu),
         DEFAULT_HARD_CAP,
-        eval_powerlog,
+        _eval_powerlog,
     ),
     "factorial": _Family(
         ("alpha", "beta", "mu"),
@@ -220,9 +235,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if family.evaluate is not None:
         res = family.evaluate(params, args.r, rel_tol=args.tol, hard_cap=cap)
     elif args.family == "general":
+        from .series import eval_general
+
         pair, n_start = params
         res = eval_general(pair, args.mu, args.r, rel_tol=args.tol, hard_cap=cap, n_start=n_start)
     else:  # powerseries
+        from .series import eval_power_series
+
         value = eval_power_series(params, args.mu, args.x, args.r, rel_tol=args.tol, hard_cap=cap)
         record = {"family": args.family, "r": args.r, "x": args.x, "value": value}
         _emit_record(record, args, ["family", "sequences", "mu", "x", "r", "tol"])
@@ -245,9 +264,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     from .asymptotics import asymptotic_prediction, factorial_diagnostics, predict_factorial
 
     if args.family == "powerlog":
-        gamma = args.alpha if args.gamma_eq_alpha else args.gamma
-        delta = args.beta if args.delta_eq_beta else args.delta
-        p = PowerLogParams(args.alpha, args.beta, gamma, delta, args.mu)
+        # The meta line reads gamma and delta from args: show the ones used.
+        if args.gamma_eq_alpha:
+            args.gamma = args.alpha
+        if args.delta_eq_beta:
+            args.delta = args.beta
+        p = PowerLogParams(args.alpha, args.beta, args.gamma, args.delta, args.mu)
         pred = asymptotic_prediction(p)
         if args.gamma_eq_alpha and args.delta_eq_beta:
             # exact in the closed form, immune to rounding

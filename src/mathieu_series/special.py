@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from ._deferred import deferred_module
 from .errors import CapacityError, DomainError, NumericError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 np = deferred_module("numpy")
 
@@ -177,6 +180,8 @@ def bernoulli_table(max_index: int = 64) -> BernoulliTable:
     Uses sum_{j=0}^{m} C(m+1, j) B_j = 0 with B_1 = -1/2; odd B_j vanish
     beyond that, so only even rows are kept.
     """
+    from fractions import Fraction
+
     if max_index < 0 or max_index % 2 != 0:
         raise DomainError(f"max_index must be a nonnegative even integer, got {max_index}")
     evens = [Fraction(1)]  # B_0
@@ -208,8 +213,19 @@ def zeta_neg_odd(k: int, table: BernoulliTable | None = None) -> Fraction:
 # Digamma, real argument
 # ---------------------------------------------------------------------------
 
-# B_2k / (2k), k = 1..8: the asymptotic series' coefficients in 1/x^2k.
-_DIGAMMA_COEFFS = tuple(float(b) / (2 * k) for k, b in enumerate(bernoulli_table(16).values) if k)
+# B_2k / (2k), k = 1..8: the asymptotic series' coefficients in 1/x^2k. B_2k
+# is written as numerator / denominator, so that importing this module does
+# not import fractions; each is == float(B_2k) / (2k) from bernoulli_table(16).
+_DIGAMMA_COEFFS = (
+    (1 / 6) / 2,
+    (-1 / 30) / 4,
+    (1 / 42) / 6,
+    (-1 / 30) / 8,
+    (5 / 66) / 10,
+    (-691 / 2730) / 12,
+    (7 / 6) / 14,
+    (-3617 / 510) / 16,
+)
 
 
 def digamma(x: float) -> float:

@@ -334,8 +334,12 @@ class Jet:
     or arrays, either side) and, through numpy's ufunc protocol, ``np.log``,
     ``np.exp`` and ``np.logaddexp``; so a summand written with those runs
     unchanged on floats, arrays and jets. Each coefficient of *, exp and log
-    adds its products left to right, in one ``np.add.reduce`` along axis 0:
-    an element of an array jet is == the jet at that point alone.
+    adds its products in one ``np.add.reduce`` along axis 0. On an array jet
+    that reduce adds rows left to right; on a scalar jet it is a 1-D reduce,
+    which numpy adds left to right below 8 terms and pairwise from 8 on. So
+    up to order 6 an element of an array jet is == the jet at that point
+    alone; from order 7 on the two can differ in the last bit. The
+    Euler-Maclaurin tail (order 2 * ``EM_ORDER`` = 6) relies on the equality.
     """
 
     __slots__ = ("c",)

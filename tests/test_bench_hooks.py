@@ -65,3 +65,22 @@ def test_tracer_counts_series_quad_and_puts_the_originals_back():
     assert _bindings(tracing) == before
     assert mathieu_series.eval_general is before[("series", "eval_general")]
     assert verify._SUITES == suites
+
+
+def test_tracer_counts_the_factorial_family_of_the_scalar_core():
+    # eval_factorial is written in _core, which the tracer does not scan: its
+    # calls must still reach the wrappers at the bindings the tracer patches,
+    # and each of its terms reads log n! through special.log_factorial.
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.traced_pass():
+            verify.run_suite("thm13")
+    finally:
+        tracer.uninstall()
+
+    counts = tracer.pass_counts[0]
+    assert counts["series.eval_factorial.calls"] > 0
+    assert counts["special.log_factorial.calls"] > 0
+    assert counts["special.log_factorial.calls"] >= counts["series.eval_factorial.terms"]

@@ -180,6 +180,17 @@ def test_predict_corollary_mode_exact_log_exponent(capsys):
     assert json.loads(out)["log_exponent"] == -1.0
 
 
+def test_predict_meta_line_shows_the_gamma_and_delta_used(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "predict", "powerlog", "--alpha", "1", "--beta", "3", "--mu", "1",
+        "--gamma-eq-alpha", "--delta-eq-beta", "--r", "100", "--format", "csv",
+    )
+    assert code == 0
+    meta = out.splitlines()[0]
+    assert " gamma=1.0 delta=3.0 " in meta, meta
+
+
 @pytest.mark.parametrize("flags", [(), ("--gamma-eq-alpha", "--delta-eq-beta")])
 def test_predict_powerlog_unrepresentable_value_exit_1(capsys, flags):
     code, out, err = run_cli(

@@ -119,18 +119,28 @@ def _run_child(code: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
+def _modules_loaded_by(code: str) -> set[str]:
+    """Every module that ``code`` leaves loaded in a fresh interpreter."""
+    last = _run_child(code + "\nimport sys\nprint('loaded:', *sorted(sys.modules))")
+    assert last.startswith("loaded:"), last
+    return set(last.split()[1:])
+
+
+def _submodules(modules: set[str]) -> set[str]:
+    """The package's submodules among ``modules``, without the package prefix."""
+    return {m.removeprefix("mathieu_series.") for m in modules if m.startswith("mathieu_series.")}
+
+
 def _submodules_loaded_by(code: str) -> set[str]:
     """The package's submodules that ``code`` loads in a fresh interpreter."""
-    last = _run_child(
-        code
-        + "\nimport sys\n"
-        + "print('loaded:', *sorted(m for m in sys.modules if m.startswith('mathieu_series.')))"
-    )
-    assert last.startswith("loaded:"), last
-    return {m.removeprefix("mathieu_series.") for m in last.split()[1:]}
+    return _submodules(_modules_loaded_by(code))
 
 
 NOT_FOR_SCALAR_WORK = {"asymptotics", "dirichlet", "verify"}
+# eval_factorial and the closed forms run on the scalar core: without the
+# quadrature stack of series and tails, and without fractions, which only
+# the exact Bernoulli numbers need.
+NOT_FOR_THE_SCALAR_CORE = {"mathieu_series.series", "mathieu_series.tails", "fractions"}
 
 
 def test_heavy_modules_load_on_first_use():
@@ -159,40 +169,43 @@ assert not heavy, heavy
 
 
 def test_eval_factorial_loads_only_the_modules_it_runs():
-    loaded = _submodules_loaded_by(
+    modules = _modules_loaded_by(
         "import mathieu_series as m\nm.eval_factorial(m.FactorialParams(1, 2, 1), 1e6)"
     )
-    assert "series" in loaded
-    assert not loaded & NOT_FOR_SCALAR_WORK, loaded
+    assert not modules & NOT_FOR_THE_SCALAR_CORE, modules & NOT_FOR_THE_SCALAR_CORE
+    assert "_core" in _submodules(modules)
+    assert not _submodules(modules) & NOT_FOR_SCALAR_WORK, _submodules(modules)
 
 
 @pytest.mark.parametrize(
-    "argv, not_loaded",
+    "argv, not_loaded, core_only",
     [
         (["eval", "factorial", "--alpha", "1", "--beta", "2", "--mu", "1", "--r", "1e6"],
-         NOT_FOR_SCALAR_WORK),
+         NOT_FOR_SCALAR_WORK, True),
         (["eval", "powerseries", "--sequences", "ones-squares", "--mu", "0", "--x", "0.5",
-          "--r", "100"], NOT_FOR_SCALAR_WORK),
+          "--r", "100"], NOT_FOR_SCALAR_WORK, False),
         (["eval", "powerlog", "--alpha", "1", "--beta", "2", "--mu", "1", "--r", "10"],
-         NOT_FOR_SCALAR_WORK),
+         NOT_FOR_SCALAR_WORK, False),
         (["predict", "powerlog", "--alpha", "1", "--beta", "2", "--mu", "1", "--r", "100"],
-         {"verify"}),
+         {"verify"}, True),
         (["predict", "factorial", "--alpha", "1", "--beta", "2", "--mu", "1",
-          "--r", "137846287.9"], {"verify"}),
+          "--r", "137846287.9"], {"verify"}, True),
         (["sweep", "factorial", "--alpha", "1", "--beta", "2", "--mu", "1",
-          "--r-grid", "1e3:1e6:4", "--tol", "1e-10"], {"verify"}),
+          "--r-grid", "1e3:1e6:4", "--tol", "1e-10"], {"verify"}, True),
     ],
     ids=["eval-factorial", "eval-powerseries", "eval-powerlog", "predict-powerlog",
          "predict-factorial", "sweep-factorial"],
 )
-def test_cli_command_loads_only_the_modules_it_runs(argv, not_loaded):
-    loaded = _submodules_loaded_by(
+def test_cli_command_loads_only_the_modules_it_runs(argv, not_loaded, core_only):
+    modules = _modules_loaded_by(
         "import contextlib, io\n"
         "from mathieu_series import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({argv!r}) == 0\n"
     )
-    assert not loaded & not_loaded, loaded
+    assert not _submodules(modules) & not_loaded, _submodules(modules)
+    if core_only:
+        assert not modules & NOT_FOR_THE_SCALAR_CORE, modules & NOT_FOR_THE_SCALAR_CORE
 
 
 def test_every_exported_name_resolves():

@@ -1072,10 +1072,10 @@ def test_factorial_cap_out_of_reach_raises_at_once(monkeypatch):
     # Past the peak the stop rule needs (mu+1) log 2 + (alpha - beta(mu+1)) log(n+1) < 0,
     # first true here at log(n+1) > 55.5: at the default cap of 1e9 terms the
     # loop had run 96 s before it ran out of memory. Now no term is summed.
-    from mathieu_series import series
+    from mathieu_series import _core, series
 
     calls = []
-    monkeypatch.setattr(series, "factorial_summand_log", lambda *args: calls.append(args))
+    monkeypatch.setattr(_core, "factorial_summand_log", lambda *args: calls.append(args))
     with pytest.raises(ResourceLimitError, match="exceeded the term cap 1000000000") as info:
         eval_factorial(FactorialParams(2.1676, 0.4199, 4.3203), 1.276e125)
     assert info.value.cap == series.DEFAULT_HARD_CAP and info.value.bound_achieved is None

@@ -185,6 +185,12 @@ def test_zeta_neg_odd_capacity():
 # ---------------------------------------------------------------------------
 
 
+def test_digamma_coefficients_are_the_bernoulli_values():
+    # written as literals so that importing special loads no fractions
+    expected = tuple(float(b) / (2 * k) for k, b in enumerate(bernoulli_table(16).values) if k)
+    assert special._DIGAMMA_COEFFS == expected
+
+
 def test_digamma_matches_mpmath():
     # both sides of the x = 10 switch to the asymptotic series, and large x
     grid = [*np.linspace(2.0, 12.0, 101), *np.geomspace(2.0, 1e12, 61)]

@@ -13,6 +13,7 @@ from mathieu_series.errors import DomainError, NumericError
 from mathieu_series.series import PowerLogParams, _powerlog_log_summand
 from mathieu_series.special import log_log_factorial
 from mathieu_series.tails import (
+    EM_ORDER,
     Jet,
     euler_maclaurin_tail,
     exp_poly_tail,
@@ -149,6 +150,14 @@ def test_array_jet_matches_scalar_jets(name):
     array_jet = log_f(Jet.log_variable(u, 6))
     for i, ui in enumerate(u.tolist()):
         assert array_jet.c[:, i].tolist() == log_f(Jet.log_variable(ui, 6)).c.tolist(), ui
+
+
+def test_euler_maclaurin_jets_stay_where_array_and_scalar_jets_agree():
+    # A scalar jet's coefficients are 1-D reduces, which numpy adds pairwise
+    # from 8 terms on (order 7), while an array jet adds its rows in order;
+    # the tail reads its boundary terms from array-jet elements and relies on
+    # their equality with the scalar jets, which holds up to order 6.
+    assert 2 * EM_ORDER <= 6
 
 
 def test_array_jet_operations_in_either_order():
