@@ -4,10 +4,11 @@ Everything here is scalar ``math`` on floats: the records of every family
 (``PowerLogParams``, ``FactorialParams``, ``SequencePair``,
 ``GeneralEnvelope``, ``EvalResult``), the argument checks that the
 evaluators and closed forms share, and the factorial family, which is a
-short log-space sum around its peak. Importing it loads ``special`` and
-``errors`` only, not the quadrature and Euler-Maclaurin code of ``series``
-and ``tails``, so ``eval_factorial`` and the closed-form predictions of
-``asymptotics`` run in a fresh process without compiling that code.
+short log-space sum around its peak. Importing it loads ``_record``,
+``special`` and ``errors`` only, not the quadrature and Euler-Maclaurin
+code of ``series`` and ``tails``, so ``eval_factorial`` and the
+closed-form predictions of ``asymptotics`` run in a fresh process without
+compiling that code.
 ``series`` re-exports every name here, so ``series.X is _core.X``.
 
 ``log_factorial`` is read through the ``special`` module at each call, so
@@ -17,11 +18,12 @@ that a wrapper bound there sees every call from this module too.
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import special
+from ._record import record
 from .errors import DomainError, NumericError, ParameterError, ResourceLimitError
 
 DEFAULT_HARD_CAP = 1_000_000_000
@@ -70,7 +72,7 @@ def _normal_exp(log_value: float, who: str, r: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@record
 class PowerLogParams:
     """Exponent tuple for the power-logarithmic family.
 
@@ -99,7 +101,7 @@ class PowerLogParams:
             )
 
 
-@dataclass(frozen=True)
+@record
 class FactorialParams:
     """Exponent tuple for the factorial family.
 
@@ -137,13 +139,15 @@ class FactorialParams:
             )
 
 
-@dataclass(frozen=True)
+@record
 class SequencePair:
     """User-supplied sequences a_n and b_n >= 0 for the generic and power series.
 
     a_n must be >= 0 for ``eval_general`` and may be signed for
     ``eval_power_series``. ``b`` must be nondecreasing and divergent from
-    ``b_monotone_from`` on. Both evaluators check the same contract on the
+    ``b_monotone_from`` on. ``a`` and ``b`` must be callable and
+    ``b_monotone_from`` an integer, or construction raises
+    ``ParameterError``. Both evaluators check the same contract on the
     evaluated range (finite values, b_n >= 0, b nondecreasing from
     ``b_monotone_from``) n by n as they call the callbacks, and call
     neither callback past the first n that breaks it or whose callback
@@ -176,11 +180,20 @@ class SequencePair:
     log_b: Optional[Callable] = None
 
     def __post_init__(self):
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not callable(value):
+                raise ParameterError(f"{name} must be callable, got {value!r}")
+        try:
+            operator.index(self.b_monotone_from)
+        except TypeError:
+            raise ParameterError(
+                f"b_monotone_from must be an integer, got {self.b_monotone_from!r}"
+            ) from None
         if (self.log_a is None) != (self.log_b is None):
             raise ParameterError("give both smooth forms log_a and log_b, or neither")
 
 
-@dataclass(frozen=True)
+@record
 class GeneralEnvelope:
     """Certified termwise envelope for the generic series tail.
 
@@ -225,7 +238,7 @@ class GeneralEnvelope:
         return scale, power, log_power
 
 
-@dataclass(frozen=True)
+@record
 class EvalResult:
     """A series value with its certified truncation bound and diagnostics.
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -29,6 +28,7 @@ from ._core import (
     factorial_summand_log,
     peak_index_n0,
 )
+from ._record import record
 from .special import (
     bernoulli_table,
     inverse_gamma_log,
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class AsymptoticPrediction:
     """Constant, radius power and log power of a leading-order law."""
 
@@ -83,7 +83,7 @@ class AsymptoticPrediction:
         return value
 
 
-@dataclass(frozen=True)
+@record
 class FactorialDiagnostics:
     """Fractional-part diagnostics of the factorial family at radius r."""
 
@@ -95,7 +95,7 @@ class FactorialDiagnostics:
     in_R0: bool
 
 
-@dataclass(frozen=True)
+@record
 class FactorialEnvelope:
     """Two-sided power envelope with the matching log-space center line."""
 
@@ -104,7 +104,7 @@ class FactorialEnvelope:
     log_center: float
 
 
-@dataclass(frozen=True)
+@record
 class ExpansionTerm:
     """One term of the classical expansion; k = -1 denotes the leading term."""
 

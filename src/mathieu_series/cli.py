@@ -7,9 +7,10 @@ or numeric failure, 2 parameter error, 3 resource cap, 4 unmet
 precondition (e.g. radius outside the good set).
 
 Importing this module loads the scalar core (``_core``: the parameter
-records, the argument checks and the factorial family) with ``special``
-and ``errors``. A command imports the rest of what it runs when it runs,
-so a CLI process loads only the code its command runs:
+records, the argument checks and the factorial family) with ``_record``,
+``special`` and ``errors``, and no ``dataclasses`` or ``inspect``. A
+command imports the rest of what it runs when it runs, so a CLI process
+loads only the code its command runs:
 
 * ``eval factorial``: nothing more;
 * ``predict powerlog``, ``predict factorial`` and ``sweep factorial``:
@@ -19,13 +20,13 @@ so a CLI process loads only the code its command runs:
 * ``sweep powerlog`` and ``sweep expansion``: ``asymptotics``, ``series``
   and ``tails``;
 * ``verify``: ``verify``, which loads all of the above and ``dirichlet``.
+
+Output with ``--format csv`` also loads the standard library's ``csv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import io
 import json
 import math
@@ -33,7 +34,7 @@ import os
 import sys
 from typing import Optional
 
-from . import __version__
+from . import __version__, _record
 from ._core import (
     DEFAULT_GENERAL_CAP,
     DEFAULT_HARD_CAP,
@@ -108,6 +109,8 @@ def _meta_line(args: argparse.Namespace, keys: list[str]) -> str:
 
 def _write_csv(args: argparse.Namespace, meta_keys: list[str], columns, rows) -> None:
     """The meta line, a header of ``columns`` and one line per row (missing cells empty)."""
+    import csv  # only --format csv needs it
+
     buf = io.StringIO()
     buf.write(_meta_line(args, meta_keys) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -196,7 +199,7 @@ def _eval_powerlog(p: PowerLogParams, r: float, **kwargs):
     return series.eval_powerlog(p, r, **kwargs)
 
 
-@dataclasses.dataclass(frozen=True)
+@_record.record
 class _Family:
     required: tuple[str, ...]  # flags the family needs
     params: object  # builds its parameters from the parsed flags
@@ -273,7 +276,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         pred = asymptotic_prediction(p)
         if args.gamma_eq_alpha and args.delta_eq_beta:
             # exact in the closed form, immune to rounding
-            pred = dataclasses.replace(pred, log_exponent=-1.0)
+            pred = _record.replace(pred, log_exponent=-1.0)
         record = {
             "family": "powerlog",
             "r": args.r,

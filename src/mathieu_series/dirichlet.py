@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from ._deferred import deferred_module
+from ._record import record
 from .errors import DomainError, NumericError, ParameterError
 from .series import (
     FactorialParams,
@@ -66,7 +66,7 @@ _FACTORIAL_HEAD_END = 2**14
 _FACTORIAL_STOP_MAX = 2**980
 
 
-@dataclass(frozen=True)
+@record
 class DirichletParams:
     """Weight exponents (eta, theta) of the log-weighted zeta sum."""
 
@@ -78,7 +78,7 @@ class DirichletParams:
             raise ParameterError(f"eta and theta must be finite, got {self.eta}, {self.theta}")
 
 
-@dataclass(frozen=True)
+@record
 class TransformFrame:
     """Mellin-side frame of a parameter tuple.
 

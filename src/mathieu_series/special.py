@@ -18,11 +18,11 @@ and never mutated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from ._deferred import deferred_module
+from ._record import record
 from .errors import CapacityError, DomainError, NumericError
 
 if TYPE_CHECKING:
@@ -155,7 +155,7 @@ def lambert_w(z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BernoulliTable:
     """Even-index Bernoulli numbers B_0, B_2, ..., B_max_index as exact Fractions."""
 
@@ -297,7 +297,7 @@ def log_abs_gamma(x, y):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class InverseGammaSeed:
     """Asymptotic initial guess for the inverse gamma function at x.
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ._deferred import deferred_module
+from ._record import record
 from ._suites import SUITE_NAMES
 from .asymptotics import (
     _classical_series,
@@ -64,7 +64,7 @@ _STRICT_FACTOR = 0.8
 _LOG2, _LOG3, _LOG5 = math.log(2.0), math.log(3.0), math.log(5.0)
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     """Outcome of one verification check.
 

@@ -7,7 +7,6 @@ frozen values recorded in the verify module; the calibration evidence
 lives in the repository notes.
 """
 
-import dataclasses
 import math
 import time
 from collections import Counter
@@ -16,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mathieu_series._record import replace
 from mathieu_series.dirichlet import mellin_factorial, mellin_powerlog
 from mathieu_series.series import (
     FactorialParams,
@@ -188,7 +188,7 @@ def test_sequence_suites_sum_short_heads(monkeypatch):
     def recording(s, *args, **kwargs):
         seen_a, seen_b = Counter(), Counter()
         calls.extend((seen_a, seen_b))
-        s = dataclasses.replace(s, a=counted(s.a, seen_a), b=counted(s.b, seen_b))
+        s = replace(s, a=counted(s.a, seen_a), b=counted(s.b, seen_b))
         results = evaluate(s, *args, **kwargs)
         used.extend(res.terms_used for res in results)
         return results

@@ -120,8 +120,13 @@ def _run_child(code: str) -> str:
 
 
 def _modules_loaded_by(code: str) -> set[str]:
-    """Every module that ``code`` leaves loaded in a fresh interpreter."""
-    last = _run_child(code + "\nimport sys\nprint('loaded:', *sorted(sys.modules))")
+    """Every module that ``code`` loads in a fresh interpreter: those loaded
+    when it ends and not before it starts (``site`` may preload some)."""
+    last = _run_child(
+        "import sys\n_before = set(sys.modules)\n"
+        + code
+        + "\nprint('loaded:', *sorted(set(sys.modules) - _before))"
+    )
     assert last.startswith("loaded:"), last
     return set(last.split()[1:])
 
@@ -141,6 +146,10 @@ NOT_FOR_SCALAR_WORK = {"asymptotics", "dirichlet", "verify"}
 # quadrature stack of series and tails, and without fractions, which only
 # the exact Bernoulli numbers need.
 NOT_FOR_THE_SCALAR_CORE = {"mathieu_series.series", "mathieu_series.tails", "fractions"}
+# The records are built without dataclasses, which loads inspect; csv is for
+# --format csv only.
+NOT_FOR_A_COLD_START = {"dataclasses", "inspect"}
+NOT_FOR_JSON_OUTPUT = {"csv"}
 
 
 def test_heavy_modules_load_on_first_use():
@@ -173,6 +182,7 @@ def test_eval_factorial_loads_only_the_modules_it_runs():
         "import mathieu_series as m\nm.eval_factorial(m.FactorialParams(1, 2, 1), 1e6)"
     )
     assert not modules & NOT_FOR_THE_SCALAR_CORE, modules & NOT_FOR_THE_SCALAR_CORE
+    assert not modules & NOT_FOR_A_COLD_START, modules & NOT_FOR_A_COLD_START
     assert "_core" in _submodules(modules)
     assert not _submodules(modules) & NOT_FOR_SCALAR_WORK, _submodules(modules)
 
@@ -204,8 +214,10 @@ def test_cli_command_loads_only_the_modules_it_runs(argv, not_loaded, core_only)
         f"    assert cli.main({argv!r}) == 0\n"
     )
     assert not _submodules(modules) & not_loaded, _submodules(modules)
+    assert not modules & NOT_FOR_JSON_OUTPUT, modules & NOT_FOR_JSON_OUTPUT
     if core_only:
         assert not modules & NOT_FOR_THE_SCALAR_CORE, modules & NOT_FOR_THE_SCALAR_CORE
+        assert not modules & NOT_FOR_A_COLD_START, modules & NOT_FOR_A_COLD_START
 
 
 def test_every_exported_name_resolves():

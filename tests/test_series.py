@@ -1,6 +1,5 @@
 """Series evaluators against brute-force and exact-rational oracles."""
 
-import dataclasses
 import functools
 import math
 import sys
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mathieu_series import series
+from mathieu_series._record import replace
 from mathieu_series.errors import (
     ContractViolationError,
     DomainError,
@@ -640,7 +640,7 @@ _CUBIC_SMOOTH = SequencePair(
 
 
 def _callbacks_only(seq):
-    return dataclasses.replace(seq, log_a=None, log_b=None)
+    return replace(seq, log_a=None, log_b=None)
 
 
 @pytest.mark.parametrize(
@@ -674,7 +674,7 @@ def test_general_smooth_callbacks_called_once_per_term():
 
         return wrapper
 
-    seq = dataclasses.replace(
+    seq = replace(
         _LOGFACT_SMOOTH, a=counted("a", _LOGFACT.a), b=counted("b", _LOGFACT.b)
     )
     res = eval_general(seq, 1.0, 1e4, rel_tol=1e-5, n_start=2)
@@ -684,7 +684,7 @@ def test_general_smooth_callbacks_called_once_per_term():
 @pytest.mark.parametrize("bad_n", [64, 1000, 4095])
 def test_general_smooth_form_off_by_1e8_raises_at_its_n(bad_n):
     at = math.log(bad_n)
-    seq = dataclasses.replace(
+    seq = replace(
         _PLUS5_SMOOTH, log_a=lambda u: _PLUS5_SMOOTH.log_a(u) + 1e-8 * (u == at)
     )
     with pytest.raises(ContractViolationError, match=f"disagree with the sequences at n={bad_n}:"):
@@ -693,7 +693,7 @@ def test_general_smooth_form_off_by_1e8_raises_at_its_n(bad_n):
 
 def test_general_smooth_forms_are_not_compared_below_64():
     # a(63) leaves the smooth form: the head sums it as given
-    seq = dataclasses.replace(_PLUS5_SMOOTH, a=lambda n: 1e9 if n == 63 else n + 5.0)
+    seq = replace(_PLUS5_SMOOTH, a=lambda n: 1e9 if n == 63 else n + 5.0)
     res = eval_general(seq, 1.0, 1e3, rel_tol=1e-7)
     ref = eval_general(_PLUS5_SMOOTH, 1.0, 1e3, rel_tol=1e-7)
     extra = (1e9 - 68.0) / (63.0**3 + 1e6) ** 2
@@ -705,14 +705,14 @@ def test_general_smooth_head_keeps_the_contract_checks():
         return math.nan if n == 100 else n + 5.0
 
     with pytest.raises(ContractViolationError, match="a\\(100\\) = nan"):
-        eval_general(dataclasses.replace(_PLUS5_SMOOTH, a=a), 1.0, 1e3)
+        eval_general(replace(_PLUS5_SMOOTH, a=a), 1.0, 1e3)
     # a smooth-form miss at 90 comes before the NaN at 100, and wins
-    seq = dataclasses.replace(
+    seq = replace(
         _PLUS5_SMOOTH, a=a, log_a=lambda u: _PLUS5_SMOOTH.log_a(u) + 1e-8 * (u == math.log(90))
     )
     with pytest.raises(ContractViolationError, match="at n=90:"):
         eval_general(seq, 1.0, 1e3)
-    nonmonotone = dataclasses.replace(_PLUS5_SMOOTH, b=lambda n: 1.0 if n == 3000 else n**3.0)
+    nonmonotone = replace(_PLUS5_SMOOTH, b=lambda n: 1.0 if n == 3000 else n**3.0)
     with pytest.raises(ContractViolationError, match="b\\(3000\\) = 1.0 < b\\(2999\\)"):
         eval_general(nonmonotone, 1.0, 1e3)
 
@@ -725,6 +725,22 @@ def test_general_smooth_parameter_errors():
     env = GeneralEnvelope(2.0, 1.0, 0.0, 1.0, 3.0, 0.0, 4)
     with pytest.raises(ParameterError, match="smooth forms or an envelope"):
         eval_general(_PLUS5_SMOOTH, 1.0, 100.0, envelope=env)
+
+
+def test_sequence_pair_checks_its_fields():
+    """A non-integer start of monotonicity or a non-callable sequence is a
+    ParameterError at construction, not a TypeError deep in an evaluator."""
+    a, b = _PLUS5_SMOOTH.a, _PLUS5_SMOOTH.b
+    with pytest.raises(ParameterError, match="b_monotone_from must be an integer, got 2.5"):
+        SequencePair(a, b, b_monotone_from=2.5)
+    with pytest.raises(ParameterError, match="b_monotone_from must be an integer"):
+        SequencePair(a, b, b_monotone_from="3")
+    with pytest.raises(ParameterError, match="a must be callable, got 1.0"):
+        SequencePair(1.0, b)
+    with pytest.raises(ParameterError, match="b must be callable"):
+        SequencePair(a, b=2.0)
+    assert SequencePair(a, b, b_monotone_from=-3).b_monotone_from == -3
+    assert SequencePair(a, b, b_monotone_from=np.int64(5)).b_monotone_from == 5
 
 
 def test_general_smooth_peak_past_the_head():
@@ -862,7 +878,7 @@ def _counting(seq):
 
         return wrapper
 
-    counted_seq = dataclasses.replace(seq, a=counted(seq.a, seen_a), b=counted(seq.b, seen_b))
+    counted_seq = replace(seq, a=counted(seq.a, seen_a), b=counted(seq.b, seen_b))
     return counted_seq, (seen_a, seen_b)
 
 
@@ -915,7 +931,7 @@ def test_grid_calls_each_callback_once_per_n(seq, radii, kwargs):
 # a_n = n, b_n = n^3 with smooth forms, NaN at n = 10000: at rel_tol 1e-14
 # r = 1e3 certifies at 4096, r = 1e7 needs 16384 terms, and r = 1e200 is
 # below the smallest normal double at 4096
-_CUBIC_NAN_AT_10000 = dataclasses.replace(
+_CUBIC_NAN_AT_10000 = replace(
     _CUBIC_SMOOTH, a=lambda n: math.nan if n == 10000 else float(n)
 )
 
@@ -1383,7 +1399,7 @@ _POWER_SERIES_CASES = [
         for k in (290, 310)
     ],
     # b is checked from b_monotone_from on only
-    (dataclasses.replace(_bad_at(9, "drop"), b_monotone_from=10), 0.0, 0.99, 10.0, {}),
+    (replace(_bad_at(9, "drop"), b_monotone_from=10), 0.0, 0.99, 10.0, {}),
     (SequencePair(a=lambda n: 1.0, b=lambda n: 10 ** (300 + n)), 0.0, 0.5, 10.0, {}),
     (SequencePair(a=lambda n: 0.0, b=_ONES_SQUARES.b), 0.0, 0.5, 10.0, dict(growth=(0.0, 1.0))),
     *[(_ONES_SQUARES, 0.0, 0.99, 10.0, dict(hard_cap=cap)) for cap in (7, 8, 9, 100, 513)],
