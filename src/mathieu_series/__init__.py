@@ -85,7 +85,13 @@ _EXPORTS = {
         "_core",
     ),
     **dict.fromkeys(
-        ("eval_general", "eval_general_grid", "eval_power_series", "eval_powerlog"),
+        (
+            "eval_general",
+            "eval_general_grid",
+            "eval_power_series",
+            "eval_powerlog",
+            "eval_powerlog_grid",
+        ),
         "series",
     ),
     **dict.fromkeys(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from . import special
 from ._record import record
@@ -176,8 +176,8 @@ class SequencePair:
     a: Callable[[int], float]
     b: Callable[[int], float]
     b_monotone_from: int = 0
-    log_a: Optional[Callable] = None
-    log_b: Optional[Callable] = None
+    log_a: Callable | None = None
+    log_b: Callable | None = None
 
     def __post_init__(self):
         for name, value in (("a", self.a), ("b", self.b)):

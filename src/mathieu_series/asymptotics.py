@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Optional
 
 from .errors import (
     CapacityError,
@@ -146,7 +145,7 @@ def _gamma_ratio(a: float, x: float) -> float:
 
 
 def leading_constant(
-    p: PowerLogParams, force_integer_branch: Optional[bool] = None
+    p: PowerLogParams, force_integer_branch: bool | None = None
 ) -> float:
     """Constant of the leading-order law for the power-log family.
 
@@ -195,7 +194,7 @@ def leading_constant(
 
 
 def asymptotic_prediction(
-    p: PowerLogParams, force_integer_branch: Optional[bool] = None
+    p: PowerLogParams, force_integer_branch: bool | None = None
 ) -> AsymptoticPrediction:
     """Leading-order law: constant, power of r, and power of log r."""
     return AsymptoticPrediction(
@@ -388,7 +387,7 @@ def eval_classical_expansion(
     mu: float,
     r: float,
     mode: str = "optimal",
-    K: Optional[int] = None,
+    K: int | None = None,
     max_bernoulli: int = 64,
 ) -> tuple[float, float]:
     """Partial sum of the classical expansion with its error estimate.

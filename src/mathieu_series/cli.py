@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-from typing import Optional
 
 from . import __version__, _record
 from ._core import (
@@ -90,7 +89,7 @@ def _term_cap(args: argparse.Namespace) -> int:
     return cap
 
 
-def _write_output(text: str, out_path: Optional[str]) -> None:
+def _write_output(text: str, out_path: str | None) -> None:
     if out_path and out_path != "-":
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -203,7 +202,7 @@ def _eval_powerlog(p: PowerLogParams, r: float, **kwargs):
 class _Family:
     required: tuple[str, ...]  # flags the family needs
     params: object  # builds its parameters from the parsed flags
-    cap: Optional[int] = None  # the library's term cap
+    cap: int | None = None  # the library's term cap
     evaluate: object = None  # the series evaluator of powerlog and factorial
 
 
@@ -321,7 +320,7 @@ def _parse_grid(spec: str) -> list[float]:
     return [lo * ratio**i for i in range(n)]
 
 
-def _sweep_row(args: argparse.Namespace, p, cap: Optional[int], r: float) -> dict:
+def _sweep_row(args: argparse.Namespace, p, cap: int | None, r: float) -> dict:
     from .asymptotics import (
         _classical_series,
         eval_classical_expansion,
@@ -483,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
 

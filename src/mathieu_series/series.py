@@ -14,8 +14,13 @@ remainder bound plus the quadrature error as the certificate. The tail
 integral runs by quadrature in u = log x out to infinity (``_log_x_integral``,
 which also serves the Dirichlet sums of ``dirichlet``). The sums stop at the
 first block end where that bound is within rel_tol, usually the first, so
-radii far beyond any feasible term count stay cheap. Values that are not
-normal doubles raise ``NumericError`` instead of returning 0. The
+radii far beyond any feasible term count stay cheap. Over a grid of radii
+(``eval_powerlog_grid``, of which ``eval_powerlog`` is the one-radius case)
+the radii share the blocks and each block end's tail rounds: one
+quadrature takes every open radius's tail integral, one Euler-Maclaurin
+call their remainders, and each round of the peak search one jet, with
+log r^2 given per node, and each radius keeps its own outcome. Values
+that are not normal doubles raise ``NumericError`` instead of returning 0. The
 factorial family is summed in shifted log space around its sharply peaked
 terms; it, the parameter records and the argument checks are written in
 ``_core``, which imports neither this module nor ``tails``, and are bound
@@ -40,7 +45,8 @@ in log x, it adds the same Euler-Maclaurin tail to a 4096-term head, with
 the power-log family's stopping and give-up rules; otherwise a termwise
 power-log envelope bounds the tail. Over a grid of radii
 (``eval_general_grid``) it builds the head once, keeping only the terms,
-peak and tail bound per radius.
+peak and tail bound per radius, and takes the smooth tails in lockstep as
+the power-log grid does.
 """
 
 from __future__ import annotations
@@ -99,6 +105,7 @@ __all__ = [
     "GeneralEnvelope",
     "EvalResult",
     "eval_powerlog",
+    "eval_powerlog_grid",
     "eval_general",
     "eval_general_grid",
     "eval_power_series",
@@ -151,6 +158,8 @@ def _solve_b_equals(log_b: Callable[[float], float], target: float, lo: float) -
             raise NumericError("peak location search diverged")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # a fixed point: log_b(lo) < target <= log_b(hi) still
+            break
         if log_b(mid) < target:
             lo = mid
         else:
@@ -158,7 +167,7 @@ def _solve_b_equals(log_b: Callable[[float], float], target: float, lo: float) -
     return 0.5 * (lo + hi)
 
 
-def _log_x_integral(log_f: Callable, edges) -> tuple[float, float]:
+def _log_x_integral(log_f: Callable, edges):
     """Integral of f over [exp(edges[0]), exp(edges[-1])] and its error estimate.
 
     ``log_f`` maps u = log x to log f(x), elementwise on numpy arrays; the
@@ -168,61 +177,146 @@ def _log_x_integral(log_f: Callable, edges) -> tuple[float, float]:
     QUADPACK error estimate of 1e-13 of its value, or at its roundoff floor
     of 50 eps times the integral of |f| (~1.1e-14), or at 400 panels; the
     returned error is the sum of the segments' estimates.
+
+    Given a list of edge tuples, one per integral, one ``quad`` call takes
+    them all: ``log_f`` is then called as log_f(u, k), k the index of the
+    integral at each node (as ``quad`` gives it), and the result is a list
+    with, per integral, its (integral, error) or the ``NumericError`` of
+    its one-integral call.
     """
+    if not isinstance(edges, list):
+        (outcome,) = _log_x_integral(lambda u, k: log_f(u), [edges])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    kept = [[e[0]] + [hi for lo, hi in zip(e, e[1:]) if hi > lo] for e in edges]
+    todo = [i for i, ends in enumerate(kept) if len(ends) > 1]
+    out = [(0.0, 0.0)] * len(edges)
+    if not todo:
+        return out
+    index = np.array(todo)
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return np.exp(u + log_f(u))
+    def integrand(u: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return np.exp(u + log_f(u, index[k]))
 
-    kept = [edges[0]] + [hi for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    integral = integral_err = 0.0
-    if len(kept) > 1:
-        segments = quad(integrand, kept[0], kept[-1], epsrel=1e-13, limit=400, points=kept[1:-1])
+    found = quad(
+        integrand,
+        [kept[i][0] for i in todo],
+        [kept[i][-1] for i in todo],
+        epsrel=1e-13,
+        limit=400,
+        points=[kept[i][1:-1] for i in todo],
+    )
+    for i, segments in zip(todo, found):
+        if isinstance(segments, Exception):
+            out[i] = segments
+            continue
+        integral = integral_err = 0.0
         for val, err in segments:
             integral += val
             integral_err += err
-    return integral, integral_err
+        out[i] = integral, integral_err
+    return out
 
 
-def _smooth_tail(
-    log_f: Callable, log_b: Callable, log_r2: float, n: int
-) -> tuple[float, float, float, float]:
-    """Euler-Maclaurin value and bound of the sum of f(x) over x >= n, the tail
-    integral and its error.
+def _at_radii(log_f: Callable, log_r2s) -> Callable:
+    """log_f(log_r2, lx) as a function of (lx, k): k the index in ``log_r2s`` of each point."""
+    at = np.array(log_r2s, dtype=np.float64)
+    return lambda lx, k: log_f(at[k], lx)
 
-    The integral is split where b(x) = r^2 (the summand peaks near there)
-    and where r^2 is 1e-12 of b, and its last segment runs to infinity; the
-    remainder integral is split at the first point only.
+
+def _smooth_tail(log_f: Callable, log_b: Callable, log_r2s: list, n: int) -> list:
+    """Per radius, the Euler-Maclaurin value and bound of the sum of f(x) over
+    x >= n, the tail integral and its error; or the exception it raised.
+
+    ``log_f(log_r2, lx)`` is the summand's log at lx = log x for log r^2 =
+    log_r2, elementwise in both, and ``log_r2s`` holds log r^2 of each
+    radius. Each tail integral is split where b(x) = r^2 (the summand peaks
+    near there) and where r^2 is 1e-12 of b, and its last segment runs to
+    infinity; each remainder integral is split at the first point only. One
+    quadrature takes every tail integral and one Euler-Maclaurin call every
+    remainder; an error at one radius (a search that diverges, a non-finite
+    node) is its outcome and does not stop the others.
     """
     u0 = math.log(n)
-    u_peak = _solve_b_equals(log_b, log_r2, u0)
-    u_far = _solve_b_equals(log_b, log_r2 + _LOG_1E12, u0)
-    integral, integral_err = _log_x_integral(log_f, (u0, u_peak, u_far, math.inf))
-    value, bound = euler_maclaurin_tail(log_f, n, integral, integral_err, breaks=(u_peak,))
-    return value, bound, integral, integral_err
+    out: list = [None] * len(log_r2s)
+    edges = {}
+    for i, log_r2 in enumerate(log_r2s):
+        try:
+            u_peak = _solve_b_equals(log_b, log_r2, u0)
+            u_far = _solve_b_equals(log_b, log_r2 + _LOG_1E12, u0)
+        except Exception as exc:
+            out[i] = exc
+        else:
+            edges[i] = (u0, u_peak, u_far, math.inf)
+    log_f_at = _at_radii(log_f, [log_r2s[i] for i in edges])
+    integrals = dict(zip(edges, _log_x_integral(log_f_at, list(edges.values()))))
+    live = []
+    for i, integral in integrals.items():
+        if isinstance(integral, Exception):
+            out[i] = integral
+        else:
+            live.append(i)
+    tails = euler_maclaurin_tail(
+        _at_radii(log_f, [log_r2s[i] for i in live]),
+        n,
+        [integrals[i][0] for i in live],
+        [integrals[i][1] for i in live],
+        breaks=[edges[i][1:2] for i in live],
+    )
+    for i, tail in zip(live, tails):
+        out[i] = tail if isinstance(tail, Exception) else (*tail, *integrals[i])
+    return out
 
 
-def _summand_peak(log_f: Callable, log_b: Callable, log_r2: float, n: int, head_peak: int) -> int:
-    """Index of the largest summand: ``head_peak``, the head's below n, unless the
-    summand still rises at n - 1; then it brackets where d log f / d log x (an
-    order-1 jet's slope) turns negative, up to where r^2 is 1e-12 of b: each of
-    10 rounds takes the sign at 63 points cutting the bracket in 64, on one
-    array jet, so it ends as narrow as after 60 bisections. For a far peak
-    (past ~1e8) adjacent summands agree to ~1e-16, so the index is exact only
-    up to such ties.
+def _summand_peak(
+    log_f: Callable, log_b: Callable, log_r2s: list, n: int, head_peaks: list
+) -> list:
+    """Per radius, the index of the largest summand, or the exception its search raised.
+
+    That is ``head_peaks[i]``, the head's below n, unless the summand still
+    rises at n - 1; then it brackets where d log f / d log x (an order-1
+    jet's slope) turns negative, up to where r^2 is 1e-12 of b: each of
+    10 rounds takes the sign at 63 points cutting the bracket in 64, so it
+    ends as narrow as after 60 bisections, unless the bracket already holds
+    one integer part of x. Each round takes every radius still searching
+    on one array jet. ``log_f`` is as for ``_smooth_tail``. For a far peak
+    (past ~1e8) adjacent summands agree to ~1e-16, so the index is exact
+    only up to such ties.
     """
-    if head_peak != n - 1:
-        return head_peak
-    lo = math.log(n - 1)
-    hi = _solve_b_equals(log_b, log_r2 + _LOG_1E12, lo)
+    out: list = list(head_peaks)
+    brackets = {}  # radius: (lo, hi) in log x
+    for i, (log_r2, head_peak) in enumerate(zip(log_r2s, head_peaks)):
+        if head_peak == n - 1:
+            lo = math.log(n - 1)
+            try:
+                brackets[i] = lo, _solve_b_equals(log_b, log_r2 + _LOG_1E12, lo)
+            except Exception as exc:
+                out[i] = exc
+
+    def settled(lo: float, hi: float) -> bool:
+        # the candidates below depend on int(exp(lo)) alone, which no later round changes
+        return hi <= 700.0 and int(math.exp(lo)) == int(math.exp(hi))
+
     cuts = np.arange(1.0, 64.0) / 64.0
+    searching = list(brackets)
     for _ in range(10):
-        grid = lo + (hi - lo) * cuts
-        rising = np.append(log_f(Jet.log_variable(grid, 1)).c[1] > 0.0, False)
-        j = int(np.argmin(rising))  # the first point not rising; 63 for none
-        lo, hi = (float(grid[j - 1]) if j else lo), (float(grid[j]) if j < 63 else hi)
-    x = math.exp(min(lo, 700.0))
-    candidates = {max(int(x), 2), int(x) + 1}
-    return max(candidates, key=lambda n: log_f(math.log(n)))
+        if not searching:
+            break
+        grids = [brackets[i][0] + (brackets[i][1] - brackets[i][0]) * cuts for i in searching]
+        at = np.repeat([log_r2s[i] for i in searching], 63)
+        slopes = log_f(at, Jet.log_variable(np.concatenate(grids), 1)).c[1].reshape(-1, 63)
+        for i, grid, slope in zip(searching, grids, slopes):
+            rising = np.append(slope > 0.0, False)
+            j = int(np.argmin(rising))  # the first point not rising; 63 for none
+            lo, hi = brackets[i]
+            brackets[i] = (float(grid[j - 1]) if j else lo), (float(grid[j]) if j < 63 else hi)
+        searching = [i for i in searching if not settled(*brackets[i])]
+    for i, (lo, _) in brackets.items():
+        x = math.exp(min(lo, 700.0))
+        candidates = {max(int(x), 2), int(x) + 1}
+        out[i] = max(candidates, key=lambda n: log_f(log_r2s[i], math.log(n)))
+    return out
 
 
 def _below_normal(who: str, value: float, r: float, terms: int) -> NumericError:
@@ -267,6 +361,150 @@ def _cap_tail(log_f_free: Callable, end: int) -> Callable[[], float]:
     return functools.cache(lambda: _log_x_integral(log_f_free, (math.log(end), math.inf))[0])
 
 
+class _RadiusSum:
+    """What a sum over a grid of radii keeps for one radius: its terms, peak and
+    last tail bound.
+
+    Everything else a checkpoint needs does not depend on r and is shared by
+    all radii of a grid: the block's n and log n, and for the generic family
+    the callback values, their contract checks and logs, the smooth-form
+    match and the envelope. ``terms`` holds the generic family's terms, and
+    the power-log family's block sums.
+    """
+
+    __slots__ = ("r", "log_r2", "terms", "best", "peak_index", "bound")
+
+    def __init__(self, r: float, n_start: int):
+        self.r = r
+        self.log_r2 = 2.0 * math.log(r)
+        self.terms: list[float] = []
+        self.best = -math.inf
+        self.peak_index = n_start
+        self.bound: Optional[float] = None
+
+    def add(self, n: int, log_a: np.ndarray, log_b: np.ndarray, mu1: float) -> None:
+        """Append the terms from n on, given the logs of their a_n and b_n."""
+        block = list(map(math.exp, (log_a - mu1 * np.logaddexp(log_b, self.log_r2)).tolist()))
+        top = max(block)
+        if top > self.best:
+            self.best = top
+            self.peak_index = n + block.index(top)
+        self.terms += block
+
+    def add_block(self, n: int, logterms: np.ndarray) -> None:
+        """Append the sum of the terms from n on, given their logs (the power-log family)."""
+        i = int(np.argmax(logterms))
+        if logterms[i] > self.best:
+            self.best = float(logterms[i])
+            self.peak_index = n + i
+        self.terms.append(float(np.sum(np.exp(logterms))))
+
+    def envelope_result(
+        self, env: GeneralEnvelope, mu: float, n: int, rel_tol: float
+    ) -> Optional[EvalResult]:
+        """The result if the envelope's bound on the terms from n certifies, else None."""
+        value = math.fsum(self.terms)
+        bound = _envelope_tail_bound(env, mu, n)
+        if bound is not None and bound <= rel_tol * value:
+            if value < sys.float_info.min:
+                raise _below_normal("eval_general", value, self.r, len(self.terms))
+            return EvalResult(value, bound, len(self.terms), self.peak_index)
+        return None
+
+
+def _open_runs(runs: list) -> list[int]:
+    return [i for i, run in enumerate(runs) if isinstance(run, _RadiusSum)]
+
+
+def _smooth_checkpoint(
+    who: str,
+    runs: list,
+    log_f: Callable,
+    log_b: Callable,
+    n: int,
+    terms: int,
+    rel_tol: float,
+    cap_tail: Callable,
+    cap: int,
+    last: bool,
+) -> None:
+    """Try the Euler-Maclaurin tail from n, after ``terms`` head terms, at every open radius.
+
+    A radius closes with its ``EvalResult`` once its bound is within
+    rel_tol of its value, and with its error when the value is not a
+    normal double, when it is ``last`` or beyond reach (``_beyond_reach``),
+    or when its tail or its peak search raises. The tails and the peak
+    searches of all the radii run in lockstep. ``log_f`` is as for
+    ``_smooth_tail``.
+    """
+    live = _open_runs(runs)
+    try:
+        tails = _smooth_tail(log_f, log_b, [runs[i].log_r2 for i in live], n)
+    except Exception as exc:  # of the shared work: every open radius would raise it
+        tails = [exc] * len(live)
+    certified = []
+    for i, tail in zip(live, tails):
+        run = runs[i]
+        if isinstance(tail, Exception):
+            runs[i] = tail
+            continue
+        tail, run.bound, integral, err = tail
+        value = math.fsum(run.terms) + tail
+        if value < sys.float_info.min:
+            runs[i] = _below_normal(who, value, run.r, terms)
+        elif run.bound <= rel_tol * value:
+            certified.append((i, value))
+        else:
+            try:
+                if last or _beyond_reach(rel_tol, value, integral, err, cap_tail):
+                    runs[i] = _uncertified(who, rel_tol, cap, run.bound, value, terms)
+            except Exception as exc:
+                runs[i] = exc
+    peaks = _summand_peak(
+        log_f,
+        log_b,
+        [runs[i].log_r2 for i, _ in certified],
+        n,
+        [runs[i].peak_index for i, _ in certified],
+    )
+    for (i, value), peak in zip(certified, peaks):
+        ok = not isinstance(peak, Exception)
+        runs[i] = EvalResult(value, runs[i].bound, terms, peak) if ok else peak
+
+
+def _pending(runs: list) -> bool:
+    """True while an open radius comes before every failed one.
+
+    Radii after the first failure cannot change the outcome: the grid
+    raises that failure.
+    """
+    for run in runs:
+        if isinstance(run, _RadiusSum):
+            return True
+        if isinstance(run, Exception):
+            return False
+    return False
+
+
+def _outcome(runs: list) -> list[EvalResult]:
+    """The results of a grid, or the error of the first radius in order that failed."""
+    for run in runs:
+        if not isinstance(run, EvalResult):
+            raise run
+    return runs
+
+
+def _radius_runs(radii: list, floor: float, who: str, n_start: int) -> list:
+    """A ``_RadiusSum`` per radius, or the error its radius check raised."""
+    runs: list = []
+    for r in radii:
+        try:
+            runs.append(_RadiusSum(_require_radius(r, floor, who), n_start))
+        except (TypeError, ValueError) as exc:  # raised only if every radius before succeeds
+            runs.append(exc)
+    return runs
+
+
 def eval_powerlog(
     p: PowerLogParams,
     r: float,
@@ -283,44 +521,59 @@ def eval_powerlog(
     once ``hard_cap`` terms leave the bound above rel_tol or the tail
     integral's error is predicted to, and at once when rel_tol is below the
     double-precision resolution of the value; raises ``NumericError`` when
-    the value is not a normal double.
+    the value is not a normal double. It is ``eval_powerlog_grid`` over the
+    one radius.
     """
-    r = _require_radius(r, 1.0, "eval_powerlog")
-    rel_tol = _check_rel_tol(rel_tol)
+    return eval_powerlog_grid(p, (r,), rel_tol, hard_cap)[0]
 
-    log_r2 = 2.0 * math.log(r)
-    log_f = functools.partial(_powerlog_log_summand, p, log_r2)
+
+def eval_powerlog_grid(
+    p: PowerLogParams,
+    radii: Iterable[float],
+    rel_tol: float = 1e-8,
+    hard_cap: int = DEFAULT_HARD_CAP,
+) -> list[EvalResult]:
+    """``[eval_powerlog(p, r, rel_tol, hard_cap) for r in radii]``, in lockstep.
+
+    The results, and the error raised (that of the first radius in order
+    that fails), are those of the loop. One walk over the doubling blocks
+    serves every radius: each block's log n and its terms at every open
+    radius come from one call of the summand, and at each block end one
+    quadrature takes the tail integrals of all the open radii, one the
+    remainders of their Euler-Maclaurin tails, and each round of the peak
+    search one jet. A radius drops out once it certifies or fails; the
+    blocks grow while a radius that can still change the outcome is open.
+    The integral past ``hard_cap`` of the give-up rule is taken once.
+    """
+    radii = list(radii)
+    if not radii:
+        return []
+    _require_radius(radii[0], 1.0, "eval_powerlog")  # ahead of rel_tol, as for one radius
+    rel_tol = _check_rel_tol(rel_tol)
+    runs = _radius_runs(radii, 1.0, "eval_powerlog", 2)
+    log_f = functools.partial(_powerlog_log_summand, p)
     log_b = _powerlog_log_b(p)
-    block_sums: list[float] = []
-    best_log = -math.inf
-    peak_index = 2
     n = 2
     end = 2 + hard_cap
-    cap_tail = _cap_tail(functools.partial(_powerlog_log_summand, p, -math.inf), end)
+    cap_tail = _cap_tail(functools.partial(log_f, -math.inf), end)
     block = 4096
-    while True:
+    while _pending(runs):
+        live = _open_runs(runs)
         stop = min(n + block, end)
         if stop > n:
-            ns = np.arange(n, stop, dtype=np.float64)
-            logterms = log_f(np.log(ns))
-            i = int(np.argmax(logterms))
-            if logterms[i] > best_log:
-                best_log = float(logterms[i])
-                peak_index = n + i
-            block_sums.append(float(np.sum(np.exp(logterms))))
+            lx = np.log(np.arange(n, stop, dtype=np.float64))
+            rows = max(1, _MAX_BLOCK // len(lx))  # radii per summand call
+            for c in range(0, len(live), rows):
+                chunk = live[c : c + rows]
+                log_r2s = np.array([[runs[i].log_r2] for i in chunk])
+                for i, logterms in zip(chunk, log_f(log_r2s, lx)):
+                    runs[i].add_block(n, logterms)
             n = stop
             block = min(block * 2, _MAX_BLOCK)
-
-        tail, bound, integral, err = _smooth_tail(log_f, log_b, log_r2, n)
-        value = math.fsum(block_sums) + tail
-        if value < sys.float_info.min:
-            raise _below_normal("eval_powerlog", value, r, n - 2)
-        if bound <= rel_tol * value:
-            break
-        if n >= end or _beyond_reach(rel_tol, value, integral, err, cap_tail):
-            raise _uncertified("eval_powerlog", rel_tol, hard_cap, bound, value, n - 2)
-
-    return EvalResult(value, bound, n - 2, _summand_peak(log_f, log_b, log_r2, n, peak_index))
+        _smooth_checkpoint(
+            "eval_powerlog", runs, log_f, log_b, n, n - 2, rel_tol, cap_tail, hard_cap, n >= end
+        )
+    return _outcome(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -562,67 +815,9 @@ def _smooth_mismatch(
     )
 
 
-def _smooth_log_summand(s: SequencePair, log_r2: float, mu1: float, u):
-    """log of a(x) / (b(x) + r^2)^(mu+1) at u = log x from the smooth forms (float or Jet)."""
+def _smooth_log_summand(s: SequencePair, mu1: float, log_r2, u):
+    """log of a(x) / (b(x) + r^2)^(mu+1) at u = log x from the smooth forms (float, array or Jet)."""
     return s.log_a(u) - mu1 * np.logaddexp(s.log_b(u), log_r2)
-
-
-class _RadiusSum:
-    """What a generic sum keeps for one radius: its terms, peak and last tail bound.
-
-    Everything else a checkpoint needs (the callback values, their contract
-    checks and logs, the smooth-form match, the envelope) does not depend
-    on r and is shared by all radii of a grid.
-    """
-
-    __slots__ = ("r", "log_r2", "log_f", "terms", "best", "peak_index", "bound")
-
-    def __init__(self, s: SequencePair, mu1: float, r: float, n_start: int):
-        self.r = r
-        self.log_r2 = 2.0 * math.log(r)
-        self.log_f = functools.partial(_smooth_log_summand, s, self.log_r2, mu1)
-        self.terms: list[float] = []
-        self.best = -math.inf
-        self.peak_index = n_start
-        self.bound: Optional[float] = None
-
-    def add(self, n: int, log_a: np.ndarray, log_b: np.ndarray, mu1: float) -> None:
-        """Append the terms from n on, given the logs of their a_n and b_n."""
-        block = list(map(math.exp, (log_a - mu1 * np.logaddexp(log_b, self.log_r2)).tolist()))
-        top = max(block)
-        if top > self.best:
-            self.best = top
-            self.peak_index = n + block.index(top)
-        self.terms += block
-
-    def smooth_result(
-        self, s: SequencePair, n: int, rel_tol: float, hard_cap: int, cap_tail: Callable
-    ) -> Optional[EvalResult]:
-        """The result if the Euler-Maclaurin tail from n certifies, else None."""
-        tail, self.bound, integral, err = _smooth_tail(self.log_f, s.log_b, self.log_r2, n)
-        value = math.fsum(self.terms) + tail
-        if value < sys.float_info.min:
-            raise _below_normal("eval_general", value, self.r, len(self.terms))
-        if self.bound <= rel_tol * value:
-            peak_index = _summand_peak(self.log_f, s.log_b, self.log_r2, n, self.peak_index)
-            return EvalResult(value, self.bound, len(self.terms), peak_index)
-        if _beyond_reach(rel_tol, value, integral, err, cap_tail):
-            raise _uncertified(
-                "eval_general", rel_tol, hard_cap, self.bound, value, len(self.terms)
-            )
-        return None
-
-    def envelope_result(
-        self, env: GeneralEnvelope, mu: float, n: int, rel_tol: float
-    ) -> Optional[EvalResult]:
-        """The result if the envelope's bound on the terms from n certifies, else None."""
-        value = math.fsum(self.terms)
-        bound = _envelope_tail_bound(env, mu, n)
-        if bound is not None and bound <= rel_tol * value:
-            if value < sys.float_info.min:
-                raise _below_normal("eval_general", value, self.r, len(self.terms))
-            return EvalResult(value, bound, len(self.terms), self.peak_index)
-        return None
 
 
 def _each_open(runs: list, step: Callable[[_RadiusSum], Optional[EvalResult]]) -> None:
@@ -640,20 +835,6 @@ def _each_open(runs: list, step: Callable[[_RadiusSum], Optional[EvalResult]]) -
             else:
                 if outcome is not None:
                     runs[i] = outcome
-
-
-def _pending(runs: list) -> bool:
-    """True while an open radius comes before every failed one.
-
-    Radii after the first failure cannot change the outcome: the grid
-    raises that failure.
-    """
-    for run in runs:
-        if isinstance(run, _RadiusSum):
-            return True
-        if isinstance(run, Exception):
-            return False
-    return False
 
 
 def eval_general(
@@ -748,17 +929,12 @@ def eval_general_grid(
 
     mu1 = mu + 1.0
     # Per radius: a _RadiusSum while open, then its EvalResult or its exception.
-    runs: list = []
-    for r in radii:
-        try:
-            runs.append(_RadiusSum(s, mu1, _require_radius(r, 0.0, "eval_general"), n_start))
-        except (TypeError, ValueError) as exc:  # raised only if every radius before succeeds
-            runs.append(exc)
+    runs = _radius_runs(radii, 0.0, "eval_general", n_start)
     fitted = envelope is None and not smooth
     env = envelope
     if smooth:
-        log_f_free = functools.partial(_smooth_log_summand, s, -math.inf, mu1)
-        cap_tail = _cap_tail(log_f_free, n_start + hard_cap)
+        log_f = functools.partial(_smooth_log_summand, s, mu1)
+        cap_tail = _cap_tail(functools.partial(log_f, -math.inf), n_start + hard_cap)
 
     fit_points = np.empty((4, 0))  # n, log n, log a_n, log b_n for the fit
     b_prev = None
@@ -825,7 +1001,18 @@ def eval_general_grid(
         next_check *= 2
         if smooth:
             if n >= _SMOOTH_HEAD:
-                _each_open(runs, lambda run: run.smooth_result(s, n, rel_tol, hard_cap, cap_tail))
+                _smooth_checkpoint(
+                    "eval_general",
+                    runs,
+                    log_f,
+                    s.log_b,
+                    n,
+                    n - n_start,
+                    rel_tol,
+                    cap_tail,
+                    hard_cap,
+                    False,
+                )
             continue
         if fitted:
             # Refit every checkpoint: larger windows tighten the bound.
@@ -843,10 +1030,7 @@ def eval_general_grid(
                     cap=hard_cap,
                     bound_achieved=run.bound if smooth else cap_bound,
                 )
-    for run in runs:
-        if not isinstance(run, EvalResult):
-            raise run  # the first radius in order that failed
-    return runs
+    return _outcome(runs)
 
 
 # ---------------------------------------------------------------------------

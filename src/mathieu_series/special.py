@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from ._deferred import deferred_module
 from ._record import record
 from .errors import CapacityError, DomainError, NumericError
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 np = deferred_module("numpy")
+# ``Fraction`` in the annotations is fractions.Fraction, imported where the
+# Bernoulli table is built: importing it at module load costs a cold process.
 
 __all__ = [
     "log_gamma",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import Callable, Iterable
+from typing import Callable
 
 from ._deferred import deferred_module
 from .errors import DomainError, NumericError
@@ -212,56 +212,98 @@ def _gk21_rule() -> tuple:
     return nodes, kronrod, weights
 
 
-def _gk21_panels(func: Callable, segments: list[tuple]) -> list[list[tuple]]:
+def _gk21_panels(func: Callable, segments: list[tuple], owners: list | None) -> tuple:
     """Per segment (los, his, infinite_from), (error, floor, lo, hi, value) of each panel.
 
-    One call of ``func`` on the 21 nodes of every panel of every segment.
-    With ``infinite_from`` = a the panels lie in t and the integrand is
-    f(a + t/(1-t)) / (1-t)^2. The sums by Gauss-Kronrod 10/21 run per
-    segment: a row of a matrix product can change with the row count.
-    The error estimate is QUADPACK's: resasc min(1, (200 |K - G| / resasc)^1.5),
-    where K and G are the Kronrod and Gauss values and resasc the Kronrod
-    integral of |f - mean f|, raised to the roundoff floor 50 eps resabs,
-    resabs the Kronrod integral of |f|.
+    One call of ``func`` on the 21 nodes of every panel of every segment:
+    func(x), or func(x, k) with k the integral of each node (an int array,
+    or one int for all), read from ``owners`` (the integral of each
+    segment). With ``infinite_from`` = a the panels lie in t and the
+    integrand is f(a + t/(1-t)) / (1-t)^2. The sums by Gauss-Kronrod 10/21
+    run per segment, as matrix products of the shapes the segment has alone
+    (a row of a matrix product can change with the row count); the nodes
+    and the per-panel products after the sums run once on the panels of
+    all the segments. The error estimate is QUADPACK's:
+    resasc min(1, (200 |K - G| / resasc)^1.5), where K and G are the
+    Kronrod and Gauss values and resasc the Kronrod integral of |f - mean f|,
+    raised to the roundoff floor 50 eps resabs, resabs the Kronrod integral
+    of |f|. Also returns, per integral with a non-finite value, the
+    ``NumericError`` naming its first; its segments get None. Without
+    ``owners`` that error is raised.
     """
     gk_nodes, gk_kronrod, gk_weights = _gk21_rule()
-    nodes = []
-    for los, his, infinite_from in segments:
-        lo = np.array(los)
-        half = 0.5 * (np.array(his) - lo)
-        x = (lo[:, None] + half[:, None] * gk_nodes).ravel()
-        nodes.append((half, x, x if infinite_from is None else infinite_from + x / (1.0 - x)))
-    at = np.concatenate([n[2] for n in nodes]) if len(nodes) > 1 else nodes[0][2]
-    fx_all = np.asarray(func(at), dtype=np.float64)
-    if not np.isfinite(fx_all).all():
-        j = int(np.flatnonzero(~np.isfinite(fx_all))[0])
-        raise NumericError(f"integrand is {float(fx_all[j])} at x = {float(at[j])}")
-    out, start = [], 0
-    for (los, his, infinite_from), (half, x, _) in zip(segments, nodes):
-        fx = fx_all[start : start + len(x)]
-        start += len(x)
-        if infinite_from is not None:
-            fx = fx / ((1.0 - x) * (1.0 - x))
-        fx = fx.reshape(len(los), 21)
-        kg = fx @ gk_weights
-        kronrod = kg[:, 0]
-        abs_half = np.abs(half)
-        resabs = (np.abs(fx) @ gk_kronrod * abs_half).tolist()
-        resasc = (np.abs(fx - 0.5 * kronrod[:, None]) @ gk_kronrod * abs_half).tolist()
-        diff = (np.abs(kronrod - kg[:, 1]) * abs_half).tolist()
-        values = (kronrod * half).tolist()
+    if len(segments) == 1:
+        ((los, his, _),) = segments
+    else:
+        los = [v for seg in segments for v in seg[0]]
+        his = [v for seg in segments for v in seg[1]]
+    lo = np.array(los)
+    half = 0.5 * (np.array(his) - lo)
+    x = (lo[:, None] + half[:, None] * gk_nodes).ravel()
+    rows, at, start = [], [], 0  # per segment: its rows of panels, and its nodes
+    for seg in segments:
+        rows.append((start, start + len(seg[0])))
+        t = x[21 * start : 21 * (start + len(seg[0]))]
+        at.append(t if seg[2] is None else seg[2] + t / (1.0 - t))
+        start += len(seg[0])
+    at = _joined(at)
+    if owners is None:
+        fx = np.asarray(func(at), dtype=np.float64)
+    else:
+        one = owners.count(owners[0]) == len(owners)
+        which = owners[0] if one else np.repeat(owners, [21 * (b - a) for a, b in rows])
+        fx = np.asarray(func(at, which), dtype=np.float64)
+    errors = {}
+    if not np.isfinite(fx).all():
+        for j in np.flatnonzero(~np.isfinite(fx)).tolist():
+            k = None if owners is None else which if one else int(which[j])
+            if k not in errors:
+                errors[k] = NumericError(f"integrand is {float(fx[j])} at x = {float(at[j])}")
+        if owners is None:
+            raise errors[None]
+    fx, x = fx.reshape(-1, 21), x.reshape(-1, 21)
+    kg, resabs, resasc = [], [], []
+    for s, ((a, b), (_, _, end)) in enumerate(zip(rows, segments)):
+        if errors and owners[s] in errors:  # nothing to sum
+            kg.append(np.zeros((b - a, 2)))
+            resabs.append(np.zeros(b - a))
+            resasc.append(np.zeros(b - a))
+            continue
+        f = fx[a:b]
+        if end is not None:  # f(a + t/(1-t)) / (1-t)^2
+            f = f / ((1.0 - x[a:b]) * (1.0 - x[a:b]))
+        kg_f = f @ gk_weights
+        kg.append(kg_f)
+        resabs.append(np.abs(f) @ gk_kronrod)
+        resasc.append(np.abs(f - 0.5 * kg_f[:, :1]) @ gk_kronrod)
+    kg = _joined(kg)
+    kronrod = kg[:, 0]
+    abs_half = np.abs(half)
+    resabs = (_joined(resabs) * abs_half).tolist()
+    resasc = (_joined(resasc) * abs_half).tolist()
+    diff = (np.abs(kronrod - kg[:, 1]) * abs_half).tolist()
+    values = (kronrod * half).tolist()
+    out = []
+    for s, (a, b) in enumerate(rows):
+        if errors and owners[s] in errors:
+            out.append(None)
+            continue
         out.append(panels := [])
-        for i, (err, spread, size) in enumerate(zip(diff, resasc, resabs)):
+        for i in range(a, b):
+            err, spread, size = diff[i], resasc[i], resabs[i]
             if spread != 0.0 and err != 0.0:
                 err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
             floor = _ROUNDOFF * size if size > _UFLOW / _ROUNDOFF else 0.0
             panels.append((max(err, floor), floor, los[i], his[i], values[i]))
-    return out
+    return out, errors
 
 
-def quad(
-    func: Callable, a: float, b: float, epsrel: float = 1e-10, limit: int = 50, points=None
-):
+def _joined(parts: list):
+    """The arrays of ``parts`` end to end; a lone part as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def quad(func: Callable, a, b, epsrel: float = 1e-10, limit: int = 50, points=None):
     """Integral of ``func`` over [a, b] and its error estimate; b may be inf.
 
     ``func`` takes and returns numpy arrays, elementwise. The rule bisects
@@ -278,19 +320,38 @@ def quad(
     as QUADPACK's qagp takes them, it returns the (value, error) of each
     segment, == that of ``quad`` on the segment alone: the segments refine
     in lockstep, sharing each round's one call of ``func``.
+
+    Given lists for ``a`` and ``b`` (and for ``points``, one list of
+    breakpoints per integral, or None), it takes the integrals over
+    [a[k], b[k]] in the same lockstep, each segment still on its own. Then
+    ``func`` is called as func(x, k), k the index of the integral of each
+    node (an int array, or one int when a round holds a single integral),
+    and the result is a list: per integral, the (value, error) of each of
+    its segments, == those of the one-integral call with ``points``, or the
+    ``NumericError`` that call would raise. An integral with a non-finite
+    value drops out; the others go on.
     """
-    edges = [a, b] if points is None else [a, *points, b]
-    asks = {  # segment: (los, his, infinite_from) of the panels it asks for
-        s: ([0.0], [1.0], lo) if hi == math.inf else ([lo], [hi], None)
-        for s, (lo, hi) in enumerate(zip(edges, edges[1:]))
-    }
-    segments, results = [[] for _ in asks], [None] * len(asks)
+    many = isinstance(a, (list, tuple))
+    if not many:
+        segmented = points is not None
+        a, b, points = [a], [b], [points or ()]
+    owner, asks = [], {}  # the integral of each segment; segment: the panels it asks for
+    for k, (lo_k, pts, hi_k) in enumerate(zip(a, points or [()] * len(a), b)):
+        edges = [lo_k, *pts, hi_k]
+        for lo, hi in zip(edges, edges[1:]):
+            asks[len(owner)] = ([0.0], [1.0], lo) if hi == math.inf else ([lo], [hi], None)
+            owner.append(k)
+    segments, results, failed = [[] for _ in owner], [None] * len(owner), {}
     while asks:
-        for s, new in zip(list(asks), _gk21_panels(func, list(asks.values()))):
-            segments[s] += new
+        new, errors = _gk21_panels(
+            func, list(asks.values()), [owner[s] for s in asks] if many else None
+        )
+        failed.update(errors)
         asks_done, asks = asks, {}
-        for s, (_, _, infinite_from) in asks_done.items():
-            panels = segments[s]
+        for (s, (_, _, infinite_from)), panels in zip(asks_done.items(), new):
+            if panels is None:
+                continue
+            panels = segments[s] = segments[s] + panels
             total = math.fsum(p[4] for p in panels)
             total_err = math.fsum(p[0] for p in panels)
             tol = epsrel * abs(total)
@@ -312,7 +373,13 @@ def quad(
                 asks[s] = los, mids + [panels[i][3] for i in pick], infinite_from
                 picked = set(pick)
                 segments[s] = [p for i, p in enumerate(panels) if i not in picked]
-    return results[0] if points is None else results
+    if not many:
+        return results if segmented else results[0]
+    out = [failed.get(k, []) for k in range(len(a))]
+    for k, result in zip(owner, results):
+        if k not in failed:
+            out[k].append(result)
+    return out
 
 
 def _bisectable(lo: float, hi: float) -> bool:
@@ -453,11 +520,11 @@ _REMAINDER_EPSREL = 1e-1
 def euler_maclaurin_tail(
     log_f: Callable,
     start: int,
-    integral: float,
-    integral_err: float,
-    breaks: Iterable[float] = (),
+    integral,
+    integral_err,
+    breaks=(),
     stop: int | None = None,
-) -> tuple[float, float]:
+):
     """Value and error bound of the sum of f(n) over start <= n (<= ``stop``).
 
     ``log_f`` maps log x to log f(x) and must accept a ``Jet``; f must be
@@ -476,38 +543,80 @@ def euler_maclaurin_tail(
     first round also the ends' terms), and the QUADPACK error estimate is
     added to the integral. A finite end keeps the jets away from where
     log f itself overflows.
+
+    Given lists for ``integral``, ``integral_err`` and ``breaks`` (one entry
+    per summand), it takes several sums over the same range in lockstep:
+    ``log_f`` is then called as log_f(log x, k), k the index of the summand
+    at each point (an int array, or one int when all the points belong to
+    one summand), one ``quad`` call takes every remainder
+    integral, and the result is a list with, per summand, its
+    (value, bound) or the exception that the one-summand call would raise.
     """
+    if not isinstance(integral, list):
+        (outcome,) = euler_maclaurin_tail(
+            lambda lx, k: log_f(lx), start, [integral], [integral_err], [breaks], stop
+        )
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
     p = EM_ORDER
     b = [float(v) for v in bernoulli_table(2 * p).values]  # b[k] = B_2k
     u_ends = [math.log(start)] if stop is None else [math.log(start), math.log(stop)]
-    at_ends = []  # f(n)/2 and sum_{k<p} B_2k/(2k)! f^(2k-1)(n) at each end
+    count = len(integral)
+    end_jets = []  # psi and e at the ends of every summand, from the first round
 
     # One array jet per refinement round, on its nodes and, in the first
     # round, the ends: with psi = log f(x) and e[k] = f^(k)(x) x^k / k! / f(x)
     # at x = e^u, |f^(2p)(x)| dx = (2p)! |e[2p]| exp(psi + (1-2p) u) du.
-    def abs_high_derivative(u: np.ndarray) -> np.ndarray:
+    def abs_high_derivative(u: np.ndarray, k: np.ndarray) -> np.ndarray:
         m = len(u)
-        jet = log_f(Jet.log_variable(np.concatenate((u, [] if at_ends else u_ends)), 2 * p))
+        at, which = u, k
+        if not end_jets:  # k is one int when there is one summand
+            at = np.concatenate((u, u_ends * count))
+            if count > 1:
+                which = np.concatenate((k, np.repeat(np.arange(count), len(u_ends))))
+        jet = log_f(Jet.log_variable(at, 2 * p), which)
         psi = jet.c[0]
         ee = (jet - psi).exp().c
-        for un, psi0, e in zip(u_ends, psi[m:].tolist(), ee[:, m:].T.tolist()):
-            # f^(j)(n) = j! e[j] exp(psi0 - j u): B_2k/(2k)! f^(2k-1)(n) is B_2k/(2k) e[2k-1] ...
-            corrections = math.fsum(
-                b[k] / (2 * k) * e[2 * k - 1] * math.exp(psi0 - (2 * k - 1) * un) for k in range(1, p)
-            )
-            at_ends.append((0.5 * math.exp(psi0), corrections))
+        if not end_jets:
+            end_jets.append((psi[m:].tolist(), ee[:, m:].T.tolist()))
         return np.abs(ee[2 * p, :m]) * np.exp(psi[:m] + (1 - 2 * p) * u)
 
     u0, u_end = u_ends[0], math.inf if stop is None else u_ends[1]
-    inner = sorted(x for x in breaks if u0 < x < u_end)
-    total = 0.0
-    for val, err in quad(abs_high_derivative, u0, u_end, epsrel=_REMAINDER_EPSREL, points=inner):
-        total += val + err
-    (half, corrections), *at_stop = at_ends
-    value = integral + half - corrections
-    for half, corrections in at_stop:
-        value += half + corrections
-    bound = (2.0 - 2.0 ** (1 - 2 * p)) * abs(b[p]) * total + integral_err
-    if not (math.isfinite(value) and math.isfinite(bound)):
-        raise NumericError(f"Euler-Maclaurin tail from {start} gave {value} +- {bound}")
-    return float(value), float(bound)
+    inner = [sorted(x for x in br if u0 < x < u_end) for br in breaks]
+    remainders = []
+    if count:
+        ends = [u0] * count, [u_end] * count
+        remainders = quad(abs_high_derivative, *ends, epsrel=_REMAINDER_EPSREL, points=inner)
+    out = []
+    for i, segments in enumerate(remainders):
+        psi_ends, e_ends = (v[i * len(u_ends) : (i + 1) * len(u_ends)] for v in end_jets[0])
+        try:
+            at_ends = []  # f(n)/2 and sum_{k<p} B_2k/(2k)! f^(2k-1)(n) at each end
+            for un, psi0, e in zip(u_ends, psi_ends, e_ends):
+                # f^(j)(n) = j! e[j] exp(psi0 - j u), so B_2k/(2k)! f^(2k-1)(n) is
+                # B_2k/(2k) e[2k-1] exp(psi0 - (2k-1) u)
+                corrections = math.fsum(
+                    b[k] / (2 * k) * e[2 * k - 1] * math.exp(psi0 - (2 * k - 1) * un)
+                    for k in range(1, p)
+                )
+                at_ends.append((0.5 * math.exp(psi0), corrections))
+        except Exception as exc:  # raised in the first round, ahead of the quadrature
+            out.append(exc)
+            continue
+        if isinstance(segments, Exception):
+            out.append(segments)
+            continue
+        total = 0.0
+        for val, err in segments:
+            total += val + err
+        (half, corrections), *at_stop = at_ends
+        value = integral[i] + half - corrections
+        for half, corrections in at_stop:
+            value += half + corrections
+        bound = (2.0 - 2.0 ** (1 - 2 * p)) * abs(b[p]) * total + integral_err[i]
+        if math.isfinite(value) and math.isfinite(bound):
+            out.append((float(value), float(bound)))
+        else:
+            out.append(NumericError(f"Euler-Maclaurin tail from {start} gave {value} +- {bound}"))
+    return out

@@ -51,7 +51,7 @@ from .series import (
     eval_factorial,
     eval_general_grid,
     eval_power_series,
-    eval_powerlog,
+    eval_powerlog_grid,
 )
 from .special import log_factorial, log_log_factorial
 
@@ -158,11 +158,11 @@ def suite_thm11(
     sets = [(params, 0.60)] if params is not None else _THM11_SETS
     for p, final_tol in sets:
         tag = f"({p.alpha:g},{p.beta:g},{p.gamma:g},{p.delta:g},{p.mu:g})"
-        devs = []
-        for k in range(2, 7):
-            r = 10.0**k
-            value = eval_powerlog(p, r, rel_tol=1e-9).value
-            devs.append(abs(value / predict_powerlog(p, r) - 1.0))
+        radii = [10.0**k for k in range(2, 7)]
+        devs = [
+            abs(res.value / predict_powerlog(p, r) - 1.0)
+            for r, res in zip(radii, eval_powerlog_grid(p, radii, rel_tol=1e-9))
+        ]
         out.append(
             _check(
                 f"thm11/final-dev{tag}",
@@ -192,9 +192,13 @@ def suite_thm12(strict: bool = False) -> list[CheckResult]:
     )
     gaps = []
     radii = [10.0**k for k in range(2, 6)]
-    for r, res in zip(radii, eval_general_grid(shifted, 1.0, radii, rel_tol=1e-6)):
+    for r, res, plain_res in zip(
+        radii,
+        eval_general_grid(shifted, 1.0, radii, rel_tol=1e-6),
+        eval_powerlog_grid(p, radii, rel_tol=1e-9),
+    ):
         dev_sh = abs(res.value / predict_powerlog(p, r) - 1.0)
-        dev_un = abs(eval_powerlog(p, r, rel_tol=1e-9).value / predict_powerlog(p, r) - 1.0)
+        dev_un = abs(plain_res.value / predict_powerlog(p, r) - 1.0)
         gaps.append(abs(dev_sh - dev_un))
     out.append(
         _check(
@@ -217,10 +221,14 @@ def suite_thm12(strict: bool = False) -> list[CheckResult]:
     )
     devs = []
     radii = [10.0**k for k in (2, 3, 4)]
-    for r, res in zip(radii, eval_general_grid(seq, 1.0, radii, rel_tol=1e-7)):
+    for r, res, plain_res in zip(
+        radii,
+        eval_general_grid(seq, 1.0, radii, rel_tol=1e-7),
+        eval_powerlog_grid(plain, radii, rel_tol=1e-9),
+    ):
         head = 5.0 / (r * r) ** 2 + 6.0 / (1.0 + r * r) ** 2
         v = res.value - head
-        devs.append(abs(v / eval_powerlog(plain, r, rel_tol=1e-9).value - 1.0))
+        devs.append(abs(v / plain_res.value - 1.0))
     out.append(
         _check(
             "thm12/shift-ratio-to-one",

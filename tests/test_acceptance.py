@@ -205,10 +205,10 @@ def test_sequence_suites_sum_short_heads(monkeypatch):
 def test_thm11_integrates_on_node_arrays(monkeypatch):
     # a deterministic cost guard: every quadrature of the thm11 suite (tail
     # integrals and Euler-Maclaurin remainders, one quad call over all the
-    # segments of each) calls its integrand, and so the power-log summand,
-    # once per refinement round on arrays of nodes, whatever its number of
-    # segments; today at most 5 rounds a call, where one call per node makes
-    # at least 21
+    # segments of all the radii of a checkpoint) calls its integrand, and so
+    # the power-log summand, once per refinement round on arrays of nodes,
+    # whatever its number of integrals and segments; today at most 5 rounds
+    # a call, where one call per node makes at least 21
     from mathieu_series import dirichlet, series, tails
 
     rule = tails.quad
@@ -224,14 +224,18 @@ def test_thm11_integrates_on_node_arrays(monkeypatch):
         calls = [0]
         before = summand_calls[0]
 
-        def counted(x):
+        def counted(*args):
             calls[0] += 1
-            return func(x)
+            return func(*args)
 
         try:
             return rule(counted, a, b, **kwargs)
         finally:
-            segments = 1 + len(kwargs.get("points") or ())
+            points = kwargs.get("points")
+            if isinstance(a, (list, tuple)):  # one integral per entry of a
+                segments = sum(1 + len(p) for p in points or [()] * len(a))
+            else:
+                segments = 1 + len(points or ())
             per_quad.append((calls[0], summand_calls[0] - before, segments))
 
     monkeypatch.setattr(series, "_powerlog_log_summand", counting_summand)
@@ -241,3 +245,31 @@ def test_thm11_integrates_on_node_arrays(monkeypatch):
     assert sum(segments for *_, segments in per_quad) >= 60
     assert max(integrand for integrand, _, _ in per_quad) <= 8
     assert max(summand for _, summand, _ in per_quad) <= 8
+
+
+def test_power_log_suites_share_quadrature_rounds_across_radii(monkeypatch):
+    # a deterministic cost guard: thm11, thm12 and cor61 take the tails of
+    # every radius of a grid at a block end together, one tail-integral
+    # quadrature and one remainder quadrature, each calling its integrand
+    # once per round; one quadrature per radius made 170 and 61 rounds
+    from mathieu_series import series, tails
+
+    rule = tails.quad
+    rounds = Counter()
+
+    def counting(where):
+        def wrapped(func, a, b, **kwargs):
+            def counted(*args):
+                rounds[where] += 1
+                return func(*args)
+
+            return rule(counted, a, b, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(series, "quad", counting("tail integrals"))
+    monkeypatch.setattr(tails, "quad", counting("remainder jets"))
+    for name in ("thm11", "thm12", "cor61"):
+        assert all(c.passed for c in run_suite(name))
+    assert rounds["tail integrals"] <= 50
+    assert rounds["remainder jets"] <= 25

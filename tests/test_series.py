@@ -38,6 +38,7 @@ from mathieu_series.series import (
     eval_general_grid,
     eval_power_series,
     eval_powerlog,
+    eval_powerlog_grid,
     factorial_summand_log,
     peak_index_n0,
 )
@@ -231,18 +232,22 @@ _SUITE_POWERLOG_INPUTS = [
 @pytest.mark.parametrize("p, r, rel_tol", _SUITE_POWERLOG_INPUTS)
 def test_powerlog_tail_integral_matches_the_closed_form_far_tail(p, r, rel_tol, monkeypatch):
     log_r2 = 2.0 * math.log(r)
-    log_f = lambda u: series._powerlog_log_summand(p, log_r2, u)
+    log_f = functools.partial(series._powerlog_log_summand, p)
+    log_b = series._powerlog_log_b(p)
     for n in (4098, 12290):
-        _, _, integral, err = series._smooth_tail(log_f, series._powerlog_log_b(p), log_r2, n)
+        [(_, _, integral, err)] = series._smooth_tail(log_f, log_b, [log_r2], n)
         ref, ref_err, _ = reference_powerlog_tail_integral(p, log_r2, math.log(n))
         assert abs(integral - ref) <= err + ref_err
 
     res = eval_powerlog(p, r, rel_tol=rel_tol)
 
-    def reference_tail(log_f, log_b, log_r2, n):
+    def reference_tail(log_f, log_b, log_r2s, n):
+        [log_r2] = log_r2s
         integral, err, breaks = reference_powerlog_tail_integral(p, log_r2, math.log(n))
-        value, bound = euler_maclaurin_tail(log_f, n, integral, err, breaks)
-        return value, bound, integral, err
+        value, bound = euler_maclaurin_tail(
+            lambda lx: log_f(log_r2, lx), n, integral, err, breaks
+        )
+        return [(value, bound, integral, err)]
 
     monkeypatch.setattr(series, "_smooth_tail", reference_tail)
     ref = eval_powerlog(p, r, rel_tol=rel_tol)
@@ -252,9 +257,83 @@ def test_powerlog_tail_integral_matches_the_closed_form_far_tail(p, r, rel_tol, 
     # agree within the sum of the two integrals' error estimates.
     assert abs(res.value - ref.value) <= res.tail_bound + ref.tail_bound
     n = 2 + res.terms_used
-    _, _, _, err = series._smooth_tail(log_f, series._powerlog_log_b(p), log_r2, n)
+    [(_, _, _, err)] = series._smooth_tail(log_f, log_b, [log_r2], n)
     _, ref_err, _ = reference_powerlog_tail_integral(p, log_r2, math.log(n))
     assert abs(res.tail_bound - ref.tail_bound) <= err + ref_err
+
+
+# ---------------------------------------------------------------------------
+# Power-log family over a radius grid
+# ---------------------------------------------------------------------------
+
+
+def _outcome(evaluate):
+    """What ``evaluate()`` returns, or the type, message and cap bound of its error."""
+    try:
+        return evaluate()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "bound_achieved", None)
+
+
+_CUBIC_POWERLOG = PowerLogParams(1, 3, 0, 0, 1)
+_FAR_PEAK = PowerLogParams(1, 1, 0, 1, 2)  # peaks far past the head (n ~ r^2/2 / log n)
+
+
+@pytest.mark.parametrize(
+    "p, radii, kwargs",
+    [
+        # the thm11 and thm12 grids
+        (PowerLogParams(2, 3, -1, 2, 1), [10.0**k for k in range(2, 7)], dict(rel_tol=1e-9)),
+        (PowerLogParams(1, 3, 1, 1, 1), [10.0**k for k in range(2, 6)], dict(rel_tol=1e-9)),
+        # 1e3 certifies at the first block end, 1e7 at the third, 1e9 at the seventh
+        (_CUBIC_POWERLOG, [1e3, 1e7, 1e9], dict(rel_tol=1e-14)),
+        # out of order, with duplicates
+        (_CUBIC_POWERLOG, [1e7, 1e3, 1e7, 50.0, 1e3], dict(rel_tol=1e-14)),
+        # peaks past the head, found by the lockstep search, and one in it
+        (_FAR_PEAK, [1e4, 30.0, 1e6, 1e4], dict(rel_tol=1e-9)),
+        (_FAR_PEAK, [1e6], dict(rel_tol=1e-9)),
+        # 1e120 is below the smallest normal double: the first failure wins
+        (_CUBIC_POWERLOG, [1e3, 1e7, 1e120, 1e9], dict(rel_tol=1e-14)),
+        (_CUBIC_POWERLOG, [1e120, 1e3], dict(rel_tol=1e-14)),
+        (_CUBIC_POWERLOG, [1e7, 1e3, 1e120], dict(rel_tol=1e-14)),
+        # give-up rules: below the quadrature floor, and the term cap
+        (PowerLogParams(1, 2, 0, 0, 1), [1e3, 1e9, 1e6], dict(rel_tol=1e-15)),
+        (PowerLogParams(1, 2, 0, 0, 1), [10.0, 1e6], dict(rel_tol=1e-14, hard_cap=100)),
+        # a bad radius: ahead of rel_tol when first, else once those before succeed
+        (_CUBIC_POWERLOG, [0.5, 1e3], dict(rel_tol=1.0)),
+        (_CUBIC_POWERLOG, [1e3, 1.0, 1e7], dict(rel_tol=1e-14)),
+        (_CUBIC_POWERLOG, [1e3, math.inf], dict(rel_tol=1e-8)),
+        (_CUBIC_POWERLOG, [1e7, math.nan, 1e120], dict(rel_tol=1e-14)),
+        (_CUBIC_POWERLOG, [], dict(rel_tol=1.0)),
+    ],
+)
+def test_powerlog_grid_equals_the_per_radius_loop(p, radii, kwargs):
+    grid = _outcome(lambda: eval_powerlog_grid(p, radii, **kwargs))
+    assert grid == _outcome(lambda: [eval_powerlog(p, r, **kwargs) for r in radii])
+    if isinstance(grid, list):  # EvalResult compares its fields with ==
+        assert [type(res) for res in grid] == [EvalResult] * len(radii)
+
+
+def test_smooth_tail_keeps_an_error_to_its_radius():
+    # a summand that is NaN past u = 12 at one radius only: its tail integral
+    # fails as the one-radius call does, and the others are unchanged
+    p = PowerLogParams(1, 2, 0, 0, 1)
+    bad = 2.0 * math.log(1e5)
+
+    def log_f(log_r2, lx):
+        value = series._powerlog_log_summand(p, log_r2, lx)
+        if isinstance(lx, np.ndarray):
+            return np.where((log_r2 == bad) & (lx > 12.0), math.nan, value)
+        return value
+
+    log_b = series._powerlog_log_b(p)
+    log_r2s = [2.0 * math.log(r) for r in (1e3, 1e5, 1e4)]
+    together = series._smooth_tail(log_f, log_b, log_r2s, 4098)
+    alone = [series._smooth_tail(log_f, log_b, [x], 4098)[0] for x in log_r2s]
+    assert isinstance(together[1], NumericError)
+    assert str(together[1]) == str(alone[1]) and "integrand is nan" in str(alone[1])
+    assert together[::2] == alone[::2]
+    assert all(type(t) is tuple and len(t) == 4 for t in together[::2])
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +961,11 @@ def _counting(seq):
     return counted_seq, (seen_a, seen_b)
 
 
+# a_n = n^(1/2), b_n = n: the summand peaks near n = r^2/3, past the head from r ~ 110
+_SQRT_SMOOTH = SequencePair(
+    a=lambda n: math.sqrt(n), b=lambda n: float(n), log_a=lambda u: 0.5 * u, log_b=lambda u: 1.0 * u
+)
+
 _VERIFY_GRIDS = [  # the radii of the verify suites thm12 and cor61, one grid each
     (_SHIFTED_SMOOTH, [10.0**k for k in (2, 3, 4, 5)], dict(rel_tol=1e-6)),
     (_PLUS5_SMOOTH, [10.0**k for k in (2, 3, 4)], dict(rel_tol=1e-7)),
@@ -904,9 +988,15 @@ _VERIFY_GRIDS = [  # the radii of the verify suites thm12 and cor61, one grid ea
         # out of order, with a duplicate
         (_SHIFTED_SMOOTH, [1e4, 1e2, 1e5, 1e2, 1e3], dict(rel_tol=1e-6)),
         (_LOGFACT, [1e4, 1e2, 1e4], dict(rel_tol=1e-5, n_start=2)),
+        # smooth tails in lockstep: 1e3 certifies at 4096 terms, 1e7 at
+        # 16384 and 1e9 at 524288; peaks past the head at 1e4 and 1e6
+        (_CUBIC_SMOOTH, [1e7, 1e3, 1e9, 1e3], dict(rel_tol=1e-14)),
+        (_CUBIC_SMOOTH, [1e3, 1e7], dict(rel_tol=1e-12)),
+        (_SQRT_SMOOTH, [1e4, 30.0, 1e6], dict(rel_tol=1e-9)),
     ],
     ids=["thm12-shifted", "thm12-plus5", "cor61", "sweep-logfact", "sweep-shifted",
-         "supplied-envelope", "unordered-smooth", "unordered-fitted"],
+         "supplied-envelope", "unordered-smooth", "unordered-fitted", "smooth-block-ends",
+         "smooth-two-radii", "smooth-far-peaks"],
 )
 def test_grid_equals_the_per_radius_loop(seq, radii, kwargs):
     results = eval_general_grid(seq, 1.0, radii, **kwargs)

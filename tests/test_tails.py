@@ -224,6 +224,128 @@ def test_segments_name_a_non_finite_node(bad):
         quad(integrand, 0.0, math.inf, points=[1.0, 3.0])
 
 
+@given(
+    integrals=st.lists(
+        st.tuples(
+            st.floats(-5.0, 30.0),  # start
+            st.floats(0.5, 40.0),  # width
+            st.lists(st.floats(0.01, 0.99), max_size=3, unique=True),  # cuts
+            st.booleans(),  # to infinity
+            st.floats(-5.0, 60.0),  # the integral's parameter: where it peaks
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    epsrel=st.sampled_from([1e-13, 1e-10, 0.1]),
+    limit=st.sampled_from([50, 400]),
+)
+@settings(max_examples=60, deadline=None)
+def test_integrals_are_the_one_integral_rule_in_lockstep(integrals, epsrel, limit):
+    peaks = np.array([peak for *_, peak in integrals])
+
+    def integrand(u, peak):
+        calls.append(u.size)
+        return np.exp(-0.5 * (u - peak) ** 2) + np.exp(-0.1 * u - 0.02 * u * u)
+
+    starts, ends, points = [], [], []
+    calls = []
+    alone, rounds = [], []
+    for start, width, cuts, infinite, peak in integrals:
+        starts.append(start)
+        ends.append(math.inf if infinite else start + width)
+        points.append(sorted({start + width * c for c in cuts} - {start, start + width}))
+        alone.append(
+            quad(lambda u: integrand(u, peak), start, ends[-1], epsrel, limit, points[-1])
+        )
+        rounds.append(len(calls))
+        calls.clear()
+    together = quad(
+        lambda u, k: integrand(u, peaks[k]), starts, ends, epsrel, limit, points=points
+    )
+    assert together == alone  # per integral, per segment
+    assert len(calls) == max(rounds)  # one call per round, on every integral still refining
+    if len(integrals) == 1 and not points[0]:  # as the one-integral call without ``points``
+        one = quad(lambda u: integrand(u, peaks[0]), starts[0], ends[0], epsrel, limit)
+        assert together == [[one]]
+
+
+def test_an_integral_with_a_non_finite_node_drops_out_alone():
+    bad = np.array([0.0, math.nan, 0.0])
+
+    def integrand(u, k):
+        return np.where(np.abs(u - 2.5) < 0.3, bad[k], 0.0) + np.exp(-u)
+
+    [first, second, third] = quad(integrand, [0.0] * 3, [math.inf] * 3, points=[[1.0, 3.0]] * 3)
+    one = quad(lambda u: np.exp(-u), 0.0, math.inf, points=[1.0, 3.0])
+    assert first == third == one
+    with pytest.raises(NumericError) as alone:
+        quad(lambda u: integrand(u, 1), 0.0, math.inf, points=[1.0, 3.0])
+    assert isinstance(second, NumericError) and str(second) == str(alone.value)
+
+
+@pytest.mark.parametrize("stop", [None, 5000])
+def test_euler_maclaurin_sums_in_lockstep(stop):
+    # n^(-s) for three s at once, as the one-summand calls give them, each
+    # with its own breaks; every round is one jet over all the summands
+    s = np.array([2.0, 3.0, 2.5])
+    start = 100
+    end = math.inf if stop is None else stop
+    integrals = [(start ** (1.0 - x) - end ** (1.0 - x)) / (x - 1.0) for x in s.tolist()]
+    errs = [0.0, 1e-20, 1e-19]
+    breaks = [(), (5.5,), (6.0, 7.0)]
+    calls = []
+
+    def log_f(lx, k):
+        calls.append(k)
+        return -s[k] * lx
+
+    alone, rounds = [], []
+    for j, (i, e, b) in enumerate(zip(integrals, errs, breaks)):
+        alone.append(
+            euler_maclaurin_tail(lambda lx: log_f(lx, j), start, i, e, b, stop=stop)
+        )
+        rounds.append(len(calls))
+        calls.clear()
+    together = euler_maclaurin_tail(log_f, start, integrals, errs, breaks, stop=stop)
+    assert together == alone
+    assert all(type(t) is tuple for t in together)
+    assert len(calls) == max(rounds)
+    # the first round also takes the jets at the ends of every summand
+    ends = 1 if stop is None else 2
+    assert np.bincount(calls[0]).tolist() == [21 * (1 + len(b)) + ends for b in breaks]
+    assert euler_maclaurin_tail(log_f, start, [], [], []) == []
+
+
+def test_euler_maclaurin_keeps_an_error_to_its_summand():
+    # from 1e4 to 2e4: n^-2, n^-2 e^(n/10), whose end terms overflow, n^-3,
+    # and a NaN summand; each outcome is that of its one-summand call
+    a = np.array([-2.0, -2.0, -3.0, math.nan])
+    c = np.array([0.0, 0.1, 0.0, 0.0])
+
+    def log_f(lx, k):
+        return a[k] * lx + c[k] * np.exp(lx)
+
+    def outcome(call):
+        try:
+            return call()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    args = 10_000, [1e-4, 1.0, 1e-8, 1.0], [0.0] * 4
+    with np.errstate(over="ignore", invalid="ignore"):
+        together = euler_maclaurin_tail(log_f, *args, stop=20_000)
+        alone = [
+            outcome(
+                lambda: euler_maclaurin_tail(
+                    lambda lx: log_f(lx, j), args[0], args[1][j], 0.0, stop=20_000
+                )
+            )
+            for j in range(4)
+        ]
+    assert [(type(t), str(t)) if isinstance(t, Exception) else t for t in together] == alone
+    assert [type(t) for t in together] == [tuple, OverflowError, tuple, NumericError]
+
+
 def _exp_poly_tail_exact(decay, power, u0):
     """The integral of u^power e^(-decay u) over [u0, inf) at 40 digits, as an mpf.
 
