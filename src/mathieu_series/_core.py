@@ -72,6 +72,14 @@ def _normal_exp(log_value: float, who: str, r: float) -> float:
     return value
 
 
+def _raise_first(outcomes: list) -> list:
+    """``outcomes`` (results and exceptions) when none is an exception; else raises the first."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
 @record
 class PowerLogParams:
     """Exponent tuple for the power-logarithmic family.

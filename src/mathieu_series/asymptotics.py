@@ -428,12 +428,15 @@ def eval_classical_expansion(
     return value, estimate
 
 
-def _classical_series(mu: float, r: float, rel_tol: float) -> float:
-    """The classical series sum over n >= 1 of 2n/(n^2+r^2)^(mu+1), summed directly.
-
-    Twice the power-log sum over n >= 2 at (1, 2, 0, 0, mu), plus the n = 1 term.
+def _classical_series(mu: float, radii: list[float], rel_tol: float) -> list:
+    """Per radius r, the classical series sum over n >= 1 of 2n/(n^2+r^2)^(mu+1), summed
+    directly, or the error that raised: twice the power-log sum over n >= 2 at
+    (1, 2, 0, 0, mu), the radii's sums in one grid, plus the n = 1 term.
     """
-    from .series import eval_powerlog  # the closed forms above run without series
+    from .series import _powerlog_outcomes  # the closed forms above run without series
 
     p = PowerLogParams(1, 2, 0, 0, mu)
-    return 2.0 * eval_powerlog(p, r, rel_tol=rel_tol).value + 2.0 / (1.0 + r * r) ** (mu + 1.0)
+    return [
+        res if isinstance(res, Exception) else 2.0 * res.value + 2.0 / (1.0 + r * r) ** (mu + 1.0)
+        for r, res in zip(radii, _powerlog_outcomes(p, radii, rel_tol))
+    ]

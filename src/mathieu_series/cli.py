@@ -21,6 +21,9 @@ loads only the code its command runs:
   and ``tails``;
 * ``verify``: ``verify``, which loads all of the above and ``dirichlet``.
 
+A sweep evaluates its whole grid first (the power-log and expansion
+families as one radius grid) and writes one row per radius, failed ones too.
+
 Output with ``--format csv`` also loads the standard library's ``csv``.
 """
 
@@ -40,6 +43,8 @@ from ._core import (
     FactorialParams,
     PowerLogParams,
     SequencePair,
+    _check_rel_tol,
+    _raise_first,
     eval_factorial,
 )
 from ._suites import SUITE_NAMES
@@ -320,9 +325,27 @@ def _parse_grid(spec: str) -> list[float]:
     return [lo * ratio**i for i in range(n)]
 
 
-def _sweep_row(args: argparse.Namespace, p, cap: int | None, r: float) -> dict:
+def _sweep_outcomes(args: argparse.Namespace, p, cap: int | None, radii: list) -> list:
+    """Per radius, the series value (an ``EvalResult``; a float for expansion) or its error."""
+    if args.family == "powerlog":
+        from .series import _powerlog_outcomes
+
+        return _powerlog_outcomes(p, radii, args.tol, cap)
+    if args.family == "expansion":
+        from .asymptotics import _classical_series
+
+        return _classical_series(p, radii, 1e-13)
+    outcomes = []
+    for r in radii:
+        try:
+            outcomes.append(eval_factorial(p, r, rel_tol=args.tol, hard_cap=cap))
+        except MathieuError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _sweep_row(args: argparse.Namespace, p, r: float, outcome) -> dict:
     from .asymptotics import (
-        _classical_series,
         eval_classical_expansion,
         factorial_diagnostics,
         predict_factorial,
@@ -333,9 +356,9 @@ def _sweep_row(args: argparse.Namespace, p, cap: int | None, r: float) -> dict:
     if args.family == "expansion":
         # optimal truncation against the direct evaluation
         value, bound = eval_classical_expansion(p, r, mode="optimal")
-        pred = _classical_series(p, r, 1e-13)
+        (pred,) = _raise_first([outcome])
     else:
-        res = _FAMILIES[args.family].evaluate(p, r, rel_tol=args.tol, hard_cap=cap)
+        (res,) = _raise_first([outcome])
         value, bound = res.value, res.tail_bound
         if args.family == "powerlog":
             try:
@@ -352,17 +375,20 @@ def _sweep_row(args: argparse.Namespace, p, cap: int | None, r: float) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    grid = _parse_grid(args.r_grid)
-    # Parameters and the term cap are read once, so that bad ones exit 2 before any work.
+    radii = sorted(_parse_grid(args.r_grid))
+    # Parameters, the term cap and the tolerance are read once, so that bad
+    # ones exit 2 before any work; expansion takes neither cap nor tolerance.
     family = _FAMILIES[args.family]
     p = family.params(args)
     cap = _term_cap(args) if family.evaluate is not None else None
+    if cap is not None:
+        _check_rel_tol(args.tol)
 
     rows = []
     failures = 0
-    for r in sorted(grid):
+    for r, outcome in zip(radii, _sweep_outcomes(args, p, cap, radii)):
         try:
-            rows.append(_sweep_row(args, p, cap, r))
+            rows.append(_sweep_row(args, p, r, outcome))
         except MathieuError as exc:
             failures += 1
             rows.append({"r": r, "error": str(exc)})

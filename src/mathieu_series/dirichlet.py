@@ -33,6 +33,7 @@ from .series import (
     _check_rel_tol,
     _log_x_integral,
     _normal_exp,
+    _raise_first,
     _require_radius,
 )
 from .special import (
@@ -136,7 +137,7 @@ def log_weighted_zeta(p: DirichletParams, s: float, rel_tol: float = 1e-10) -> f
 
     c = p.eta - p.theta * s
 
-    def log_f(lx):
+    def log_f(lx, k=0):
         return c * np.log(lx) - s * lx
 
     n_cut = 10_000
@@ -145,8 +146,8 @@ def log_weighted_zeta(p: DirichletParams, s: float, rel_tol: float = 1e-10) -> f
         partial = float(np.sum(np.exp(log_f(np.log(ns)))))
 
         # integral of (log x)^c x^(-s) over [n_cut, inf) via x = exp(u)
-        integral, integral_err = exp_poly_tail(s - 1.0, c, math.log(n_cut))
-        tail, bound = euler_maclaurin_tail(log_f, n_cut, integral, integral_err)
+        integral, err = exp_poly_tail(s - 1.0, c, math.log(n_cut))
+        ((tail, bound),) = _raise_first(euler_maclaurin_tail(log_f, n_cut, [integral], [err]))
         value = partial + tail
         if not (math.isfinite(value) and value >= sys.float_info.min):
             raise NumericError(f"log_weighted_zeta produced {value} at s={s}, not a normal double")
@@ -239,17 +240,16 @@ def factorial_dirichlet(s: float, rel_tol: float = 1e-12) -> float:
         if stop > _FACTORIAL_STOP_MAX:
             raise NumericError(f"factorial_dirichlet: s={s} is too small to sum")
 
-    def log_f(lx):
+    def log_f(lx, k=0):
         return -s * np.exp(log_log_factorial(lx))
 
     # x (n!)^(-s) peaks in u = log x where u + log u = log(1/s)
     u_peak = lambert_w(1.0 / s)
     u_start, u_stop = math.log(start), math.log(stop)
-    integral, integral_err = _log_x_integral(
-        log_f, (u_start, min(max(u_peak, u_start), u_stop), u_stop)
-    )
-    tail, bound = euler_maclaurin_tail(
-        log_f, start, integral, integral_err, breaks=(u_peak,), stop=stop
+    edges = (u_start, min(max(u_peak, u_start), u_stop), u_stop)
+    ((integral, err),) = _raise_first(_log_x_integral(log_f, [edges]))
+    ((tail, bound),) = _raise_first(
+        euler_maclaurin_tail(log_f, start, [integral], [err], [(u_peak,)], stop)
     )
     value = partial + tail
     bound += far
@@ -283,7 +283,7 @@ def log_factorial_dirichlet(s: float, rel_tol: float = 1e-10) -> float:
         raise DomainError(f"log_factorial_dirichlet requires s > 1, got {s}")
     rel_tol = _check_rel_tol(rel_tol)
 
-    def log_f(lx):
+    def log_f(lx, k=0):
         return -s * log_log_factorial(lx)
 
     n_cut = 20_000
@@ -292,8 +292,8 @@ def log_factorial_dirichlet(s: float, rel_tol: float = 1e-10) -> float:
         lf = np.cumsum(np.log(ns))  # log(2)+...+log(n) = log n!
         partial = float(np.sum(np.exp(-s * np.log(lf))))
 
-        integral, integral_err = _log_x_integral(log_f, (math.log(n_cut), math.inf))
-        tail, bound = euler_maclaurin_tail(log_f, n_cut, integral, integral_err)
+        ((integral, err),) = _raise_first(_log_x_integral(log_f, [(math.log(n_cut), math.inf)]))
+        ((tail, bound),) = _raise_first(euler_maclaurin_tail(log_f, n_cut, [integral], [err]))
         value = partial + tail
         if bound <= rel_tol * value:
             return value

@@ -15,11 +15,13 @@ integral runs by quadrature in u = log x out to infinity (``_log_x_integral``,
 which also serves the Dirichlet sums of ``dirichlet``). The sums stop at the
 first block end where that bound is within rel_tol, usually the first, so
 radii far beyond any feasible term count stay cheap. Over a grid of radii
-(``eval_powerlog_grid``, of which ``eval_powerlog`` is the one-radius case)
 the radii share the blocks and each block end's tail rounds: one
 quadrature takes every open radius's tail integral, one Euler-Maclaurin
 call their remainders, and each round of the peak search one jet, with
-log r^2 given per node, and each radius keeps its own outcome. Values
+log r^2 given per node. The grid core (``_powerlog_outcomes``, which the
+CLI sweeps read) runs every radius to its own outcome, its result or the
+error its one-radius call raises; ``eval_powerlog_grid`` and its
+one-radius case ``eval_powerlog`` raise the first error. Values
 that are not normal doubles raise ``NumericError`` instead of returning 0. The
 factorial family is summed in shifted log space around its sharply peaked
 terms; it, the parameter records and the argument checks are written in
@@ -74,6 +76,7 @@ from ._core import (
     _check_rel_tol,
     _logaddexp,
     _normal_exp,
+    _raise_first,
     _require_finite,
     _require_radius,
     eval_factorial,
@@ -167,28 +170,19 @@ def _solve_b_equals(log_b: Callable[[float], float], target: float, lo: float) -
     return 0.5 * (lo + hi)
 
 
-def _log_x_integral(log_f: Callable, edges):
-    """Integral of f over [exp(edges[0]), exp(edges[-1])] and its error estimate.
+def _log_x_integral(log_f: Callable, edges: list) -> list:
+    """Per tuple e of ``edges``, the integral of its f over [exp(e[0]), exp(e[-1])]
+    and its error estimate, or the ``NumericError`` of a non-finite value.
 
-    ``log_f`` maps u = log x to log f(x), elementwise on numpy arrays; the
-    integral of exp(u + log f(u)) runs by one ``quad`` call over the segments
-    between consecutive ``edges`` (u-coordinates, nondecreasing; the last
-    may be inf; empty segments are skipped). Each segment stops at a summed
-    QUADPACK error estimate of 1e-13 of its value, or at its roundoff floor
-    of 50 eps times the integral of |f| (~1.1e-14), or at 400 panels; the
-    returned error is the sum of the segments' estimates.
-
-    Given a list of edge tuples, one per integral, one ``quad`` call takes
-    them all: ``log_f`` is then called as log_f(u, k), k the index of the
-    integral at each node (as ``quad`` gives it), and the result is a list
-    with, per integral, its (integral, error) or the ``NumericError`` of
-    its one-integral call.
+    log_f(u, k) maps u = log x to log f(x) for the integral k of each node
+    (as ``quad`` gives it), elementwise on numpy arrays; the integral of
+    exp(u + log f(u)) runs over the segments between consecutive edges
+    (u-coordinates, nondecreasing; the last may be inf; empty segments are
+    skipped), all of them in one ``quad`` call. Each segment stops at a
+    summed QUADPACK error estimate of 1e-13 of its value, or at its
+    roundoff floor of 50 eps times the integral of |f| (~1.1e-14), or at
+    400 panels; the returned error is the sum of the segments' estimates.
     """
-    if not isinstance(edges, list):
-        (outcome,) = _log_x_integral(lambda u, k: log_f(u), [edges])
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
     kept = [[e[0]] + [hi for lo, hi in zip(e, e[1:]) if hi > lo] for e in edges]
     todo = [i for i, ends in enumerate(kept) if len(ends) > 1]
     out = [(0.0, 0.0)] * len(edges)
@@ -356,9 +350,10 @@ def _beyond_reach(
 
 
 def _cap_tail(log_f_free: Callable, end: int) -> Callable[[], float]:
-    """The integral of the r^2-free summand from n = ``end`` to infinity, taken
-    on the first call only: it depends on neither the head nor the checkpoint."""
-    return functools.cache(lambda: _log_x_integral(log_f_free, (math.log(end), math.inf))[0])
+    """The integral of the r^2-free summand log_f_free(u, k) from n = ``end`` to infinity,
+    taken on the first call only: it depends on neither the head nor the checkpoint."""
+    edges = [(math.log(end), math.inf)]
+    return functools.cache(lambda: _raise_first(_log_x_integral(log_f_free, edges))[0][0])
 
 
 class _RadiusSum:
@@ -475,8 +470,8 @@ def _smooth_checkpoint(
 def _pending(runs: list) -> bool:
     """True while an open radius comes before every failed one.
 
-    Radii after the first failure cannot change the outcome: the grid
-    raises that failure.
+    Radii after the first failure cannot change the outcome of
+    ``eval_general_grid``: it raises that failure.
     """
     for run in runs:
         if isinstance(run, _RadiusSum):
@@ -486,21 +481,13 @@ def _pending(runs: list) -> bool:
     return False
 
 
-def _outcome(runs: list) -> list[EvalResult]:
-    """The results of a grid, or the error of the first radius in order that failed."""
-    for run in runs:
-        if not isinstance(run, EvalResult):
-            raise run
-    return runs
-
-
 def _radius_runs(radii: list, floor: float, who: str, n_start: int) -> list:
     """A ``_RadiusSum`` per radius, or the error its radius check raised."""
     runs: list = []
     for r in radii:
         try:
             runs.append(_RadiusSum(_require_radius(r, floor, who), n_start))
-        except (TypeError, ValueError) as exc:  # raised only if every radius before succeeds
+        except (TypeError, ValueError) as exc:
             runs.append(exc)
     return runs
 
@@ -536,29 +523,35 @@ def eval_powerlog_grid(
     """``[eval_powerlog(p, r, rel_tol, hard_cap) for r in radii]``, in lockstep.
 
     The results, and the error raised (that of the first radius in order
-    that fails), are those of the loop. One walk over the doubling blocks
-    serves every radius: each block's log n and its terms at every open
-    radius come from one call of the summand, and at each block end one
-    quadrature takes the tail integrals of all the open radii, one the
-    remainders of their Euler-Maclaurin tails, and each round of the peak
-    search one jet. A radius drops out once it certifies or fails; the
-    blocks grow while a radius that can still change the outcome is open.
-    The integral past ``hard_cap`` of the give-up rule is taken once.
+    that fails), are those of the loop: the first error of ``_powerlog_outcomes``.
     """
-    radii = list(radii)
-    if not radii:
-        return []
-    _require_radius(radii[0], 1.0, "eval_powerlog")  # ahead of rel_tol, as for one radius
-    rel_tol = _check_rel_tol(rel_tol)
+    return _raise_first(_powerlog_outcomes(p, radii, rel_tol, hard_cap))
+
+
+def _powerlog_outcomes(p: PowerLogParams, radii, rel_tol=1e-8, hard_cap=DEFAULT_HARD_CAP) -> list:
+    """Per radius, what ``eval_powerlog(p, r, rel_tol, hard_cap)`` returns or raises.
+
+    One walk over the doubling blocks serves every radius: each block's
+    log n and its terms at every open radius come from one call of the
+    summand, and at each block end one quadrature takes the tail integrals
+    of all the open radii, one the remainders of their Euler-Maclaurin
+    tails, and each round of the peak search one jet. A radius drops out
+    once it certifies or fails, the others go on. The integral past
+    ``hard_cap`` of the give-up rule is taken once. A bad ``rel_tol`` is
+    the outcome of each radius that passes its radius check.
+    """
     runs = _radius_runs(radii, 1.0, "eval_powerlog", 2)
+    try:
+        rel_tol = _check_rel_tol(rel_tol)
+    except (TypeError, ValueError) as exc:
+        runs = [exc if isinstance(run, _RadiusSum) else run for run in runs]
     log_f = functools.partial(_powerlog_log_summand, p)
     log_b = _powerlog_log_b(p)
     n = 2
     end = 2 + hard_cap
-    cap_tail = _cap_tail(functools.partial(log_f, -math.inf), end)
+    cap_tail = _cap_tail(_at_radii(log_f, [-math.inf]), end)
     block = 4096
-    while _pending(runs):
-        live = _open_runs(runs)
+    while live := _open_runs(runs):
         stop = min(n + block, end)
         if stop > n:
             lx = np.log(np.arange(n, stop, dtype=np.float64))
@@ -573,7 +566,7 @@ def eval_powerlog_grid(
         _smooth_checkpoint(
             "eval_powerlog", runs, log_f, log_b, n, n - 2, rel_tol, cap_tail, hard_cap, n >= end
         )
-    return _outcome(runs)
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +927,7 @@ def eval_general_grid(
     env = envelope
     if smooth:
         log_f = functools.partial(_smooth_log_summand, s, mu1)
-        cap_tail = _cap_tail(functools.partial(log_f, -math.inf), n_start + hard_cap)
+        cap_tail = _cap_tail(_at_radii(log_f, [-math.inf]), n_start + hard_cap)
 
     fit_points = np.empty((4, 0))  # n, log n, log a_n, log b_n for the fit
     b_prev = None
@@ -1030,7 +1023,7 @@ def eval_general_grid(
                     cap=hard_cap,
                     bound_achieved=run.bound if smooth else cap_bound,
                 )
-    return _outcome(runs)
+    return _raise_first(runs)
 
 
 # ---------------------------------------------------------------------------

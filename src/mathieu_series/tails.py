@@ -30,6 +30,7 @@ import math
 import sys
 from typing import Callable
 
+from ._core import _raise_first
 from ._deferred import deferred_module
 from .errors import DomainError, NumericError
 from .special import bernoulli_table
@@ -212,24 +213,22 @@ def _gk21_rule() -> tuple:
     return nodes, kronrod, weights
 
 
-def _gk21_panels(func: Callable, segments: list[tuple], owners: list | None) -> tuple:
+def _gk21_panels(func: Callable, segments: list[tuple], owners: list) -> tuple:
     """Per segment (los, his, infinite_from), (error, floor, lo, hi, value) of each panel.
 
-    One call of ``func`` on the 21 nodes of every panel of every segment:
-    func(x), or func(x, k) with k the integral of each node (an int array,
-    or one int for all), read from ``owners`` (the integral of each
-    segment). With ``infinite_from`` = a the panels lie in t and the
-    integrand is f(a + t/(1-t)) / (1-t)^2. The sums by Gauss-Kronrod 10/21
-    run per segment, as matrix products of the shapes the segment has alone
-    (a row of a matrix product can change with the row count); the nodes
-    and the per-panel products after the sums run once on the panels of
-    all the segments. The error estimate is QUADPACK's:
-    resasc min(1, (200 |K - G| / resasc)^1.5), where K and G are the
-    Kronrod and Gauss values and resasc the Kronrod integral of |f - mean f|,
-    raised to the roundoff floor 50 eps resabs, resabs the Kronrod integral
-    of |f|. Also returns, per integral with a non-finite value, the
-    ``NumericError`` naming its first; its segments get None. Without
-    ``owners`` that error is raised.
+    One call func(x, k) on the 21 nodes of every panel of every segment, k
+    the integral of each node (an int array, or one int for all), read
+    from ``owners`` (the integral of each segment). With ``infinite_from``
+    = a the panels lie in t and the integrand is f(a + t/(1-t)) / (1-t)^2.
+    The sums by Gauss-Kronrod 10/21 run per segment, as matrix products of
+    the shapes the segment has alone (a row of a matrix product can change
+    with the row count); the nodes and the per-panel products after the
+    sums run once on the panels of all the segments. The error estimate is
+    QUADPACK's: resasc min(1, (200 |K - G| / resasc)^1.5), where K and G
+    are the Kronrod and Gauss values and resasc the Kronrod integral of
+    |f - mean f|, raised to the roundoff floor 50 eps resabs, resabs the
+    Kronrod integral of |f|. Also returns, per integral with a non-finite value, the
+    ``NumericError`` naming its first; its segments get None.
     """
     gk_nodes, gk_kronrod, gk_weights = _gk21_rule()
     if len(segments) == 1:
@@ -247,20 +246,15 @@ def _gk21_panels(func: Callable, segments: list[tuple], owners: list | None) -> 
         at.append(t if seg[2] is None else seg[2] + t / (1.0 - t))
         start += len(seg[0])
     at = _joined(at)
-    if owners is None:
-        fx = np.asarray(func(at), dtype=np.float64)
-    else:
-        one = owners.count(owners[0]) == len(owners)
-        which = owners[0] if one else np.repeat(owners, [21 * (b - a) for a, b in rows])
-        fx = np.asarray(func(at, which), dtype=np.float64)
+    one = owners.count(owners[0]) == len(owners)
+    which = owners[0] if one else np.repeat(owners, [21 * (b - a) for a, b in rows])
+    fx = np.asarray(func(at, which), dtype=np.float64)
     errors = {}
     if not np.isfinite(fx).all():
         for j in np.flatnonzero(~np.isfinite(fx)).tolist():
-            k = None if owners is None else which if one else int(which[j])
+            k = which if one else int(which[j])
             if k not in errors:
                 errors[k] = NumericError(f"integrand is {float(fx[j])} at x = {float(at[j])}")
-        if owners is None:
-            raise errors[None]
     fx, x = fx.reshape(-1, 21), x.reshape(-1, 21)
     kg, resabs, resasc = [], [], []
     for s, ((a, b), (_, _, end)) in enumerate(zip(rows, segments)):
@@ -323,18 +317,18 @@ def quad(func: Callable, a, b, epsrel: float = 1e-10, limit: int = 50, points=No
 
     Given lists for ``a`` and ``b`` (and for ``points``, one list of
     breakpoints per integral, or None), it takes the integrals over
-    [a[k], b[k]] in the same lockstep, each segment still on its own. Then
-    ``func`` is called as func(x, k), k the index of the integral of each
-    node (an int array, or one int when a round holds a single integral),
-    and the result is a list: per integral, the (value, error) of each of
-    its segments, == those of the one-integral call with ``points``, or the
-    ``NumericError`` that call would raise. An integral with a non-finite
-    value drops out; the others go on.
+    [a[k], b[k]] in the same lockstep, each segment still on its own, and
+    calls ``func`` as func(x, k), k the index of the integral of each node
+    (an int array, or one int when a round holds a single integral). The
+    result is a list: per integral, the (value, error) of each of its
+    segments, or the ``NumericError`` of its first non-finite value, from
+    which on it drops out while the others go on. The one-integral forms
+    are this list form on their one integral, raising its error.
     """
-    many = isinstance(a, (list, tuple))
-    if not many:
-        segmented = points is not None
-        a, b, points = [a], [b], [points or ()]
+    if not isinstance(a, (list, tuple)):
+        alone = quad(lambda x, k: func(x), [a], [b], epsrel, limit, [points or ()])
+        (segments,) = _raise_first(alone)
+        return segments if points is not None else segments[0]
     owner, asks = [], {}  # the integral of each segment; segment: the panels it asks for
     for k, (lo_k, pts, hi_k) in enumerate(zip(a, points or [()] * len(a), b)):
         edges = [lo_k, *pts, hi_k]
@@ -343,9 +337,7 @@ def quad(func: Callable, a, b, epsrel: float = 1e-10, limit: int = 50, points=No
             owner.append(k)
     segments, results, failed = [[] for _ in owner], [None] * len(owner), {}
     while asks:
-        new, errors = _gk21_panels(
-            func, list(asks.values()), [owner[s] for s in asks] if many else None
-        )
+        new, errors = _gk21_panels(func, list(asks.values()), [owner[s] for s in asks])
         failed.update(errors)
         asks_done, asks = asks, {}
         for (s, (_, _, infinite_from)), panels in zip(asks_done.items(), new):
@@ -373,8 +365,6 @@ def quad(func: Callable, a, b, epsrel: float = 1e-10, limit: int = 50, points=No
                 asks[s] = los, mids + [panels[i][3] for i in pick], infinite_from
                 picked = set(pick)
                 segments[s] = [p for i, p in enumerate(panels) if i not in picked]
-    if not many:
-        return results if segmented else results[0]
     out = [failed.get(k, []) for k in range(len(a))]
     for k, result in zip(owner, results):
         if k not in failed:
@@ -525,13 +515,17 @@ def euler_maclaurin_tail(
     breaks=(),
     stop: int | None = None,
 ):
-    """Value and error bound of the sum of f(n) over start <= n (<= ``stop``).
+    """Per summand f, the value and error bound of the sum of f(n) over start <= n (<= ``stop``).
 
-    ``log_f`` maps log x to log f(x) and must accept a ``Jet``; f must be
-    smooth and positive on [start, stop], and without ``stop`` all the
-    derivatives used must vanish at infinity. ``integral`` is the caller's
-    value of the integral of f over [start, stop] (or [start, inf)) and
-    ``integral_err`` its error.
+    The sums share their range and run in lockstep, one per entry of the
+    lists ``integral``, ``integral_err`` and ``breaks`` (default: none).
+    log_f(log x, k) maps log x to log f(x) for the summand k of each point
+    (an int array, or one int when all the points belong to one summand)
+    and must accept a ``Jet``; f must be smooth and positive on
+    [start, stop], and without ``stop`` all the derivatives used must
+    vanish at infinity. ``integral[k]`` is the caller's value of the
+    integral of f over [start, stop] (or [start, inf)) and
+    ``integral_err[k]`` its error.
 
     Value: integral + f(N)/2 - sum_{k<p} B_2k/(2k)! f^(2k-1)(N), plus
     f(M)/2 + sum_{k<p} B_2k/(2k)! f^(2k-1)(M) at a finite end M. Bound:
@@ -542,23 +536,10 @@ def euler_maclaurin_tail(
     refinement round takes f^(2p) at all its nodes from one array jet (the
     first round also the ends' terms), and the QUADPACK error estimate is
     added to the integral. A finite end keeps the jets away from where
-    log f itself overflows.
-
-    Given lists for ``integral``, ``integral_err`` and ``breaks`` (one entry
-    per summand), it takes several sums over the same range in lockstep:
-    ``log_f`` is then called as log_f(log x, k), k the index of the summand
-    at each point (an int array, or one int when all the points belong to
-    one summand), one ``quad`` call takes every remainder
+    log f itself overflows. One ``quad`` call takes every remainder
     integral, and the result is a list with, per summand, its
-    (value, bound) or the exception that the one-summand call would raise.
+    (value, bound) or the exception it raised, which stops no other.
     """
-    if not isinstance(integral, list):
-        (outcome,) = euler_maclaurin_tail(
-            lambda lx, k: log_f(lx), start, [integral], [integral_err], [breaks], stop
-        )
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
     p = EM_ORDER
     b = [float(v) for v in bernoulli_table(2 * p).values]  # b[k] = B_2k
     u_ends = [math.log(start)] if stop is None else [math.log(start), math.log(stop)]

@@ -527,6 +527,62 @@ def test_sweep_bad_term_cap_is_a_parameter_error(capsys, monkeypatch, family, ca
     assert "parameter error: MATHIEU_TERM_CAP must be" in err
 
 
+@pytest.mark.parametrize("family", ["powerlog", "factorial"])
+def test_sweep_bad_tol_is_a_parameter_error(capsys, family):
+    # it used to fail at every grid point and exit 1
+    code, out, err = run_cli(
+        capsys, "sweep", family, "--alpha", "1", "--beta", "2", "--mu", "1",
+        "--r-grid", "10:100:3", "--tol", "0.5",
+    )
+    assert (code, out) == (2, "")
+    assert err == "parameter error: rel_tol must lie in (0, 1e-2], got 0.5\n"
+
+
+def test_sweep_expansion_ignores_tol(capsys):
+    argv = ["sweep", "expansion", "--mu", "2", "--r-grid", "10:100:2"]
+    assert run_cli(capsys, *argv, "--tol", "0.5") == run_cli(capsys, *argv)
+
+
+def test_eval_powerlog_names_the_radius_ahead_of_a_bad_tol(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "powerlog", "--alpha", "1", "--beta", "2", "--mu", "1",
+        "--r", "0.5", "--tol", "0.5",
+    )
+    assert (code, out) == (2, "")
+    assert err == "parameter error: eval_powerlog requires r > 1, got 0.5\n"
+
+
+def test_sweep_powerlog_rows_fail_at_both_ends(capsys):
+    # the grid is evaluated at once, and each radius keeps the row of its own call
+    from mathieu_series.asymptotics import predict_powerlog
+    from mathieu_series.cli import _parse_grid
+    from mathieu_series.errors import MathieuError
+
+    code, out, _ = run_cli(
+        capsys, "sweep", "powerlog", "--alpha", "1", "--beta", "2", "--mu", "1",
+        "--r-grid", "0.5:1e200:7",
+    )
+    assert code == 0
+    p = PowerLogParams(1, 2, 0, 0, 1)
+    expected = []
+    for r in _parse_grid("0.5:1e200:7"):
+        row = dict.fromkeys(["r", "value", "prediction", "ratio", "tail_bound", "error"])
+        try:
+            res = eval_powerlog(p, r)
+        except MathieuError as exc:
+            row.update(r=r, error=str(exc))
+        else:
+            pred = predict_powerlog(p, r)
+            row.update(r=r, value=res.value, prediction=pred, ratio=res.value / pred,
+                       tail_bound=res.tail_bound)
+        expected.append(row)
+    records = json.loads(out)["records"]
+    assert records == expected
+    assert "requires r > 1" in records[0]["error"]
+    assert [rec["error"] is None for rec in records[1:5]] == [True] * 4
+    assert all("below the smallest normal double" in rec["error"] for rec in records[5:])
+
+
 def test_eval_general_unknown_preset_names_the_choices(capsys):
     code, out, err = run_cli(
         capsys, "eval", "general", "--sequences", "ones-squares", "--alpha", "1", "--beta", "3",

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mathieu_series import series
+from mathieu_series._core import _raise_first
 from mathieu_series._record import replace
 from mathieu_series.errors import (
     ContractViolationError,
@@ -244,8 +245,8 @@ def test_powerlog_tail_integral_matches_the_closed_form_far_tail(p, r, rel_tol, 
     def reference_tail(log_f, log_b, log_r2s, n):
         [log_r2] = log_r2s
         integral, err, breaks = reference_powerlog_tail_integral(p, log_r2, math.log(n))
-        value, bound = euler_maclaurin_tail(
-            lambda lx: log_f(log_r2, lx), n, integral, err, breaks
+        [(value, bound)] = euler_maclaurin_tail(
+            lambda lx, k: log_f(log_r2, lx), n, [integral], [err], [breaks]
         )
         return [(value, bound, integral, err)]
 
@@ -296,6 +297,7 @@ _FAR_PEAK = PowerLogParams(1, 1, 0, 1, 2)  # peaks far past the head (n ~ r^2/2 
         (_CUBIC_POWERLOG, [1e3, 1e7, 1e120, 1e9], dict(rel_tol=1e-14)),
         (_CUBIC_POWERLOG, [1e120, 1e3], dict(rel_tol=1e-14)),
         (_CUBIC_POWERLOG, [1e7, 1e3, 1e120], dict(rel_tol=1e-14)),
+        (_CUBIC_POWERLOG, [1e120, 1e3, 0.5, 1e7], dict(rel_tol=1e-14)),
         # give-up rules: below the quadrature floor, and the term cap
         (PowerLogParams(1, 2, 0, 0, 1), [1e3, 1e9, 1e6], dict(rel_tol=1e-15)),
         (PowerLogParams(1, 2, 0, 0, 1), [10.0, 1e6], dict(rel_tol=1e-14, hard_cap=100)),
@@ -312,6 +314,11 @@ def test_powerlog_grid_equals_the_per_radius_loop(p, radii, kwargs):
     assert grid == _outcome(lambda: [eval_powerlog(p, r, **kwargs) for r in radii])
     if isinstance(grid, list):  # EvalResult compares its fields with ==
         assert [type(res) for res in grid] == [EvalResult] * len(radii)
+    # the core runs every radius to the outcome of its one-radius call, past any failure
+    outcomes = series._powerlog_outcomes(p, radii, **kwargs)
+    assert [_outcome(lambda: _raise_first([o])[0]) for o in outcomes] == [
+        _outcome(lambda: eval_powerlog(p, r, **kwargs)) for r in radii
+    ]
 
 
 def test_smooth_tail_keeps_an_error_to_its_radius():
@@ -866,7 +873,7 @@ def test_cap_tail_is_integrated_once_per_call(smooth, monkeypatch):
     edges_seen = []
 
     def counting(log_f, edges):
-        edges_seen.append(tuple(edges))
+        edges_seen.extend(edges)
         return original(log_f, edges)
 
     monkeypatch.setattr(series, "_log_x_integral", counting)
@@ -876,7 +883,7 @@ def test_cap_tail_is_integrated_once_per_call(smooth, monkeypatch):
 
     # the same bits as a rule that integrates the cap tail at every checkpoint
     def uncached(log_f_free, end):
-        return lambda: series._log_x_integral(log_f_free, (math.log(end), math.inf))[0]
+        return lambda: series._log_x_integral(log_f_free, [(math.log(end), math.inf)])[0][0]
 
     edges_seen.clear()
     monkeypatch.setattr(series, "_cap_tail", uncached)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mathieu_series._core import _raise_first
 from mathieu_series.errors import DomainError, NumericError
 from mathieu_series.series import PowerLogParams, _powerlog_log_summand
 from mathieu_series.special import log_log_factorial
@@ -20,6 +21,14 @@ from mathieu_series.tails import (
     powerlog_tail_bound,
     quad,
 )
+
+
+def _em_tail(log_f, start, integral, integral_err, breaks=(), stop=None):
+    """The Euler-Maclaurin tail of the one summand log_f(lx): its (value, bound), or raises."""
+    one = euler_maclaurin_tail(
+        lambda lx, k: log_f(lx), start, [integral], [integral_err], [breaks], stop
+    )
+    return _raise_first(one)[0]
 
 
 def test_jet_derivatives_of_log1p():
@@ -38,9 +47,7 @@ def test_jet_exp_log_roundtrip():
 @pytest.mark.parametrize("start", [10, 100])
 def test_zeta_tail_within_bound(s, start):
     # sum over n >= N of n^-s is the Hurwitz zeta value zeta(s, N)
-    value, bound = euler_maclaurin_tail(
-        lambda lx: -s * lx, start, start ** (1.0 - s) / (s - 1.0), 0.0
-    )
+    value, bound = _em_tail(lambda lx: -s * lx, start, start ** (1.0 - s) / (s - 1.0), 0.0)
     with mpmath.workdps(40):
         oracle = mpmath.zeta(s, start)
         error = abs(mpmath.mpf(value) - oracle)
@@ -49,8 +56,8 @@ def test_zeta_tail_within_bound(s, start):
 
 
 def test_tail_bound_adds_integral_error():
-    value, bound = euler_maclaurin_tail(lambda lx: -2.0 * lx, 100, 0.01, 0.0)
-    value_e, bound_e = euler_maclaurin_tail(lambda lx: -2.0 * lx, 100, 0.01, 1e-9)
+    value, bound = _em_tail(lambda lx: -2.0 * lx, 100, 0.01, 0.0)
+    value_e, bound_e = _em_tail(lambda lx: -2.0 * lx, 100, 0.01, 1e-9)
     assert value_e == value
     assert bound_e == pytest.approx(bound + 1e-9, rel=1e-12)
 
@@ -66,9 +73,7 @@ _ZETA_TAILS = {
 
 @pytest.mark.parametrize("s, start", sorted(_ZETA_TAILS))
 def test_infinite_tail_unchanged(s, start):
-    value, bound = euler_maclaurin_tail(
-        lambda lx: -s * lx, start, start ** (1.0 - s) / (s - 1.0), 0.0
-    )
+    value, bound = _em_tail(lambda lx: -s * lx, start, start ** (1.0 - s) / (s - 1.0), 0.0)
     recorded_value, recorded_bound = _ZETA_TAILS[s, start]
     assert value == recorded_value
     # The bound is (2 - 2^-5) |B_6| / 6! times the remainder integral of
@@ -83,9 +88,7 @@ def test_infinite_tail_unchanged(s, start):
 
 @pytest.mark.parametrize("start, stop", [(10, 1000), (100, 100_000), (10, 11)])
 def test_finite_segment_inverse_squares(start, stop):
-    value, bound = euler_maclaurin_tail(
-        lambda lx: -2.0 * lx, start, 1.0 / start - 1.0 / stop, 0.0, stop=stop
-    )
+    value, bound = _em_tail(lambda lx: -2.0 * lx, start, 1.0 / start - 1.0 / stop, 0.0, stop=stop)
     exact = math.fsum(1.0 / (n * n) for n in range(start, stop + 1))
     assert 0.0 < bound < 1e-6 * exact
     assert abs(value - exact) <= bound
@@ -103,7 +106,7 @@ def test_finite_segment_factorial_powers():
     integral, err = quad(
         lambda u: math.exp(u + log_f(u)), math.log(start), math.log(stop), epsabs=0.0, epsrel=1e-13
     )
-    value, bound = euler_maclaurin_tail(log_f, start, integral, err, stop=stop)
+    value, bound = _em_tail(log_f, start, integral, err, stop=stop)
     exact = math.fsum(math.exp(-s * math.lgamma(n + 1.0)) for n in range(start, stop + 1))
     assert 0.0 < bound < 1e-12 * exact
     assert abs(value - exact) <= bound
@@ -301,9 +304,7 @@ def test_euler_maclaurin_sums_in_lockstep(stop):
 
     alone, rounds = [], []
     for j, (i, e, b) in enumerate(zip(integrals, errs, breaks)):
-        alone.append(
-            euler_maclaurin_tail(lambda lx: log_f(lx, j), start, i, e, b, stop=stop)
-        )
+        alone.append(_em_tail(lambda lx: log_f(lx, j), start, i, e, b, stop=stop))
         rounds.append(len(calls))
         calls.clear()
     together = euler_maclaurin_tail(log_f, start, integrals, errs, breaks, stop=stop)
@@ -336,9 +337,7 @@ def test_euler_maclaurin_keeps_an_error_to_its_summand():
         together = euler_maclaurin_tail(log_f, *args, stop=20_000)
         alone = [
             outcome(
-                lambda: euler_maclaurin_tail(
-                    lambda lx: log_f(lx, j), args[0], args[1][j], 0.0, stop=20_000
-                )
+                lambda: _em_tail(lambda lx: log_f(lx, j), args[0], args[1][j], 0.0, stop=20_000)
             )
             for j in range(4)
         ]
