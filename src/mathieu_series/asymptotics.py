@@ -437,6 +437,14 @@ def _classical_series(mu: float, radii: list[float], rel_tol: float) -> list:
 
     p = PowerLogParams(1, 2, 0, 0, mu)
     return [
-        res if isinstance(res, Exception) else 2.0 * res.value + 2.0 / (1.0 + r * r) ** (mu + 1.0)
-        for r, res in zip(radii, _powerlog_outcomes(p, radii, rel_tol))
+        res if isinstance(res, Exception) else 2.0 * res.value + _first_term(mu, r)
+        for r, res in zip(radii, _powerlog_outcomes([(p, r) for r in radii], rel_tol))
     ]
+
+
+def _first_term(mu: float, r: float) -> float:
+    """2/(1+r^2)^(mu+1); in logs where the power overflows, the term then being subnormal or 0."""
+    try:
+        return 2.0 / (1.0 + r * r) ** (mu + 1.0)
+    except OverflowError:
+        return 2.0 * math.exp(-(mu + 1.0) * math.log1p(r * r))

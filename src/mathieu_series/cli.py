@@ -330,7 +330,7 @@ def _sweep_outcomes(args: argparse.Namespace, p, cap: int | None, radii: list) -
     if args.family == "powerlog":
         from .series import _powerlog_outcomes
 
-        return _powerlog_outcomes(p, radii, args.tol, cap)
+        return _powerlog_outcomes([(p, r) for r in radii], args.tol, cap)
     if args.family == "expansion":
         from .asymptotics import _classical_series
 

@@ -11,6 +11,9 @@ plus the error of the tail integral is within rel_tol of the value. The
 factorial sum does the same at small s, where its direct head does not
 certify: its tail runs to a finite end past which a geometric bound on the
 remaining terms, added to the certificate, is negligible.
+``log_weighted_zeta`` and ``saddle_point_bound`` are the one-item cases of
+private list forms that take many inputs in lockstep, their quadratures
+in one ``quad`` call, each input to its own outcome.
 Evaluation stays on the real axis: the closed forms live on their
 convergence strips, and behavior at the boundary is represented by the
 singular-model operations rather than by analytic continuation.
@@ -130,33 +133,77 @@ def log_weighted_zeta(p: DirichletParams, s: float, rel_tol: float = 1e-10) -> f
     rel_tol (N grows fourfold, up to three times, until it does). Raises
     ``NumericError`` when the value is not a normal double.
     """
-    s = float(s)
-    if not (math.isfinite(s) and s > 1.0):
-        raise DomainError(f"log_weighted_zeta requires s > 1, got {s}")
-    rel_tol = _check_rel_tol(rel_tol)
+    return _raise_first(_log_weighted_zetas([(p, s)], rel_tol))[0]
 
-    c = p.eta - p.theta * s
 
-    def log_f(lx, k=0):
-        return c * np.log(lx) - s * lx
+def _log_weighted_zetas(items: list, rel_tol: float) -> list:
+    """Per item (p, s), what ``log_weighted_zeta(p, s, rel_tol)`` returns or raises.
+
+    The items share their cutoffs, so their loops run in lockstep: at each
+    cutoff one ``exp_poly_tail`` call takes the tail integrals of every
+    open item and one ``euler_maclaurin_tail`` call their remainders. An
+    item drops out once it certifies or fails, the others go on. A bad
+    ``rel_tol`` is the outcome of each item whose s passes its check.
+    """
+    out: list = [None] * len(items)
+    live = {}  # item: (c, s) of its summand (log x)^c x^(-s)
+    for i, (p, s) in enumerate(items):
+        try:
+            s = float(s)
+            if not (math.isfinite(s) and s > 1.0):
+                raise DomainError(f"log_weighted_zeta requires s > 1, got {s}")
+            rel_tol = _check_rel_tol(rel_tol)
+        except (TypeError, ValueError) as exc:
+            out[i] = exc
+        else:
+            live[i] = p.eta - p.theta * s, s
 
     n_cut = 10_000
     for _ in range(4):
-        ns = np.arange(2, n_cut, dtype=np.float64)
-        partial = float(np.sum(np.exp(log_f(np.log(ns)))))
-
+        if not live:
+            return out
+        summands = list(live.values())
+        lx = np.log(np.arange(2, n_cut, dtype=np.float64))
+        ll = np.log(lx)
+        partials = [float(np.sum(np.exp(c * ll - s * lx))) for c, s in summands]
         # integral of (log x)^c x^(-s) over [n_cut, inf) via x = exp(u)
-        integral, err = exp_poly_tail(s - 1.0, c, math.log(n_cut))
-        ((tail, bound),) = _raise_first(euler_maclaurin_tail(log_f, n_cut, [integral], [err]))
-        value = partial + tail
-        if not (math.isfinite(value) and value >= sys.float_info.min):
-            raise NumericError(f"log_weighted_zeta produced {value} at s={s}, not a normal double")
-        if bound <= rel_tol * abs(value):
-            return value
+        integrals = exp_poly_tail(
+            [s - 1.0 for _, s in summands], [c for c, _ in summands], [math.log(n_cut)] * len(live)
+        )
+        ok = [j for j, integral in enumerate(integrals) if not isinstance(integral, Exception)]
+        ok_c, ok_s = np.array([summands[j] for j in ok]).reshape(-1, 2).T
+
+        def log_f(lx, k):
+            return ok_c[k] * np.log(lx) - ok_s[k] * lx
+
+        tails = iter(
+            euler_maclaurin_tail(
+                log_f, n_cut, [integrals[j][0] for j in ok], [integrals[j][1] for j in ok]
+            )
+        )
+        still = {}
+        for (i, (c_i, s_i)), partial, integral in zip(live.items(), partials, integrals):
+            tail = integral if isinstance(integral, Exception) else next(tails)
+            if isinstance(tail, Exception):
+                out[i] = tail
+                continue
+            tail, bound = tail
+            value = partial + tail
+            if not (math.isfinite(value) and value >= sys.float_info.min):
+                out[i] = NumericError(
+                    f"log_weighted_zeta produced {value} at s={s_i}, not a normal double"
+                )
+            elif bound <= rel_tol * abs(value):
+                out[i] = value
+            else:
+                still[i] = c_i, s_i
+        live = still
         n_cut *= 4
-    raise NumericError(
-        f"log_weighted_zeta did not reach rel_tol={rel_tol} at s={s} (cutoff {n_cut})"
-    )
+    for i, (_, s) in live.items():
+        out[i] = NumericError(
+            f"log_weighted_zeta did not reach rel_tol={rel_tol} at s={s} (cutoff {n_cut})"
+        )
+    return out
 
 
 def zeta_singular_prediction(
@@ -336,42 +383,81 @@ def mellin_factorial(p: FactorialParams, s: float, rel_tol: float = 1e-10) -> fl
     return eta_val * _gamma_pair(p.mu, s)
 
 
-def _gamma_line_integral(mu: float, sigma: float) -> float:
-    """(1/2pi) integral over y of |Gamma(mu+1-(sigma+iy)/2) Gamma((sigma+iy)/2)| / (2 Gamma(mu+1)).
+def _gamma_line_integral(points: list) -> list:
+    """Per (mu, sigma) of ``points``, (1/2pi) times the integral over y of
+    |Gamma(mu+1-(sigma+iy)/2) Gamma((sigma+iy)/2)| / (2 Gamma(mu+1)), or the
+    ``NumericError`` of its quadrature.
 
-    Even in y, so (1/pi) times the integral over [0, inf), by ``quad`` on
-    arrays of y. |Gamma(a - iy)| = |Gamma(a + iy)|, so both factors come
-    from one ``special.log_abs_gamma`` call on the real parts
-    (mu+1-sigma/2, sigma/2) at y/2.
+    Even in y, so (1/pi) times the integral over [0, inf), by one ``quad``
+    call on arrays of y for all the points. |Gamma(a - iy)| = |Gamma(a + iy)|,
+    so both factors come from ``special.log_abs_gamma`` on the real parts
+    (mu+1-sigma/2, sigma/2) at y/2: one call per shift of the real parts
+    that it takes, so that each node gets the shift of its point alone.
     """
-    real_parts = np.array([[mu + 1.0 - 0.5 * sigma], [0.5 * sigma]])
-    log_norm = math.lgamma(mu + 1.0) + math.log(2.0)
+    parts = np.array([[mu + 1.0 - 0.5 * sigma, 0.5 * sigma] for mu, sigma in points]).reshape(-1, 2)
+    log_norm = np.array([math.lgamma(mu + 1.0) + math.log(2.0) for mu, _ in points])
+    # log_abs_gamma's shift: the real parts up to >= 8
+    shifts = np.array([max(0, math.ceil(8.0 - min(x))) for x in parts.tolist()], dtype=int)
+    parts = parts.T.copy()
 
-    def integrand(y):
-        return np.exp(log_abs_gamma(real_parts, 0.5 * y).sum(axis=0) - log_norm)
+    def integrand(y, k):
+        k = np.broadcast_to(k, y.shape)
+        node_shifts = shifts[k]
+        out = np.empty_like(y)
+        for shift in np.unique(node_shifts).tolist():
+            at = node_shifts == shift
+            log_pair = log_abs_gamma(parts[:, k[at]], 0.5 * y[at]).sum(axis=0)
+            out[at] = np.exp(log_pair - log_norm[k[at]])
+        return out
 
-    val, _ = quad(integrand, 0.0, math.inf, epsrel=1e-10, limit=300)
-    return val / math.pi
+    found = quad(integrand, [0.0] * len(points), [math.inf] * len(points), epsrel=1e-10, limit=300)
+    return [line if isinstance(line, Exception) else line[0][0] / math.pi for line in found]
 
 
 def saddle_point_bound(p: FactorialParams, r: float) -> float:
-    """Rigorous upper bound for the factorial series from its Mellin line.
+    """Saddle-point bound for the factorial series from its Mellin line.
 
     Evaluates e * r^(-stilde) * eta(beta/(2 log r)) * I(sigma_r) at the
     saddle abscissa sigma_r = stilde - 1/log r, as the exp of its log.
-    Valid for alpha >= 0. Raises ``NumericError`` when the bound is not a
-    normal double.
+    Valid for alpha >= 0. It is an upper bound in exact arithmetic, but the
+    line integral I is evaluated by quadrature (to an estimated relative
+    error of 1e-10) with no margin for its error, so the number returned is
+    not certified. Raises ``NumericError`` when the bound is not a normal
+    double.
     """
-    r = _require_radius(r, 10.0, "saddle_point_bound", inclusive=True)
-    frame = transform_frame(factorial=p)
-    log_r = math.log(r)
-    sigma = frame.stilde - 1.0 / log_r
-    if sigma <= 0.0:
-        raise DomainError(
-            f"saddle abscissa {sigma} is not positive; r is too small for these parameters"
-        )
-    eta_val = factorial_dirichlet(0.5 * p.beta / log_r, rel_tol=1e-10)
-    line = _gamma_line_integral(p.mu, sigma)
-    return _normal_exp(
-        1.0 - frame.stilde * log_r + math.log(eta_val) + math.log(line), "saddle_point_bound", r
-    )
+    return _raise_first(_saddle_point_bounds([(p, r)]))[0]
+
+
+def _saddle_point_bounds(points: list) -> list:
+    """Per point (p, r), what ``saddle_point_bound(p, r)`` returns or raises.
+
+    One ``_gamma_line_integral`` call takes the line integrals of all the
+    points that get that far.
+    """
+    out: list = [None] * len(points)
+    lines = {}  # point: (mu, sigma) of its line, r, and the log of the rest of its bound
+    for i, (p, r) in enumerate(points):
+        try:
+            r = _require_radius(r, 10.0, "saddle_point_bound", inclusive=True)
+            frame = transform_frame(factorial=p)
+            log_r = math.log(r)
+            sigma = frame.stilde - 1.0 / log_r
+            if sigma <= 0.0:
+                raise DomainError(
+                    f"saddle abscissa {sigma} is not positive; r is too small for these parameters"
+                )
+            eta_val = factorial_dirichlet(0.5 * p.beta / log_r, rel_tol=1e-10)
+        except Exception as exc:  # the outcome of its one-point call
+            out[i] = exc
+        else:
+            lines[i] = (p.mu, sigma), r, 1.0 - frame.stilde * log_r + math.log(eta_val)
+    found = _gamma_line_integral([line for line, _, _ in lines.values()])
+    for (i, (_, r, log_rest)), line in zip(lines.items(), found):
+        if isinstance(line, Exception):
+            out[i] = line
+            continue
+        try:
+            out[i] = _normal_exp(log_rest + math.log(line), "saddle_point_bound", r)
+        except NumericError as exc:
+            out[i] = exc
+    return out

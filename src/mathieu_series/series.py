@@ -14,14 +14,15 @@ remainder bound plus the quadrature error as the certificate. The tail
 integral runs by quadrature in u = log x out to infinity (``_log_x_integral``,
 which also serves the Dirichlet sums of ``dirichlet``). The sums stop at the
 first block end where that bound is within rel_tol, usually the first, so
-radii far beyond any feasible term count stay cheap. Over a grid of radii
-the radii share the blocks and each block end's tail rounds: one
-quadrature takes every open radius's tail integral, one Euler-Maclaurin
-call their remainders, and each round of the peak search one jet, with
-log r^2 given per node. The grid core (``_powerlog_outcomes``, which the
-CLI sweeps read) runs every radius to its own outcome, its result or the
-error its one-radius call raises; ``eval_powerlog_grid`` and its
-one-radius case ``eval_powerlog`` raise the first error. Values
+radii far beyond any feasible term count stay cheap. Over a list of
+(parameters, radius) points the points share the blocks and each block
+end's tail rounds: one quadrature takes every open point's tail integral,
+one Euler-Maclaurin call their remainders, and each round of the peak
+search one jet, with the parameters and log r^2 given per node. That core
+(``_powerlog_outcomes``, which the CLI sweeps and the verify suites read)
+runs every point to its own outcome, its result or the error its
+one-radius call raises; ``eval_powerlog_grid``, its one-parameter case,
+and ``eval_powerlog``, its one-radius case, raise the first error. Values
 that are not normal doubles raise ``NumericError`` instead of returning 0. The
 factorial family is summed in shifted log space around its sharply peaked
 terms; it, the parameter records and the argument checks are written in
@@ -135,19 +136,24 @@ _SMOOTH_MATCH = 1e-10
 # ---------------------------------------------------------------------------
 
 
-def _powerlog_log_summand(p: PowerLogParams, log_r2: float, lx):
-    """log of the summand as a function of lx = log n (float, array or Jet)."""
+def _powerlog_log_summand(alpha, beta, gamma, delta, mu1, log_r2, lx):
+    """log of the summand as a function of lx = log n (float, array or Jet).
+
+    The parameters (mu1 = mu + 1) and log r^2 are floats, or arrays that
+    give them per row or per node.
+    """
     ll = np.log(lx)
-    return (
-        p.alpha * lx
-        + p.gamma * ll
-        - (p.mu + 1.0) * np.logaddexp(p.beta * lx + p.delta * ll, log_r2)
-    )
+    return alpha * lx + gamma * ll - mu1 * np.logaddexp(beta * lx + delta * ll, log_r2)
 
 
-def _powerlog_log_b(p: PowerLogParams) -> Callable[[float], float]:
+def _powerlog_log_b(alpha, beta, gamma, delta, mu1, u: float) -> float:
     """log b(u) = beta*u + delta*log(u) in u = log x."""
-    return lambda u: p.beta * u + p.delta * math.log(u)
+    return beta * u + delta * math.log(u)
+
+
+def _powerlog_cols(p: PowerLogParams) -> tuple:
+    """The parameters of ``p`` as the summand and log b take them."""
+    return p.alpha, p.beta, p.gamma, p.delta, p.mu + 1.0
 
 
 def _solve_b_equals(log_b: Callable[[float], float], target: float, lo: float) -> float:
@@ -213,37 +219,39 @@ def _log_x_integral(log_f: Callable, edges: list) -> list:
     return out
 
 
-def _at_radii(log_f: Callable, log_r2s) -> Callable:
-    """log_f(log_r2, lx) as a function of (lx, k): k the index in ``log_r2s`` of each point."""
-    at = np.array(log_r2s, dtype=np.float64)
-    return lambda lx, k: log_f(at[k], lx)
+def _at_radii(log_f: Callable, keys: list) -> Callable:
+    """log_f(*key, lx) as a function of (lx, k): k the index in ``keys`` of each point."""
+    at = np.array(keys, dtype=np.float64).T
+    return lambda lx, k: log_f(*at[:, k], lx)
 
 
-def _smooth_tail(log_f: Callable, log_b: Callable, log_r2s: list, n: int) -> list:
-    """Per radius, the Euler-Maclaurin value and bound of the sum of f(x) over
+def _smooth_tail(log_f: Callable, log_b: Callable, keys: list, n: int) -> list:
+    """Per key, the Euler-Maclaurin value and bound of the sum of f(x) over
     x >= n, the tail integral and its error; or the exception it raised.
 
-    ``log_f(log_r2, lx)`` is the summand's log at lx = log x for log r^2 =
-    log_r2, elementwise in both, and ``log_r2s`` holds log r^2 of each
-    radius. Each tail integral is split where b(x) = r^2 (the summand peaks
-    near there) and where r^2 is 1e-12 of b, and its last segment runs to
+    A key is (*cols, log r^2): the summand's parameters, if it takes any,
+    then log r^2. ``log_f(*key, lx)`` is the summand's log at lx = log x,
+    elementwise in all its arguments, and ``log_b(*cols, u)`` that of b.
+    Each tail integral is split where b(x) = r^2 (the summand peaks near
+    there) and where r^2 is 1e-12 of b, and its last segment runs to
     infinity; each remainder integral is split at the first point only. One
     quadrature takes every tail integral and one Euler-Maclaurin call every
-    remainder; an error at one radius (a search that diverges, a non-finite
+    remainder; an error at one key (a search that diverges, a non-finite
     node) is its outcome and does not stop the others.
     """
     u0 = math.log(n)
-    out: list = [None] * len(log_r2s)
+    out: list = [None] * len(keys)
     edges = {}
-    for i, log_r2 in enumerate(log_r2s):
+    for i, (*cols, log_r2) in enumerate(keys):
         try:
-            u_peak = _solve_b_equals(log_b, log_r2, u0)
-            u_far = _solve_b_equals(log_b, log_r2 + _LOG_1E12, u0)
+            key_log_b = functools.partial(log_b, *cols)
+            u_peak = _solve_b_equals(key_log_b, log_r2, u0)
+            u_far = _solve_b_equals(key_log_b, log_r2 + _LOG_1E12, u0)
         except Exception as exc:
             out[i] = exc
         else:
             edges[i] = (u0, u_peak, u_far, math.inf)
-    log_f_at = _at_radii(log_f, [log_r2s[i] for i in edges])
+    log_f_at = _at_radii(log_f, [keys[i] for i in edges])
     integrals = dict(zip(edges, _log_x_integral(log_f_at, list(edges.values()))))
     live = []
     for i, integral in integrals.items():
@@ -252,7 +260,7 @@ def _smooth_tail(log_f: Callable, log_b: Callable, log_r2s: list, n: int) -> lis
         else:
             live.append(i)
     tails = euler_maclaurin_tail(
-        _at_radii(log_f, [log_r2s[i] for i in live]),
+        _at_radii(log_f, [keys[i] for i in live]),
         n,
         [integrals[i][0] for i in live],
         [integrals[i][1] for i in live],
@@ -263,28 +271,28 @@ def _smooth_tail(log_f: Callable, log_b: Callable, log_r2s: list, n: int) -> lis
     return out
 
 
-def _summand_peak(
-    log_f: Callable, log_b: Callable, log_r2s: list, n: int, head_peaks: list
-) -> list:
-    """Per radius, the index of the largest summand, or the exception its search raised.
+def _summand_peak(log_f: Callable, log_b: Callable, keys: list, n: int, head_peaks: list) -> list:
+    """Per key, the index of the largest summand, or the exception its search raised.
 
     That is ``head_peaks[i]``, the head's below n, unless the summand still
     rises at n - 1; then it brackets where d log f / d log x (an order-1
     jet's slope) turns negative, up to where r^2 is 1e-12 of b: each of
     10 rounds takes the sign at 63 points cutting the bracket in 64, so it
     ends as narrow as after 60 bisections, unless the bracket already holds
-    one integer part of x. Each round takes every radius still searching
-    on one array jet. ``log_f`` is as for ``_smooth_tail``. For a far peak
-    (past ~1e8) adjacent summands agree to ~1e-16, so the index is exact
-    only up to such ties.
+    one integer part of x. Each round takes every key still searching on
+    one array jet. The keys, ``log_f`` and ``log_b`` are as for
+    ``_smooth_tail``. For a far peak (past ~1e8) adjacent summands agree to
+    ~1e-16, so the index is exact only up to such ties.
     """
     out: list = list(head_peaks)
-    brackets = {}  # radius: (lo, hi) in log x
-    for i, (log_r2, head_peak) in enumerate(zip(log_r2s, head_peaks)):
+    brackets = {}  # key: (lo, hi) in log x
+    for i, ((*cols, log_r2), head_peak) in enumerate(zip(keys, head_peaks)):
         if head_peak == n - 1:
             lo = math.log(n - 1)
             try:
-                brackets[i] = lo, _solve_b_equals(log_b, log_r2 + _LOG_1E12, lo)
+                brackets[i] = lo, _solve_b_equals(
+                    functools.partial(log_b, *cols), log_r2 + _LOG_1E12, lo
+                )
             except Exception as exc:
                 out[i] = exc
 
@@ -298,8 +306,8 @@ def _summand_peak(
         if not searching:
             break
         grids = [brackets[i][0] + (brackets[i][1] - brackets[i][0]) * cuts for i in searching]
-        at = np.repeat([log_r2s[i] for i in searching], 63)
-        slopes = log_f(at, Jet.log_variable(np.concatenate(grids), 1)).c[1].reshape(-1, 63)
+        at = np.repeat(np.array([keys[i] for i in searching]).T, 63, axis=1)
+        slopes = log_f(*at, Jet.log_variable(np.concatenate(grids), 1)).c[1].reshape(-1, 63)
         for i, grid, slope in zip(searching, grids, slopes):
             rising = np.append(slope > 0.0, False)
             j = int(np.argmin(rising))  # the first point not rising; 63 for none
@@ -309,7 +317,7 @@ def _summand_peak(
     for i, (lo, _) in brackets.items():
         x = math.exp(min(lo, 700.0))
         candidates = {max(int(x), 2), int(x) + 1}
-        out[i] = max(candidates, key=lambda n: log_f(log_r2s[i], math.log(n)))
+        out[i] = max(candidates, key=lambda n: log_f(*keys[i], math.log(n)))
     return out
 
 
@@ -358,7 +366,7 @@ def _cap_tail(log_f_free: Callable, end: int) -> Callable[[], float]:
 
 class _RadiusSum:
     """What a sum over a grid of radii keeps for one radius: its terms, peak and
-    last tail bound.
+    last tail bound, and its summand's key (``_smooth_tail``).
 
     Everything else a checkpoint needs does not depend on r and is shared by
     all radii of a grid: the block's n and log n, and for the generic family
@@ -367,11 +375,12 @@ class _RadiusSum:
     the power-log family's block sums.
     """
 
-    __slots__ = ("r", "log_r2", "terms", "best", "peak_index", "bound")
+    __slots__ = ("r", "log_r2", "key", "terms", "best", "peak_index", "bound")
 
-    def __init__(self, r: float, n_start: int):
+    def __init__(self, r: float, n_start: int, cols: tuple):
         self.r = r
         self.log_r2 = 2.0 * math.log(r)
+        self.key = (*cols, self.log_r2)
         self.terms: list[float] = []
         self.best = -math.inf
         self.peak_index = n_start
@@ -419,7 +428,7 @@ def _smooth_checkpoint(
     n: int,
     terms: int,
     rel_tol: float,
-    cap_tail: Callable,
+    cap_tails: dict,
     cap: int,
     last: bool,
 ) -> None:
@@ -427,14 +436,15 @@ def _smooth_checkpoint(
 
     A radius closes with its ``EvalResult`` once its bound is within
     rel_tol of its value, and with its error when the value is not a
-    normal double, when it is ``last`` or beyond reach (``_beyond_reach``),
-    or when its tail or its peak search raises. The tails and the peak
-    searches of all the radii run in lockstep. ``log_f`` is as for
+    normal double, when it is ``last`` or beyond reach (``_beyond_reach``,
+    with ``cap_tails[cols]`` the cap tail of a summand of parameters
+    ``cols``), or when its tail or its peak search raises. The tails and the peak searches of
+    all the radii run in lockstep. ``log_f`` and ``log_b`` are as for
     ``_smooth_tail``.
     """
     live = _open_runs(runs)
     try:
-        tails = _smooth_tail(log_f, log_b, [runs[i].log_r2 for i in live], n)
+        tails = _smooth_tail(log_f, log_b, [runs[i].key for i in live], n)
     except Exception as exc:  # of the shared work: every open radius would raise it
         tails = [exc] * len(live)
     certified = []
@@ -451,6 +461,7 @@ def _smooth_checkpoint(
             certified.append((i, value))
         else:
             try:
+                cap_tail = cap_tails[run.key[:-1]]
                 if last or _beyond_reach(rel_tol, value, integral, err, cap_tail):
                     runs[i] = _uncertified(who, rel_tol, cap, run.bound, value, terms)
             except Exception as exc:
@@ -458,7 +469,7 @@ def _smooth_checkpoint(
     peaks = _summand_peak(
         log_f,
         log_b,
-        [runs[i].log_r2 for i, _ in certified],
+        [runs[i].key for i, _ in certified],
         n,
         [runs[i].peak_index for i, _ in certified],
     )
@@ -481,12 +492,12 @@ def _pending(runs: list) -> bool:
     return False
 
 
-def _radius_runs(radii: list, floor: float, who: str, n_start: int) -> list:
-    """A ``_RadiusSum`` per radius, or the error its radius check raised."""
+def _radius_runs(points: list, floor: float, who: str, n_start: int) -> list:
+    """A ``_RadiusSum`` per point (cols, r), or the error its radius check raised."""
     runs: list = []
-    for r in radii:
+    for cols, r in points:
         try:
-            runs.append(_RadiusSum(_require_radius(r, floor, who), n_start))
+            runs.append(_RadiusSum(_require_radius(r, floor, who), n_start, cols))
         except (TypeError, ValueError) as exc:
             runs.append(exc)
     return runs
@@ -525,46 +536,47 @@ def eval_powerlog_grid(
     The results, and the error raised (that of the first radius in order
     that fails), are those of the loop: the first error of ``_powerlog_outcomes``.
     """
-    return _raise_first(_powerlog_outcomes(p, radii, rel_tol, hard_cap))
+    return _raise_first(_powerlog_outcomes([(p, r) for r in radii], rel_tol, hard_cap))
 
 
-def _powerlog_outcomes(p: PowerLogParams, radii, rel_tol=1e-8, hard_cap=DEFAULT_HARD_CAP) -> list:
-    """Per radius, what ``eval_powerlog(p, r, rel_tol, hard_cap)`` returns or raises.
+def _powerlog_outcomes(points: list, rel_tol=1e-8, hard_cap=DEFAULT_HARD_CAP) -> list:
+    """Per point (p, r), what ``eval_powerlog(p, r, rel_tol, hard_cap)`` returns or raises.
 
-    One walk over the doubling blocks serves every radius: each block's
-    log n and its terms at every open radius come from one call of the
-    summand, and at each block end one quadrature takes the tail integrals
-    of all the open radii, one the remainders of their Euler-Maclaurin
-    tails, and each round of the peak search one jet. A radius drops out
-    once it certifies or fails, the others go on. The integral past
-    ``hard_cap`` of the give-up rule is taken once. A bad ``rel_tol`` is
-    the outcome of each radius that passes its radius check.
+    One walk over the doubling blocks serves every point, whatever its
+    parameters: each block's log n and its terms at every open point come
+    from one call of the summand, with the parameters of each row, and at
+    each block end one quadrature takes the tail integrals of all the open
+    points, one the remainders of their Euler-Maclaurin tails, and each
+    round of the peak search one jet. A point drops out once it certifies
+    or fails, the others go on. The integral past ``hard_cap`` of the
+    give-up rule is taken once per parameter set. A bad ``rel_tol`` is the
+    outcome of each point that passes its radius check.
     """
-    runs = _radius_runs(radii, 1.0, "eval_powerlog", 2)
+    points = [(_powerlog_cols(p), r) for p, r in points]
+    runs = _radius_runs(points, 1.0, "eval_powerlog", 2)
     try:
         rel_tol = _check_rel_tol(rel_tol)
     except (TypeError, ValueError) as exc:
         runs = [exc if isinstance(run, _RadiusSum) else run for run in runs]
-    log_f = functools.partial(_powerlog_log_summand, p)
-    log_b = _powerlog_log_b(p)
+    log_f, log_b = _powerlog_log_summand, _powerlog_log_b
     n = 2
     end = 2 + hard_cap
-    cap_tail = _cap_tail(_at_radii(log_f, [-math.inf]), end)
+    cap_tails = {cols: _cap_tail(_at_radii(log_f, [(*cols, -math.inf)]), end) for cols, _ in points}
     block = 4096
     while live := _open_runs(runs):
         stop = min(n + block, end)
         if stop > n:
             lx = np.log(np.arange(n, stop, dtype=np.float64))
-            rows = max(1, _MAX_BLOCK // len(lx))  # radii per summand call
+            rows = max(1, _MAX_BLOCK // len(lx))  # points per summand call
             for c in range(0, len(live), rows):
                 chunk = live[c : c + rows]
-                log_r2s = np.array([[runs[i].log_r2] for i in chunk])
-                for i, logterms in zip(chunk, log_f(log_r2s, lx)):
+                keys = np.array([runs[i].key for i in chunk]).T[:, :, None]
+                for i, logterms in zip(chunk, log_f(*keys, lx)):
                     runs[i].add_block(n, logterms)
             n = stop
             block = min(block * 2, _MAX_BLOCK)
         _smooth_checkpoint(
-            "eval_powerlog", runs, log_f, log_b, n, n - 2, rel_tol, cap_tail, hard_cap, n >= end
+            "eval_powerlog", runs, log_f, log_b, n, n - 2, rel_tol, cap_tails, hard_cap, n >= end
         )
     return runs
 
@@ -922,12 +934,12 @@ def eval_general_grid(
 
     mu1 = mu + 1.0
     # Per radius: a _RadiusSum while open, then its EvalResult or its exception.
-    runs = _radius_runs(radii, 0.0, "eval_general", n_start)
+    runs = _radius_runs([((), r) for r in radii], 0.0, "eval_general", n_start)
     fitted = envelope is None and not smooth
     env = envelope
     if smooth:
         log_f = functools.partial(_smooth_log_summand, s, mu1)
-        cap_tail = _cap_tail(_at_radii(log_f, [-math.inf]), n_start + hard_cap)
+        cap_tails = {(): _cap_tail(_at_radii(log_f, [(-math.inf,)]), n_start + hard_cap)}
 
     fit_points = np.empty((4, 0))  # n, log n, log a_n, log b_n for the fit
     b_prev = None
@@ -1002,7 +1014,7 @@ def eval_general_grid(
                     n,
                     n - n_start,
                     rel_tol,
-                    cap_tail,
+                    cap_tails,
                     hard_cap,
                     False,
                 )

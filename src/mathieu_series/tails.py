@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-def exp_poly_tail(decay: float, power: float, u0: float) -> tuple[float, float]:
+def exp_poly_tail(decay, power, u0):
     """Integral of u^power * exp(-decay*u) over [u0, infinity) and its error estimate.
 
     Requires decay > 0 and u0 > 0; any real power. With t = decay*u0 the
@@ -62,29 +62,47 @@ def exp_poly_tail(decay: float, power: float, u0: float) -> tuple[float, float]:
     is the quadrature's estimate on the same scale plus the rounding of
     those logs. A value below the smallest subnormal reads 0; one
     above the double range raises ``NumericError``.
+
+    Given lists for ``decay``, ``power`` and ``u0``, one ``quad`` call
+    takes all the integrals in lockstep, and the result is a list with, per
+    integral, its (value, error) or the exception its one-integral call
+    raises, which stops no other.
     """
-    if decay <= 0.0:
-        raise DomainError(f"exp_poly_tail requires positive decay, got {decay}")
-    if u0 <= 0.0:
-        raise DomainError(f"exp_poly_tail requires u0 > 0, got {u0}")
-    t = decay * u0
-    q1 = power + 1.0
-    width = 1.0 / max(1.0, t - q1)
+    if not isinstance(decay, (list, tuple)):
+        return _raise_first(exp_poly_tail([decay], [power], [u0]))[0]
+    out: list = [None] * len(decay)
+    live = {}  # integral: (t, power + 1, width)
+    for i, (d, q, u) in enumerate(zip(decay, power, u0)):
+        if d <= 0.0:
+            out[i] = DomainError(f"exp_poly_tail requires positive decay, got {d}")
+        elif u <= 0.0:
+            out[i] = DomainError(f"exp_poly_tail requires u0 > 0, got {u}")
+        else:
+            t = d * u
+            live[i] = t, q + 1.0, 1.0 / max(1.0, t - (q + 1.0))
+    ts, q1s, widths = np.array(list(live.values()), dtype=np.float64).reshape(-1, 3).T
 
-    def integrand(y: np.ndarray) -> np.ndarray:  # w = log t + width * y
-        d = width * y
+    def integrand(y: np.ndarray, k) -> np.ndarray:  # w = log t + width * y
+        d = widths[k] * y
         with np.errstate(over="ignore"):  # e^d overflows far out, where the integrand is 0
-            return np.exp(q1 * d - t * np.expm1(d))
+            return np.exp(q1s[k] * d - ts[k] * np.expm1(d))
 
-    integral, err = quad(integrand, 0.0, math.inf, epsrel=1e-13, limit=400)
-    log_u0_power = q1 * math.log(u0)
-    log_value = log_u0_power - t + math.log(width * integral)
-    if log_value >= _LOG_DBL_MAX:
-        raise NumericError(f"incomplete-gamma tail e^{log_value:.6g} overflows")
-    value = math.exp(log_value)
-    # the rounding of the logs moves the value by up to 4 eps times their size
-    log_rounding = 4.0 * _EPS * (abs(log_u0_power) + t + abs(log_value) + 1.0)
-    return value, value * (err / integral + log_rounding)
+    found = quad(integrand, [0.0] * len(live), [math.inf] * len(live), epsrel=1e-13, limit=400)
+    for (i, (t, q1, width)), segments in zip(live.items(), found):
+        if isinstance(segments, Exception):
+            out[i] = segments
+            continue
+        ((integral, err),) = segments
+        log_u0_power = q1 * math.log(u0[i])
+        log_value = log_u0_power - t + math.log(width * integral)
+        if log_value >= _LOG_DBL_MAX:
+            out[i] = NumericError(f"incomplete-gamma tail e^{log_value:.6g} overflows")
+            continue
+        value = math.exp(log_value)
+        # the rounding of the logs moves the value by up to 4 eps times their size
+        log_rounding = 4.0 * _EPS * (abs(log_u0_power) + t + abs(log_value) + 1.0)
+        out[i] = value, value * (err / integral + log_rounding)
+    return out
 
 
 def powerlog_tail_bound(power: float, log_power: float, from_x: float) -> float:
@@ -220,17 +238,20 @@ def _gk21_panels(func: Callable, segments: list[tuple], owners: list) -> tuple:
     the integral of each node (an int array, or one int for all), read
     from ``owners`` (the integral of each segment). With ``infinite_from``
     = a the panels lie in t and the integrand is f(a + t/(1-t)) / (1-t)^2.
-    The sums by Gauss-Kronrod 10/21 run per segment, as matrix products of
-    the shapes the segment has alone (a row of a matrix product can change
-    with the row count); the nodes and the per-panel products after the
-    sums run once on the panels of all the segments. The error estimate is
-    QUADPACK's: resasc min(1, (200 |K - G| / resasc)^1.5), where K and G
-    are the Kronrod and Gauss values and resasc the Kronrod integral of
+    The sums by Gauss-Kronrod 10/21 are matrix products of the shapes each
+    segment has alone (a row of a matrix product can change with the row
+    count): the segments with the same number of panels are stacked, one
+    product for them all, whose every slice is the product of the slice
+    alone. The nodes and every elementwise step run once on the panels of
+    all the segments. The error estimate is QUADPACK's:
+    resasc min(1, (200 |K - G| / resasc)^1.5), where K and G are the
+    Kronrod and Gauss values and resasc the Kronrod integral of
     |f - mean f|, raised to the roundoff floor 50 eps resabs, resabs the
-    Kronrod integral of |f|. Also returns, per integral with a non-finite value, the
-    ``NumericError`` naming its first; its segments get None.
+    Kronrod integral of |f|. Also returns, per integral with a non-finite
+    value, the ``NumericError`` naming its first; its segments get None.
     """
     gk_nodes, gk_kronrod, gk_weights = _gk21_rule()
+    sizes = [len(seg[0]) for seg in segments]
     if len(segments) == 1:
         ((los, his, _),) = segments
     else:
@@ -238,16 +259,17 @@ def _gk21_panels(func: Callable, segments: list[tuple], owners: list) -> tuple:
         his = [v for seg in segments for v in seg[1]]
     lo = np.array(los)
     half = 0.5 * (np.array(his) - lo)
-    x = (lo[:, None] + half[:, None] * gk_nodes).ravel()
-    rows, at, start = [], [], 0  # per segment: its rows of panels, and its nodes
-    for seg in segments:
-        rows.append((start, start + len(seg[0])))
-        t = x[21 * start : 21 * (start + len(seg[0]))]
-        at.append(t if seg[2] is None else seg[2] + t / (1.0 - t))
-        start += len(seg[0])
-    at = _joined(at)
+    x = lo[:, None] + half[:, None] * gk_nodes
+    mapped = [seg[2] is not None for seg in segments]  # panels in t
+    at = x
+    if any(mapped):
+        in_t = slice(None) if all(mapped) else np.array(mapped).repeat(sizes)
+        t = x[in_t]
+        ends = np.array([seg[2] or 0.0 for seg in segments]).repeat(sizes)[in_t, None]
+        at = _replaced(x, in_t, ends + t / (1.0 - t))
+    at = at.ravel()
     one = owners.count(owners[0]) == len(owners)
-    which = owners[0] if one else np.repeat(owners, [21 * (b - a) for a, b in rows])
+    which = owners[0] if one else np.array(owners).repeat([21 * n for n in sizes])
     fx = np.asarray(func(at, which), dtype=np.float64)
     errors = {}
     if not np.isfinite(fx).all():
@@ -255,35 +277,45 @@ def _gk21_panels(func: Callable, segments: list[tuple], owners: list) -> tuple:
             k = which if one else int(which[j])
             if k not in errors:
                 errors[k] = NumericError(f"integrand is {float(fx[j])} at x = {float(at[j])}")
-    fx, x = fx.reshape(-1, 21), x.reshape(-1, 21)
-    kg, resabs, resasc = [], [], []
-    for s, ((a, b), (_, _, end)) in enumerate(zip(rows, segments)):
-        if errors and owners[s] in errors:  # nothing to sum
-            kg.append(np.zeros((b - a, 2)))
-            resabs.append(np.zeros(b - a))
-            resasc.append(np.zeros(b - a))
-            continue
-        f = fx[a:b]
-        if end is not None:  # f(a + t/(1-t)) / (1-t)^2
-            f = f / ((1.0 - x[a:b]) * (1.0 - x[a:b]))
-        kg_f = f @ gk_weights
-        kg.append(kg_f)
-        resabs.append(np.abs(f) @ gk_kronrod)
-        resasc.append(np.abs(f - 0.5 * kg_f[:, :1]) @ gk_kronrod)
-    kg = _joined(kg)
+    f = fx.reshape(-1, 21)
+    if any(mapped):  # f(a + t/(1-t)) / (1-t)^2
+        f = _replaced(f, in_t, f[in_t] / ((1.0 - t) * (1.0 - t)))
+    if errors:  # nothing to sum
+        f = np.where(np.array([k in errors for k in owners]).repeat(sizes)[:, None], 0.0, f)
+    if sizes.count(sizes[0]) == len(sizes):
+        stacks = [(sizes[0], slice(None))]
+    else:
+        firsts = {}  # panel count: the first row of each segment that has it
+        start = 0
+        for n in sizes:
+            firsts.setdefault(n, []).append(start)
+            start += n
+        stacks = [(n, (np.array(rows)[:, None] + np.arange(n)).ravel()) for n, rows in firsts.items()]
+    kg = np.empty((len(los), 2))
+    resabs = np.empty(len(los))
+    resasc = np.empty(len(los))
+    abs_f = np.abs(f)
+    for n, rows in stacks:
+        kg[rows] = (f[rows].reshape(-1, n, 21) @ gk_weights).reshape(-1, 2)
+        resabs[rows] = (abs_f[rows].reshape(-1, n, 21) @ gk_kronrod).ravel()
+    deviation = np.abs(f - 0.5 * kg[:, :1])
+    for n, rows in stacks:
+        resasc[rows] = (deviation[rows].reshape(-1, n, 21) @ gk_kronrod).ravel()
     kronrod = kg[:, 0]
     abs_half = np.abs(half)
-    resabs = (_joined(resabs) * abs_half).tolist()
-    resasc = (_joined(resasc) * abs_half).tolist()
+    resabs = (resabs * abs_half).tolist()
+    resasc = (resasc * abs_half).tolist()
     diff = (np.abs(kronrod - kg[:, 1]) * abs_half).tolist()
     values = (kronrod * half).tolist()
     out = []
-    for s, (a, b) in enumerate(rows):
+    start = 0
+    for s, n in enumerate(sizes):
+        a, start = start, start + n
         if errors and owners[s] in errors:
             out.append(None)
             continue
         out.append(panels := [])
-        for i in range(a, b):
+        for i in range(a, start):
             err, spread, size = diff[i], resasc[i], resabs[i]
             if spread != 0.0 and err != 0.0:
                 err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
@@ -292,9 +324,13 @@ def _gk21_panels(func: Callable, segments: list[tuple], owners: list) -> tuple:
     return out, errors
 
 
-def _joined(parts: list):
-    """The arrays of ``parts`` end to end; a lone part as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _replaced(a, rows, values):
+    """A copy of ``a`` with ``values`` in its ``rows``; ``values`` itself when ``rows`` is all."""
+    if isinstance(rows, slice):
+        return values
+    out = a.copy()
+    out[rows] = values
+    return out
 
 
 def quad(func: Callable, a, b, epsrel: float = 1e-10, limit: int = 50, points=None):

@@ -38,9 +38,9 @@ from .asymptotics import (
 )
 from .dirichlet import (
     DirichletParams,
+    _log_weighted_zetas,
+    _saddle_point_bounds,
     factorial_dirichlet,
-    log_weighted_zeta,
-    saddle_point_bound,
     transform_frame,
     zeta_singular_prediction,
 )
@@ -49,10 +49,10 @@ from .series import (
     FactorialParams,
     PowerLogParams,
     SequencePair,
+    _powerlog_outcomes,
     eval_factorial,
     eval_general_grid,
     eval_power_series,
-    eval_powerlog_grid,
 )
 from .special import log_factorial, log_log_factorial
 
@@ -157,12 +157,14 @@ def suite_thm11(
     out = []
     t0 = time.perf_counter()
     sets = [(params, 0.60)] if params is not None else _THM11_SETS
-    for p, final_tol in sets:
+    radii = [10.0**k for k in range(2, 7)]
+    # every set at every radius in one power-log walk
+    results = _raise_first(_powerlog_outcomes([(p, r) for p, _ in sets for r in radii], 1e-9))
+    for j, (p, final_tol) in enumerate(sets):
         tag = f"({p.alpha:g},{p.beta:g},{p.gamma:g},{p.delta:g},{p.mu:g})"
-        radii = [10.0**k for k in range(2, 7)]
         devs = [
             abs(res.value / predict_powerlog(p, r) - 1.0)
-            for r, res in zip(radii, eval_powerlog_grid(p, radii, rel_tol=1e-9))
+            for r, res in zip(radii, results[j * len(radii) : (j + 1) * len(radii)])
         ]
         out.append(
             _check(
@@ -184,6 +186,12 @@ def suite_thm12(strict: bool = False) -> list[CheckResult]:
     out = []
     t0 = time.perf_counter()
     p = PowerLogParams(1, 3, 1, 1, 1)
+    plain = PowerLogParams(1, 3, 0, 0, 1)
+    radii = [10.0**k for k in range(2, 6)]
+    plain_radii = [10.0**k for k in (2, 3, 4)]
+    # both power-log grids in one walk
+    points = [(p, r) for r in radii] + [(plain, r) for r in plain_radii]
+    powerlog = _raise_first(_powerlog_outcomes(points, 1e-9))
     shifted = SequencePair(
         a=lambda n: (n + 3.0) * math.log(n + 2.0),
         b=lambda n: float(n) ** 3 * math.log(n + 1.0),
@@ -192,11 +200,8 @@ def suite_thm12(strict: bool = False) -> list[CheckResult]:
         log_b=lambda u: 3.0 * u + np.log(np.logaddexp(u, 0.0)),
     )
     gaps = []
-    radii = [10.0**k for k in range(2, 6)]
     for r, res, plain_res in zip(
-        radii,
-        eval_general_grid(shifted, 1.0, radii, rel_tol=1e-6),
-        eval_powerlog_grid(p, radii, rel_tol=1e-9),
+        radii, eval_general_grid(shifted, 1.0, radii, rel_tol=1e-6), powerlog[: len(radii)]
     ):
         dev_sh = abs(res.value / predict_powerlog(p, r) - 1.0)
         dev_un = abs(plain_res.value / predict_powerlog(p, r) - 1.0)
@@ -212,7 +217,6 @@ def suite_thm12(strict: bool = False) -> list[CheckResult]:
         )
     )
 
-    plain = PowerLogParams(1, 3, 0, 0, 1)
     seq = SequencePair(
         a=lambda n: (n + 5.0),
         b=lambda n: float(n) ** 3,
@@ -221,11 +225,10 @@ def suite_thm12(strict: bool = False) -> list[CheckResult]:
         log_b=lambda u: 3.0 * u,
     )
     devs = []
-    radii = [10.0**k for k in (2, 3, 4)]
     for r, res, plain_res in zip(
-        radii,
-        eval_general_grid(seq, 1.0, radii, rel_tol=1e-7),
-        eval_powerlog_grid(plain, radii, rel_tol=1e-9),
+        plain_radii,
+        eval_general_grid(seq, 1.0, plain_radii, rel_tol=1e-7),
+        powerlog[len(radii) :],
     ):
         head = 5.0 / (r * r) ** 2 + 6.0 / (1.0 + r * r) ** 2
         v = res.value - head
@@ -330,10 +333,13 @@ def suite_thm14(strict: bool = False) -> list[CheckResult]:
 def suite_thm15(strict: bool = False) -> list[CheckResult]:
     """Saddle-point bound dominance and its growth scale."""
     out = []
-    bounds = {}
-    for p in (FactorialParams(1, 2, 1), FactorialParams(0.5, 1, 1), FactorialParams(0, 1, 1)):
+    sets = (FactorialParams(1, 2, 1), FactorialParams(0.5, 1, 1), FactorialParams(0, 1, 1))
+    # every set at every radius: one quadrature for all the line integrals
+    found = _raise_first(_saddle_point_bounds([(p, r) for p in sets for r in _FACTORIAL_GRID]))
+    size = len(_FACTORIAL_GRID)
+    bounds = {p: found[j * size : (j + 1) * size] for j, p in enumerate(sets)}
+    for p in sets:
         tag = f"({p.alpha:g},{p.beta:g},{p.mu:g})"
-        bounds[p] = [saddle_point_bound(p, r) for r in _FACTORIAL_GRID]
         worst = min(
             b / eval_factorial(p, r, rel_tol=1e-12).value
             for b, r in zip(bounds[p], _FACTORIAL_GRID)
@@ -372,17 +378,19 @@ def suite_thm15(strict: bool = False) -> list[CheckResult]:
 def suite_lemma22(strict: bool = False) -> list[CheckResult]:
     """Singular model of the log-weighted zeta near s = 1."""
     out = []
-    for eta, theta in ((0.0, 0.0), (0.0, 1.0), (0.5, 0.0)):
-        p = DirichletParams(eta, theta)
+    cases = [DirichletParams(eta, theta) for eta, theta in ((0.0, 0.0), (0.0, 1.0), (0.5, 0.0))]
+    steps = (1e-2, 1e-3, 1e-4)
+    # all nine zetas in one lockstep walk of their cutoffs
+    items = [(p, 1.0 + d) for p in cases for d in steps]
+    zetas = iter(_raise_first(_log_weighted_zetas(items, 1e-8)))
+    for p in cases:
         devs = []
-        for d in (1e-2, 1e-3, 1e-4):
-            ratio = log_weighted_zeta(p, 1.0 + d, rel_tol=1e-8) / zeta_singular_prediction(
-                p, 1.0 + d
-            )
+        for d in steps:
+            ratio = next(zetas) / zeta_singular_prediction(p, 1.0 + d)
             devs.append(abs(ratio - 1.0))
         out.append(
             _check(
-                f"lemma22/({eta:g},{theta:g})",
+                f"lemma22/({p.eta:g},{p.theta:g})",
                 devs[-1],
                 0.20,
                 extra_ok=_strictly_decreasing(devs),

@@ -273,3 +273,30 @@ def test_power_log_suites_share_quadrature_rounds_across_radii(monkeypatch):
         assert all(c.passed for c in run_suite(name))
     assert rounds["tail integrals"] <= 50
     assert rounds["remainder jets"] <= 25
+
+
+@pytest.mark.parametrize("name, calls", [("thm11", 2), ("thm15", 1), ("lemma22", 2)])
+def test_suites_take_their_integrals_in_lockstep(name, calls, monkeypatch):
+    # a deterministic cost guard: thm11 runs its 4 sets x 5 radii in one
+    # power-log walk (one tail-integral and one remainder quadrature), thm15
+    # its 30 gamma-line integrals in one quadrature, and lemma22 its nine
+    # zetas at one cutoff (one incomplete-gamma and one remainder
+    # quadrature); per-item calls made 8, 30 and 18
+    from mathieu_series import dirichlet, series, tails
+
+    rule = tails.quad
+    depth = [0]
+    top_level = [0]
+
+    def counting(*args, **kwargs):
+        top_level[0] += depth[0] == 0  # the one-integral form calls the list form
+        depth[0] += 1
+        try:
+            return rule(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    for module in (tails, series, dirichlet):
+        monkeypatch.setattr(module, "quad", counting)
+    assert all(c.passed for c in run_suite(name))
+    assert top_level[0] == calls

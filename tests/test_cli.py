@@ -331,6 +331,23 @@ def test_sweep_expansion_error_shrinks(capsys):
     assert gaps == sorted(gaps, reverse=True)
 
 
+def test_sweep_expansion_survives_an_overflowing_first_term(capsys):
+    # at r = 2.9e66 the n = 1 term's float power (1 + r^2)^3 overflows while
+    # the sum is still a normal double (~7e-267): the term is taken in logs,
+    # where it underflows far below the sum's last bit; each row carries its
+    # value or its typed error
+    code, out, err = run_cli(capsys, "sweep", "expansion", "--mu", "2", "--r-grid", "0.5:1e200:7")
+    assert (code, err) == (0, "")
+    records = json.loads(out)["records"]
+    r = records[2]["r"]
+    assert r > 2.9e66 and records[2]["error"] is None
+    # the direct sum is the prediction the expansion is measured against
+    direct = 2.0 * eval_powerlog(PowerLogParams(1, 2, 0, 0, 2), r, 1e-13).value
+    assert records[2]["prediction"] == direct
+    assert "requires r > 1" in records[0]["error"] and records[1]["error"] is None
+    assert all("not a normal double" in rec["error"] for rec in records[3:])
+
+
 def test_sweep_expansion_rejects_mu_at_most_three_halves(capsys):
     # it used to fail at every grid point and exit 1
     code, out, err = run_cli(capsys, "sweep", "expansion", "--mu", "1", "--r-grid", "10:100:2")

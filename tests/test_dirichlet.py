@@ -491,5 +491,14 @@ def _thm15_pairs():
 )
 def test_gamma_line_integral_against_mpmath(mu, sigma):
     exact = _gamma_line_exact(mu, sigma)
-    got = _gamma_line_integral(mu, sigma)
+    [got] = _gamma_line_integral([(mu, sigma)])
     assert abs(got - exact) <= 1e-12 * exact
+
+
+def test_gamma_line_integrals_in_lockstep_equal_each_alone():
+    # log_abs_gamma shifts the real parts up to >= 8: by 8 on thm15's
+    # points, by 7 at (5, 3) and by none at (20, 15); nodes of each shift
+    # take it alone, so every value is == its one-point call
+    points = [*_thm15_pairs()[:4], (5.0, 3.0), (20.0, 15.0), (0.5, 0.05), (5.0, 2.0)]
+    together = _gamma_line_integral(points)
+    assert together == [_gamma_line_integral([point])[0] for point in points]

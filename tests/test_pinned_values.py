@@ -14,11 +14,20 @@ import pytest
 
 from mathieu_series.dirichlet import (
     DirichletParams,
+    _log_weighted_zetas,
+    _saddle_point_bounds,
     factorial_dirichlet,
     log_factorial_dirichlet,
     log_weighted_zeta,
+    saddle_point_bound,
 )
-from mathieu_series.series import PowerLogParams, SequencePair, eval_general_grid, eval_powerlog
+from mathieu_series.series import (
+    FactorialParams,
+    PowerLogParams,
+    SequencePair,
+    eval_general_grid,
+    eval_powerlog,
+)
 from mathieu_series.special import log_factorial, log_log_factorial
 
 _LOG2, _LOG3, _LOG5 = math.log(2.0), math.log(3.0), math.log(5.0)
@@ -71,6 +80,52 @@ LOG_FACTORIAL_DIRICHLET = {
     (1.5, 1e-10): 2.733231176132737,
     (2.0, 1e-10): 2.612467414509381,
     (3.0, 1e-12): 3.2243195236866677,
+}
+
+# verify thm15's points: (alpha, beta, mu), r: saddle_point_bound
+SADDLE_POINT_BOUND = {
+    ((1, 2, 1), 1000.0): 5.193032265297556e-09,
+    ((1, 2, 1), 10000.0): 6.203409838076759e-12,
+    ((1, 2, 1), 100000.0): 7.139136842300048e-15,
+    ((1, 2, 1), 1000000.0): 8.021740099700082e-18,
+    ((1, 2, 1), 10000000.0): 8.863971503606881e-21,
+    ((1, 2, 1), 100000000.0): 9.674108769585764e-24,
+    ((1, 2, 1), 1000000000.0): 1.0457885989050568e-26,
+    ((1, 2, 1), 10000000000.0): 1.1219471881466712e-29,
+    ((1, 2, 1), 100000000000.0): 1.1962012194789025e-32,
+    ((1, 2, 1), 1000000000000.0): 1.268795199671083e-35,
+    ((0.5, 1, 1), 1000.0): 7.720586444600974e-09,
+    ((0.5, 1, 1), 10000.0): 9.390416352629643e-12,
+    ((0.5, 1, 1), 100000.0): 1.0949789815046171e-14,
+    ((0.5, 1, 1), 1000000.0): 1.2429658838355511e-17,
+    ((0.5, 1, 1), 10000000.0): 1.3848607212424382e-20,
+    ((0.5, 1, 1), 100000000.0): 1.5218817305069046e-23,
+    ((0.5, 1, 1), 1000000000.0): 1.654879199407026e-26,
+    ((0.5, 1, 1), 10000000000.0): 1.7844750434823263e-29,
+    ((0.5, 1, 1), 100000000000.0): 1.9111409148627806e-32,
+    ((0.5, 1, 1), 1000000000000.0): 2.0352449615239235e-35,
+    ((0, 1, 1), 1000.0): 2.303676891947969e-11,
+    ((0, 1, 1), 10000.0): 3.0470381627775105e-15,
+    ((0, 1, 1), 100000.0): 3.7767851029929404e-19,
+    ((0, 1, 1), 1000000.0): 4.496053132586182e-23,
+    ((0, 1, 1), 10000000.0): 5.206936053348339e-27,
+    ((0, 1, 1), 100000000.0): 5.910901480562529e-31,
+    ((0, 1, 1), 1000000000.0): 6.609022575161315e-35,
+    ((0, 1, 1), 10000000000.0): 7.302111819469717e-39,
+    ((0, 1, 1), 100000000000.0): 7.990802092238164e-43,
+    ((0, 1, 1), 1000000000000.0): 8.675598097201545e-47,
+}
+# verify lemma22's inputs, at rel_tol 1e-8: (eta, theta, s): log_weighted_zeta
+LEMMA22_ZETA = {
+    (0.0, 0.0, 1.01): 99.5779433384968,
+    (0.0, 0.0, 1.001): 999.5772884760112,
+    (0.0, 0.0, 1.0001): 9999.577222947542,
+    (0.0, 1.0, 1.01): 4.7415652065646015,
+    (0.0, 1.0, 1.001): 7.105088839898023,
+    (0.0, 1.0, 1.0001): 9.424064018368146,
+    (0.5, 0.0, 1.01): 886.0558103243033,
+    (0.5, 0.0, 1.001): 28024.784702633962,
+    (0.5, 0.0, 1.0001): 886226.7540471163,
 }
 
 # The smooth sequence pairs of verify thm12 and cor61 at mu = 1.
@@ -134,3 +189,26 @@ def test_factorial_dirichlet_is_pinned(s, rel_tol):
 @pytest.mark.parametrize("s, rel_tol", sorted(LOG_FACTORIAL_DIRICHLET))
 def test_log_factorial_dirichlet_is_pinned(s, rel_tol):
     assert log_factorial_dirichlet(s, rel_tol=rel_tol) == LOG_FACTORIAL_DIRICHLET[s, rel_tol]
+
+
+@pytest.mark.parametrize("params, r", sorted(SADDLE_POINT_BOUND))
+def test_saddle_point_bound_is_pinned(params, r):
+    assert saddle_point_bound(FactorialParams(*params), r) == SADDLE_POINT_BOUND[params, r]
+
+
+@pytest.mark.parametrize("eta, theta, s", sorted(LEMMA22_ZETA))
+def test_lemma22_zeta_is_pinned(eta, theta, s):
+    value = log_weighted_zeta(DirichletParams(eta, theta), s, rel_tol=1e-8)
+    assert value == LEMMA22_ZETA[eta, theta, s]
+
+
+def test_thm15_points_in_one_call_are_pinned():
+    points = sorted(SADDLE_POINT_BOUND)
+    got = _saddle_point_bounds([(FactorialParams(*params), r) for params, r in points])
+    assert got == [SADDLE_POINT_BOUND[point] for point in points]
+
+
+def test_lemma22_zetas_in_one_call_are_pinned():
+    items = sorted(LEMMA22_ZETA)
+    got = _log_weighted_zetas([(DirichletParams(eta, theta), s) for eta, theta, s in items], 1e-8)
+    assert got == [LEMMA22_ZETA[item] for item in items]

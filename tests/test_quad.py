@@ -1,5 +1,6 @@
 """The Gauss-Kronrod rule ``tails.quad`` against mpmath quadrature at 30 digits."""
 
+import functools
 import math
 
 import mpmath
@@ -54,13 +55,14 @@ def test_powerlog_tail_segments(params, r):
     # summand peak, up to where r^2 is 1e-12 of b, and on to infinity
     p = PowerLogParams(*params)
     log_r2 = 2.0 * math.log(r)
-    log_b = series._powerlog_log_b(p)
+    cols = series._powerlog_cols(p)
+    log_b = functools.partial(series._powerlog_log_b, *cols)
     u0 = math.log(4098)
     u_peak = series._solve_b_equals(log_b, log_r2, u0)
     u_far = series._solve_b_equals(log_b, log_r2 + math.log(1e12), u0)
 
     def integrand(u):
-        return np.exp(u + series._powerlog_log_summand(p, log_r2, u))
+        return np.exp(u + series._powerlog_log_summand(*cols, log_r2, u))
 
     edges = [u0, u_peak, u_far, math.inf]
     for a, b in zip(edges, edges[1:]):

@@ -195,7 +195,7 @@ def reference_powerlog_tail_integral(p, log_r2, u0):
     mu1 = p.mu + 1.0
 
     def integrand(u):
-        return math.exp(u + series._powerlog_log_summand(p, log_r2, u))
+        return math.exp(u + series._powerlog_log_summand(*series._powerlog_cols(p), log_r2, u))
 
     def log_b(u):
         return p.beta * u + p.delta * math.log(u)
@@ -233,20 +233,20 @@ _SUITE_POWERLOG_INPUTS = [
 @pytest.mark.parametrize("p, r, rel_tol", _SUITE_POWERLOG_INPUTS)
 def test_powerlog_tail_integral_matches_the_closed_form_far_tail(p, r, rel_tol, monkeypatch):
     log_r2 = 2.0 * math.log(r)
-    log_f = functools.partial(series._powerlog_log_summand, p)
-    log_b = series._powerlog_log_b(p)
+    log_f, log_b = series._powerlog_log_summand, series._powerlog_log_b
+    key = (*series._powerlog_cols(p), log_r2)
     for n in (4098, 12290):
-        [(_, _, integral, err)] = series._smooth_tail(log_f, log_b, [log_r2], n)
+        [(_, _, integral, err)] = series._smooth_tail(log_f, log_b, [key], n)
         ref, ref_err, _ = reference_powerlog_tail_integral(p, log_r2, math.log(n))
         assert abs(integral - ref) <= err + ref_err
 
     res = eval_powerlog(p, r, rel_tol=rel_tol)
 
-    def reference_tail(log_f, log_b, log_r2s, n):
-        [log_r2] = log_r2s
+    def reference_tail(log_f, log_b, keys, n):
+        [(*_, log_r2)] = keys
         integral, err, breaks = reference_powerlog_tail_integral(p, log_r2, math.log(n))
         [(value, bound)] = euler_maclaurin_tail(
-            lambda lx, k: log_f(log_r2, lx), n, [integral], [err], [breaks]
+            lambda lx, k: log_f(*keys[0], lx), n, [integral], [err], [breaks]
         )
         return [(value, bound, integral, err)]
 
@@ -258,7 +258,7 @@ def test_powerlog_tail_integral_matches_the_closed_form_far_tail(p, r, rel_tol, 
     # agree within the sum of the two integrals' error estimates.
     assert abs(res.value - ref.value) <= res.tail_bound + ref.tail_bound
     n = 2 + res.terms_used
-    [(_, _, _, err)] = series._smooth_tail(log_f, log_b, [log_r2], n)
+    [(_, _, _, err)] = series._smooth_tail(log_f, log_b, [key], n)
     _, ref_err, _ = reference_powerlog_tail_integral(p, log_r2, math.log(n))
     assert abs(res.tail_bound - ref.tail_bound) <= err + ref_err
 
@@ -315,26 +315,54 @@ def test_powerlog_grid_equals_the_per_radius_loop(p, radii, kwargs):
     if isinstance(grid, list):  # EvalResult compares its fields with ==
         assert [type(res) for res in grid] == [EvalResult] * len(radii)
     # the core runs every radius to the outcome of its one-radius call, past any failure
-    outcomes = series._powerlog_outcomes(p, radii, **kwargs)
+    outcomes = series._powerlog_outcomes([(p, r) for r in radii], **kwargs)
     assert [_outcome(lambda: _raise_first([o])[0]) for o in outcomes] == [
         _outcome(lambda: eval_powerlog(p, r, **kwargs)) for r in radii
+    ]
+
+
+_MIXED_PARAMS = [
+    _CUBIC_POWERLOG,
+    _FAR_PEAK,
+    PowerLogParams(2, 3, -1, 2, 1),
+    PowerLogParams(1, 2, 1, 1, 1),
+    PowerLogParams(1, 2, 0, 0, 1),
+]
+# radii at or below 1 fail their check; at 1e120 the value of (1, 3, 0, 0, 1)
+# is below the smallest normal double, the others' are not
+_MIXED_RADII = [0.5, 1.0, 30.0, 1e3, 1e4, 1e7, 1e120]
+
+
+@given(
+    points=st.lists(
+        st.tuples(st.sampled_from(_MIXED_PARAMS), st.sampled_from(_MIXED_RADII)), max_size=6
+    ),
+    rel_tol=st.sampled_from([1e-9, 1e-14, 1e-15, 0.5]),
+)
+@settings(max_examples=30, deadline=None)
+def test_powerlog_points_equal_the_per_point_loop(points, rel_tol):
+    # several parameter sets in one walk: each point's result fields, or its
+    # error's type, message and bound_achieved, are those of its own call
+    outcomes = series._powerlog_outcomes(points, rel_tol)
+    assert [_outcome(lambda: _raise_first([o])[0]) for o in outcomes] == [
+        _outcome(lambda: eval_powerlog(p, r, rel_tol=rel_tol)) for p, r in points
     ]
 
 
 def test_smooth_tail_keeps_an_error_to_its_radius():
     # a summand that is NaN past u = 12 at one radius only: its tail integral
     # fails as the one-radius call does, and the others are unchanged
-    p = PowerLogParams(1, 2, 0, 0, 1)
+    cols = series._powerlog_cols(PowerLogParams(1, 2, 0, 0, 1))
     bad = 2.0 * math.log(1e5)
 
     def log_f(log_r2, lx):
-        value = series._powerlog_log_summand(p, log_r2, lx)
+        value = series._powerlog_log_summand(*cols, log_r2, lx)
         if isinstance(lx, np.ndarray):
             return np.where((log_r2 == bad) & (lx > 12.0), math.nan, value)
         return value
 
-    log_b = series._powerlog_log_b(p)
-    log_r2s = [2.0 * math.log(r) for r in (1e3, 1e5, 1e4)]
+    log_b = functools.partial(series._powerlog_log_b, *cols)
+    log_r2s = [(2.0 * math.log(r),) for r in (1e3, 1e5, 1e4)]
     together = series._smooth_tail(log_f, log_b, log_r2s, 4098)
     alone = [series._smooth_tail(log_f, log_b, [x], 4098)[0] for x in log_r2s]
     assert isinstance(together[1], NumericError)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mathieu_series._core import _raise_first
 from mathieu_series.errors import DomainError, NumericError
-from mathieu_series.series import PowerLogParams, _powerlog_log_summand
+from mathieu_series.series import PowerLogParams, _powerlog_cols, _powerlog_log_summand
 from mathieu_series.special import log_log_factorial
 from mathieu_series.tails import (
     EM_ORDER,
@@ -120,7 +120,8 @@ _LOG2, _LOG3, _LOG5 = math.log(2.0), math.log(3.0), math.log(5.0)
 
 
 def _powerlog_log_f(lx):
-    return _powerlog_log_summand(PowerLogParams(2, 3, -1, 2, 1), 2.0 * math.log(1e3), lx)
+    cols = _powerlog_cols(PowerLogParams(2, 3, -1, 2, 1))
+    return _powerlog_log_summand(*cols, 2.0 * math.log(1e3), lx)
 
 
 def _smooth_log_f(log_a, log_b):
