@@ -48,6 +48,17 @@ def _check_rel_tol(rel_tol: float) -> float:
     return rel_tol
 
 
+def _check_term_cap(hard_cap) -> int:
+    """hard_cap as an int; ``ParameterError`` unless it is an integer >= 1 (a bool is not)."""
+    try:
+        cap = operator.index(hard_cap)
+    except TypeError:
+        cap = 0
+    if cap < 1 or isinstance(hard_cap, bool):
+        raise ParameterError(f"hard_cap must be an integer >= 1, got {hard_cap!r}")
+    return cap
+
+
 def _require_radius(r, floor: float, who: str, inclusive: bool = False, shown: str = "") -> float:
     """r as a float; ``DomainError`` unless it is finite and > floor (>= when inclusive).
 
@@ -315,6 +326,7 @@ def eval_factorial(
     p.require_convergent("eval_factorial")
     r = _require_radius(r, 0.0, "eval_factorial")
     rel_tol = _check_rel_tol(rel_tol)
+    hard_cap = _check_term_cap(hard_cap)
 
     n0 = peak_index_n0(p.beta, r) if r >= 1.0 else 0
     decay = p.alpha - p.beta * (p.mu + 1.0)  # < 0

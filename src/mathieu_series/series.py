@@ -46,10 +46,12 @@ table cached for the whole process (``_log_table``, at most 2^20
 entries). When the generic family's sequences also come with smooth forms
 in log x, it adds the same Euler-Maclaurin tail to a 4096-term head, with
 the power-log family's stopping and give-up rules; otherwise a termwise
-power-log envelope bounds the tail. Over a grid of radii
-(``eval_general_grid``) it builds the head once, keeping only the terms,
-peak and tail bound per radius, and takes the smooth tails in lockstep as
-the power-log grid does.
+power-log envelope bounds the tail, and the sum stops at the first n past
+a checkpoint where the envelope's closed-form bound is within rel_tol of
+the value at the checkpoint. Over a grid of radii (``eval_general_grid``)
+it builds the head once, keeping only the terms, peak, tail bound and
+envelope stop per radius, and takes the smooth tails in lockstep as the
+power-log grid does.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from ._core import (
     PowerLogParams,
     SequencePair,
     _check_rel_tol,
+    _check_term_cap,
     _logaddexp,
     _normal_exp,
     _raise_first,
@@ -366,7 +369,8 @@ def _cap_tail(log_f_free: Callable, end: int) -> Callable[[], float]:
 
 class _RadiusSum:
     """What a sum over a grid of radii keeps for one radius: its terms, peak and
-    last tail bound, and its summand's key (``_smooth_tail``).
+    last tail bound, its summand's key (``_smooth_tail``), and on the
+    envelope path the n where its envelope's bound will certify (``stop``).
 
     Everything else a checkpoint needs does not depend on r and is shared by
     all radii of a grid: the block's n and log n, and for the generic family
@@ -375,7 +379,7 @@ class _RadiusSum:
     the power-log family's block sums.
     """
 
-    __slots__ = ("r", "log_r2", "key", "terms", "best", "peak_index", "bound")
+    __slots__ = ("r", "log_r2", "key", "terms", "best", "peak_index", "bound", "stop")
 
     def __init__(self, r: float, n_start: int, cols: tuple):
         self.r = r
@@ -385,6 +389,7 @@ class _RadiusSum:
         self.best = -math.inf
         self.peak_index = n_start
         self.bound: Optional[float] = None
+        self.stop: Optional[int] = None
 
     def add(self, n: int, log_a: np.ndarray, log_b: np.ndarray, mu1: float) -> None:
         """Append the terms from n on, given the logs of their a_n and b_n."""
@@ -404,15 +409,21 @@ class _RadiusSum:
         self.terms.append(float(np.sum(np.exp(logterms))))
 
     def envelope_result(
-        self, env: GeneralEnvelope, mu: float, n: int, rel_tol: float
+        self, env: GeneralEnvelope, mu: float, n: int, rel_tol: float, last: int
     ) -> Optional[EvalResult]:
-        """The result if the envelope's bound on the terms from n certifies, else None."""
+        """The result if the envelope's bound on the terms from n certifies.
+
+        Else None, with ``stop`` set to the least n' in (n, last] where the
+        same bound is within rel_tol of the value at n (``_envelope_stop``),
+        or None: the terms only add to the value, so the sum certifies at n'.
+        """
         value = math.fsum(self.terms)
         bound = _envelope_tail_bound(env, mu, n)
         if bound is not None and bound <= rel_tol * value:
             if value < sys.float_info.min:
                 raise _below_normal("eval_general", value, self.r, len(self.terms))
             return EvalResult(value, bound, len(self.terms), self.peak_index)
+        self.stop = _envelope_stop(env, mu, n, last, rel_tol * value)
         return None
 
 
@@ -549,15 +560,16 @@ def _powerlog_outcomes(points: list, rel_tol=1e-8, hard_cap=DEFAULT_HARD_CAP) ->
     points, one the remainders of their Euler-Maclaurin tails, and each
     round of the peak search one jet. A point drops out once it certifies
     or fails, the others go on. The integral past ``hard_cap`` of the
-    give-up rule is taken once per parameter set. A bad ``rel_tol`` is the
-    outcome of each point that passes its radius check.
+    give-up rule is taken once per parameter set. A bad ``rel_tol`` or
+    ``hard_cap`` is the outcome of each point that passes its radius check.
     """
     points = [(_powerlog_cols(p), r) for p, r in points]
     runs = _radius_runs(points, 1.0, "eval_powerlog", 2)
     try:
         rel_tol = _check_rel_tol(rel_tol)
+        hard_cap = _check_term_cap(hard_cap)
     except (TypeError, ValueError) as exc:
-        runs = [exc if isinstance(run, _RadiusSum) else run for run in runs]
+        return [exc if isinstance(run, _RadiusSum) else run for run in runs]
     log_f, log_b = _powerlog_log_summand, _powerlog_log_b
     n = 2
     end = 2 + hard_cap
@@ -780,6 +792,31 @@ def _envelope_tail_bound(env: GeneralEnvelope, mu: float, n_next: int) -> Option
     return g_at + scale * powerlog_tail_bound(power, log_power, float(n_next))
 
 
+def _envelope_stop(
+    env: GeneralEnvelope, mu: float, n: int, last: int, target: float
+) -> Optional[int]:
+    """The least n' in (n, last] with ``_envelope_tail_bound(env, mu, n')`` <= target, or None.
+
+    By bisection on the integers: from max(valid_from, 4) on, and once the
+    majorant decreases there, the bound falls in n'. None when the bound at
+    ``last`` misses target too.
+    """
+
+    def holds(m: int) -> bool:
+        bound = _envelope_tail_bound(env, mu, m)
+        return bound is not None and bound <= target
+
+    if last <= n or not holds(last):
+        return None
+    while last - n > 1:  # holds(last), and n is excluded
+        mid = (n + last) // 2
+        if holds(mid):
+            last = mid
+        else:
+            n = mid
+    return last
+
+
 def _envelope_breach(
     env: GeneralEnvelope, n_from: int, log_n: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
 ) -> Optional[int]:
@@ -854,12 +891,13 @@ def eval_general(
     """Sum of a_n / (b_n + r^2)^(mu+1) for user-supplied sequences.
 
     Terms are summed in blocks that end at the checkpoints n = 64, 128,
-    256, ... (or at ``hard_cap``), where the tail bound is tried. The
-    callbacks are evaluated for a whole block before its terms are checked,
-    so they must be pure; they are never called past the checkpoint that
-    certifies, so ``terms_used`` callback calls are made of each (for a
-    grid of radii, ``eval_general_grid``, once per n up to the largest
-    ``terms_used``). Every evaluated term is checked against the sequence
+    256, ... (or at ``hard_cap``), where the tail bound is tried, and on
+    the envelope path at the n where the sum stops. The callbacks are
+    evaluated for a whole block before its terms are checked, so they must
+    be pure; they are never called past the n where the sum stops, so
+    ``terms_used`` callback calls are made of each (for a grid of radii,
+    ``eval_general_grid``, once per n up to the largest ``terms_used``).
+    Every evaluated term is checked against the sequence
     contract. Violations raise ``ContractViolationError`` naming the first
     offending n; a callback's own exception is re-raised once the terms
     before it have passed.
@@ -882,8 +920,14 @@ def eval_general(
     * Otherwise a termwise power-log envelope combined with the promised
       monotonicity of b: ``envelope`` when supplied (every term from its
       ``valid_from`` is checked against it), or fitted on the evaluated
-      range with safety margins at every checkpoint. A fitted envelope that
-      a later term violates is dropped until the next checkpoint. Raises
+      range with safety margins at every checkpoint. The envelope's closed
+      form bounds the terms from n on; where it misses rel_tol times the
+      value at a checkpoint N, the sum stops at the least n' up to the next
+      checkpoint (or ``hard_cap``) where that bound, on the same envelope,
+      is within rel_tol of the value at N, and certifies there, as the
+      terms only add to the value. A fitted envelope that a later term
+      violates is dropped until the next checkpoint, where it is refitted,
+      so a violation before n' moves the stop there or later. Raises
       ``NumericError`` when b outgrows every power-log envelope.
 
     Raises ``NumericError`` when the value is below the smallest normal
@@ -907,8 +951,9 @@ def eval_general_grid(
     that fails), are those of the loop. One walk over the checkpoints
     serves every radius: the callback values, their contract checks and
     logs, the smooth-form match and the envelope fit do not depend on r and
-    are computed once per block. Each radius keeps only its own terms, peak
-    and tail bound, and drops out once it certifies or fails; the head
+    are computed once per block. Each radius keeps only its own terms, peak,
+    tail bound and envelope stop n', and drops out once it certifies or
+    fails; the blocks also end at every open radius's n', and the head
     grows while a radius that can still change the outcome is open. So each
     callback is called once per n, up to the largest ``terms_used``.
 
@@ -924,6 +969,7 @@ def eval_general_grid(
         raise ParameterError(f"mu must be >= 0, got {mu}")
     _require_radius(radii[0], 0.0, "eval_general")  # ahead of rel_tol, as for one radius
     rel_tol = _check_rel_tol(rel_tol)
+    hard_cap = _check_term_cap(hard_cap)
     smooth = s.log_a is not None
     if smooth and envelope is not None:
         raise ParameterError("give smooth forms or an envelope, not both")
@@ -948,7 +994,8 @@ def eval_general_grid(
     n = n_start
     end = n_start + hard_cap
     while n < end and _pending(runs):
-        stop = min(max(next_check, n + 1), end)
+        stops = [run.stop for run in runs if isinstance(run, _RadiusSum) and run.stop is not None]
+        stop = min(max(next_check, n + 1), end, *stops)
         a_vals, b_vals, b_prev, error = _sequence_block(s, n, stop, b_prev)
         a_min = min(a_vals, default=0.0)
         if a_min < 0.0:  # only the power series admits a signed a
@@ -980,7 +1027,10 @@ def eval_general_grid(
                         f"supplied envelope violated at n={n + k0 + j}: "
                         f"a={a_vals[k0 + j]}, b={b_vals[k0 + j]}"
                     )
-                env = None  # refit later with the larger range
+                env = None  # refit at the next checkpoint, with the larger range
+                for run in runs:
+                    if isinstance(run, _RadiusSum):
+                        run.stop = None
         if smooth:
             k0 = max(_SMOOTH_MATCH_FROM - n, logs_from)
             mismatch = _smooth_mismatch(
@@ -1000,6 +1050,11 @@ def eval_general_grid(
             finite = np.isfinite(rows[2]) & np.isfinite(rows[3])
             fit_points = np.concatenate([fit_points, rows[:, finite]], axis=1)
         n = stop
+        if n in stops:  # the radii whose envelope stop this is certify, on the same envelope
+            _each_open(
+                runs,
+                lambda run: run.envelope_result(env, mu, n, rel_tol, n) if run.stop == n else None,
+            )
 
         if n < next_check or not _pending(runs):
             continue
@@ -1023,7 +1078,8 @@ def eval_general_grid(
             # Refit every checkpoint: larger windows tighten the bound.
             env = _fit_envelope(fit_points, mu) or env
         if env is not None:
-            _each_open(runs, lambda run: run.envelope_result(env, mu, n, rel_tol))
+            last = min(next_check, end)
+            _each_open(runs, lambda run: run.envelope_result(env, mu, n, rel_tol, last))
 
     if _pending(runs):  # the term cap
         cap_bound = _envelope_tail_bound(env, mu, n) if env is not None else None
@@ -1086,6 +1142,7 @@ def eval_power_series(
         raise DomainError(f"eval_power_series requires |x| < 1, got {x}")
     r = _require_radius(r, 0.0, "eval_power_series")
     rel_tol = _check_rel_tol(rel_tol)
+    hard_cap = _check_term_cap(hard_cap)
     declared = growth is not None
     if declared:
         g_coeff = _require_finite(growth[0], "growth coefficient A")

@@ -66,6 +66,8 @@ def log_gamma(x: float) -> float:
 
 def log_factorial(n: int) -> float:
     """log(n!) = log_gamma(n+1); exact small-n table, lgamma branch above."""
+    if type(n) is int and n > 20:  # the common case first: what the checks below return
+        return math.lgamma(n + 1.0)
     if n < 0:
         raise DomainError(f"log_factorial requires n >= 0, got {n}")
     n = int(n)

@@ -172,7 +172,7 @@ def test_criterion_12_special_function_floor():
 
 def test_sequence_suites_sum_short_heads(monkeypatch):
     # a deterministic cost guard: thm12 and cor61 certify their 12 radii from
-    # short heads (up to 65,536 terms each on the envelope path), and each grid
+    # short heads (up to 50,885 terms each on the envelope path), and each grid
     # builds its head once, calling every callback at most once per n
     used = []
     calls = []

@@ -469,7 +469,11 @@ def test_general_initial_segment_is_negligible():
 
 
 # The per-term loop eval_general ran before it was vectorised by blocks, kept
-# as the reference the block loop must reproduce bit for bit.
+# as the reference the block loop must reproduce bit for bit. It is the
+# spec of the envelope path's stop rule: at a checkpoint N whose bound
+# misses, the sum ends at the least n' up to the next checkpoint (or the
+# cap) where the same envelope's bound is within rel_tol of the value at
+# N, unless a term before n' breaches a fitted envelope.
 
 
 def _reference_fit_envelope(ns, log_a, log_b, mu):
@@ -515,8 +519,10 @@ def reference_eval_general(s, mu, r, rel_tol=1e-8, hard_cap=10**6, envelope=None
     peak_index = n_start
     b_prev = None
     next_check = 64
+    stop = None  # n' of the last checkpoint
     n = n_start
-    while n < n_start + hard_cap:
+    end = n_start + hard_cap
+    while n < end:
         a_n = float(s.a(n))
         b_n = s.b(n)
         if not math.isfinite(a_n) or b_n != b_n or abs(b_n) == math.inf:
@@ -531,7 +537,7 @@ def reference_eval_general(s, mu, r, rel_tol=1e-8, hard_cap=10**6, envelope=None
         log_b_n = math.log(b_n) if b_n > 0 else -math.inf
         if env is not None and not _reference_envelope_holds(env, n, log_a_n, log_b_n):
             if fitted:
-                env = None
+                env = stop = None
             else:
                 raise ContractViolationError(f"supplied envelope violated at n={n}")
         term = 0.0
@@ -545,16 +551,24 @@ def reference_eval_general(s, mu, r, rel_tol=1e-8, hard_cap=10**6, envelope=None
             best = term
             peak_index = n
         n += 1
+        if n == stop:
+            bound = _envelope_tail_bound(env, mu, n)
+            return EvalResult(math.fsum(sums), bound, len(sums), peak_index)
         if n >= next_check:
             next_check *= 2
             if fitted:
                 env = _reference_fit_envelope(ns, log_a_vals, log_b_vals, mu) or env
             if env is not None:
-                bound = _envelope_tail_bound(env, mu, n)
-                if bound is not None:
-                    total = math.fsum(sums)
-                    if bound <= rel_tol * total:
-                        return EvalResult(total, bound, len(sums), peak_index)
+                target = rel_tol * math.fsum(sums)
+
+                def holds(m):
+                    bound = _envelope_tail_bound(env, mu, m)
+                    return bound is not None and bound <= target
+
+                if holds(n):
+                    return EvalResult(math.fsum(sums), _envelope_tail_bound(env, mu, n),
+                                      len(sums), peak_index)
+                stop = next((m for m in range(n + 1, min(next_check, end) + 1) if holds(m)), None)
     raise ResourceLimitError("cap")
 
 
@@ -569,6 +583,14 @@ _LOGFACT = SequencePair(
 _CUBES = SequencePair(a=lambda n: 1.0, b=lambda n: float(n) ** 3, b_monotone_from=0)
 _SQUARES_ENVELOPE = GeneralEnvelope(
     a_coeff=1.0, a_pow=1.0, a_logpow=0.0, b_coeff=1.0, b_pow=2.0, b_logpow=0.0, valid_from=4
+)
+# a_n = 1, b_n = n^2 under a true envelope: the summand is 1/(n^2 + r^2)^(mu+1)
+_RECIPROCAL_SQUARES = SequencePair(a=lambda n: 1.0, b=lambda n: float(n) ** 2)
+_RECIPROCAL_SQUARES_ENVELOPE = GeneralEnvelope(1.0, 0.0, 0.0, 1.0, 2.0, 0.0, valid_from=4)
+# _SHIFTED with a_2300 ten times larger: at r = 1e3 (rel_tol 1e-6) the fitted
+# envelope of the checkpoint 2048 certifies from n' = 2656 on, but a_2300 breaches it
+_SHIFTED_BUMP = replace(
+    _SHIFTED, a=lambda n: (n + 3.0) * math.log(n + 2.0) * (10.0 if n == 2300 else 1.0)
 )
 
 
@@ -589,10 +611,58 @@ _SQUARES_ENVELOPE = GeneralEnvelope(
         (SequencePair(a=lambda n: 1.0, b=lambda n: float(max(n, 100)) ** 3), 1.0, 10.0, {}),
         # checkpoints right after a late start: blocks of one term, then doubling
         (_SHIFTED, 1.0, 100.0, dict(rel_tol=1e-6, n_start=200)),
+        # a stop past a fitted envelope's breach; a supplied envelope's stop
+        (_SHIFTED_BUMP, 1.0, 1e3, dict(rel_tol=1e-6)),
+        (
+            _RECIPROCAL_SQUARES,
+            1.0,
+            3.0,
+            dict(rel_tol=1e-10, envelope=_RECIPROCAL_SQUARES_ENVELOPE),
+        ),
+        # the stop n' = 596 is the term cap
+        (_SHIFTED, 1.0, 100.0, dict(rel_tol=1e-6, hard_cap=596)),
     ],
 )
 def test_general_blocks_match_per_term_reference(seq, mu, r, kwargs):
     assert eval_general(seq, mu, r, **kwargs) == reference_eval_general(seq, mu, r, **kwargs)
+
+
+def test_general_envelope_path_stops_where_the_bound_first_holds():
+    # the checkpoint 512 misses; its envelope's bound holds from n' = 596 on,
+    # so the sum ends there rather than at the checkpoint 1024
+    res = eval_general(_SHIFTED, 1.0, 100.0, rel_tol=1e-6)
+    assert (res.terms_used, res.peak_index) == (596, 9)
+    assert res.tail_bound <= 1e-6 * res.value
+    # n' is clamped to the term cap: a cap one term short cannot certify
+    assert eval_general(_SHIFTED, 1.0, 100.0, rel_tol=1e-6, hard_cap=596) == res
+    with pytest.raises(ResourceLimitError, match="term cap 595"):
+        eval_general(_SHIFTED, 1.0, 100.0, rel_tol=1e-6, hard_cap=595)
+
+
+def test_general_breach_before_the_stop_goes_on_to_the_next_checkpoint():
+    # a_2300 breaches the envelope fitted at 2048 before its stop n' = 2656:
+    # the sum runs to the checkpoint 4096, refits, and stops past it
+    plain = eval_general(_SHIFTED, 1.0, 1e3, rel_tol=1e-6)
+    bumped = eval_general(_SHIFTED_BUMP, 1.0, 1e3, rel_tol=1e-6)
+    assert plain.terms_used == 2656
+    assert 4096 < bumped.terms_used < 8192
+    assert bumped.tail_bound <= 1e-6 * bumped.value
+    assert bumped == reference_eval_general(_SHIFTED_BUMP, 1.0, 1e3, rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("r", [3.0, 10.0, 30.0])
+def test_general_true_supplied_envelope_bounds_the_error(r):
+    # the value misses the full sum by at most its tail bound, stopping off
+    # the powers of two
+    res = eval_general(
+        _RECIPROCAL_SQUARES, 1.0, r, rel_tol=1e-10, envelope=_RECIPROCAL_SQUARES_ENVELOPE
+    )
+    with mpmath.workdps(30):
+        exact = mpmath.nsum(lambda n: 1 / (n * n + mpmath.mpf(r) ** 2) ** 2, [0, mpmath.inf])
+        error = abs(mpmath.mpf(res.value) - exact)
+    assert error <= res.tail_bound + 4 * math.ulp(res.value)
+    assert res.tail_bound <= 1e-10 * res.value
+    assert res.terms_used & (res.terms_used - 1) != 0
 
 
 @pytest.mark.parametrize("bad_n", [63, 64, 127, 128])
@@ -1028,10 +1098,20 @@ _VERIFY_GRIDS = [  # the radii of the verify suites thm12 and cor61, one grid ea
         (_CUBIC_SMOOTH, [1e7, 1e3, 1e9, 1e3], dict(rel_tol=1e-14)),
         (_CUBIC_SMOOTH, [1e3, 1e7], dict(rel_tol=1e-12)),
         (_SQRT_SMOOTH, [1e4, 30.0, 1e6], dict(rel_tol=1e-9)),
+        # envelope stops between the checkpoints, a different n' per radius
+        (_SHIFTED, [3e3, 1e2, 1e4, 1e3], dict(rel_tol=1e-6)),
+        (
+            _RECIPROCAL_SQUARES,
+            [30.0, 3.0, 10.0],
+            dict(rel_tol=1e-10, envelope=_RECIPROCAL_SQUARES_ENVELOPE),
+        ),
+        # a_2300 breaches the envelope before r = 1e3 reaches its stop
+        (_SHIFTED_BUMP, [3e3, 1e3, 1e2], dict(rel_tol=1e-6)),
     ],
     ids=["thm12-shifted", "thm12-plus5", "cor61", "sweep-logfact", "sweep-shifted",
          "supplied-envelope", "unordered-smooth", "unordered-fitted", "smooth-block-ends",
-         "smooth-two-radii", "smooth-far-peaks"],
+         "smooth-two-radii", "smooth-far-peaks", "fitted-stops", "supplied-stops",
+         "fitted-breach-before-a-stop"],
 )
 def test_grid_equals_the_per_radius_loop(seq, radii, kwargs):
     results = eval_general_grid(seq, 1.0, radii, **kwargs)
@@ -1647,3 +1727,31 @@ def test_radius_checks_share_one_message_form():
         with pytest.raises(DomainError) as err:
             call()
         assert str(err.value) == message
+
+
+_CAP_CALLS = {
+    "eval_powerlog": lambda cap: eval_powerlog(PowerLogParams(1, 2, 0, 0, 1), 10.0, hard_cap=cap),
+    "eval_powerlog_grid": lambda cap: eval_powerlog_grid(
+        PowerLogParams(1, 2, 0, 0, 1), [10.0, 1e3], hard_cap=cap
+    ),
+    "eval_general": lambda cap: eval_general(_CUBES, 1.0, 10.0, hard_cap=cap),
+    "eval_general_grid": lambda cap: eval_general_grid(_CUBES, 1.0, [10.0, 1e3], hard_cap=cap),
+    "eval_power_series": lambda cap: eval_power_series(_CUBES, 1.0, 0.5, 10.0, hard_cap=cap),
+    "eval_factorial": lambda cap: eval_factorial(FactorialParams(1, 2, 1), 10.0, hard_cap=cap),
+}
+
+
+@pytest.mark.parametrize("evaluate", list(_CAP_CALLS.values()), ids=list(_CAP_CALLS))
+def test_every_evaluator_rejects_a_term_cap_that_is_not_a_positive_int(evaluate):
+    # each used to fail its own way: a bare ValueError from math.log, a
+    # TypeError, a ResourceLimitError naming the cap, or a result from the tail
+    for cap in (-5, 0, 2.5, True, "3", None):
+        with pytest.raises(ParameterError, match="hard_cap must be an integer >= 1"):
+            evaluate(cap)
+    assert evaluate(np.int64(100_000)) == evaluate(100_000)
+
+
+def test_a_bad_term_cap_is_the_outcome_of_each_point_past_its_radius_check():
+    p = PowerLogParams(1, 2, 0, 0, 1)
+    outcomes = series._powerlog_outcomes([(p, 10.0), (p, 1.0), (p, 1e3)], 1e-8, -5)
+    assert [type(o) for o in outcomes] == [ParameterError, DomainError, ParameterError]

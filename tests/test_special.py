@@ -67,6 +67,17 @@ def test_log_factorial_small_and_large():
         log_factorial(-1)
 
 
+def test_log_factorial_int_fast_path_is_bit_identical():
+    # a plain int above 20 skips the checks; numpy ints and floats take them
+    for n in range(5001):
+        expected = math.lgamma(n + 1.0) if n > 20 else math.log(math.factorial(n))
+        assert log_factorial(n) == log_factorial(np.int64(n)) == log_factorial(float(n))
+        assert log_factorial(n) == expected, n
+    for bad in (-1, -21, -1000, np.int64(-30), -0.5):
+        with pytest.raises(DomainError):
+            log_factorial(bad)
+
+
 def test_log_log_factorial_matches_mpmath():
     # the range it is used on: x >= 64 (verify's log-factorial sequences) and x >= 1e4
     ns = np.unique(np.geomspace(64, 1e6, 300).astype(np.int64))
