@@ -32,34 +32,31 @@ names of ``_core``) reads them from ``_core``, so a wrapper that replaces
 one at this module's attribute is seen by callers of ``series``, but not
 by readers of the package.
 
-Everything is pure and safe for concurrent use, on every path: no
-evaluator keeps process-wide state but the log table below, which grows
-under a lock. Sequence callbacks must be pure and reentrant. The generic
-family and the power series call them a block of terms at a time,
+Everything is pure and safe for concurrent use, on every path: no evaluator
+keeps process-wide state. Sequence callbacks must be pure and reentrant. The
+generic family and the power series call them a block of terms at a time,
 through one contract check (``_sequence_block``) that tests each n as it
-comes and calls neither callback past the first n that breaks the
-contract, and check the block afterwards: the generic
-family with numpy doing the per-term arithmetic of each block, the power
-series term by term. Every log is libm's (``math.log``), as the per-term
-formulas take it; the generic family reads log n and log log n from a
-table cached for the whole process (``_log_table``, at most 2^20
-entries). When the generic family's sequences also come with smooth forms
-in log x, it adds the same Euler-Maclaurin tail to a 4096-term head, with
-the power-log family's stopping and give-up rules; otherwise a termwise
-power-log envelope bounds the tail, and the sum stops at the first n past
-a checkpoint where the envelope's closed-form bound is within rel_tol of
-the value at the checkpoint. Over a grid of radii (``eval_general_grid``)
-it builds the head once, keeping only the terms, peak, tail bound and
-envelope stop per radius, and takes the smooth tails in lockstep as the
-power-log grid does.
+comes and calls neither callback past the first n that breaks the contract,
+and check the block afterwards. The generic family takes each block's log
+a_n, log b_n, log n and log log n with one ``np.log`` each, and each
+radius's terms with one ``np.exp``; the power series sums term by term in
+``math`` and loads no numpy. When the generic family's sequences also come
+with smooth forms in log x, it adds the same Euler-Maclaurin tail to a
+4096-term head, with the power-log family's stopping and give-up rules;
+otherwise a termwise power-log envelope bounds the tail, and the sum stops
+at the first n past a checkpoint where the envelope's closed-form bound is
+within rel_tol of the value at the checkpoint. Over a grid of radii
+(``eval_general_grid``) it builds the head once, keeping only the terms,
+peak, tail bound and envelope stop per radius, and takes the smooth tails in
+lockstep as the power-log grid does.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
-import threading
 from typing import Callable, Iterable, Optional
 
 # The records, the argument checks and the factorial family live in the scalar
@@ -392,13 +389,20 @@ class _RadiusSum:
         self.stop: Optional[int] = None
 
     def add(self, n: int, log_a: np.ndarray, log_b: np.ndarray, mu1: float) -> None:
-        """Append the terms from n on, given the logs of their a_n and b_n."""
-        block = list(map(math.exp, (log_a - mu1 * np.logaddexp(log_b, self.log_r2)).tolist()))
-        top = max(block)
+        """Append the terms from n on, given the logs of their a_n and b_n.
+
+        A term past the double range raises ``OverflowError``.
+        """
+        with np.errstate(over="ignore"):
+            block = np.exp(log_a - mu1 * np.logaddexp(log_b, self.log_r2))
+        i = int(np.argmax(block))
+        top = float(block[i])
+        if top == math.inf:
+            raise OverflowError("math range error")
         if top > self.best:
             self.best = top
-            self.peak_index = n + block.index(top)
-        self.terms += block
+            self.peak_index = n + i
+        self.terms += block.tolist()
 
     def add_block(self, n: int, logterms: np.ndarray) -> None:
         """Append the sum of the terms from n on, given their logs (the power-log family)."""
@@ -423,7 +427,7 @@ class _RadiusSum:
             if value < sys.float_info.min:
                 raise _below_normal("eval_general", value, self.r, len(self.terms))
             return EvalResult(value, bound, len(self.terms), self.peak_index)
-        self.stop = _envelope_stop(env, mu, n, last, rel_tol * value)
+        self.stop = _envelope_stop(env, mu, n, last, rel_tol * value, bound)
         return None
 
 
@@ -598,57 +602,18 @@ def _powerlog_outcomes(points: list, rel_tol=1e-8, hard_cap=DEFAULT_HARD_CAP) ->
 # ---------------------------------------------------------------------------
 
 
-# log n and log log n for every n below its length, from math.log: numpy's
-# vectorised log can differ from libm in the last bit, and the per-term
-# formulas take libm's. Shared by every call in the process; its arrays are
-# never written, and a larger table replaces it under the lock.
-_LOG_TABLE_CAP = 1 << 20
-_log_table: Optional[tuple[np.ndarray, np.ndarray]] = None
-_log_table_lock = threading.Lock()
+def _block_logs(values: list) -> np.ndarray:
+    """The log of each of a block's a_n or b_n by one ``np.log``, -inf for a zero.
 
-
-def _log_table_to(end: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The (log n, log log n) table grown to hold every n < end, or None past the cap.
-
-    Sizes double from 1024 up to ``_LOG_TABLE_CAP``; entries for n < 2 are NaN.
+    An int past the double range, which a float array cannot hold, sends the
+    whole block through ``math.log``, whose log of it is still a double.
     """
-    global _log_table
-    if end > _LOG_TABLE_CAP:
-        return None
-    with _log_table_lock:
-        table = _log_table
-        size = 0 if table is None else len(table[0])
-        if size < end:
-            grown = max(size, 1024)
-            while grown < end:
-                grown *= 2
-            if table is None:
-                table = (np.full(2, math.nan), np.full(2, math.nan))
-            log_n = list(map(math.log, range(len(table[0]), grown)))
-            table = (
-                np.concatenate((table[0], log_n)),
-                np.concatenate((table[1], list(map(math.log, log_n)))),
-            )
-            for column in table:
-                column.flags.writeable = False
-            _log_table = table
-    return table
-
-
-def _log_n(lo: int, hi: int) -> np.ndarray:
-    """math.log(n) for 2 <= lo <= n < hi, as a new array."""
-    table = _log_table_to(hi)
-    if table is None:
-        return np.array(list(map(math.log, range(lo, hi))))
-    return table[0][lo:hi].copy()
-
-
-def _log_log_n(lo: int, hi: int, log_n: np.ndarray) -> np.ndarray:
-    """math.log(log n) for 2 <= lo <= n < hi, given their ``log_n``."""
-    table = _log_table_to(hi)
-    if table is None:
-        return np.array(list(map(math.log, log_n.tolist())))
-    return table[1][lo:hi]
+    try:
+        x = np.array(values, dtype=np.float64)
+    except OverflowError:
+        return np.array([math.log(v) if v > 0 else -math.inf for v in values])
+    with np.errstate(divide="ignore"):
+        return np.log(x)
 
 
 def _term_error(n: int, a_n: float, b_n, b_from: int, b_prev) -> Optional[ContractViolationError]:
@@ -691,7 +656,9 @@ def _sequence_block(
     floor <= b_n < inf, with floor 0 before ``b_monotone_from`` and the
     previous b from there on. Only an n that fails them, or whose b does
     not compare with numbers, goes through ``_term_error``, which builds
-    the error with its precedence and message.
+    the error with its precedence and message. The values come back as
+    the callbacks gave them, so the caller takes their logs a block at a
+    time.
     """
     a_vals: list[float] = []
     b_vals: list = []
@@ -793,40 +760,60 @@ def _envelope_tail_bound(env: GeneralEnvelope, mu: float, n_next: int) -> Option
 
 
 def _envelope_stop(
-    env: GeneralEnvelope, mu: float, n: int, last: int, target: float
+    env: GeneralEnvelope, mu: float, n: int, last: int, target: float, at_n: Optional[float]
 ) -> Optional[int]:
     """The least n' in (n, last] with ``_envelope_tail_bound(env, mu, n')`` <= target, or None.
 
-    By bisection on the integers: from max(valid_from, 4) on, and once the
-    majorant decreases there, the bound falls in n'. None when the bound at
-    ``last`` misses target too.
+    ``at_n`` is that bound at n, which misses target (None where there is
+    none). From max(valid_from, 4) on, and once the majorant decreases
+    there, the bound falls in n', close to a power of n': the search guesses
+    n' where the line through the bounds at n and at ``last`` meets target
+    in log-log, brackets n' by steps that double from the guess, and
+    bisects the bracket. None when the bound at ``last`` misses target too.
     """
 
     def holds(m: int) -> bool:
         bound = _envelope_tail_bound(env, mu, m)
         return bound is not None and bound <= target
 
-    if last <= n or not holds(last):
+    at_last = _envelope_tail_bound(env, mu, last) if last > n else None
+    if at_last is None or at_last > target:
         return None
-    while last - n > 1:  # holds(last), and n is excluded
-        mid = (n + last) // 2
-        if holds(mid):
-            last = mid
+    guess = (n + last) // 2
+    if at_n is not None and 0.0 < at_last < at_n < math.inf:
+        log_at_n = math.log(at_n)
+        fall = log_at_n - math.log(at_last)
+        if fall > 0.0:  # two close bounds can share one log
+            guess = math.ceil(n * (last / n) ** ((log_at_n - math.log(target)) / fall))
+    lo, hi, m, step = n, last, guess, 1  # the bound misses target at lo and holds at hi
+    while hi - lo > 1:  # steps that double from the guess, until one holds and one misses
+        m = min(max(m, lo + 1), hi - 1)
+        if holds(m):
+            hi, m = m, m - step
         else:
-            n = mid
-    return last
+            lo, m = m, m + step
+        step *= 2
+        if n < lo and hi < last:
+            break
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _envelope_breach(
-    env: GeneralEnvelope, n_from: int, log_n: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
+    env: GeneralEnvelope, log_n: np.ndarray, log_a: np.ndarray, log_b: np.ndarray
 ) -> Optional[int]:
     """Index of the first point outside the envelope, or None.
 
-    The points are consecutive n from n_from >= max(valid_from, 2), given by their logs.
+    The points are n >= max(valid_from, 2), given by their logs.
     """
     if not len(log_n):
         return None
-    log_log_n = _log_log_n(n_from, n_from + len(log_n), log_n)
+    log_log_n = np.log(log_n)
     log_a_cap = math.log(env.a_coeff) + env.a_pow * log_n + env.a_logpow * log_log_n
     log_b_floor = math.log(env.b_coeff) + env.b_pow * log_n + env.b_logpow * log_log_n
     holds = (log_a <= log_a_cap + 1e-12) & (log_b >= log_b_floor - 1e-12)
@@ -930,8 +917,11 @@ def eval_general(
       so a violation before n' moves the stop there or later. Raises
       ``NumericError`` when b outgrows every power-log envelope.
 
-    Raises ``NumericError`` when the value is below the smallest normal
-    double, and ``ResourceLimitError`` at ``hard_cap`` terms.
+    Each term is exp(log a_n - (mu+1) logaddexp(log b_n, 2 log r)), with
+    numpy's log and exp (an int b_n past the double range takes
+    ``math.log``), summed by ``math.fsum``. ``n_start``, the first n, must
+    be an integer >= 0. Raises ``NumericError`` when the value is below the
+    smallest normal double, and ``ResourceLimitError`` at ``hard_cap`` terms.
     """
     return eval_general_grid(s, mu, (r,), rel_tol, hard_cap, envelope, n_start)[0]
 
@@ -970,6 +960,13 @@ def eval_general_grid(
     _require_radius(radii[0], 0.0, "eval_general")  # ahead of rel_tol, as for one radius
     rel_tol = _check_rel_tol(rel_tol)
     hard_cap = _check_term_cap(hard_cap)
+    try:
+        start = operator.index(n_start)
+    except TypeError:
+        start = -1
+    if start < 0 or isinstance(n_start, bool):
+        raise ParameterError(f"n_start must be an integer >= 0, got {n_start!r}")
+    n_start = start
     smooth = s.log_a is not None
     if smooth and envelope is not None:
         raise ParameterError("give smooth forms or an envelope, not both")
@@ -987,7 +984,7 @@ def eval_general_grid(
         log_f = functools.partial(_smooth_log_summand, s, mu1)
         cap_tails = {(): _cap_tail(_at_radii(log_f, [(-math.inf,)]), n_start + hard_cap)}
 
-    fit_points = np.empty((4, 0))  # n, log n, log a_n, log b_n for the fit
+    fit_rows = [np.empty((4, 0))]  # per block: n, log n, log a_n, log b_n for the fit
     b_prev = None
     next_check = 64
 
@@ -1004,23 +1001,13 @@ def eval_general_grid(
                 f"sequence a must be nonnegative, a({n + k}) = {a_vals[k]}"
             )
             del a_vals[k:], b_vals[k:]
-        # Logs through libm, as the per-term formula takes them: numpy's
-        # vectorised log can differ in the last bit. A zero a_n or b_n has
-        # log -inf.
-        if a_min > 0.0:
-            log_a = np.array(list(map(math.log, a_vals)))
-        else:
-            log_a = np.array([math.log(a) if a > 0.0 else -math.inf for a in a_vals])
-        if min(b_vals, default=0) > 0:
-            log_b = np.array(list(map(math.log, b_vals)))
-        else:
-            log_b = np.array([math.log(b) if b > 0 else -math.inf for b in b_vals])
+        log_a, log_b = _block_logs(a_vals), _block_logs(b_vals)
         logs_from = max(n, 2) - n  # log n is taken from n = 2 on
         ns = np.arange(n + logs_from, n + len(a_vals), dtype=np.float64)
-        log_n = _log_n(n + logs_from, n + len(a_vals))
+        log_n = np.log(ns)
         if env is not None:
             k0 = max(env.valid_from - n, logs_from)
-            j = _envelope_breach(env, n + k0, log_n[k0 - logs_from :], log_a[k0:], log_b[k0:])
+            j = _envelope_breach(env, log_n[k0 - logs_from :], log_a[k0:], log_b[k0:])
             if j is not None:
                 if not fitted:
                     raise ContractViolationError(
@@ -1048,7 +1035,7 @@ def eval_general_grid(
                 [ns[k4 - logs_from :], log_n[k4 - logs_from :], log_a[k4:], log_b[k4:]]
             )
             finite = np.isfinite(rows[2]) & np.isfinite(rows[3])
-            fit_points = np.concatenate([fit_points, rows[:, finite]], axis=1)
+            fit_rows.append(rows[:, finite])
         n = stop
         if n in stops:  # the radii whose envelope stop this is certify, on the same envelope
             _each_open(
@@ -1076,7 +1063,8 @@ def eval_general_grid(
             continue
         if fitted:
             # Refit every checkpoint: larger windows tighten the bound.
-            env = _fit_envelope(fit_points, mu) or env
+            fit_rows = [np.concatenate(fit_rows, axis=1)]
+            env = _fit_envelope(fit_rows[0], mu) or env
         if env is not None:
             last = min(next_check, end)
             _each_open(runs, lambda run: run.envelope_result(env, mu, n, rel_tol, last))

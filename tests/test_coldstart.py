@@ -215,6 +215,8 @@ def test_cli_command_loads_only_the_modules_it_runs(argv, not_loaded, core_only)
     )
     assert not _submodules(modules) & not_loaded, _submodules(modules)
     assert not modules & NOT_FOR_JSON_OUTPUT, modules & NOT_FOR_JSON_OUTPUT
+    if argv[:2] == ["eval", "powerseries"]:  # eval_power_series sums in scalar arithmetic
+        assert "numpy" not in modules, sorted(m for m in modules if m.startswith("numpy"))
     if core_only:
         assert not modules & NOT_FOR_THE_SCALAR_CORE, modules & NOT_FOR_THE_SCALAR_CORE
         assert not modules & NOT_FOR_A_COLD_START, modules & NOT_FOR_A_COLD_START

@@ -1,5 +1,5 @@
-"""The sequence-callback core of ``series``: the block contract check and the
-table of log n, each against the per-term code it replaced."""
+"""The sequence-callback core of ``series``: the block contract check against
+the per-term code it replaced, and concurrent calls against serial ones."""
 
 import math
 import sys
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathieu_series import series
 from mathieu_series.errors import ContractViolationError
 from mathieu_series.series import SequencePair, _sequence_block, eval_general
 
@@ -252,60 +251,8 @@ def test_block_matches_the_reference_on_random_faults(b_from, faults, edges, big
 
 
 # ---------------------------------------------------------------------------
-# The table of log n
+# Concurrent calls
 # ---------------------------------------------------------------------------
-
-CAP = series._LOG_TABLE_CAP
-
-
-@pytest.fixture
-def empty_log_table(monkeypatch):
-    """The process-wide table as a fresh process has it, restored afterwards."""
-    monkeypatch.setattr(series, "_log_table", None)
-
-
-def _check_logs(lo, hi):
-    log_n = series._log_n(lo, hi)
-    assert log_n.tolist() == [math.log(n) for n in range(lo, hi)]
-    assert series._log_log_n(lo, hi, log_n).tolist() == [
-        math.log(math.log(n)) for n in range(lo, hi)
-    ]
-
-
-def test_log_table_is_libm_across_growth_and_past_the_cap(empty_log_table):
-    _check_logs(2, 1030)
-    for size in (1024, 2048, 4096, 1 << 15, CAP):
-        _check_logs(size - 3, size)
-        _check_logs(size - 3, size + 3)  # past the cap: computed for the block
-    assert len(series._log_table[0]) == CAP
-    _check_logs(CAP - 2, CAP + 1000)
-    _check_logs(CAP + 5, CAP + 70)
-    _check_logs(10**7, 10**7 + 64)
-    assert series._log_table_to(CAP + 1) is None
-    assert all(len(column) == CAP for column in series._log_table)
-    # all the table holds is libm's, and it cannot be written
-    log_n, log_log_n = series._log_table
-    for lo in range(2, CAP, 1 << 16):  # in chunks, to keep the lists small
-        hi = min(lo + (1 << 16), CAP)
-        want = list(map(math.log, range(lo, hi)))
-        assert log_n[lo:hi].tolist() == want
-        assert log_log_n[lo:hi].tolist() == list(map(math.log, want))
-    with pytest.raises(ValueError):
-        log_n[5] = 0.0
-
-
-def test_log_table_grows_by_doubling(empty_log_table):
-    sizes = []
-    for end in (3, 1024, 1025, 3000, 4097, 5000):
-        series._log_table_to(end)
-        sizes.append(len(series._log_table[0]))
-    assert sizes == [1024, 1024, 2048, 4096, 8192, 8192]
-
-
-def test_log_n_is_a_private_copy():
-    log_n = series._log_n(2, 100)
-    log_n[:] = 0.0
-    assert series._log_n(2, 100).tolist() == [math.log(n) for n in range(2, 100)]
 
 
 def _all_at_once(call, workers=8):
@@ -332,9 +279,9 @@ def _all_at_once(call, workers=8):
     return results
 
 
-def test_concurrent_first_use_of_the_log_table(empty_log_table):
-    # eight threads make their first eval_general call at once and race to
-    # grow the table from empty to 16384 entries; all get the serial result
+def test_concurrent_smooth_calls_agree():
+    # eight threads make an eval_general call with smooth forms at once,
+    # 16384 terms each; all get the serial result
     seq = SequencePair(
         a=lambda n: float(n),
         b=lambda n: float(n) ** 3,
@@ -346,10 +293,6 @@ def test_concurrent_first_use_of_the_log_table(empty_log_table):
     assert results[0] is not None and results[0].terms_used == 16384
     assert all(res == results[0] for res in results)
     assert results[0] == eval_general(seq, **call)
-    log_n, log_log_n = series._log_table
-    assert len(log_n) == len(log_log_n) == 16384
-    assert log_n[2:].tolist() == [math.log(n) for n in range(2, 16384)]
-    assert log_log_n[2:].tolist() == [math.log(math.log(n)) for n in range(2, 16384)]
 
 
 def test_concurrent_fitted_envelope_calls_agree():

@@ -473,12 +473,15 @@ def test_general_initial_segment_is_negligible():
 # spec of the envelope path's stop rule: at a checkpoint N whose bound
 # misses, the sum ends at the least n' up to the next checkpoint (or the
 # cap) where the same envelope's bound is within rel_tol of the value at
-# N, unless a term before n' breaches a fitted envelope.
+# N, unless a term before n' breaches a fitted envelope. Its logs and
+# terms are numpy's (np.log, np.exp) on one double at a time, which give
+# the bits of the same element of an array; it does not model the
+# math.log a block takes for an int b_n past the double range.
 
 
 def _reference_fit_envelope(ns, log_a, log_b, mu):
     pts = [
-        (n, math.log(n), la, lb)
+        (n, np.log(float(n)), la, lb)
         for n, la, lb in zip(ns, log_a, log_b)
         if n >= 4 and math.isfinite(la) and math.isfinite(lb)
     ]
@@ -502,8 +505,8 @@ def _reference_fit_envelope(ns, log_a, log_b, mu):
 def _reference_envelope_holds(env, n, log_a_n, log_b_n):
     if n < env.valid_from or n < 2:
         return True
-    log_n = math.log(n)
-    ll = math.log(log_n)
+    log_n = np.log(float(n))
+    ll = np.log(log_n)
     log_a_cap = math.log(env.a_coeff) + env.a_pow * log_n + env.a_logpow * ll
     log_b_floor = math.log(env.b_coeff) + env.b_pow * log_n + env.b_logpow * ll
     return log_a_n <= log_a_cap + 1e-12 and log_b_n >= log_b_floor - 1e-12
@@ -533,16 +536,14 @@ def reference_eval_general(s, mu, r, rel_tol=1e-8, hard_cap=10**6, envelope=None
             if b_prev is not None and b_n < b_prev:
                 raise ContractViolationError(f"b decreasing at {n}")
             b_prev = b_n
-        log_a_n = math.log(a_n) if a_n > 0.0 else -math.inf
-        log_b_n = math.log(b_n) if b_n > 0 else -math.inf
+        log_a_n = np.log(a_n) if a_n > 0.0 else -math.inf
+        log_b_n = np.log(float(b_n)) if b_n > 0 else -math.inf
         if env is not None and not _reference_envelope_holds(env, n, log_a_n, log_b_n):
             if fitted:
                 env = stop = None
             else:
                 raise ContractViolationError(f"supplied envelope violated at n={n}")
-        term = 0.0
-        if a_n != 0.0:
-            term = math.exp(log_a_n - mu1 * np.logaddexp(log_b_n, log_r2))
+        term = float(np.exp(log_a_n - mu1 * np.logaddexp(log_b_n, log_r2)))
         sums.append(term)
         ns.append(n)
         log_a_vals.append(log_a_n)
@@ -621,6 +622,8 @@ _SHIFTED_BUMP = replace(
         ),
         # the stop n' = 596 is the term cap
         (_SHIFTED, 1.0, 100.0, dict(rel_tol=1e-6, hard_cap=596)),
+        # stops some steps away from the log-log guess of the search for n'
+        *[(_LOGFACT, 1.0, 10.0**k, dict(rel_tol=1e-5, n_start=2)) for k in (5, 6)],
     ],
 )
 def test_general_blocks_match_per_term_reference(seq, mu, r, kwargs):
@@ -663,6 +666,122 @@ def test_general_true_supplied_envelope_bounds_the_error(r):
     assert error <= res.tail_bound + 4 * math.ulp(res.value)
     assert res.tail_bound <= 1e-10 * res.value
     assert res.terms_used & (res.terms_used - 1) != 0
+
+
+# The envelope stop n' against a linear scan: an envelope of the shifted
+# power-log pair's shape, the checkpoint 2048 and the next one 4096.
+_STOP_ENV = GeneralEnvelope(2.0, 1.02, 1.35, 0.5, 2.98, 0.65, valid_from=1024)
+
+
+@pytest.fixture(scope="module")
+def stop_bounds():
+    return {m: _envelope_tail_bound(_STOP_ENV, 1.0, m) for m in range(2048, 4097)}
+
+
+def _scan_stop(bounds, n, last, target):
+    return next((m for m in range(n + 1, last + 1) if bounds[m] <= target), None)
+
+
+def test_envelope_stop_is_the_least_n_of_a_linear_scan(stop_bounds):
+    lo, hi = stop_bounds[4096], stop_bounds[2048]
+    targets = [lo * (hi / lo) ** (k / 40) for k in range(41)]
+    # right at a bound, and just below it: the least n' moves by one
+    for m in (2049, 2050, 2222, 3000, 4095, 4096):
+        targets += [stop_bounds[m], math.nextafter(stop_bounds[m], 0.0)]
+    for n, last in ((2048, 4096), (2048, 2049), (2048, 2050), (2500, 2600)):
+        for target in targets:
+            if stop_bounds[n] <= target:
+                continue
+            want = _scan_stop(stop_bounds, n, last, target)
+            for at_n in (stop_bounds[n], None):  # with and without the log-log guess
+                got = series._envelope_stop(_STOP_ENV, 1.0, n, last, target, at_n)
+                assert got == want, (n, last, target, at_n)
+
+
+def test_envelope_stop_below_valid_from_bisects():
+    # no bound at the checkpoint, or on the first few n past it
+    env = replace(_STOP_ENV, valid_from=2100)
+    bounds = {m: _envelope_tail_bound(env, 1.0, m) for m in range(2049, 4097)}
+    assert bounds[2099] is None and bounds[2100] is not None
+    for target in (bounds[2100], bounds[2101], bounds[3000], 0.5 * bounds[4096]):
+        want = next((m for m in range(2049, 4097) if (bounds[m] or math.inf) <= target), None)
+        assert series._envelope_stop(env, 1.0, 2048, 4096, target, None) == want
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        # bounds at n and last whose ratio underflows: 1e300 down to 1e-100
+        lambda m: 10.0 ** (300 - 400 * (m - 2048) / 2048),
+        # a step between two bounds with one log
+        lambda m: 1e300 if m < 3000 else math.nextafter(1e300, 0.0),
+    ],
+    ids=["ratio-underflows", "one-log"],
+)
+def test_envelope_stop_on_extreme_bounds(monkeypatch, bound):
+    monkeypatch.setattr(series, "_envelope_tail_bound", lambda env, mu, m: bound(m))
+    for target in (bound(2049), bound(3000), bound(3001), bound(4096)):
+        want = next(m for m in range(2049, 4097) if bound(m) <= target)
+        assert series._envelope_stop(_STOP_ENV, 1.0, 2048, 4096, target, bound(2048)) == want
+
+
+@pytest.mark.parametrize(
+    "seq, r, rel_tol, n_start",
+    [
+        (seq, r, rel_tol, n_start)
+        for seq, rel_tol, n_start in ((_SHIFTED, 1e-6, 0), (_LOGFACT, 1e-8, 2))
+        for r in (1e2, 1e3)
+    ],
+    ids=["shifted-1e2", "shifted-1e3", "logfact-1e2", "logfact-1e3"],
+)
+def test_general_envelope_path_against_mpmath(seq, r, rel_tol, n_start):
+    # the value against the same terms in 30 digits, and against the full
+    # sum: those terms plus the Euler-Maclaurin remainder past them
+    # (integral, f/2 and f'/12; the next correction is below 1e-20 of it)
+    res = eval_general(seq, 1.0, r, rel_tol=rel_tol, n_start=n_start)
+    if seq is _SHIFTED:
+        ab = lambda x: ((x + 3) * mpmath.log(x + 2), x**3 * mpmath.log(x + 1))  # noqa: E731
+    else:
+        ab = lambda x: (mpmath.loggamma(x + 1), mpmath.loggamma(x + 1) ** 3)  # noqa: E731
+    with mpmath.workdps(30):
+        r2 = mpmath.mpf(r) ** 2
+
+        def f(x):
+            a, b = ab(x)
+            return a / (b + r2) ** 2
+
+        end = n_start + res.terms_used
+        head = mpmath.fsum(f(mpmath.mpf(n)) for n in range(n_start, end))
+        rest = mpmath.quad(f, [end, 2 * end, 8 * end, mpmath.inf]) + f(end) / 2
+        full = head + rest - mpmath.diff(f, end) / 12
+        assert abs(res.value - head) <= 1e-13 * head
+        assert abs(res.value - full) <= res.tail_bound + 1e-13 * res.value
+    assert res.tail_bound <= rel_tol * res.value
+
+
+def test_general_big_int_b_outgrows_every_envelope():
+    # b_n past the double range from n = 0: its logs come from math.log,
+    # and the envelope fitted at 64 leaves the double range
+    seq = SequencePair(a=lambda n: 1.0, b=lambda n: 10 ** (400 + n), b_monotone_from=0)
+    with pytest.raises(NumericError, match="outgrows every power-log envelope"):
+        eval_general(seq, 1.0, 10.0)
+
+
+@pytest.mark.parametrize("n_start", [-5, 2.0, True])
+def test_general_rejects_n_start_before_any_callback(n_start):
+    # -5 used to call a(-5) and report b(-5) = -125.0, 2.0 to raise a bare
+    # numpy TypeError after a block of callbacks, and True to start at 1
+    calls = []
+    seq = SequencePair(a=lambda n: calls.append(n) or 1.0, b=lambda n: float(n) ** 3)
+    for evaluate in (eval_general, lambda *a, **k: eval_general_grid(*a[:2], [a[2]], **k)):
+        with pytest.raises(ParameterError, match=r"n_start must be an integer >= 0, got "):
+            evaluate(seq, 1.0, 10.0, n_start=n_start)
+    assert calls == []
+    with pytest.raises(ParameterError, match="hard_cap"):  # the cap is checked first
+        eval_general(seq, 1.0, 10.0, hard_cap=0, n_start=n_start)
+    assert eval_general(_CUBES, 1.0, 10.0, n_start=np.int64(3)) == eval_general(
+        _CUBES, 1.0, 10.0, n_start=3
+    )
 
 
 @pytest.mark.parametrize("bad_n", [63, 64, 127, 128])
