@@ -140,12 +140,31 @@ def _diagnostics_fields(diag) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _in_range(name: str, term):
+    """The preset term ``term``, raising ``NumericError`` past the double range.
+
+    A float power that overflows raises ``OverflowError``; a product of
+    finite powers overflows to inf.
+    """
+
+    def checked(n):
+        try:
+            value = term(n)
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise NumericError(f"preset term {name}({n}) is past the double range")
+        return value
+
+    return checked
+
+
 def _logfact(args: argparse.Namespace) -> tuple[SequencePair, int]:
     # Validates convergence through the equivalent power-log tuple.
     PowerLogParams(args.alpha, args.beta, args.alpha, args.beta, args.mu)
     pair = SequencePair(
-        a=lambda n: log_factorial(n) ** args.alpha,
-        b=lambda n: log_factorial(n) ** args.beta,
+        a=_in_range("a", lambda n: log_factorial(n) ** args.alpha),
+        b=_in_range("b", lambda n: log_factorial(n) ** args.beta),
         b_monotone_from=2,
     )
     return pair, 2
@@ -154,8 +173,8 @@ def _logfact(args: argparse.Namespace) -> tuple[SequencePair, int]:
 def _shifted_powerlog(args: argparse.Namespace) -> tuple[SequencePair, int]:
     PowerLogParams(args.alpha, args.beta, args.gamma, args.delta, args.mu)
     pair = SequencePair(
-        a=lambda n: (n + 3.0) ** args.alpha * math.log(n + 2.0) ** args.gamma,
-        b=lambda n: float(n) ** args.beta * math.log(n + 1.0) ** args.delta,
+        a=_in_range("a", lambda n: (n + 3.0) ** args.alpha * math.log(n + 2.0) ** args.gamma),
+        b=_in_range("b", lambda n: float(n) ** args.beta * math.log(n + 1.0) ** args.delta),
         b_monotone_from=1,
     )
     return pair, 0

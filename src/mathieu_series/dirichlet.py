@@ -4,16 +4,16 @@ Provides the log-weighted zeta sum over (log n)^eta / (n (log n)^theta)^s,
 its leading singular model near s = 1, the factorial Dirichlet sum over
 (n!)^(-s), the log-factorial Dirichlet sum, the Mellin closed forms of both
 Mathieu-type families, and the saddle-point upper bound for the factorial
-family. The log-weighted zeta and log-factorial sums add an explicit head
-to the Euler-Maclaurin tail shared with the power-log series
-(``tails.euler_maclaurin_tail``); they return once its remainder bound
-plus the error of the tail integral is within rel_tol of the value. The
-factorial sum does the same at small s, where its direct head does not
-certify: its tail runs to a finite end past which a geometric bound on the
-remaining terms, added to the certificate, is negligible.
-``log_weighted_zeta`` and ``saddle_point_bound`` are the one-item cases of
-private list forms that take many inputs in lockstep, their quadratures
-in one ``quad`` call, each input to its own outcome.
+family. The log-weighted zeta and log-factorial sums share one cutoff walk
+(``_cutoff_sums``): an explicit head below a cutoff N, plus the
+Euler-Maclaurin tail of the power-log series (``tails.euler_maclaurin_tail``)
+from N on, N growing until the tail's remainder bound plus the error of its
+integral is within rel_tol of the value. The factorial sum takes the same
+tail at small s, where its direct head does not certify, up to a finite
+end past which a geometric bound on the rest, added to the certificate, is
+negligible. ``log_weighted_zeta`` and ``saddle_point_bound`` are the
+one-item cases of private list forms that take many inputs in lockstep,
+each input to its own outcome.
 Evaluation stays on the real axis: the closed forms live on their
 convergence strips, and behavior at the boundary is represented by the
 singular-model operations rather than by analytic continuation.
@@ -126,83 +126,91 @@ def transform_frame(
 def log_weighted_zeta(p: DirichletParams, s: float, rel_tol: float = 1e-10) -> float:
     """Sum over n >= 2 of (log n)^eta / (n (log n)^theta)^s, for real s > 1.
 
-    Explicit partial sum below a cutoff N, plus the Euler-Maclaurin tail
-    from N on: the integral as an incomplete-gamma value by quadrature
-    (``tails.exp_poly_tail``), boundary corrections, and the remainder
-    bound plus the quadrature's error estimate, which must come within
-    rel_tol (N grows fourfold, up to three times, until it does). Raises
+    The cutoff walk of ``_cutoff_sums``, with the tail integral as an
+    incomplete-gamma value by quadrature (``tails.exp_poly_tail``). Raises
     ``NumericError`` when the value is not a normal double.
     """
     return _raise_first(_log_weighted_zetas([(p, s)], rel_tol))[0]
 
 
 def _log_weighted_zetas(items: list, rel_tol: float) -> list:
-    """Per item (p, s), what ``log_weighted_zeta(p, s, rel_tol)`` returns or raises.
+    """Per item (p, s), what ``log_weighted_zeta(p, s, rel_tol)`` returns or
+    raises, all in one ``_cutoff_sums`` walk."""
 
-    The items share their cutoffs, so their loops run in lockstep: at each
-    cutoff one ``exp_poly_tail`` call takes the tail integrals of every
-    open item and one ``euler_maclaurin_tail`` call their remainders. An
-    item drops out once it certifies or fails, the others go on. A bad
-    ``rel_tol`` is the outcome of each item whose s passes its check.
+    def exponents(live):  # c and s of each open item's summand (log x)^c x^(-s)
+        return np.array([(items[i][0].eta - items[i][0].theta * s, s) for i, s in live.items()]).T
+
+    def head(lx, live):
+        ll = np.log(lx)
+        return (c * ll - s * lx for c, s in zip(*exponents(live)))
+
+    def tail_integrals(live, u0):  # over [e^u0, inf) via x = exp(u), in one call
+        c, s = exponents(live)
+        integrals = exp_poly_tail((s - 1.0).tolist(), c.tolist(), [u0] * len(s))
+        return integrals, lambda lx, k: c[k] * np.log(lx) - s[k] * lx
+
+    ss = [s for _, s in items]
+    return _cutoff_sums("log_weighted_zeta", ss, rel_tol, 10_000, head, tail_integrals)
+
+
+def _cutoff_sums(name: str, ss: list, rel_tol: float, n_cut: int, head, tail_integrals) -> list:
+    """Per s of ``ss``, the sum over n >= 2 of its summand f for that s > 1,
+    or the error its one-item call raises, ``name`` in the messages.
+
+    The terms below a cutoff N, plus the Euler-Maclaurin tail from N on,
+    whose remainder bound plus the error of the tail integral must come
+    within rel_tol of the value; N starts at ``n_cut`` and grows fourfold,
+    up to three times, until it does. The items walk their cutoffs in
+    lockstep, each dropping out once it certifies or fails. At each cutoff
+    the callbacks take the open items ``live`` (item: its s): ``head(lx,
+    live)`` gives the logs of each one's terms, given lx = log n for
+    2 <= n < N, and ``tail_integrals(live, log N)`` each one's integral of
+    f over [N, inf) and its error, or the exception raised, with the
+    log f(log x, k) of the k-th open item. A bad ``rel_tol`` is the
+    outcome of each item whose s passes its check.
     """
-    out: list = [None] * len(items)
-    live = {}  # item: (c, s) of its summand (log x)^c x^(-s)
-    for i, (p, s) in enumerate(items):
+    out: list = [None] * len(ss)
+    live = {}  # item: its s
+    for i, s in enumerate(ss):
         try:
             s = float(s)
             if not (math.isfinite(s) and s > 1.0):
-                raise DomainError(f"log_weighted_zeta requires s > 1, got {s}")
+                raise DomainError(f"{name} requires s > 1, got {s}")
             rel_tol = _check_rel_tol(rel_tol)
         except (TypeError, ValueError) as exc:
             out[i] = exc
         else:
-            live[i] = p.eta - p.theta * s, s
-
-    n_cut = 10_000
+            live[i] = s
     for _ in range(4):
         if not live:
             return out
-        summands = list(live.values())
         lx = np.log(np.arange(2, n_cut, dtype=np.float64))
-        ll = np.log(lx)
-        partials = [float(np.sum(np.exp(c * ll - s * lx))) for c, s in summands]
-        # integral of (log x)^c x^(-s) over [n_cut, inf) via x = exp(u)
-        integrals = exp_poly_tail(
-            [s - 1.0 for _, s in summands], [c for c, _ in summands], [math.log(n_cut)] * len(live)
+        with np.errstate(over="ignore"):  # an inf head fails the value's check
+            partials = [float(np.sum(np.exp(logs))) for logs in head(lx, live)]
+        integrals, log_f = tail_integrals(live, math.log(n_cut))
+        ok = np.array([k for k, t in enumerate(integrals) if not isinstance(t, Exception)], int)
+        found = [integrals[k] for k in ok]
+        em = euler_maclaurin_tail(
+            lambda lx, k: log_f(lx, ok[k]), n_cut, [v for v, _ in found], [e for _, e in found]
         )
-        ok = [j for j, integral in enumerate(integrals) if not isinstance(integral, Exception)]
-        ok_c, ok_s = np.array([summands[j] for j in ok]).reshape(-1, 2).T
-
-        def log_f(lx, k):
-            return ok_c[k] * np.log(lx) - ok_s[k] * lx
-
-        tails = iter(
-            euler_maclaurin_tail(
-                log_f, n_cut, [integrals[j][0] for j in ok], [integrals[j][1] for j in ok]
-            )
-        )
+        tails = iter(em)
         still = {}
-        for (i, (c_i, s_i)), partial, integral in zip(live.items(), partials, integrals):
+        for (i, s), partial, integral in zip(live.items(), partials, integrals):
             tail = integral if isinstance(integral, Exception) else next(tails)
             if isinstance(tail, Exception):
                 out[i] = tail
                 continue
-            tail, bound = tail
-            value = partial + tail
+            value = partial + tail[0]
             if not (math.isfinite(value) and value >= sys.float_info.min):
-                out[i] = NumericError(
-                    f"log_weighted_zeta produced {value} at s={s_i}, not a normal double"
-                )
-            elif bound <= rel_tol * abs(value):
+                out[i] = NumericError(f"{name} produced {value} at s={s}, not a normal double")
+            elif tail[1] <= rel_tol * value:
                 out[i] = value
             else:
-                still[i] = c_i, s_i
+                still[i] = s
         live = still
         n_cut *= 4
-    for i, (_, s) in live.items():
-        out[i] = NumericError(
-            f"log_weighted_zeta did not reach rel_tol={rel_tol} at s={s} (cutoff {n_cut})"
-        )
+    for i, s in live.items():
+        out[i] = NumericError(f"{name} did not reach rel_tol={rel_tol} at s={s} (cutoff {n_cut})")
     return out
 
 
@@ -318,34 +326,25 @@ def _factorial_geometric_tail(s: float, n: int, log_fact: float) -> tuple[float,
 
 
 def log_factorial_dirichlet(s: float, rel_tol: float = 1e-10) -> float:
-    """Sum over n >= 2 of (log n!)^(-s) for s > 1.
-
-    Direct partial sum below a cutoff N, plus the Euler-Maclaurin tail
-    from N on, with the summand lgamma(x+1)^(-s) taken from Stirling's
-    series. The tail integral runs by quadrature in u = log x to infinity,
-    and its error estimate joins the bound.
+    """Sum over n >= 2 of (log n!)^(-s) for s > 1, by the cutoff walk of
+    ``_cutoff_sums``: its head takes log n! as a running sum of logs, its
+    tail the summand lgamma(x+1)^(-s) from Stirling's series, integrated by
+    quadrature in u = log x to infinity. Raises ``NumericError`` when the
+    value is not a normal double.
     """
     s = float(s)
-    if not (math.isfinite(s) and s > 1.0):
-        raise DomainError(f"log_factorial_dirichlet requires s > 1, got {s}")
-    rel_tol = _check_rel_tol(rel_tol)
 
-    def log_f(lx, k=0):
+    def log_f(lx, k):
         return -s * log_log_factorial(lx)
 
-    n_cut = 20_000
-    for _ in range(4):
-        ns = np.arange(2, n_cut, dtype=np.float64)
-        lf = np.cumsum(np.log(ns))  # log(2)+...+log(n) = log n!
-        partial = float(np.sum(np.exp(-s * np.log(lf))))
+    def head(lx, live):  # log(2) + ... + log(n) = log n!
+        return [-s * np.log(np.cumsum(lx))]
 
-        ((integral, err),) = _raise_first(_log_x_integral(log_f, [(math.log(n_cut), math.inf)]))
-        ((tail, bound),) = _raise_first(euler_maclaurin_tail(log_f, n_cut, [integral], [err]))
-        value = partial + tail
-        if bound <= rel_tol * value:
-            return value
-        n_cut *= 4
-    raise NumericError(f"log_factorial_dirichlet did not reach rel_tol={rel_tol} at s={s}")
+    def tail_integrals(live, u0):
+        return _log_x_integral(log_f, [(u0, math.inf)]), log_f
+
+    name = "log_factorial_dirichlet"
+    return _raise_first(_cutoff_sums(name, [s], rel_tol, 20_000, head, tail_integrals))[0]
 
 
 # ---------------------------------------------------------------------------

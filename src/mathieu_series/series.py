@@ -391,14 +391,16 @@ class _RadiusSum:
     def add(self, n: int, log_a: np.ndarray, log_b: np.ndarray, mu1: float) -> None:
         """Append the terms from n on, given the logs of their a_n and b_n.
 
-        A term past the double range raises ``OverflowError``.
+        A term past the double range raises ``NumericError``.
         """
         with np.errstate(over="ignore"):
             block = np.exp(log_a - mu1 * np.logaddexp(log_b, self.log_r2))
         i = int(np.argmax(block))
         top = float(block[i])
         if top == math.inf:
-            raise OverflowError("math range error")
+            raise NumericError(
+                f"eval_general term at n={n + i}, r={self.r} is past the double range"
+            )
         if top > self.best:
             self.best = top
             self.peak_index = n + i

@@ -619,6 +619,24 @@ def test_predict_factorial_unrepresentable_value_exit_1(capsys):
     assert "numeric failure" in err and "not a normal double" in err
 
 
+@pytest.mark.parametrize(
+    "preset, flags",
+    [
+        ("logfact", ["--alpha", "400", "--beta", "401"]),
+        ("shifted-powerlog", ["--alpha", "400", "--beta", "401"]),
+        # (n+3)^300 and log(n+2)^100 fit a double at n = 6, their product does not
+        ("shifted-powerlog", ["--alpha", "300", "--beta", "151", "--gamma", "100"]),
+    ],
+)
+def test_eval_general_preset_past_the_double_range_exit_1(capsys, preset, flags):
+    # (log n!)^400 and (n+3)^400 overflow: these used to die with a traceback
+    code, out, err = run_cli(
+        capsys, "eval", "general", "--sequences", preset, *flags, "--mu", "1", "--r", "10"
+    )
+    assert (code, out) == (1, "")
+    assert "numeric failure: preset term a(" in err and "past the double range" in err
+
+
 def test_predict_powerlog_past_gamma_overflow(capsys):
     # Gamma(mu+1) overflows at mu = 172: it used to die with an OverflowError traceback
     code, out, _ = run_cli(

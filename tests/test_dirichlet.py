@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from mathieu_series.dirichlet import (
     DirichletParams,
     _gamma_line_integral,
+    _log_weighted_zetas,
     factorial_dirichlet,
     log_factorial_dirichlet,
     log_weighted_zeta,
@@ -69,6 +70,19 @@ def test_zeta_is_normal_or_raises(eta, theta, log10_s_minus_1):
     except MathieuError:
         return
     assert math.isfinite(value) and value >= sys.float_info.min, value
+
+
+def test_zetas_in_one_call_match_their_one_item_calls():
+    # a good item, one with s <= 1 and one whose value underflows share one walk
+    items = [(DirichletParams(0, 1), 2.0)] + [(DirichletParams(0, 0), s) for s in (1.0, 1100.0)]
+    together = _log_weighted_zetas(items, 1e-10)
+    alone = [_log_weighted_zetas([item], 1e-10)[0] for item in items]
+
+    def outcome(x):
+        return (type(x), str(x)) if isinstance(x, Exception) else x
+
+    assert [outcome(x) for x in together] == [outcome(x) for x in alone]
+    assert [type(x) for x in together] == [float, DomainError, NumericError]
 
 
 def test_zeta_domain():
@@ -226,6 +240,22 @@ def test_factorial_dirichlet_monotone():
 def test_log_factorial_dirichlet_first_term_dominance():
     v = log_factorial_dirichlet(40.0, rel_tol=1e-8)
     assert v == pytest.approx(math.log(2.0) ** -40.0, rel=1e-3)
+
+
+def test_log_factorial_dirichlet_past_the_double_range_raises():
+    # (log 2)^-2000 is ~2e318: this used to return inf
+    with pytest.raises(NumericError, match="not a normal double"):
+        log_factorial_dirichlet(2000.0)
+
+
+@given(st.floats(min_value=-2.0, max_value=4.0))
+@settings(max_examples=30, deadline=None)
+def test_log_factorial_dirichlet_is_normal_or_raises(log10_s_minus_1):
+    try:
+        value = log_factorial_dirichlet(1.0 + 10.0**log10_s_minus_1)
+    except MathieuError:
+        return
+    assert math.isfinite(value) and value >= sys.float_info.min, value
 
 
 def test_log_factorial_dirichlet_against_direct_sum():

@@ -1150,6 +1150,13 @@ def test_general_value_below_the_smallest_normal_double():
         eval_general(_SHIFTED_SMOOTH, 300.0, 10.0)
 
 
+def test_general_term_past_the_double_range():
+    # a_0 / (b_0 + r^2)^2 = 1e300 * 1e400: a typed error naming r, not a bare OverflowError
+    seq = SequencePair(a=lambda n: 1e300, b=lambda n: float(n) ** 3, b_monotone_from=0)
+    with pytest.raises(NumericError, match=r"n=0, r=1e-100 is past the double range"):
+        eval_general(seq, 1.0, 1e-100)
+
+
 # ---------------------------------------------------------------------------
 # Generic sequences over a radius grid
 # ---------------------------------------------------------------------------
