@@ -8,7 +8,10 @@ short log-space sum around its peak. Importing it loads ``_record``,
 ``special`` and ``errors`` only, not the quadrature and Euler-Maclaurin
 code of ``series`` and ``tails``, so ``eval_factorial`` and the
 closed-form predictions of ``asymptotics`` run in a fresh process without
-compiling that code.
+compiling that code. Of ``special`` it runs only ``log_factorial``, which
+``special`` defines itself, so ``eval_factorial`` does not load
+``_special_rest`` (Lambert W, inverse gamma, the Bernoulli table and the
+numpy functions) either.
 ``series`` re-exports every name here, so ``series.X is _core.X``.
 
 ``log_factorial`` is read through the ``special`` module at each call, so

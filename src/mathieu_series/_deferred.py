@@ -1,7 +1,7 @@
 """A module handle that imports its module on first attribute access.
 
-``series``, ``tails``, ``dirichlet``, ``special`` and ``verify`` bind numpy
-through it, so that importing the package, and the evaluators that need
+``series``, ``tails``, ``dirichlet``, ``_special_rest`` and ``verify`` bind
+numpy through it, so that importing the package, and the evaluators that need
 only scalar arithmetic, do not load it.
 """
 

@@ -172,6 +172,8 @@ def _logfact(args: argparse.Namespace) -> tuple[SequencePair, int]:
 
 def _shifted_powerlog(args: argparse.Namespace) -> tuple[SequencePair, int]:
     PowerLogParams(args.alpha, args.beta, args.gamma, args.delta, args.mu)
+    if args.delta < 0.0:  # b(0) = 0^beta (log 1)^delta
+        raise ParameterError(f"the shifted-powerlog preset needs --delta >= 0, got {args.delta}")
     pair = SequencePair(
         a=_in_range("a", lambda n: (n + 3.0) ** args.alpha * math.log(n + 2.0) ** args.gamma),
         b=_in_range("b", lambda n: float(n) ** args.beta * math.log(n + 1.0) ** args.delta),

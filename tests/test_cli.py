@@ -637,6 +637,19 @@ def test_eval_general_preset_past_the_double_range_exit_1(capsys, preset, flags)
     assert "numeric failure: preset term a(" in err and "past the double range" in err
 
 
+@pytest.mark.parametrize("delta", ["-5", "-0.5"])
+def test_eval_general_shifted_powerlog_negative_delta_exit_2(capsys, delta):
+    # b(0) = 0^beta (log 1)^delta: it used to die with a ZeroDivisionError traceback
+    code, out, err = run_cli(
+        capsys, "eval", "general", "--sequences", "shifted-powerlog", "--alpha", "0.1",
+        "--beta", "1", "--delta", delta, "--mu", "1", "--r", "10",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"parameter error: the shifted-powerlog preset needs --delta >= 0, got {float(delta)}\n"
+    )
+
+
 def test_predict_powerlog_past_gamma_overflow(capsys):
     # Gamma(mu+1) overflows at mu = 172: it used to die with an OverflowError traceback
     code, out, _ = run_cli(

@@ -80,8 +80,9 @@ assert not loaded("scipy"), loaded("scipy")
 print("ok")
 """
 
-# Runs in a fresh interpreter: eight threads make their first
-# numpy-touching call at once, so they race on the deferred numpy import.
+# Runs in a fresh interpreter: eight threads evaluate ``{first_use}`` at
+# once, the first use of a module that loads on first access, so they race
+# on its import. Each must get a result equal to the others'.
 THREADS_CHILD = """
 import sys
 import threading
@@ -95,7 +96,7 @@ results = [None] * N
 
 def first_call(i):
     barrier.wait()
-    results[i] = mathieu_series.eval_powerlog(mathieu_series.PowerLogParams(1, 2, 0, 0, 1), 10.0)
+    results[i] = {first_use}
 
 threads = [threading.Thread(target=first_call, args=(i,)) for i in range(N)]
 for t in threads:
@@ -142,6 +143,10 @@ def _submodules_loaded_by(code: str) -> set[str]:
 
 
 NOT_FOR_SCALAR_WORK = {"asymptotics", "dirichlet", "verify"}
+# All that eval_factorial loads of the package: of special it runs
+# log_factorial alone, so neither _special_rest nor numpy's deferred
+# handle (_deferred) loads.
+SCALAR_CORE = {"_core", "_record", "errors", "special"}
 # eval_factorial and the closed forms run on the scalar core: without the
 # quadrature stack of series and tails, and without fractions, which only
 # the exact Bernoulli numbers need.
@@ -157,7 +162,14 @@ def test_heavy_modules_load_on_first_use():
 
 
 def test_concurrent_first_use_of_numpy():
-    assert _run_child(THREADS_CHILD) == "ok"
+    first_use = "mathieu_series.eval_powerlog(mathieu_series.PowerLogParams(1, 2, 0, 0, 1), 10.0)"
+    assert _run_child(THREADS_CHILD.format(first_use=first_use)) == "ok"
+
+
+def test_concurrent_first_read_of_a_forwarded_special_name():
+    # special imports _special_rest on this first read; == on functions is identity
+    first_use = "(mathieu_series.special.inverse_gamma_log, mathieu_series.special.bernoulli_table)"
+    assert _run_child(THREADS_CHILD.format(first_use=first_use)) == "ok"
 
 
 def test_package_import_loads_no_submodule():
@@ -185,6 +197,19 @@ def test_eval_factorial_loads_only_the_modules_it_runs():
     assert not modules & NOT_FOR_A_COLD_START, modules & NOT_FOR_A_COLD_START
     assert "_core" in _submodules(modules)
     assert not _submodules(modules) & NOT_FOR_SCALAR_WORK, _submodules(modules)
+
+
+def test_eval_factorial_loads_exactly_the_scalar_core():
+    assert _submodules_loaded_by(
+        "import mathieu_series as m\nm.eval_factorial(m.FactorialParams(1, 2, 1), 1e6)"
+    ) == SCALAR_CORE
+    argv = ["eval", "factorial", "--alpha", "1", "--beta", "2", "--mu", "1", "--r", "1e6"]
+    assert _submodules_loaded_by(
+        "import contextlib, io\n"
+        "from mathieu_series import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+    ) == SCALAR_CORE | {"cli", "_suites"}
 
 
 @pytest.mark.parametrize(

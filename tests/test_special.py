@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathieu_series import special
+from mathieu_series import _special_rest, special
 from mathieu_series.errors import CapacityError, DomainError
 from mathieu_series.special import (
     bernoulli_table,
@@ -280,7 +280,8 @@ def test_inverse_gamma_unchanged_by_own_digamma(monkeypatch):
 
     grid = [float(x) for x in np.linspace(math.log(2.0), math.log(1e300), 50)]
     ours = [inverse_gamma_log(x) for x in grid]
-    monkeypatch.setattr(special, "digamma", lambda g: float(scipy_digamma(g)))
+    # inverse_gamma_log reads digamma where it is defined, not through special
+    monkeypatch.setattr(_special_rest, "digamma", lambda g: float(scipy_digamma(g)))
     for log_x, g in zip(grid, ours):
         assert abs(inverse_gamma_log(log_x) - g) <= 1e-15 * g
 
@@ -309,3 +310,55 @@ def test_inverse_gamma_seed_identity_and_quality():
     assert errors[4] < errors[1]  # Gamma(100) beats Gamma(20)
     with pytest.raises(DomainError):
         inverse_gamma_seed(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Names defined in _special_rest, read through special
+# ---------------------------------------------------------------------------
+
+# special defines these itself: the scalar core reads log_factorial there.
+_OWN = {"log_gamma", "log_factorial"}
+# Private names that other modules and the tests read through special.
+_PRIVATE_READ = {"_DIGAMMA_COEFFS", "_INTEGER_DETECTION_TOL"}
+
+
+def _defined_in_rest() -> set[str]:
+    """The globals that _special_rest defines, not those it imports."""
+    home = _special_rest.__name__
+    return {
+        name
+        for name, value in vars(_special_rest).items()
+        if not name.startswith("__")
+        and not isinstance(value, type(math))
+        and getattr(value, "__module__", home) == home
+    }
+
+
+def test_forwarded_names_are_the_defining_modules_objects():
+    import mathieu_series
+
+    assert set(special._ELSEWHERE) == _defined_in_rest()
+    assert set(special.__all__) - _OWN | _PRIVATE_READ <= special._ELSEWHERE
+    for name in special._ELSEWHERE:
+        assert getattr(special, name) is getattr(_special_rest, name), name
+        assert name not in vars(special), name  # looked up there on every read
+    for name in _OWN:
+        assert name in vars(special) and not hasattr(_special_rest, name), name
+    star = {}
+    exec("from mathieu_series.special import *", star)
+    assert {name: star[name] for name in special.__all__} == {
+        name: getattr(special, name) for name in special.__all__
+    }
+    for name in mathieu_series._EXPORTS:
+        if mathieu_series._EXPORTS[name] == "special":
+            assert getattr(mathieu_series, name) is getattr(special, name), name
+
+
+def test_dir_lists_the_forwarded_names():
+    assert special._ELSEWHERE | set(special.__all__) | _PRIVATE_READ <= set(dir(special))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'mathieu_series.special' has no attribute 'nope'"):
+        special.nope
+    assert not hasattr(special, "np")  # _special_rest's numpy handle is not forwarded
