@@ -300,16 +300,29 @@ def factorial_summand_log(p: FactorialParams, r: float, n: int) -> float:
 
 
 def peak_index_n0(beta: float, r: float) -> int:
-    """The unique n0 with (n0!)^beta <= r^2 < ((n0+1)!)^beta, in log space."""
+    """The unique n0 with (n0!)^beta <= r^2 < ((n0+1)!)^beta, in log space.
+
+    Doubling then bisection: O(log n0) calls of ``log_factorial`` for any beta,
+    and ``NumericError`` where n0 is past the double range (beta below ~1e-305).
+    """
     beta = _require_finite(beta, "beta")
     if beta <= 0.0:
         raise ParameterError(f"beta must be > 0, got {beta}")
     r = _require_radius(r, 1.0, "peak_index_n0", inclusive=True)
     target = 2.0 * math.log(r)
-    n = 0
-    while beta * special.log_factorial(n + 1) <= target:
-        n += 1
-    return n
+    lo, hi = 1, 2  # beta log lo! <= target < beta log hi! once the doubling stops
+    try:
+        while beta * special.log_factorial(hi) <= target:
+            lo, hi = hi, 2 * hi
+    except OverflowError:
+        raise NumericError(f"peak_index_n0: n0 is past the double range at beta={beta}") from None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if beta * special.log_factorial(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def eval_factorial(

@@ -353,13 +353,11 @@ def inverse_gamma(x: float) -> float:
 _INTEGER_DETECTION_TOL = 1e-9
 
 
-def is_positive_integer(m: float, force: bool | None = None) -> bool:
+def is_positive_integer(m: float) -> bool:
     """Detection rule for integer-branch selection.
 
     Floating inputs cannot distinguish exact integers, so m counts as a
-    positive integer when it is within 1e-9 of one; ``force`` overrides
-    either way.
+    positive integer when it is within 1e-9 of one. ``leading_constant`` and
+    ``zeta_singular_prediction`` pick their branch by this rule alone.
     """
-    if force is not None:
-        return force
     return abs(m - round(m)) < _INTEGER_DETECTION_TOL and round(m) >= 1

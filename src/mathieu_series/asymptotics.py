@@ -54,6 +54,9 @@ __all__ = [
     "eval_classical_expansion",
 ]
 
+# Bernoulli numbers are exact to this index, which feeds 31 expansion terms.
+_MAX_BERNOULLI = 64
+
 
 @record
 class AsymptoticPrediction:
@@ -144,13 +147,11 @@ def _gamma_ratio(a: float, x: float) -> float:
     return ratio
 
 
-def leading_constant(
-    p: PowerLogParams, force_integer_branch: bool | None = None
-) -> float:
+def leading_constant(p: PowerLogParams) -> float:
     """Constant of the leading-order law for the power-log family.
 
-    Branch selection follows the shared positive-integer detection rule on
-    m = delta*(alpha+1)/beta - gamma; m = 0 goes to the generic branch.
+    The branch follows the shared detection rule ``is_positive_integer`` on
+    m = delta*(alpha+1)/beta - gamma, with no override; m = 0 is generic.
     Past mu ~ 170, where Gamma(mu+1) overflows, the ratio
     Gamma(mu+1-(alpha+1)/beta)/Gamma(mu+1) is taken as one number
     (``_gamma_ratio``). Raises ``NumericError`` when the constant still
@@ -160,7 +161,7 @@ def leading_constant(
     the generic formula, whose Gamma(1-m) changes sign, is not the law.
     """
     m = p.delta * (p.alpha + 1.0) / p.beta - p.gamma
-    integer = is_positive_integer(m, force_integer_branch)
+    integer = is_positive_integer(m)
     if not integer and m > 1.0:
         raise PreconditionError(
             f"no first-order law for {p}: m = delta(alpha+1)/beta - gamma = {m:.6g} "
@@ -193,12 +194,10 @@ def leading_constant(
     return constant
 
 
-def asymptotic_prediction(
-    p: PowerLogParams, force_integer_branch: bool | None = None
-) -> AsymptoticPrediction:
-    """Leading-order law: constant, power of r, and power of log r."""
+def asymptotic_prediction(p: PowerLogParams) -> AsymptoticPrediction:
+    """Leading-order law: constant (``leading_constant``), power of r, and power of log r."""
     return AsymptoticPrediction(
-        constant=leading_constant(p, force_integer_branch),
+        constant=leading_constant(p),
         r_exponent=2.0 * (p.alpha + 1.0) / p.beta - 2.0 * (p.mu + 1.0),
         log_exponent=-p.delta * (p.alpha + 1.0) / p.beta + p.gamma,
     )
@@ -315,13 +314,11 @@ def factorial_envelope(p: FactorialParams, r: float, epsilon: float) -> Factoria
     )
 
 
-def factorial_upper_bound(
-    p: FactorialParams, r: float, epsilon: float, slack: float = 5.0
-) -> float:
-    """Ceiling r^(-2(mu+1-alpha/beta)) exp(eps log log r + slack log log log r).
+def factorial_upper_bound(p: FactorialParams, r: float, epsilon: float) -> float:
+    """Ceiling r^(-2(mu+1-alpha/beta)) exp(eps log log r + 5 log log log r).
 
-    The slack constant stands in for the unspecified error-term constant
-    and is calibrated empirically (default 5).
+    The slack constant 5 stands in for the unspecified error-term constant
+    and was calibrated empirically.
     """
     if p.alpha <= 0.0:
         raise ParameterError("factorial_upper_bound requires alpha > 0")
@@ -332,7 +329,7 @@ def factorial_upper_bound(
     return _normal_exp(
         -2.0 * (p.mu + 1.0 - p.alpha / p.beta) * log_r
         + epsilon * math.log(log_r)
-        + slack * math.log(math.log(log_r)),
+        + 5.0 * math.log(math.log(log_r)),
         "factorial_upper_bound",
         r,
     )
@@ -343,7 +340,7 @@ def factorial_upper_bound(
 # ---------------------------------------------------------------------------
 
 
-def classical_expansion_terms(mu: float, K: int, max_bernoulli: int = 64) -> list[ExpansionTerm]:
+def classical_expansion_terms(mu: float, K: int) -> list[ExpansionTerm]:
     """Terms of the divergent large-r expansion of the classical series.
 
     Term k = -1 is the leading 1/mu * r^(-2 mu); terms k = 0..K carry
@@ -351,12 +348,16 @@ def classical_expansion_terms(mu: float, K: int, max_bernoulli: int = 64) -> lis
     Coefficients are exact rationals whenever mu is integral. The
     coefficient formulas are well-defined for any mu > 0; the series they
     expand requires mu > 3/2, which eval_classical_expansion enforces.
+    K is an integer in 0..31, since the Bernoulli numbers run to index 64
+    (``ParameterError``, ``DomainError`` below 0, ``CapacityError`` above 31).
     """
     if not (math.isfinite(mu) and mu > 0.0):
         raise DomainError(f"classical expansion terms require mu > 0, got {mu}")
+    if isinstance(K, bool) or not hasattr(K, "__index__"):  # ints and numpy ints only
+        raise ParameterError(f"K must be an integer, got {K!r}")
     if K < 0:
         raise DomainError(f"K must be >= 0, got {K}")
-    table = bernoulli_table(max_bernoulli)
+    table = bernoulli_table(_MAX_BERNOULLI)
     if 2 * K + 2 > table.max_index:
         raise CapacityError(
             f"expansion order K={K} needs Bernoulli index {2 * K + 2}, "
@@ -388,34 +389,30 @@ def eval_classical_expansion(
     r: float,
     mode: str = "optimal",
     K: int | None = None,
-    max_bernoulli: int = 64,
 ) -> tuple[float, float]:
     """Partial sum of the classical expansion with its error estimate.
 
     In "optimal" mode the sum stops before the smallest-magnitude
     correction term and reports that term's magnitude as the error
     estimate. In "fixed" mode, K counts the correction terms beyond the
-    leading one, and the estimate is the next term's magnitude.
+    leading one, and the estimate is the next term's magnitude; K is
+    checked as ``classical_expansion_terms`` checks it, an integer in 0..31.
     """
     _require_expansion_mu(mu)
     r = _require_radius(r, 1.0, "eval_classical_expansion")
     if mode not in ("optimal", "fixed"):
         raise ParameterError(f"mode must be 'optimal' or 'fixed', got {mode!r}")
-    k_top = (max_bernoulli - 2) // 2
-    if mode == "fixed":
-        if K is None:
-            raise ParameterError("fixed mode requires K")
-        if K > k_top:
-            raise CapacityError(f"K={K} correction terms exceed capacity {k_top}")
-
-    terms = classical_expansion_terms(mu, k_top, max_bernoulli)
+    if mode == "fixed" and K is None:
+        raise ParameterError("fixed mode requires K")
+    # fixed mode: the K corrections it sums and the next one, its estimate
+    terms = classical_expansion_terms(mu, K if mode == "fixed" else (_MAX_BERNOULLI - 2) // 2)
     log_r = math.log(r)
     values = [t.coefficient * math.exp(t.r_power * log_r) for t in terms]
     leading, corrections = values[0], values[1:]
 
     if mode == "fixed":
         value = leading + math.fsum(corrections[:K])
-        estimate = abs(corrections[K]) if K < len(corrections) else abs(corrections[-1])
+        estimate = abs(corrections[K])
     else:
         stop = len(corrections) - 1
         for j in range(len(corrections) - 1):

@@ -40,7 +40,6 @@ from .series import (
     _require_radius,
 )
 from .special import (
-    _INTEGER_DETECTION_TOL,
     is_positive_integer,
     lambert_w,
     log_abs_gamma,
@@ -214,12 +213,11 @@ def _cutoff_sums(name: str, ss: list, rel_tol: float, n_cut: int, head, tail_int
     return out
 
 
-def zeta_singular_prediction(
-    p: DirichletParams, s: float, force_integer_branch: Optional[bool] = None
-) -> float:
+def zeta_singular_prediction(p: DirichletParams, s: float) -> float:
     """Leading singular model of the log-weighted zeta as s approaches 1.
 
-    Integer m = theta - eta: ((-1)^(m-1)/(m-1)!) (s-1)^(m-1) log(1/(s-1));
+    Integer m = theta - eta (``is_positive_integer``, no override):
+    ((-1)^(m-1)/(m-1)!) (s-1)^(m-1) log(1/(s-1));
     otherwise Gamma(eta-theta+1) (s-1)^(theta-eta-1). For theta - eta > 1
     in the non-integer branch this is the singular correction around the
     finite limit value, not the limit itself.
@@ -228,7 +226,7 @@ def zeta_singular_prediction(
     if not (0.0 < s - 1.0 < 0.5):
         raise DomainError(f"zeta_singular_prediction requires s - 1 in (0, 0.5), got s={s}")
     m = p.theta - p.eta
-    if is_positive_integer(m, force_integer_branch):
+    if is_positive_integer(m):
         mi = round(m)
         return (
             ((-1.0) ** (mi - 1))
@@ -236,13 +234,8 @@ def zeta_singular_prediction(
             * (s - 1.0) ** (mi - 1)
             * math.log(1.0 / (s - 1.0))
         )
-    arg = p.eta - p.theta + 1.0
-    if arg <= 0.0 and abs(arg - round(arg)) < _INTEGER_DETECTION_TOL:
-        raise DomainError(
-            f"gamma pole: eta - theta + 1 = {arg} is a nonpositive integer; "
-            "no non-integer-branch prediction exists"
-        )
-    return math.gamma(arg) * (s - 1.0) ** (p.theta - p.eta - 1.0)
+    # off the integer branch, eta - theta + 1 = 1 - m is no pole of Gamma
+    return math.gamma(p.eta - p.theta + 1.0) * (s - 1.0) ** (p.theta - p.eta - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -86,12 +86,19 @@ def log_gamma(x: float) -> float:
 
 
 def log_factorial(n: int) -> float:
-    """log(n!) = log_gamma(n+1); exact small-n table, lgamma branch above."""
-    if type(n) is int and n > 20:  # the common case first: what the checks below return
-        return math.lgamma(n + 1.0)
+    """log(n!) = log_gamma(n+1); exact small-n table, lgamma branch above.
+
+    ``DomainError`` unless n is an integer >= 0: an int, a numpy integer or an integral float.
+    """
+    if type(n) is int:
+        if n > 20:  # the common case first: what the checks below return
+            return math.lgamma(n + 1.0)
+    elif math.isfinite(n) and n == int(n):
+        n = int(n)
+    else:
+        raise DomainError(f"log_factorial requires an integer n >= 0, got {n!r}")
     if n < 0:
         raise DomainError(f"log_factorial requires n >= 0, got {n}")
-    n = int(n)
     if n <= 20:
         return _LOG_FACTORIAL_TABLE[n]
     return math.lgamma(n + 1.0)

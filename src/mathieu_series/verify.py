@@ -4,7 +4,9 @@ Each suite runs a set of desk-scale numerical checks and returns structured
 results; the CLI prints them as PASS/FAIL lines and the acceptance tests
 assert on them. Where a law only fixes a rate (leaving constants implicit),
 the thresholds below were calibrated once against the brute-force
-evaluators and frozen; those spots are marked "calibrated".
+evaluators and frozen; those spots are marked "calibrated". Suites build
+plain checks; ``run_suite`` alone applies ``strict`` (the CLI's
+``--strict``), which asks 20% more clearance of every threshold.
 
 Suite names: thm11 (power-log leading order), thm12 (sequence
 insensitivity), thm13 (factorial two-term estimate on the good set), thm14
@@ -23,7 +25,7 @@ from typing import Callable, Optional
 
 from ._core import _raise_first
 from ._deferred import deferred_module
-from ._record import record
+from ._record import record, replace
 from ._suites import SUITE_NAMES
 from .asymptotics import (
     _classical_series,
@@ -90,6 +92,10 @@ class CheckResult:
         )
 
 
+def _clears(measured: float, bar: float, direction: str) -> bool:
+    return bool(measured <= bar if direction == "le" else measured >= bar)
+
+
 def _check(
     name: str,
     measured: float,
@@ -97,13 +103,11 @@ def _check(
     direction: str = "le",
     extra_ok: bool = True,
     note: str = "",
-    strict: bool = False,
 ) -> CheckResult:
-    bar = threshold
-    if strict:
-        bar = threshold * _STRICT_FACTOR if direction == "le" else threshold / _STRICT_FACTOR
-    ok = measured <= bar if direction == "le" else measured >= bar
-    return CheckResult(name, bool(extra_ok and ok), measured, threshold, direction, note)
+    """The plain check: passes when ``extra_ok`` holds and ``measured`` is on the
+    ``direction`` side of ``threshold``. ``run_suite`` applies ``--strict``."""
+    ok = bool(extra_ok) and _clears(measured, threshold, direction)
+    return CheckResult(name, ok, measured, threshold, direction, note)
 
 
 def _strictly_decreasing(xs) -> bool:
@@ -119,7 +123,7 @@ def _strictly_increasing(xs) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def suite_expansion(strict: bool = False) -> list[CheckResult]:
+def suite_expansion() -> list[CheckResult]:
     """Optimal truncation of the classical expansion vs direct evaluation."""
     out = []
     t0 = time.perf_counter()
@@ -127,17 +131,13 @@ def suite_expansion(strict: bool = False) -> list[CheckResult]:
     (direct,) = _raise_first(_classical_series(2.0, [10.0], 1e-13))
     elapsed = time.perf_counter() - t0
     rel = abs(val - direct) / direct
-    out.append(_check("expansion/rel-error@r=10", rel, 1e-10, strict=strict))
-    out.append(_check("expansion/runtime@r=10", elapsed, 1.0, note="seconds", strict=strict))
+    out.append(_check("expansion/rel-error@r=10", rel, 1e-10))
+    out.append(_check("expansion/runtime@r=10", elapsed, 1.0, note="seconds"))
 
     val2, _ = eval_classical_expansion(2.0, 100.0, mode="optimal")
     (direct2,) = _raise_first(_classical_series(2.0, [100.0], 1e-14))
     rel2 = abs(val2 - direct2) / direct2
-    out.append(
-        _check(
-            "expansion/rel-error@r=100", rel2, 5e-14, note="double-precision floor", strict=strict
-        )
-    )
+    out.append(_check("expansion/rel-error@r=100", rel2, 5e-14, note="double-precision floor"))
     return out
 
 
@@ -150,9 +150,7 @@ _THM11_SETS = [
 ]
 
 
-def suite_thm11(
-    strict: bool = False, params: Optional[PowerLogParams] = None
-) -> list[CheckResult]:
+def suite_thm11(params: Optional[PowerLogParams] = None) -> list[CheckResult]:
     """Leading-order ratio trend for the power-logarithmic family."""
     out = []
     t0 = time.perf_counter()
@@ -173,15 +171,14 @@ def suite_thm11(
                 final_tol,
                 extra_ok=_strictly_decreasing(devs),
                 note="|ratio-1|@r=1e6; strictly decreasing over r=1e2..1e6",
-                strict=strict,
             )
         )
     elapsed = time.perf_counter() - t0
-    out.append(_check("thm11/runtime", elapsed, 60.0, note="seconds", strict=strict))
+    out.append(_check("thm11/runtime", elapsed, 60.0, note="seconds"))
     return out
 
 
-def suite_thm12(strict: bool = False) -> list[CheckResult]:
+def suite_thm12() -> list[CheckResult]:
     """Shifted sequences share the power-log first-order law."""
     out = []
     t0 = time.perf_counter()
@@ -213,7 +210,6 @@ def suite_thm12(strict: bool = False) -> list[CheckResult]:
             0.02,
             extra_ok=_strictly_decreasing(gaps),
             note="gap between shifted and plain |ratio-1|, r=1e2..1e5",
-            strict=strict,
         )
     )
 
@@ -240,15 +236,14 @@ def suite_thm12(strict: bool = False) -> list[CheckResult]:
             0.05,
             extra_ok=_strictly_decreasing(devs),
             note="|shifted/plain - 1| at r=1e2,1e3,1e4",
-            strict=strict,
         )
     )
     elapsed = time.perf_counter() - t0
-    out.append(_check("thm12/runtime", elapsed, 60.0, note="seconds", strict=strict))
+    out.append(_check("thm12/runtime", elapsed, 60.0, note="seconds"))
     return out
 
 
-def suite_thm13(strict: bool = False) -> list[CheckResult]:
+def suite_thm13() -> list[CheckResult]:
     """Two-term prediction on the good set: log-ratio within the slack scale."""
     out = []
     p = FactorialParams(1, 2, 1)
@@ -259,22 +254,14 @@ def suite_thm13(strict: bool = False) -> list[CheckResult]:
         value = eval_factorial(p, r, rel_tol=1e-12).value
         pred = predict_factorial(p, r)
         c = abs(math.log(value / pred)) / slack_exponent(r)
-        out.append(
-            _check(
-                f"thm13/slack@r={r:.2e}",
-                c,
-                5.0,
-                note=f"frac_g={diag.frac_g:.3f}",
-                strict=strict,
-            )
-        )
+        out.append(_check(f"thm13/slack@r={r:.2e}", c, 5.0, note=f"frac_g={diag.frac_g:.3f}"))
     return out
 
 
 _FACTORIAL_GRID = [10.0**k for k in range(3, 13)]
 
 
-def suite_thm14(strict: bool = False) -> list[CheckResult]:
+def suite_thm14() -> list[CheckResult]:
     """Unconditional factorial ceilings: bound, envelope, log-center."""
     out = []
     for p in (FactorialParams(1, 2, 1), FactorialParams(0.5, 1, 1)):
@@ -290,7 +277,6 @@ def suite_thm14(strict: bool = False) -> list[CheckResult]:
                 1.0,
                 direction="ge",
                 note="min bound/value over r=1e3..1e12, eps=0.2",
-                strict=strict,
             )
         )
 
@@ -308,7 +294,6 @@ def suite_thm14(strict: bool = False) -> list[CheckResult]:
                 1.0,
                 direction="ge",
                 note="min clearance of the eps=0.1 envelope",
-                strict=strict,
             )
         )
 
@@ -324,13 +309,12 @@ def suite_thm14(strict: bool = False) -> list[CheckResult]:
                 worst_center,
                 10.0,
                 note="|log value - center|/log log r",
-                strict=strict,
             )
         )
     return out
 
 
-def suite_thm15(strict: bool = False) -> list[CheckResult]:
+def suite_thm15() -> list[CheckResult]:
     """Saddle-point bound dominance and its growth scale."""
     out = []
     sets = (FactorialParams(1, 2, 1), FactorialParams(0.5, 1, 1), FactorialParams(0, 1, 1))
@@ -351,7 +335,6 @@ def suite_thm15(strict: bool = False) -> list[CheckResult]:
                 1.0,
                 direction="ge",
                 note="min bound/value, r=1e3..1e12",
-                strict=strict,
             )
         )
 
@@ -369,13 +352,12 @@ def suite_thm15(strict: bool = False) -> list[CheckResult]:
             1.2,
             extra_ok=min(scaled) >= 1.0 and max(scaled) <= 2.0,  # calibrated: 1.45..1.53
             note="spread of bound * r^stilde * loglog r / log r (values in [1,2])",
-            strict=strict,
         )
     )
     return out
 
 
-def suite_lemma22(strict: bool = False) -> list[CheckResult]:
+def suite_lemma22() -> list[CheckResult]:
     """Singular model of the log-weighted zeta near s = 1."""
     out = []
     cases = [DirichletParams(eta, theta) for eta, theta in ((0.0, 0.0), (0.0, 1.0), (0.5, 0.0))]
@@ -395,18 +377,17 @@ def suite_lemma22(strict: bool = False) -> list[CheckResult]:
                 0.20,
                 extra_ok=_strictly_decreasing(devs),
                 note="|ratio-1| monotone over s-1=1e-2,1e-3,1e-4",
-                strict=strict,
             )
         )
     return out
 
 
-def suite_lemma31(strict: bool = False) -> list[CheckResult]:
+def suite_lemma31() -> list[CheckResult]:
     """Factorial Dirichlet sum: exact checkpoint and small-s asymptotics."""
     out = []
     t0 = time.perf_counter()
     dev_e = abs(factorial_dirichlet(1.0, rel_tol=1e-13) - math.e)
-    out.append(_check("lemma31/eta(1)=e", dev_e, 1e-12, strict=strict))
+    out.append(_check("lemma31/eta(1)=e", dev_e, 1e-12))
 
     devs = []
     for s in (1e-2, 1e-4, 1e-6, 1e-8):
@@ -419,15 +400,14 @@ def suite_lemma31(strict: bool = False) -> list[CheckResult]:
             0.30,
             extra_ok=_strictly_decreasing(devs),
             note="|s eta(s) log(1/s) - 1| monotone over s=1e-2..1e-8",
-            strict=strict,
         )
     )
     elapsed = time.perf_counter() - t0
-    out.append(_check("lemma31/runtime", elapsed, 1.0, note="seconds", strict=strict))
+    out.append(_check("lemma31/runtime", elapsed, 1.0, note="seconds"))
     return out
 
 
-def suite_lemma41(strict: bool = False) -> list[CheckResult]:
+def suite_lemma41() -> list[CheckResult]:
     """Two peak terms dominate the factorial series.
 
     The decade-grid ratio oscillates with the fractional part of the
@@ -451,16 +431,11 @@ def suite_lemma41(strict: bool = False) -> list[CheckResult]:
             direction="ge",
             extra_ok=decade[-1] > decade[0],
             note="ratios over r=1e2,1e4..1e12; last > first",
-            strict=strict,
         )
     )
 
     r6 = decade[decade_grid.index(1e6)]
-    out.append(
-        _check(
-            "lemma41/ratio@r=1e6", r6, 0.86, direction="ge", note="calibrated", strict=strict
-        )
-    )
+    out.append(_check("lemma41/ratio@r=1e6", r6, 0.86, direction="ge", note="calibrated"))
 
     pinned = []
     for g_half in (6.5, 8.5, 10.5, 12.5, 14.5, 16.5):
@@ -474,13 +449,12 @@ def suite_lemma41(strict: bool = False) -> list[CheckResult]:
             direction="ge",
             extra_ok=_strictly_increasing(pinned),
             note="frac_g=1/2 grid: strictly increasing, last >= 0.90",
-            strict=strict,
         )
     )
     return out
 
 
-def suite_cor61(strict: bool = False) -> list[CheckResult]:
+def suite_cor61() -> list[CheckResult]:
     """Log-factorial series against its closed-form first-order law."""
     t0 = time.perf_counter()
     seq = SequencePair(
@@ -504,13 +478,12 @@ def suite_cor61(strict: bool = False) -> list[CheckResult]:
             0.35,
             extra_ok=_strictly_decreasing(devs[1:]),
             note="|ratio-1| decreasing over r=1e3..1e6",
-            strict=strict,
         ),
-        _check("cor61/runtime", elapsed, 60.0, note="seconds", strict=strict),
+        _check("cor61/runtime", elapsed, 60.0, note="seconds"),
     ]
 
 
-def suite_prop62(strict: bool = False) -> list[CheckResult]:
+def suite_prop62() -> list[CheckResult]:
     """Power-series variant collapses to r^(-2(mu+1)) times the plain sum."""
     out = []
     geometric = SequencePair(a=lambda n: 1.0, b=lambda n: float(n) ** 2, b_monotone_from=0)
@@ -525,7 +498,6 @@ def suite_prop62(strict: bool = False) -> list[CheckResult]:
             0.01,
             extra_ok=_strictly_decreasing([abs(v - 2.0) for v in vals]),
             note="r^2 * value -> 2 over r=1e2,1e3,1e4",
-            strict=strict,
         )
     )
 
@@ -541,7 +513,6 @@ def suite_prop62(strict: bool = False) -> list[CheckResult]:
             0.01,
             extra_ok=_strictly_decreasing([abs(v - 0.75) for v in vals2]),
             note="r^4 * value -> 3/4 over r=1e2,1e3,1e4",
-            strict=strict,
         )
     )
     return out
@@ -556,11 +527,21 @@ _SUITES: dict[str, Callable[..., list[CheckResult]]] = {
 def run_suite(
     name: str, strict: bool = False, params: Optional[PowerLogParams] = None
 ) -> list[CheckResult]:
-    """Run a named suite; ``params`` overrides the parameter set for thm11."""
+    """Run a named suite; ``params`` overrides the parameter set for thm11.
+
+    The one reader of ``strict``: it keeps a check passed only if its measured
+    value also clears threshold * 0.8 ("le") or threshold / 0.8 ("ge"), the
+    tighter bar since every threshold is > 0.
+    """
     if name not in _SUITES:
         raise ParameterError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    if params is not None:
-        if name != "thm11":
-            raise ParameterError("parameter overrides are only supported for suite thm11")
-        return suite_thm11(strict=strict, params=params)
-    return _SUITES[name](strict=strict)
+    if params is not None and name != "thm11":
+        raise ParameterError("parameter overrides are only supported for suite thm11")
+    results = _SUITES[name]() if params is None else suite_thm11(params=params)
+    if not strict:
+        return results
+    out = []
+    for c in results:
+        bar = c.threshold * _STRICT_FACTOR if c.direction == "le" else c.threshold / _STRICT_FACTOR
+        out.append(replace(c, passed=c.passed and _clears(c.measured, bar, c.direction)))
+    return out

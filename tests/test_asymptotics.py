@@ -1,5 +1,6 @@
 """Asymptotic constants, factorial diagnostics, bounds, classical expansion."""
 
+import inspect
 import math
 import sys
 from fractions import Fraction
@@ -40,7 +41,8 @@ from mathieu_series.series import (
     factorial_summand_log,
     peak_index_n0,
 )
-from mathieu_series.special import zeta_neg_odd
+from mathieu_series.dirichlet import zeta_singular_prediction
+from mathieu_series.special import is_positive_integer, zeta_neg_odd
 
 # ---------------------------------------------------------------------------
 # Leading constant and power-log prediction
@@ -50,6 +52,22 @@ from mathieu_series.special import zeta_neg_odd
 def test_leading_constant_examples():
     assert leading_constant(PowerLogParams(1, 2, 0, 0, 1)) == pytest.approx(0.5, rel=1e-14)
     assert leading_constant(PowerLogParams(1, 1, 0, 1, 2)) == pytest.approx(0.125, rel=1e-14)
+
+
+def test_the_detection_rule_picks_the_branch_with_no_override():
+    # m = -1/2 is on the generic branch, whose constant is 1 (the integer one gives 0.5)
+    assert leading_constant(PowerLogParams(1, 2, 0.5, 0, 1)) == pytest.approx(1.0, rel=1e-14)
+    signatures = {
+        leading_constant: ["p"],
+        asymptotic_prediction: ["p"],
+        zeta_singular_prediction: ["p", "s"],
+        is_positive_integer: ["m"],
+        classical_expansion_terms: ["mu", "K"],
+        eval_classical_expansion: ["mu", "r", "mode", "K"],
+        factorial_upper_bound: ["p", "r", "epsilon"],
+    }
+    for fn, names in signatures.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
 
 
 def test_leading_constant_integer_branch_closed_form():
@@ -403,6 +421,30 @@ def test_expansion_capacity():
         classical_expansion_terms(2.0, 32)
     with pytest.raises(CapacityError):
         eval_classical_expansion(2.0, 10.0, mode="fixed", K=40)
+
+
+@pytest.mark.parametrize("K", [-1, -5])
+def test_expansion_rejects_a_negative_order(K):
+    # K = -1 must not slice corrections[:-1], 30 terms with the last as the estimate
+    with pytest.raises(DomainError, match="K must be >= 0"):
+        eval_classical_expansion(2.0, 10.0, mode="fixed", K=K)
+    with pytest.raises(DomainError, match="K must be >= 0"):
+        classical_expansion_terms(2.0, K)
+
+
+@pytest.mark.parametrize("K", [2.5, 2.0, True, "3", None])
+def test_expansion_order_must_be_an_integer(K):
+    if K is not None:  # None is "no K", which fixed mode rejects on its own
+        with pytest.raises(ParameterError, match="K must be an integer"):
+            eval_classical_expansion(2.0, 10.0, mode="fixed", K=K)
+    with pytest.raises(ParameterError, match="K must be an integer"):
+        classical_expansion_terms(2.0, K)
+
+
+def test_expansion_order_takes_numpy_integers():
+    fixed = eval_classical_expansion(2.0, 10.0, mode="fixed", K=3)
+    assert eval_classical_expansion(2.0, 10.0, mode="fixed", K=np.int64(3)) == fixed
+    assert classical_expansion_terms(2.0, np.int16(3)) == classical_expansion_terms(2.0, 3)
 
 
 def test_expansion_sign_pattern():

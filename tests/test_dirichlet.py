@@ -107,9 +107,6 @@ def test_singular_prediction_examples():
     )
     with pytest.raises(DomainError):
         zeta_singular_prediction(DirichletParams(0, 0), 1.6)
-    # forcing the non-integer branch onto m = 1 hits the gamma pole at 0
-    with pytest.raises(DomainError):
-        zeta_singular_prediction(DirichletParams(0, 1), 1.01, force_integer_branch=False)
 
 
 def test_singular_model_convergence():

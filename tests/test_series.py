@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mathieu_series import series
+from mathieu_series import series, special
 from mathieu_series._core import _raise_first
 from mathieu_series._record import replace
 from mathieu_series.errors import (
@@ -1325,6 +1325,12 @@ def test_factorial_summand_log_examples():
     )
 
 
+def test_factorial_summand_log_rejects_a_fractional_index():
+    # 2.5 is no index: not the n = 2 summand
+    with pytest.raises(DomainError):
+        factorial_summand_log(FactorialParams(1, 2, 1), 10.0, 2.5)
+
+
 def test_peak_index_examples():
     assert peak_index_n0(2.0, 6.0) == 3
     assert peak_index_n0(1.0, 2.0) == 2
@@ -1349,6 +1355,55 @@ def test_peak_index_bracketing_property(beta, r):
     n0 = peak_index_n0(beta, r)
     target = 2.0 * math.log(r)
     assert beta * log_factorial(n0) <= target < beta * log_factorial(n0 + 1)
+
+
+def _peak_index_by_scan(beta, r):
+    """The reference: step n up one at a time while (n+1)!^beta <= r^2."""
+    target = 2.0 * math.log(r)
+    n = 0
+    while beta * log_factorial(n + 1) <= target:
+        n += 1
+    return n
+
+
+@given(
+    st.floats(min_value=0.05, max_value=1e3),
+    st.floats(min_value=1.0, max_value=1e300),
+)
+@settings(max_examples=300, deadline=None)
+def test_peak_index_matches_the_linear_scan(beta, r):
+    assert peak_index_n0(beta, r) == _peak_index_by_scan(beta, r)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0])
+def test_peak_index_at_exact_factorial_radii(beta):
+    # r^2 = (n!)^beta up to rounding: n0 sits on either side of n, as the scan has it
+    for n in range(1, 40):
+        r = math.exp(0.5 * beta * math.lgamma(n + 1.0))
+        assert peak_index_n0(beta, r) == _peak_index_by_scan(beta, r), n
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1e-9, 1e-12])
+def test_peak_index_for_tiny_beta_takes_logarithmic_work(beta, monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return log_factorial(n)
+
+    r = 1e6
+    monkeypatch.setattr(special, "log_factorial", counted)
+    n0 = peak_index_n0(beta, r)
+    monkeypatch.undo()
+    target = 2.0 * math.log(r)
+    assert beta * log_factorial(n0) <= target < beta * log_factorial(n0 + 1)
+    # doubling then bisection: about 2 log2(n0) calls, not n0
+    assert len(calls) <= 2 * n0.bit_length() + 2
+
+
+def test_peak_index_past_the_double_range_raises():
+    with pytest.raises(NumericError, match="past the double range"):
+        peak_index_n0(1e-310, 1e6)
 
 
 def brute_factorial_exact(alpha, beta, mu, r, n_max=40):

@@ -78,6 +78,20 @@ def test_log_factorial_int_fast_path_is_bit_identical():
             log_factorial(bad)
 
 
+@pytest.mark.parametrize(
+    "bad", [2.5, 25.7, np.float64(3.5), math.nan, math.inf, -math.inf, np.float64(math.nan)]
+)
+def test_log_factorial_rejects_what_is_not_an_integer(bad):
+    # 2.5 and 25.7 must not come back as log 2! and log 25!
+    with pytest.raises(DomainError, match="requires an integer n >= 0"):
+        log_factorial(bad)
+
+
+def test_log_factorial_takes_integral_floats_and_numpy_integers():
+    for n in (0, 7, 20, 21, 30, 10**6):
+        assert log_factorial(n) == log_factorial(np.float64(n)) == log_factorial(np.int32(n))
+
+
 def test_log_log_factorial_matches_mpmath():
     # the range it is used on: x >= 64 (verify's log-factorial sequences) and x >= 1e4
     ns = np.unique(np.geomspace(64, 1e6, 300).astype(np.int64))
