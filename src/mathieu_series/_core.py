@@ -311,11 +311,8 @@ def peak_index_n0(beta: float, r: float) -> int:
     r = _require_radius(r, 1.0, "peak_index_n0", inclusive=True)
     target = 2.0 * math.log(r)
     lo, hi = 1, 2  # beta log lo! <= target < beta log hi! once the doubling stops
-    try:
-        while beta * special.log_factorial(hi) <= target:
-            lo, hi = hi, 2 * hi
-    except OverflowError:
-        raise NumericError(f"peak_index_n0: n0 is past the double range at beta={beta}") from None
+    while beta * special.log_factorial(hi) <= target:  # NumericError past the double range
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if beta * special.log_factorial(mid) <= target:

@@ -357,7 +357,7 @@ def is_positive_integer(m: float) -> bool:
     """Detection rule for integer-branch selection.
 
     Floating inputs cannot distinguish exact integers, so m counts as a
-    positive integer when it is within 1e-9 of one. ``leading_constant`` and
-    ``zeta_singular_prediction`` pick their branch by this rule alone.
+    positive integer when it is within 1e-9 of one. ``zeta_singular_prediction``
+    picks its branch by this rule alone.
     """
     return abs(m - round(m)) < _INTEGER_DETECTION_TOL and round(m) >= 1

@@ -1,7 +1,7 @@
 """Closed-form asymptotic predictions and diagnostics.
 
-Leading-order laws for the power-logarithmic family (both the generic and
-the integer-exponent branch of the constant), fractional-part diagnostics
+Leading-order laws for the power-logarithmic family (one constant for
+every log exponent, in O(1) for every mu), fractional-part diagnostics
 and predictions for the factorial family, the epsilon-envelope and
 log-power ceiling bounds, and the full divergent expansion of the classical
 Mathieu series with optimal truncation.
@@ -20,6 +20,9 @@ from .errors import (
     PreconditionError,
 )
 from ._core import (
+    _LOG2,
+    _LOG_DBL_MAX,
+    _LOG_DBL_MIN,
     FactorialParams,
     PowerLogParams,
     _normal_exp,
@@ -29,9 +32,9 @@ from ._core import (
 )
 from ._record import record
 from .special import (
+    _STIRLING_COEFFS,
     bernoulli_table,
     inverse_gamma_log,
-    is_positive_integer,
     log_factorial,
     zeta_neg_odd,
 )
@@ -120,77 +123,64 @@ class ExpansionTerm:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_checked(x: float, label: str) -> float:
-    if x <= 0.0 and abs(x - round(x)) < 1e-9:
-        raise DomainError(f"gamma pole in {label}: argument {x} is a nonpositive integer")
-    try:
-        return math.gamma(x)
-    except ValueError as exc:
-        raise DomainError(f"gamma pole in {label}: argument {x}") from exc
+def _stirling_series(z: float) -> float:
+    """S(z) = sum_{k<=7} B_2k / (2k (2k-1) z^(2k-1)), Stirling's series past its log terms."""
+    inv2 = 1.0 / (z * z)
+    series = _STIRLING_COEFFS[-1]
+    for c in reversed(_STIRLING_COEFFS[:-1]):
+        series = series * inv2 + c
+    return series / z
 
 
-def _gamma_ratio(a: float, x: float) -> float:
-    """Gamma(a)/Gamma(x) for 0 < a < x where Gamma(x) overflows a double (x > 171.6).
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b) for a, b > 0, in O(1).
 
-    Both arguments shift down by the same k, so that Gamma(x - k) is finite:
-    Gamma(a)/Gamma(x) = Gamma(a-k)/Gamma(x-k) * prod_{j=1..k} (a-j)/(x-j),
-    within 5e-15 of mpmath for x <= 401. Where a - k would reach a pole, the
-    difference of ``math.lgamma`` is taken instead; it is only good to
-    ~x * 1e-15 relative, since both logs are ~x log x.
+    With d = min(a, b) and y = max(a, b) >= 10, log Gamma(y) - log Gamma(y+d)
+    is Stirling's difference -(y-1/2) log1p(d/y) - d log(y+d) + d + S(y) - S(y+d)
+    (DLMF 5.11.1), which cancels nothing; the first omitted term of S is below
+    1e-16. d is used as given: recomputed as (a+b) - y it would be 0 wherever
+    d is below half an ulp of y.
     """
-    k = math.ceil(x) - 171
-    if a - k <= 0.0:
-        return math.exp(math.lgamma(a) - math.lgamma(x))
-    ratio = math.gamma(a - k) / math.gamma(x - k)
-    for j in range(1, k + 1):
-        ratio *= (a - j) / (x - j)
-    return ratio
+    d, y = (a, b) if a <= b else (b, a)
+    if y < 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return (
+        math.lgamma(d)
+        - (y - 0.5) * math.log1p(d / y)
+        - d * math.log(y + d)
+        + d
+        + (_stirling_series(y) - _stirling_series(y + d))
+    )
 
 
 def leading_constant(p: PowerLogParams) -> float:
     """Constant of the leading-order law for the power-log family.
 
-    The branch follows the shared detection rule ``is_positive_integer`` on
-    m = delta*(alpha+1)/beta - gamma, with no override; m = 0 is generic.
-    Past mu ~ 170, where Gamma(mu+1) overflows, the ratio
-    Gamma(mu+1-(alpha+1)/beta)/Gamma(mu+1) is taken as one number
-    (``_gamma_ratio``). Raises ``NumericError`` when the constant still
-    overflows a double, and ``PreconditionError`` off the integer branch
-    for m > 1: there the singular part of the log-weighted zeta is only a
-    correction around a finite limit (``zeta_singular_prediction``), and
-    the generic formula, whose Gamma(1-m) changes sign, is not the law.
+    One formula for every m = delta*(alpha+1)/beta - gamma: with
+    rho = (alpha+1)/beta,
+    C = beta^(m-1) Gamma(mu+1-rho) Gamma(rho) / (2^m Gamma(mu+1)).
+    Where a factor leaves the double range (Gamma(mu+1) overflows from
+    mu ~ 170.6 on), C is taken in logs, the gamma ratio as the beta function
+    B(mu+1-rho, rho) (``_log_beta``), in O(1) for every mu. Raises
+    ``NumericError`` when C underflows or overflows a double, or when
+    mu+1-rho rounds to 0.
     """
     m = p.delta * (p.alpha + 1.0) / p.beta - p.gamma
-    integer = is_positive_integer(m)
-    if not integer and m > 1.0:
-        raise PreconditionError(
-            f"no first-order law for {p}: m = delta(alpha+1)/beta - gamma = {m:.6g} "
-            "is above 1 and not an integer, where the singular part is only a correction"
-        )
     a = -(p.alpha + 1.0) / p.beta + p.mu + 1.0
     b = (p.alpha + 1.0) / p.beta
+    if not a > 0.0:  # mu+1 > rho holds exactly, but rounds away here
+        raise NumericError(f"the leading constant of {p} is past double precision: mu+1-rho = {a}")
     try:
-        try:
-            common = _gamma_checked(a, "Gamma(mu+1-(alpha+1)/beta)") * _gamma_checked(
-                b, "Gamma((alpha+1)/beta)"
-            )
-            gamma_mu1 = math.gamma(p.mu + 1.0)
-        except OverflowError:
-            common, gamma_mu1 = _gamma_ratio(a, p.mu + 1.0) * math.gamma(b), 1.0
-        if integer:
-            mi = round(m)
-            constant = p.beta ** (mi - 1) * common / (2.0**mi * gamma_mu1)
-        else:
-            constant = (
-                (0.5 * p.beta) ** (m - 1.0)
-                * _gamma_checked(m + 1.0, "Gamma(m+1)")
-                / (2.0 * gamma_mu1 * _gamma_checked(-m + 1.0, "Gamma(1-m)"))
-                * common
-            )
-    except OverflowError:
+        common = math.gamma(a) * math.gamma(b)
+        constant = p.beta ** (m - 1.0) * common / (2.0**m * math.gamma(p.mu + 1.0))
+    except (OverflowError, ZeroDivisionError):
         constant = math.inf
-    if not math.isfinite(constant):
-        raise NumericError(f"the leading constant of {p} overflows a double")
+    if not (math.isfinite(constant) and constant >= sys.float_info.min):
+        log_c = (m - 1.0) * math.log(p.beta) - m * _LOG2 + _log_beta(a, b)
+        if not _LOG_DBL_MIN <= log_c <= _LOG_DBL_MAX:
+            kind = "underflows" if log_c < 0.0 else "overflows"
+            raise NumericError(f"the leading constant of {p} {kind} a double: log C = {log_c:.6g}")
+        constant = math.exp(log_c)
     return constant
 
 

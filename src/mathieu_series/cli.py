@@ -382,10 +382,7 @@ def _sweep_row(args: argparse.Namespace, p, r: float, outcome) -> dict:
         (res,) = _raise_first([outcome])
         value, bound = res.value, res.tail_bound
         if args.family == "powerlog":
-            try:
-                pred = predict_powerlog(p, r)
-            except PreconditionError as exc:  # the value stands; the row says why no ratio
-                pred, fields = None, {"error": str(exc)}
+            pred = predict_powerlog(p, r)
         else:
             diag = factorial_diagnostics(p, r, args.d1, args.d2)
             pred = predict_factorial(p, r, args.d1, args.d2) if diag.in_R else None

@@ -220,22 +220,29 @@ def zeta_singular_prediction(p: DirichletParams, s: float) -> float:
     ((-1)^(m-1)/(m-1)!) (s-1)^(m-1) log(1/(s-1));
     otherwise Gamma(eta-theta+1) (s-1)^(theta-eta-1). For theta - eta > 1
     in the non-integer branch this is the singular correction around the
-    finite limit value, not the limit itself.
+    finite limit value, not the limit itself. ``NumericError`` when the
+    model is not a normal double.
     """
     s = float(s)
     if not (0.0 < s - 1.0 < 0.5):
         raise DomainError(f"zeta_singular_prediction requires s - 1 in (0, 0.5), got s={s}")
     m = p.theta - p.eta
-    if is_positive_integer(m):
-        mi = round(m)
-        return (
-            ((-1.0) ** (mi - 1))
-            / math.factorial(mi - 1)
-            * (s - 1.0) ** (mi - 1)
-            * math.log(1.0 / (s - 1.0))
-        )
-    # off the integer branch, eta - theta + 1 = 1 - m is no pole of Gamma
-    return math.gamma(p.eta - p.theta + 1.0) * (s - 1.0) ** (p.theta - p.eta - 1.0)
+    try:
+        if is_positive_integer(m):
+            mi = round(m)
+            value = (
+                ((-1.0) ** (mi - 1))
+                / math.factorial(mi - 1)
+                * (s - 1.0) ** (mi - 1)
+                * math.log(1.0 / (s - 1.0))
+            )
+        else:  # eta - theta + 1 = 1 - m is no pole of Gamma here
+            value = math.gamma(p.eta - p.theta + 1.0) * (s - 1.0) ** (p.theta - p.eta - 1.0)
+    except OverflowError:
+        value = math.inf
+    if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
+        raise NumericError(f"zeta_singular_prediction for {p} at s={s} is past the double range")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 __all__ = [
     "log_gamma",
@@ -76,32 +76,37 @@ def log_gamma(x: float) -> float:
 
     Backed by the C library's lgamma (rational approximation for moderate
     arguments, Stirling branch for large ones), which meets double-precision
-    relative accuracy across [1e-3, 1e308].
+    relative accuracy across [1e-3, 2.5e305]; ``NumericError`` past that,
+    where log Gamma(x) overflows.
     """
     if not (isinstance(x, (int, float)) and math.isfinite(x)):
         raise DomainError(f"log_gamma requires a finite real argument, got {x!r}")
     if x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise NumericError(f"log_gamma({x}) is past the double range") from None
 
 
 def log_factorial(n: int) -> float:
     """log(n!) = log_gamma(n+1); exact small-n table, lgamma branch above.
 
-    ``DomainError`` unless n is an integer >= 0: an int, a numpy integer or an integral float.
+    ``DomainError`` unless n is an integer >= 0: an int, a numpy integer or an
+    integral float. ``NumericError`` past n ~ 2.5e305, where log n! overflows.
     """
-    if type(n) is int:
-        if n > 20:  # the common case first: what the checks below return
-            return math.lgamma(n + 1.0)
-    elif math.isfinite(n) and n == int(n):
+    if type(n) is not int:
+        if not (math.isfinite(n) and n == int(n)):
+            raise DomainError(f"log_factorial requires an integer n >= 0, got {n!r}")
         n = int(n)
-    else:
-        raise DomainError(f"log_factorial requires an integer n >= 0, got {n!r}")
-    if n < 0:
-        raise DomainError(f"log_factorial requires n >= 0, got {n}")
     if n <= 20:
+        if n < 0:
+            raise DomainError(f"log_factorial requires n >= 0, got {n}")
         return _LOG_FACTORIAL_TABLE[n]
-    return math.lgamma(n + 1.0)
+    try:
+        return math.lgamma(n + 1.0)
+    except OverflowError:  # n + 1.0 or log n! past the double range
+        raise NumericError("log_factorial: log n! is past the double range, n > 2.5e305") from None
 
 
 def __getattr__(name: str):

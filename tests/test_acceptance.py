@@ -277,7 +277,7 @@ def test_power_log_suites_share_quadrature_rounds_across_radii(monkeypatch):
 
 @pytest.mark.parametrize("name, calls", [("thm11", 2), ("thm15", 1), ("lemma22", 2)])
 def test_suites_take_their_integrals_in_lockstep(name, calls, monkeypatch):
-    # a deterministic cost guard: thm11 runs its 4 sets x 5 radii in one
+    # a deterministic cost guard: thm11 runs its 5 sets x 5 radii in one
     # power-log walk (one tail-integral and one remainder quadrature), thm15
     # its 30 gamma-line integrals in one quadrature, and lemma22 its nine
     # zetas at one cutoff (one incomplete-gamma and one remainder

@@ -3,6 +3,7 @@
 import inspect
 import math
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -52,11 +53,13 @@ from mathieu_series.special import is_positive_integer, zeta_neg_odd
 def test_leading_constant_examples():
     assert leading_constant(PowerLogParams(1, 2, 0, 0, 1)) == pytest.approx(0.5, rel=1e-14)
     assert leading_constant(PowerLogParams(1, 1, 0, 1, 2)) == pytest.approx(0.125, rel=1e-14)
+    # m = -2000: 2^m and beta^(m-1) underflow to 0, yet C = (beta/2)^m / beta = 0.5
+    assert leading_constant(PowerLogParams(1, 2, 2000, 0, 1)) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_the_detection_rule_picks_the_branch_with_no_override():
-    # m = -1/2 is on the generic branch, whose constant is 1 (the integer one gives 0.5)
-    assert leading_constant(PowerLogParams(1, 2, 0.5, 0, 1)) == pytest.approx(1.0, rel=1e-14)
+    # m = -1/2: the one formula, with no branch on m, gives 0.5 (the generic branch gave 1.0)
+    assert leading_constant(PowerLogParams(1, 2, 0.5, 0, 1)) == pytest.approx(0.5, rel=1e-14)
     signatures = {
         leading_constant: ["p"],
         asymptotic_prediction: ["p"],
@@ -84,20 +87,23 @@ def test_leading_constant_integer_branch_closed_form():
 
 
 def test_leading_constant_gamma_pole():
-    # delta(alpha+1)/beta - gamma = -1 puts Gamma(m+1) at its pole
-    with pytest.raises(DomainError):
-        leading_constant(PowerLogParams(1, 2, 1.0, 0, 1))
+    # m = delta(alpha+1)/beta - gamma = -1 put the old Gamma(m+1) factor at its
+    # pole; the one formula's law matches the series there
+    p = PowerLogParams(1, 2, 1.0, 0, 1)
+    r = 1e6
+    ratio = eval_powerlog(p, r, rel_tol=1e-13).value / predict_powerlog(p, r)
+    assert abs(ratio - 1.0) <= 1e-12
 
 
-def test_leading_constant_needs_the_integer_branch_above_one():
+def test_leading_constant_above_one_off_the_integers():
     # m = delta(alpha+1)/beta - gamma = 4/3: Gamma(1-m) < 0 gave -0.6085 for a
-    # positive series; past m = 1 the singular part is only a correction
+    # positive series, and then a PreconditionError; the one formula gives 2.0763
     p = PowerLogParams(1, 3, 0, 2, 0)
-    with pytest.raises(PreconditionError, match="1.33333"):
-        leading_constant(p)
-    with pytest.raises(PreconditionError):
-        predict_powerlog(p, 10.0)
-    assert leading_constant(PowerLogParams(1, 1, 0, 1, 2)) > 0.0  # m = 2, the integer branch
+    assert leading_constant(p) == pytest.approx(
+        3.0 ** (1 / 3) * math.gamma(1 / 3) * math.gamma(2 / 3) / 2.0 ** (4 / 3), rel=1e-14
+    )
+    assert predict_powerlog(p, 10.0) > 0.0
+    assert leading_constant(PowerLogParams(1, 1, 0, 1, 2)) > 0.0  # m = 2
 
 
 def test_predict_powerlog_examples():
@@ -135,11 +141,111 @@ def test_predict_powerlog_past_gamma_overflow_against_mpmath(mu):
 
 
 def test_leading_order_overflow_is_a_numeric_error():
-    # Gamma((alpha+1)/beta) = Gamma(200) overflows; so does (log 3)^1e4 / 3
+    # m = 2000: (beta/2)^m = 500^2000 puts log C near 1.2e4; rho = 101 at
+    # mu = 1e300 puts it near -6.9e4; (log 3)^1e4 / 3 overflows too
     with pytest.raises(NumericError, match="overflows a double"):
-        leading_constant(PowerLogParams(399, 2, 0, 0, 300))
+        leading_constant(PowerLogParams(1, 1000, 0, 1e6, 0))
+    with pytest.raises(NumericError, match="underflows a double"):
+        leading_constant(PowerLogParams(100, 1, 0, 0, 1e300))
+    # beta at the convergence edge: mu+1-(alpha+1)/beta > 0 rounds to 0.0
+    with pytest.raises(NumericError, match="past double precision"):
+        leading_constant(
+            PowerLogParams(7.0913054533402216, 8.057069681101353, 0, 0, 0.004249159259373348)
+        )
     with pytest.raises(NumericError, match="not a normal double"):
         AsymptoticPrediction(1.0, -1.0, 1e4).value_at(3.0)
+
+
+def _mp_leading_constant(p: PowerLogParams):
+    """beta^(m-1) Gamma(mu+1-rho) Gamma(rho) / (2^m Gamma(mu+1)) from p's doubles, to 60
+    digits: the working precision also holds every digit of mu + 1 - rho."""
+    with mpmath.workdps(60 + max(0, int(math.log10(p.mu)))):
+        alpha, beta, gamma, delta, mu = map(
+            mpmath.mpf, (p.alpha, p.beta, p.gamma, p.delta, p.mu)
+        )
+        rho = (alpha + 1) / beta
+        m = delta * rho - gamma
+        return beta ** (m - 1) * mpmath.beta(mu + 1 - rho, rho) / 2**m
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        PowerLogParams(1, 2, 0, 0, mu)  # rho = 1, m = 0: C = 1/(2 mu)
+        for mu in (172.0, 300.0, 1e3, 1e7, 1e15, 1e300)
+    ]
+    + [
+        PowerLogParams(0.5, 2, 0.2, 1.3, mu)  # rho = 3/4, m = 0.775
+        for mu in (172.0, 300.0, 1e3, 1e7, 1e15, 1e300)
+    ]
+    + [PowerLogParams(399, 2, 0, 0, 300)],  # Gamma(rho) = Gamma(200) overflows, C = 6.01e-85
+    ids=str,
+)
+def test_leading_constant_for_large_mu_against_mpmath(p):
+    # the gamma ratio is a beta function, taken in O(1): the parent stepped mu
+    # down one unit at a time (1.4 s at mu = 1e7) and returned 0.5 at mu = 1e300
+    exact = _mp_leading_constant(p)
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        got = leading_constant(p)
+        best = min(best, time.perf_counter() - t0)
+    assert abs(got - exact) <= 1e-12 * exact
+    assert best < 0.01
+
+
+@given(
+    st.floats(min_value=0.01, max_value=50.0),
+    st.floats(min_value=0.01, max_value=50.0),
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=400.0),
+        st.floats(min_value=0.0, max_value=300.0).map(lambda k: 10.0**k),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_leading_constant_is_positive_and_normal_or_numeric_error(alpha, beta, gamma, delta, mu):
+    # one formula for every m: never a PreconditionError, never a sign change
+    if not alpha - beta * (mu + 1.0) < -1.0:
+        return
+    try:
+        constant = leading_constant(PowerLogParams(alpha, beta, gamma, delta, mu))
+    except NumericError:
+        return
+    assert math.isfinite(constant) and constant >= sys.float_info.min, constant
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_leading_constant_is_continuous_across_integer_m(beta, m):
+    # the old branches jumped at each integer: their factor Gamma(1+m)/Gamma(1-m) is 0 there
+    def at(m_value):
+        delta = m_value * beta / 2.0  # m = delta(alpha+1)/beta with alpha = 1, gamma = 0
+        return leading_constant(PowerLogParams(1, beta, 0, delta, 1))
+
+    center = at(float(m))
+    for m_value in (m - 1e-7, m + 1e-7):
+        assert abs(at(m_value) / center - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "p, bound_at_1e6",
+    [
+        (PowerLogParams(1, 2, 0, 0.5, 1), 0.01),  # m = 1/2: 0.0067, 0.0051, 0.0019
+        (PowerLogParams(1, 3, 0, 2, 0), 0.1),  # m = 4/3: 0.072, 0.054, 0.020
+    ],
+    ids=["m=1/2", "m=4/3"],
+)
+def test_law_off_the_integers_far_out(p, bound_at_1e6):
+    # |ratio - 1| first grows past r = 1e2 and falls only slowly, as a power of
+    # 1/log r, so these are pinned at r = 1e6, 1e20 and 1e100, not in verify
+    devs = [
+        abs(eval_powerlog(p, r, rel_tol=1e-12).value / predict_powerlog(p, r) - 1.0)
+        for r in (1e6, 1e20, 1e100)
+    ]
+    assert devs[0] <= bound_at_1e6
+    assert devs[2] < devs[1] < devs[0]
 
 
 def _normal_or_mathieu_error(call) -> None:
@@ -167,8 +273,7 @@ def test_predict_powerlog_is_normal_or_raises(alpha, beta, gamma, delta, mu, log
         value = predict_powerlog(PowerLogParams(alpha, beta, gamma, delta, mu), 10.0**log10_r)
     except MathieuError:
         return
-    # the constant is negative where Gamma(1-m) is, for non-integer m > 1
-    assert math.isfinite(value) and abs(value) >= sys.float_info.min, value
+    assert math.isfinite(value) and value >= sys.float_info.min, value
 
 
 def test_predict_powerlog_ratio_trend():

@@ -213,16 +213,17 @@ def test_predict_powerlog_radius_at_most_e_exit_2(capsys, r):
     assert "error:" in err and "r > e" in err
 
 
-def test_predict_powerlog_without_a_first_order_law_exit_4(capsys):
-    # m = 4/3, off the integer branch: the law used to print a negative value
+def test_predict_powerlog_off_the_integers_above_one(capsys):
+    # m = 4/3: the law used to print a negative value, then to exit 4
     code, out, err = run_cli(
         capsys,
         "predict", "powerlog", "--alpha", "1", "--beta", "3", "--delta", "2", "--mu", "0",
         "--r", "10",
     )
-    assert code == 4
-    assert out == ""
-    assert "precondition failed" in err and "1.33333" in err
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["constant"] == pytest.approx(2.0762819653730870, rel=1e-14)
+    assert record["value"] == pytest.approx(0.14711786489885484, rel=1e-14)
 
 
 def test_predict_factorial_outside_good_set(capsys):
@@ -308,17 +309,20 @@ def test_sweep_error_column_on_partial_failure(capsys):
     assert all(len(r) == len(header) for r in rows[1:])  # quoting keeps rows rectangular
 
 
-def test_sweep_powerlog_says_why_the_ratio_is_empty(capsys):
+def test_sweep_powerlog_has_a_ratio_off_the_integers(capsys):
+    # m = 4/3: the rows used to carry an empty ratio and a "no first-order law" error
     code, out, _ = run_cli(
         capsys,
         "sweep", "powerlog", "--alpha", "1", "--beta", "3", "--delta", "2", "--mu", "0",
         "--r-grid", "10:1000:3",
     )
     assert code == 0
-    for record in json.loads(out)["records"]:
-        assert record["value"] > 0.0
-        assert record["prediction"] is None and record["ratio"] is None
-        assert "no first-order law" in record["error"]
+    records = json.loads(out)["records"]
+    assert records[0]["prediction"] == pytest.approx(0.14711786489885484, rel=1e-14)
+    for record in records:
+        assert "error" not in record
+        assert record["ratio"] == pytest.approx(record["value"] / record["prediction"], rel=1e-15)
+    assert [round(record["ratio"], 3) for record in records] == [0.694, 0.958, 1.030]
 
 
 def test_sweep_expansion_error_shrinks(capsys):

@@ -109,6 +109,20 @@ def test_singular_prediction_examples():
         zeta_singular_prediction(DirichletParams(0, 0), 1.6)
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        DirichletParams(200, 0),  # Gamma(201) overflows: a bare OverflowError before
+        DirichletParams(0, 300.5),  # 0.01^299.5 Gamma(-299.5) underflows: a silent 0.0 before
+        DirichletParams(0, 300),  # 1.0 / 299!: a bare "int too large to convert" before
+    ],
+    ids=str,
+)
+def test_singular_prediction_past_the_double_range_is_a_numeric_error(p):
+    with pytest.raises(NumericError, match="past the double range"):
+        zeta_singular_prediction(p, 1.01)
+
+
 def test_singular_model_convergence():
     # ratio -> 1 for pairs whose singular part dominates
     for eta, theta in ((0.0, 0.0), (0.0, 1.0), (0.5, 0.0)):

@@ -1331,6 +1331,12 @@ def test_factorial_summand_log_rejects_a_fractional_index():
         factorial_summand_log(FactorialParams(1, 2, 1), 10.0, 2.5)
 
 
+def test_factorial_summand_log_past_the_double_range_is_a_numeric_error():
+    # log n! at n = 10**306 overflows: a bare OverflowError before
+    with pytest.raises(NumericError, match="past the double range"):
+        factorial_summand_log(FactorialParams(1, 2, 1), 10.0, 10**306)
+
+
 def test_peak_index_examples():
     assert peak_index_n0(2.0, 6.0) == 3
     assert peak_index_n0(1.0, 2.0) == 2

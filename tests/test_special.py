@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathieu_series import _special_rest, special
-from mathieu_series.errors import CapacityError, DomainError
+from mathieu_series.errors import CapacityError, DomainError, NumericError
 from mathieu_series.special import (
     bernoulli_table,
     digamma,
@@ -54,6 +54,19 @@ def test_log_gamma_accuracy_grid():
 def test_log_gamma_domain(bad):
     with pytest.raises(DomainError):
         log_gamma(bad)
+
+
+def test_log_gamma_past_the_double_range_is_a_numeric_error():
+    # log Gamma(1.7e308) ~ 1.2e311: a bare OverflowError from math.lgamma before
+    with pytest.raises(NumericError, match="past the double range"):
+        log_gamma(1.7e308)
+
+
+@pytest.mark.parametrize("n", [1.7e308, 10**306], ids=["float", "int"])
+def test_log_factorial_past_the_double_range_is_a_numeric_error(n):
+    # log n! overflows from n ~ 2.5e305 on: a bare OverflowError before
+    with pytest.raises(NumericError, match="past the double range"):
+        log_factorial(n)
 
 
 def test_log_factorial_small_and_large():
