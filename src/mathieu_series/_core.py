@@ -66,9 +66,12 @@ def _require_radius(r, floor: float, who: str, inclusive: bool = False, shown: s
     """r as a float; ``DomainError`` unless it is finite and > floor (>= when inclusive).
 
     The message reads "<who> requires r > <floor>, got <r>", with ``shown``
-    in place of the floor's digits when given.
+    in place of the floor's digits when given; an int past the double range is inf.
     """
-    r = float(r)
+    try:
+        r = float(r)
+    except OverflowError:
+        r = math.inf
     if not (math.isfinite(r) and (r >= floor if inclusive else r > floor)):
         relation = ">=" if inclusive else ">"
         raise DomainError(f"{who} requires r {relation} {shown or f'{floor:g}'}, got {r}")

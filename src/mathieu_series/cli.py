@@ -16,7 +16,7 @@ loads only the code its command runs:
 * ``predict powerlog``, ``predict factorial`` and ``sweep factorial``:
   ``asymptotics``;
 * ``eval powerlog``, ``eval general`` and ``eval powerseries``: ``series``
-  and ``tails``;
+  and ``tails``, whose ``_PAPER_PAIRS`` are the presets of the last two;
 * ``sweep powerlog`` and ``sweep expansion``: ``asymptotics``, ``series``
   and ``tails``;
 * ``verify``: ``verify``, which loads all of the above and ``dirichlet``.
@@ -42,7 +42,6 @@ from ._core import (
     DEFAULT_HARD_CAP,
     FactorialParams,
     PowerLogParams,
-    SequencePair,
     _check_rel_tol,
     _raise_first,
     eval_factorial,
@@ -57,7 +56,6 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .special import log_factorial
 
 __all__ = ["main", "entrypoint"]
 
@@ -141,11 +139,8 @@ def _diagnostics_fields(diag) -> dict:
 
 
 def _in_range(name: str, term):
-    """The preset term ``term``, raising ``NumericError`` past the double range.
-
-    A float power that overflows raises ``OverflowError``; a product of
-    finite powers overflows to inf.
-    """
+    """The preset term ``term``, raising ``NumericError`` past the double range: where
+    a float power raises ``OverflowError`` or a product of finite powers is inf."""
 
     def checked(n):
         try:
@@ -159,54 +154,43 @@ def _in_range(name: str, term):
     return checked
 
 
-def _logfact(args: argparse.Namespace) -> tuple[SequencePair, int]:
-    # Validates convergence through the equivalent power-log tuple.
-    PowerLogParams(args.alpha, args.beta, args.alpha, args.beta, args.mu)
-    pair = SequencePair(
-        a=_in_range("a", lambda n: log_factorial(n) ** args.alpha),
-        b=_in_range("b", lambda n: log_factorial(n) ** args.beta),
-        b_monotone_from=2,
-    )
-    return pair, 2
-
-
-def _shifted_powerlog(args: argparse.Namespace) -> tuple[SequencePair, int]:
+def _exponents(args: argparse.Namespace) -> tuple:
+    """The exponents the preset's pair is built from; ``ParameterError`` unless
+    a general-series preset's flags give a convergent power-log tuple."""
+    if args.family == "powerseries":
+        return ()
+    if args.sequences == "logfact":
+        # Validates convergence through the equivalent power-log tuple.
+        PowerLogParams(args.alpha, args.beta, args.alpha, args.beta, args.mu)
+        return args.alpha, args.beta
     PowerLogParams(args.alpha, args.beta, args.gamma, args.delta, args.mu)
     if args.delta < 0.0:  # b(0) = 0^beta (log 1)^delta
         raise ParameterError(f"the shifted-powerlog preset needs --delta >= 0, got {args.delta}")
-    pair = SequencePair(
-        a=_in_range("a", lambda n: (n + 3.0) ** args.alpha * math.log(n + 2.0) ** args.gamma),
-        b=_in_range("b", lambda n: float(n) ** args.beta * math.log(n + 1.0) ** args.delta),
-        b_monotone_from=1,
-    )
-    return pair, 0
+    return args.alpha, args.beta, args.gamma, args.delta
 
 
-# family -> (its name in errors, {--sequences: builder}). A general preset
-# builds (pair, first n); a power series always starts at n = 0.
+# family -> (its name in errors, the --sequences it takes from ``series._PAPER_PAIRS``)
 _PRESETS = {
-    "general": ("general-series", {"logfact": _logfact, "shifted-powerlog": _shifted_powerlog}),
-    "powerseries": (
-        "power-series",
-        {
-            "ones-squares": lambda args: SequencePair(
-                a=lambda n: 1.0, b=lambda n: float(n) ** 2, b_monotone_from=0
-            ),
-            "linear-factorial": lambda args: SequencePair(
-                a=lambda n: float(n), b=lambda n: math.factorial(n), b_monotone_from=0
-            ),
-        },
-    ),
+    "general": ("general-series", ("logfact", "shifted-powerlog")),
+    "powerseries": ("power-series", ("ones-squares", "linear-factorial")),
 }
 
 
 def _preset(args: argparse.Namespace):
+    """The preset's pair for a power series; (pair, first n) for the general
+    family, whose terms raise ``NumericError`` past the double range."""
     kind, presets = _PRESETS[args.family]
     if args.sequences not in presets:
         raise ParameterError(
             f"unknown {kind} preset {args.sequences!r}; choose one of " + ", ".join(presets)
         )
-    return presets[args.sequences](args)
+    exponents = _exponents(args)
+    from .series import _PAPER_PAIRS  # once the flags have passed their checks
+
+    pair, n_start = _PAPER_PAIRS[args.sequences](*exponents)
+    if args.family == "powerseries":
+        return pair
+    return _record.replace(pair, a=_in_range("a", pair.a), b=_in_range("b", pair.b)), n_start
 
 
 def _expansion_mu(args: argparse.Namespace) -> float:

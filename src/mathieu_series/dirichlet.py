@@ -352,11 +352,17 @@ def log_factorial_dirichlet(s: float, rel_tol: float = 1e-10) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_pair(mu: float, s: float) -> float:
-    """Gamma(mu+1-s/2) Gamma(s/2) / (2 Gamma(mu+1)) for 0 < s < 2 mu + 2."""
-    return math.exp(
-        math.lgamma(mu + 1.0 - 0.5 * s) + math.lgamma(0.5 * s) - math.lgamma(mu + 1.0)
-    ) / 2.0
+def _mellin_value(who: str, front: float, mu: float, s: float) -> float:
+    """front * Gamma(mu+1-s/2) Gamma(s/2) / (2 Gamma(mu+1)) for 0 < s < 2 mu + 2;
+    ``NumericError`` unless it is a normal double."""
+    lg, half = math.lgamma, 0.5 * s
+    try:  # lgamma(0) where s/2 underflows to 0, or a factor past the double range
+        value = front * (math.exp(lg(mu + 1.0 - half) + lg(half) - lg(mu + 1.0)) / 2.0)
+    except (ValueError, OverflowError):
+        value = math.inf
+    if not (math.isfinite(value) and value >= sys.float_info.min):
+        raise NumericError(f"{who} value at s={s} is {value}, not a normal double")
+    return value
 
 
 def mellin_powerlog(p: PowerLogParams, s: float, rel_tol: float = 1e-8) -> float:
@@ -369,7 +375,7 @@ def mellin_powerlog(p: PowerLogParams, s: float, rel_tol: float = 1e-8) -> float
     zeta_val = log_weighted_zeta(
         DirichletParams(eta=frame.map_eta, theta=frame.map_theta), w, rel_tol
     )
-    return zeta_val * _gamma_pair(p.mu, s)
+    return _mellin_value("mellin_powerlog", zeta_val, p.mu, s)
 
 
 def mellin_factorial(p: FactorialParams, s: float, rel_tol: float = 1e-10) -> float:
@@ -379,7 +385,7 @@ def mellin_factorial(p: FactorialParams, s: float, rel_tol: float = 1e-10) -> fl
     if not (0.0 < s < frame.stilde):
         raise DomainError(f"mellin_factorial requires s in (0, {frame.stilde}), got {s}")
     eta_val = factorial_dirichlet(0.5 * p.beta * (frame.stilde - s), rel_tol)
-    return eta_val * _gamma_pair(p.mu, s)
+    return _mellin_value("mellin_factorial", eta_val, p.mu, s)
 
 
 def _gamma_line_integral(points: list) -> list:

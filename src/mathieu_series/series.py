@@ -92,6 +92,7 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
 )
+from .special import log_factorial, log_log_factorial
 from .tails import (
     Jet,
     euler_maclaurin_tail,
@@ -121,6 +122,7 @@ __all__ = [
 ]
 
 _MAX_BLOCK = 1 << 20
+_LOG3 = math.log(3.0)
 _LOG_1E12 = math.log(1e12)
 _LOG_HALF_DBL_MIN = math.log(0.5 * sys.float_info.min)
 # eval_general with smooth forms: the Euler-Maclaurin tail is tried from this
@@ -1229,3 +1231,44 @@ def eval_power_series(
         cap=hard_cap,
         bound_achieved=None,
     )
+
+
+# ---------------------------------------------------------------------------
+# The paper's sequence pairs
+# ---------------------------------------------------------------------------
+
+
+def _logfact_pair(alpha, beta) -> tuple[SequencePair, int]:
+    """(log n!)^alpha over (log n!)^beta, from n = 2."""
+    pair = SequencePair(
+        a=lambda n: log_factorial(n) ** alpha,
+        b=lambda n: log_factorial(n) ** beta,
+        b_monotone_from=2,
+        log_a=lambda u: alpha * log_log_factorial(u),
+        log_b=lambda u: beta * log_log_factorial(u),
+    )
+    return pair, 2
+
+
+def _shifted_powerlog_pair(alpha, beta, gamma, delta) -> tuple[SequencePair, int]:
+    """(n+3)^alpha log(n+2)^gamma over n^beta log(n+1)^delta, from n = 0; delta >= 0."""
+    pair = SequencePair(
+        a=lambda n: (n + 3.0) ** alpha * math.log(n + 2.0) ** gamma,
+        b=lambda n: float(n) ** beta * math.log(n + 1.0) ** delta,
+        b_monotone_from=1,
+        log_a=lambda u: alpha * np.logaddexp(u, _LOG3) + gamma * np.log(np.logaddexp(u, _LOG2)),
+        log_b=lambda u: beta * u + delta * np.log(np.logaddexp(u, 0.0)),
+    )
+    return pair, 0
+
+
+# The paper's example pairs, which the CLI presets and the verify suites share:
+# preset name -> builder of (pair, first n) from the pair's exponents. The
+# generic series pairs carry smooth forms, so ``eval_general`` certifies them
+# by the Euler-Maclaurin tail; the geometric factor certifies the power series.
+_PAPER_PAIRS = {
+    "logfact": _logfact_pair,
+    "shifted-powerlog": _shifted_powerlog_pair,
+    "ones-squares": lambda: (SequencePair(a=lambda n: 1.0, b=lambda n: float(n) ** 2), 0),
+    "linear-factorial": lambda: (SequencePair(a=lambda n: float(n), b=math.factorial), 0),
+}

@@ -48,6 +48,7 @@ from .dirichlet import (
 )
 from .errors import ParameterError
 from .series import (
+    _PAPER_PAIRS,
     FactorialParams,
     PowerLogParams,
     SequencePair,
@@ -56,7 +57,6 @@ from .series import (
     eval_general_grid,
     eval_power_series,
 )
-from .special import log_factorial, log_log_factorial
 
 np = deferred_module("numpy")
 
@@ -64,7 +64,7 @@ __all__ = ["CheckResult", "run_suite", "SUITE_NAMES"]
 
 # Strict mode demands this much extra clearance on every threshold.
 _STRICT_FACTOR = 0.8
-_LOG2, _LOG3, _LOG5 = math.log(2.0), math.log(3.0), math.log(5.0)
+_LOG5 = math.log(5.0)
 
 
 @record
@@ -190,13 +190,7 @@ def suite_thm12() -> list[CheckResult]:
     # both power-log grids in one walk
     points = [(p, r) for r in radii] + [(plain, r) for r in plain_radii]
     powerlog = _raise_first(_powerlog_outcomes(points, 1e-9))
-    shifted = SequencePair(
-        a=lambda n: (n + 3.0) * math.log(n + 2.0),
-        b=lambda n: float(n) ** 3 * math.log(n + 1.0),
-        b_monotone_from=1,
-        log_a=lambda u: np.logaddexp(u, _LOG3) + np.log(np.logaddexp(u, _LOG2)),
-        log_b=lambda u: 3.0 * u + np.log(np.logaddexp(u, 0.0)),
-    )
+    shifted, _ = _PAPER_PAIRS["shifted-powerlog"](1.0, 3.0, 1.0, 1.0)
     gaps = []
     for r, res, plain_res in zip(
         radii, eval_general_grid(shifted, 1.0, radii, rel_tol=1e-6), powerlog[: len(radii)]
@@ -458,16 +452,10 @@ def suite_lemma41() -> list[CheckResult]:
 def suite_cor61() -> list[CheckResult]:
     """Log-factorial series against its closed-form first-order law."""
     t0 = time.perf_counter()
-    seq = SequencePair(
-        a=lambda n: log_factorial(n),
-        b=lambda n: log_factorial(n) ** 3,
-        b_monotone_from=2,
-        log_a=log_log_factorial,
-        log_b=lambda u: 3.0 * log_log_factorial(u),
-    )
+    seq, n_start = _PAPER_PAIRS["logfact"](1.0, 3.0)
     p = PowerLogParams(1, 3, 1, 3, 1)
     radii = [10.0**k for k in range(2, 7)]
-    results = eval_general_grid(seq, 1.0, radii, rel_tol=1e-5, n_start=2)
+    results = eval_general_grid(seq, 1.0, radii, rel_tol=1e-5, n_start=n_start)
     devs = [abs(res.value / predict_powerlog(p, r) - 1.0) for r, res in zip(radii, results)]
     elapsed = time.perf_counter() - t0
     # calibrated: the deviation rises to 0.40 at r=1e3 before the log-speed
@@ -487,7 +475,7 @@ def suite_cor61() -> list[CheckResult]:
 def suite_prop62() -> list[CheckResult]:
     """Power-series variant collapses to r^(-2(mu+1)) times the plain sum."""
     out = []
-    geometric = SequencePair(a=lambda n: 1.0, b=lambda n: float(n) ** 2, b_monotone_from=0)
+    geometric, _ = _PAPER_PAIRS["ones-squares"]()
     vals = [
         10.0 ** (2 * k) * eval_power_series(geometric, 0.0, 0.5, 10.0**k, rel_tol=1e-10)
         for k in (2, 3, 4)
@@ -502,7 +490,7 @@ def suite_prop62() -> list[CheckResult]:
         )
     )
 
-    linear = SequencePair(a=lambda n: float(n), b=lambda n: math.factorial(n), b_monotone_from=0)
+    linear, _ = _PAPER_PAIRS["linear-factorial"]()
     vals2 = [
         10.0 ** (4 * k) * eval_power_series(linear, 1.0, 1.0 / 3.0, 10.0**k, rel_tol=1e-10)
         for k in (2, 3, 4)

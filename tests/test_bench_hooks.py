@@ -1,10 +1,13 @@
-"""The benchmark's tracer still finds the bindings it wraps in the package.
+"""The benchmark's hooks still fit the package.
 
 ``perfbench/tracing.py`` counts quadrature calls at ``series.quad`` and
 ``dirichlet.quad``; every summand integral of ``series`` and ``dirichlet``
 must go through the ``series`` binding so that the count sees it. The
 package's own names must show the wrapper while the tracer is installed and
-the original after.
+the original after. ``perfbench/golden.py`` replays the golden CLI set: the
+commands whose stdout differs from its recording are pinned here, so that a
+change of CLI bytes fails this suite, not only the benchmark's
+``cli.bytes_changed``.
 """
 
 import importlib
@@ -14,11 +17,11 @@ from pathlib import Path
 import mathieu_series
 from mathieu_series import dirichlet, series, verify
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -33,7 +36,7 @@ def _bindings(tracing):
 
 
 def test_tracer_counts_series_quad_and_puts_the_originals_back():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     before = _bindings(tracing)
     suites = dict(verify._SUITES)
     cubic = series.SequencePair(
@@ -71,7 +74,7 @@ def test_tracer_counts_the_factorial_family_of_the_scalar_core():
     # eval_factorial is written in _core, which the tracer does not scan: its
     # calls must still reach the wrappers at the bindings the tracer patches,
     # and each of its terms reads log n! through special.log_factorial.
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -84,3 +87,37 @@ def test_tracer_counts_the_factorial_family_of_the_scalar_core():
     assert counts["series.eval_factorial.calls"] > 0
     assert counts["special.log_factorial.calls"] > 0
     assert counts["special.log_factorial.calls"] >= counts["series.eval_factorial.terms"]
+
+
+# The golden commands whose stdout differs from golden.json's recording,
+# which predates these output changes: the Euler-Maclaurin tail of the
+# power-log sums (eval and sweep), the gamma and delta that the meta line of
+# predict --gamma-eq-alpha --delta-eq-beta shows, the direct sums of the
+# expansion sweep, and the smooth forms of the general-series presets.
+GOLDEN_CHANGED = [
+    ["eval", "powerlog", "--alpha", "1", "--beta", "2", "--mu", "1", "--r", "10",
+     "--tol", "1e-10"],
+    ["eval", "powerlog", "--alpha", "1", "--beta", "2", "--gamma", "1", "--delta", "1",
+     "--mu", "1", "--r", "1000"],
+    ["eval", "general", "--sequences", "logfact", "--alpha", "1", "--beta", "3", "--mu", "1",
+     "--r", "100"],
+    ["eval", "general", "--sequences", "shifted-powerlog", "--alpha", "1", "--beta", "3",
+     "--gamma", "1", "--delta", "1", "--mu", "1", "--r", "100", "--tol", "1e-6"],
+    ["predict", "powerlog", "--alpha", "1", "--beta", "3", "--mu", "1", "--gamma-eq-alpha",
+     "--delta-eq-beta", "--r", "100", "--format", "csv"],
+    ["sweep", "powerlog", "--alpha", "1", "--beta", "2", "--mu", "1",
+     "--r-grid", "100:1000000:3"],
+    ["sweep", "expansion", "--mu", "2", "--r-grid", "10:100:2"],
+]
+
+
+def test_golden_cli_set_changes_only_the_pinned_commands(monkeypatch):
+    monkeypatch.delenv("MATHIEU_TERM_CAP", raising=False)
+    golden = _load("golden")
+    changed = [
+        cmd["argv"]
+        for cmd in golden.load()["commands"]
+        if golden.run_command(cmd["argv"]) != (cmd["exit"], cmd["stdout"])
+    ]
+    assert changed == GOLDEN_CHANGED
+    assert golden.changed() == len(GOLDEN_CHANGED)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import pytest
 
 from mathieu_series.cli import main
@@ -135,23 +136,84 @@ def test_eval_general_preset(capsys):
         (
             ["eval", "general", "--sequences", "logfact", "--alpha", "1", "--beta", "3",
              "--mu", "1", "--r", "100"],
-            '{"family": "general", "r": 100.0, "value": 8.244421690116138e-07, '
-            '"tail_bound": 7.424633072469223e-15, "terms_used": 510, "peak_index": 9}\n',
+            '{"family": "general", "r": 100.0, "value": 8.244421697604818e-07, '
+            '"tail_bound": 4.032826919037818e-34, "terms_used": 4094, "peak_index": 9}\n',
         ),
         (
             ["eval", "general", "--sequences", "shifted-powerlog", "--alpha", "1", "--beta", "3",
              "--gamma", "1", "--delta", "1", "--mu", "1", "--r", "100", "--tol", "1e-6"],
-            '{"family": "general", "r": 100.0, "value": 3.1202152924249147e-06, '
-            '"tail_bound": 3.108387564224669e-12, "terms_used": 596, "peak_index": 9}\n',
+            '{"family": "general", "r": 100.0, "value": 3.1202155934578504e-06, '
+            '"tail_bound": 1.1525219876836122e-30, "terms_used": 4096, "peak_index": 9}\n',
         ),
     ],
 )
 def test_eval_general_golden_bytes(capsys, argv, expected):
-    # stdout recorded in the benchmark's golden CLI set: the evaluator's
-    # results must not move by a single ulp
+    # the presets sum a 4,096-term head and certify by the Euler-Maclaurin
+    # tail of their smooth forms: the results must not move by a single ulp
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == expected
+
+
+def _preset_sum_mpmath(preset, alpha, beta, gamma, delta, mu, r, head=256):
+    """The preset's series at 40 digits: the terms below ``head``, then the
+    Euler-Maclaurin tail from it (integral in u = log x, three corrections).
+
+    Every term is scaled by r^(2(mu+1)), so that the sum is of O(1) terms:
+    mpmath's quad stops on an absolute error estimate.
+    """
+    with mpmath.workdps(40):
+        al, be, ga, de, mu1 = (mpmath.mpf(v) for v in (alpha, beta, gamma, delta, mu + 1))
+        r2 = mpmath.mpf(r) ** 2
+        if preset == "logfact":
+            n0 = 2
+
+            def f(x):
+                lf = mpmath.loggamma(x + 1)
+                return lf**al / (lf**be / r2 + 1) ** mu1
+
+        else:
+            n0 = 0
+
+            def f(x):
+                b = x**be * mpmath.log(x + 1) ** de if x > 0 else 0
+                return (x + 3) ** al * mpmath.log(x + 2) ** ga / (b / r2 + 1) ** mu1
+
+        n = mpmath.mpf(head)
+        total = mpmath.fsum(f(mpmath.mpf(k)) for k in range(n0, head))
+        edges = [mpmath.log(n) + k for k in range(0, 45, 3)] + [mpmath.inf]
+        total += mpmath.quad(lambda u: mpmath.exp(u) * f(mpmath.exp(u)), edges)
+        d1, d3, d5 = (mpmath.diff(f, n, k) for k in (1, 3, 5))
+        total += f(n) / 2 - d1 / 12 + d3 / 720 - d5 / 30240
+        return total / r2**mu1
+
+
+@pytest.mark.parametrize(
+    "preset, alpha, beta, gamma, delta, mu, r, tol",
+    [
+        ("logfact", 2, 2, 0, 0, 1, 1, 1e-8),
+        ("logfact", 0.5, 2, 0, 0, 0.5, 1e3, 1e-10),
+        ("logfact", 1, 3, 0, 0, 0.5, 1e6, 1e-10),
+        ("shifted-powerlog", 1, 2, 1, 1, 0.5, 1, 1e-10),
+        ("shifted-powerlog", 2, 3, 0, 1, 0.5, 10, 1e-10),
+        ("shifted-powerlog", 0.5, 2, 1, 0, 3, 1e6, 1e-8),
+    ],
+)
+def test_eval_general_preset_certifies_where_the_fitted_envelope_hit_the_cap(
+    capsys, preset, alpha, beta, gamma, delta, mu, r, tol
+):
+    # on a fitted envelope these exited 3 at the 1e6 term cap; the smooth
+    # forms certify them from the 4,096-term head, and the value lies within
+    # its tail bound of the sum, up to the rounding of the head's terms
+    flags = {"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta, "mu": mu, "r": r}
+    argv = [x for k, v in {**flags, "tol": tol}.items() for x in (f"--{k}", str(v))]
+    code, out, _ = run_cli(capsys, "eval", "general", "--sequences", preset, *argv)
+    assert code == 0
+    res = json.loads(out)
+    assert res["terms_used"] == (4094 if preset == "logfact" else 4096)
+    assert res["tail_bound"] <= tol * res["value"]
+    exact = _preset_sum_mpmath(preset, alpha, beta, gamma, delta, mu, r)
+    assert abs(res["value"] - exact) <= res["tail_bound"] + 1e-14 * res["value"]
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,22 @@ def test_mellin_powerlog_singularity_constant():
     assert val * (frame.shat - s) ** c2 == pytest.approx(c3, rel=0.15)
 
 
+@pytest.mark.parametrize(
+    "mellin, p",
+    [
+        (mellin_powerlog, PowerLogParams(1, 2, 0, 0, 1)),
+        (mellin_factorial, FactorialParams(1, 2, 1)),
+    ],
+    ids=["powerlog", "factorial"],
+)
+@pytest.mark.parametrize("s", [5e-324, 1e-320])
+def test_mellin_past_the_double_range_is_a_numeric_error(mellin, p, s):
+    # Gamma(s/2) ~ 2/s passes the double range; at 5e-324, s/2 rounds to 0 and
+    # lgamma(0) raised a bare ValueError, at 1e-320 exp raised an OverflowError
+    with pytest.raises(NumericError, match=f"{mellin.__name__} value at s={s} is inf"):
+        mellin(p, s)
+
+
 def test_mellin_powerlog_monotone_in_gamma():
     lo = mellin_powerlog(PowerLogParams(1, 2, 0.0, 0, 1), 1.0, rel_tol=1e-9)
     hi = mellin_powerlog(PowerLogParams(1, 2, 0.5, 0, 1), 1.0, rel_tol=1e-9)

@@ -22,6 +22,7 @@ from mathieu_series.dirichlet import (
     saddle_point_bound,
 )
 from mathieu_series.series import (
+    _PAPER_PAIRS,
     FactorialParams,
     PowerLogParams,
     SequencePair,
@@ -170,6 +171,25 @@ def test_powerlog_values_are_pinned(params, r):
 def test_smooth_grid_values_are_pinned(name):
     radii, rel_tol, n_start = _GRIDS[name]
     results = eval_general_grid(_SEQUENCES[name], 1.0, radii, rel_tol=rel_tol, n_start=n_start)
+    got = [(r.value, r.tail_bound, r.terms_used, r.peak_index) for r in results]
+    assert got == GENERAL[name]
+
+
+# The same two pairs as the table of the paper's pairs builds them for the CLI
+# presets and verify: exponents of 1.0 and 3.0 leave every term bit for bit.
+_TABLE = {
+    "thm12-shifted": ("shifted-powerlog", (1.0, 3.0, 1.0, 1.0)),
+    "cor61": ("logfact", (1.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE))
+def test_table_pairs_give_the_pinned_values(name):
+    preset, exponents = _TABLE[name]
+    pair, n_start = _PAPER_PAIRS[preset](*exponents)
+    radii, rel_tol, pinned_start = _GRIDS[name]
+    assert n_start == pinned_start
+    results = eval_general_grid(pair, 1.0, radii, rel_tol=rel_tol, n_start=n_start)
     got = [(r.value, r.tail_bound, r.terms_used, r.peak_index) for r in results]
     assert got == GENERAL[name]
 

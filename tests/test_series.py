@@ -11,11 +11,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mathieu_series import series, special
+from mathieu_series.asymptotics import predict_powerlog
 from mathieu_series._core import _raise_first
 from mathieu_series._record import replace
 from mathieu_series.errors import (
@@ -1157,6 +1158,57 @@ def test_general_term_past_the_double_range():
         eval_general(seq, 1.0, 1e-100)
 
 
+def _last_finite(term) -> int:
+    """The largest n in [64, 2**60] where ``term`` is a finite double, given that it
+    is at 64 and stays finite up to the first n where it is not."""
+
+    def finite(n):
+        try:
+            return math.isfinite(term(n))
+        except OverflowError:
+            return False
+
+    lo, hi = 64, 128
+    while hi <= 2**60 and finite(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, 2**60 + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+    return lo
+
+
+_EXPONENT = st.floats(0.05, 100.0)
+_LOG_EXPONENT = st.one_of(st.just(0.0), st.just(1.0), st.floats(-20.0, 20.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    preset=st.sampled_from(["logfact", "shifted-powerlog"]),
+    alpha=_EXPONENT,
+    beta=_EXPONENT,
+    gamma=_LOG_EXPONENT,
+    delta=_LOG_EXPONENT.map(abs),
+    frac=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+)
+def test_preset_smooth_forms_match_their_sequences(preset, alpha, beta, gamma, delta, frac):
+    # eval_general checks every head term from n = 64 on against the smooth
+    # forms to 1e-10 in log: the presets pass it across the CLI's exponents,
+    # out to the last n where a_n and b_n are finite doubles
+    exponents = (alpha, beta) if preset == "logfact" else (alpha, beta, gamma, delta)
+    pair, _ = series._PAPER_PAIRS[preset](*exponents)
+    try:
+        at_64 = (pair.a(64), pair.b(64))
+    except OverflowError:
+        at_64 = (math.inf,)
+    assume(all(map(math.isfinite, at_64)))
+    edge = min(_last_finite(pair.a), _last_finite(pair.b))
+    n = min(max(64, int(64.0 * (edge / 64.0) ** frac)), edge)
+    u = math.log(n)
+    assert abs(pair.log_a(u) - math.log(pair.a(n))) <= 1e-10
+    assert abs(pair.log_b(u) - math.log(pair.b(n))) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Generic sequences over a radius grid
 # ---------------------------------------------------------------------------
@@ -1488,6 +1540,21 @@ def test_factorial_cap_out_of_reach_raises_at_once(monkeypatch):
         eval_factorial(FactorialParams(2.1676, 0.4199, 4.3203), 1.276e125)
     assert info.value.cap == series.DEFAULT_HARD_CAP and info.value.bound_achieved is None
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r: eval_powerlog(PowerLogParams(1, 2, 0, 0, 1), r),
+        lambda r: eval_factorial(FactorialParams(1, 2, 1), r),
+        lambda r: predict_powerlog(PowerLogParams(1, 2, 0, 0, 1), r),
+    ],
+    ids=["eval_powerlog", "eval_factorial", "predict_powerlog"],
+)
+def test_int_radius_past_the_double_range_is_a_domain_error(call):
+    # float(10**400) raised a bare OverflowError in the shared radius check
+    with pytest.raises(DomainError, match="requires r > .*, got inf"):
+        call(10**400)
 
 
 def test_factorial_small_radius_allowed():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathieu_series import _special_rest, special
-from mathieu_series.errors import CapacityError, DomainError, NumericError
+from mathieu_series.errors import CapacityError, DomainError, NumericError, ParameterError
 from mathieu_series.special import (
     bernoulli_table,
     digamma,
@@ -218,6 +218,14 @@ def test_zeta_neg_odd_capacity():
     assert "66" in str(err.value)
 
 
+@pytest.mark.parametrize("k", [0.0, 1.5, True])
+def test_zeta_neg_odd_rejects_what_is_not_an_integer(k):
+    # 0.0 raised a bare TypeError from the table lookup, 1.5 a DomainError for
+    # the odd Bernoulli index 5, and True read as k = 1
+    with pytest.raises(ParameterError, match="k must be an integer"):
+        zeta_neg_odd(k)
+
+
 # ---------------------------------------------------------------------------
 # Digamma
 # ---------------------------------------------------------------------------
@@ -311,6 +319,13 @@ def test_inverse_gamma_unchanged_by_own_digamma(monkeypatch):
     monkeypatch.setattr(_special_rest, "digamma", lambda g: float(scipy_digamma(g)))
     for log_x, g in zip(grid, ours):
         assert abs(inverse_gamma_log(log_x) - g) <= 1e-15 * g
+
+
+def test_inverse_gamma_that_misses_its_tolerance_is_a_numeric_error(monkeypatch):
+    # Newton steps that barely move g: no bisection takes over any more
+    monkeypatch.setattr(_special_rest, "digamma", lambda g: 1e300)
+    with pytest.raises(NumericError, match="failed to converge at log_x=10.0"):
+        inverse_gamma_log(10.0)
 
 
 def test_inverse_gamma_monotone():

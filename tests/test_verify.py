@@ -9,7 +9,7 @@ import inspect
 
 import pytest
 
-from mathieu_series import verify
+from mathieu_series import series, verify
 from mathieu_series.series import PowerLogParams
 from mathieu_series.verify import SUITE_NAMES, run_suite
 
@@ -87,3 +87,28 @@ def test_only_run_suite_takes_strict():
         assert "strict" not in inspect.signature(suite).parameters, name
     assert "strict" not in inspect.signature(verify._check).parameters
     assert list(inspect.signature(run_suite).parameters) == ["name", "strict", "params"]
+
+
+def test_cor61_thm12_and_prop62_build_their_pairs_from_the_table(monkeypatch, both_modes):
+    # the sequence pairs the CLI presets and verify share are written once, in
+    # series; only thm12's (n+5, n^3) pair, which is no preset, is verify's own
+    built = []
+    for name, build in list(series._PAPER_PAIRS.items()):
+
+        def recording(*exponents, name=name, build=build):
+            built.append((name, exponents))
+            return build(*exponents)
+
+        monkeypatch.setitem(series._PAPER_PAIRS, name, recording)
+    for suite in ("cor61", "thm12", "prop62"):
+        again = run_suite(suite)
+        assert [c.measured for c in again if "/runtime" not in c.name] == [
+            c.measured for c in both_modes[suite][0] if "/runtime" not in c.name
+        ]
+    assert built == [
+        ("logfact", (1.0, 3.0)),
+        ("shifted-powerlog", (1.0, 3.0, 1.0, 1.0)),
+        ("ones-squares", ()),
+        ("linear-factorial", ()),
+    ]
+    assert inspect.getsource(verify).count("SequencePair(") == 1
