@@ -1,17 +1,13 @@
-"""The scalar core: parameter records, argument checks and the factorial family.
+"""The scalar core: parameter records and the factorial family.
 
 Everything here is scalar ``math`` on floats: the records of every family
 (``PowerLogParams``, ``FactorialParams``, ``SequencePair``,
-``GeneralEnvelope``, ``EvalResult``), the argument checks that the
-evaluators and closed forms share, and the factorial family, which is a
-short log-space sum around its peak. Importing it loads ``_record``,
-``special`` and ``errors`` only, not the quadrature and Euler-Maclaurin
-code of ``series`` and ``tails``, so ``eval_factorial`` and the
-closed-form predictions of ``asymptotics`` run in a fresh process without
-compiling that code. Of ``special`` it runs only ``log_factorial``, which
-``special`` defines itself, so ``eval_factorial`` does not load
-``_special_rest`` (Lambert W, inverse gamma, the Bernoulli table and the
-numpy functions) either.
+``GeneralEnvelope``, ``EvalResult``) and the factorial family, a short
+log-space sum around its peak. Importing it loads ``_record``,
+``special`` and ``errors`` only, so ``eval_factorial`` and the closed-form
+predictions of ``asymptotics`` run in a fresh process without compiling
+the quadrature and Euler-Maclaurin code of ``series`` and ``tails``, or
+``_special_rest`` (of ``special`` they run only ``log_factorial``).
 ``series`` re-exports every name here, so ``series.X is _core.X``.
 
 ``log_factorial`` is read through the ``special`` module at each call, so
@@ -21,13 +17,23 @@ that a wrapper bound there sees every call from this module too.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from collections.abc import Callable
 
 from . import special
 from ._record import record
-from .errors import DomainError, NumericError, ParameterError, ResourceLimitError
+from .errors import (
+    _POSITIVE,
+    DomainError,
+    ParameterError,
+    ResourceLimitError,
+    _integer,
+    _normal,
+    _normal_exp,
+    _real,
+    _rel_tol,
+    _term_cap,
+)
 
 DEFAULT_HARD_CAP = 1_000_000_000
 DEFAULT_GENERAL_CAP = 1_000_000
@@ -35,58 +41,6 @@ DEFAULT_GENERAL_CAP = 1_000_000
 _LOG2 = math.log(2.0)
 _LOG_DBL_MIN = math.log(sys.float_info.min)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
-
-
-def _require_finite(value, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value}")
-    return value
-
-
-def _check_rel_tol(rel_tol: float) -> float:
-    rel_tol = float(rel_tol)
-    if not (0.0 < rel_tol <= 1e-2):
-        raise ParameterError(f"rel_tol must lie in (0, 1e-2], got {rel_tol}")
-    return rel_tol
-
-
-def _check_term_cap(hard_cap) -> int:
-    """hard_cap as an int; ``ParameterError`` unless it is an integer >= 1 (a bool is not)."""
-    try:
-        cap = operator.index(hard_cap)
-    except TypeError:
-        cap = 0
-    if cap < 1 or isinstance(hard_cap, bool):
-        raise ParameterError(f"hard_cap must be an integer >= 1, got {hard_cap!r}")
-    return cap
-
-
-def _require_radius(r, floor: float, who: str, inclusive: bool = False, shown: str = "") -> float:
-    """r as a float; ``DomainError`` unless it is finite and > floor (>= when inclusive).
-
-    The message reads "<who> requires r > <floor>, got <r>", with ``shown``
-    in place of the floor's digits when given; an int past the double range is inf.
-    """
-    try:
-        r = float(r)
-    except OverflowError:
-        r = math.inf
-    if not (math.isfinite(r) and (r >= floor if inclusive else r > floor)):
-        relation = ">=" if inclusive else ">"
-        raise DomainError(f"{who} requires r {relation} {shown or f'{floor:g}'}, got {r}")
-    return r
-
-
-def _normal_exp(log_value: float, who: str, r: float) -> float:
-    """exp(log_value) when it is a normal double, else ``NumericError`` naming who and r."""
-    try:
-        value = math.exp(log_value)
-    except OverflowError:
-        value = math.inf
-    if not (math.isfinite(value) and value >= sys.float_info.min):
-        raise NumericError(f"{who} value at r={r} is exp({log_value:.6g}), not a normal double")
-    return value
 
 
 def _raise_first(outcomes: list) -> list:
@@ -111,19 +65,13 @@ class PowerLogParams:
     mu: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta", "mu"):
-            _require_finite(getattr(self, name), name)
-        if self.alpha <= 0.0:
-            raise ParameterError(f"alpha must be > 0, got {self.alpha}")
-        if self.beta <= 0.0:
-            raise ParameterError(f"beta must be > 0, got {self.beta}")
-        if self.mu < 0.0:
-            raise ParameterError(f"mu must be >= 0, got {self.mu}")
-        if not self.alpha - self.beta * (self.mu + 1.0) < -1.0:
-            raise ParameterError(
-                "convergence requires alpha - beta*(mu+1) < -1, got "
-                f"{self.alpha - self.beta * (self.mu + 1.0)}"
-            )
+        _real(self.alpha, "alpha", "must be > 0", _POSITIVE)
+        _real(self.beta, "beta", "must be > 0", _POSITIVE)
+        _real(self.gamma, "gamma", "must be finite")
+        _real(self.delta, "delta", "must be finite")
+        _real(self.mu, "mu", "must be >= 0", 0.0)
+        if not (decay := self.alpha - self.beta * (self.mu + 1.0)) < -1.0:
+            raise ParameterError(f"convergence requires alpha - beta*(mu+1) < -1, got {decay}")
 
 
 @record
@@ -142,25 +90,17 @@ class FactorialParams:
     mu: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "mu"):
-            _require_finite(getattr(self, name), name)
-        if self.alpha < 0.0:
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta <= 0.0:
-            raise ParameterError(f"beta must be > 0, got {self.beta}")
-        if self.mu < 0.0:
-            raise ParameterError(f"mu must be >= 0, got {self.mu}")
-        if self.alpha - self.beta * (self.mu + 1.0) > 0.0:
-            raise ParameterError(
-                "need alpha - beta*(mu+1) <= 0, got "
-                f"{self.alpha - self.beta * (self.mu + 1.0)}"
-            )
+        _real(self.alpha, "alpha", "must be >= 0", 0.0)
+        _real(self.beta, "beta", "must be > 0", _POSITIVE)
+        _real(self.mu, "mu", "must be >= 0", 0.0)
+        if (decay := self.alpha - self.beta * (self.mu + 1.0)) > 0.0:
+            raise ParameterError(f"need alpha - beta*(mu+1) <= 0, got {decay}")
 
     def require_convergent(self, operation: str) -> None:
-        if not self.alpha - self.beta * (self.mu + 1.0) < 0.0:
+        if not (decay := self.alpha - self.beta * (self.mu + 1.0)) < 0.0:
             raise ParameterError(
-                f"{operation}: convergence requires alpha - beta*(mu+1) < 0, got "
-                f"{self.alpha - self.beta * (self.mu + 1.0)} (the series diverges)"
+                f"{operation}: convergence requires alpha - beta*(mu+1) < 0, got {decay} "
+                "(the series diverges)"
             )
 
 
@@ -208,12 +148,7 @@ class SequencePair:
         for name, value in (("a", self.a), ("b", self.b)):
             if not callable(value):
                 raise ParameterError(f"{name} must be callable, got {value!r}")
-        try:
-            operator.index(self.b_monotone_from)
-        except TypeError:
-            raise ParameterError(
-                f"b_monotone_from must be an integer, got {self.b_monotone_from!r}"
-            ) from None
+        _integer(self.b_monotone_from, "b_monotone_from", "must be an integer")
         if (self.log_a is None) != (self.log_b is None):
             raise ParameterError("give both smooth forms log_a and log_b, or neither")
 
@@ -235,11 +170,11 @@ class GeneralEnvelope:
     valid_from: int
 
     def __post_init__(self):
-        for name in ("a_coeff", "a_pow", "a_logpow", "b_coeff", "b_pow", "b_logpow"):
-            _require_finite(getattr(self, name), name)
         for name in ("a_coeff", "b_coeff"):
-            if getattr(self, name) <= 0.0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
+            _real(getattr(self, name), name, "must be > 0", _POSITIVE)
+        for name in ("a_pow", "a_logpow", "b_pow", "b_logpow"):
+            _real(getattr(self, name), name, "must be finite")
+        _integer(self.valid_from, "valid_from", "must be an integer")
 
     def tail_exponents(self, mu: float) -> tuple[float, float, float]:
         """(scale, power, log_power) of the termwise majorant past the peak.
@@ -248,16 +183,11 @@ class GeneralEnvelope:
         a normal double.
         """
         log_den = (mu + 1.0) * math.log(self.b_coeff)
-        log_scale = math.log(self.a_coeff) - log_den
-        if not _LOG_DBL_MIN < log_scale < _LOG_DBL_MAX:
-            raise NumericError(
-                f"envelope scale a_coeff / b_coeff^(mu+1) = exp({log_scale:.6g}) "
-                "is not a normal double"
-            )
+        who = "envelope scale a_coeff / b_coeff^(mu+1)"
         if _LOG_DBL_MIN < log_den < _LOG_DBL_MAX:
-            scale = self.a_coeff / self.b_coeff ** (mu + 1.0)
+            scale = _normal(self.a_coeff / self.b_coeff ** (mu + 1.0), who, "mu", mu)
         else:  # b_coeff^(mu+1) alone leaves the double range
-            scale = math.exp(log_scale)
+            scale = _normal_exp(math.log(self.a_coeff) - log_den, who, "mu", mu)
         power = self.a_pow - self.b_pow * (mu + 1.0)
         log_power = self.a_logpow - self.b_logpow * (mu + 1.0)
         return scale, power, log_power
@@ -295,7 +225,7 @@ def _logaddexp(x: float, y: float) -> float:
 
 def factorial_summand_log(p: FactorialParams, r: float, n: int) -> float:
     """log of (n!)^alpha / ((n!)^beta + r^2)^(mu+1); never overflows."""
-    r = _require_radius(r, 0.0, "factorial_summand_log")
+    r = _real(r, "factorial_summand_log", "requires r > 0", _POSITIVE, error=DomainError)
     if n < 0:
         raise DomainError(f"summand index must be >= 0, got {n}")
     lf = special.log_factorial(n)
@@ -308,10 +238,8 @@ def peak_index_n0(beta: float, r: float) -> int:
     Doubling then bisection: O(log n0) calls of ``log_factorial`` for any beta,
     and ``NumericError`` where n0 is past the double range (beta below ~1e-305).
     """
-    beta = _require_finite(beta, "beta")
-    if beta <= 0.0:
-        raise ParameterError(f"beta must be > 0, got {beta}")
-    r = _require_radius(r, 1.0, "peak_index_n0", inclusive=True)
+    beta = _real(beta, "beta", "must be > 0", _POSITIVE)
+    r = _real(r, "peak_index_n0", "requires r >= 1", 1.0, error=DomainError)
     target = 2.0 * math.log(r)
     lo, hi = 1, 2  # beta log lo! <= target < beta log hi! once the doubling stops
     while beta * special.log_factorial(hi) <= target:  # NumericError past the double range
@@ -340,14 +268,14 @@ def eval_factorial(
     n <= ``hard_cap`` past the peak has a ratio bound below 1.
     """
     p.require_convergent("eval_factorial")
-    r = _require_radius(r, 0.0, "eval_factorial")
-    rel_tol = _check_rel_tol(rel_tol)
-    hard_cap = _check_term_cap(hard_cap)
+    r = _real(r, "eval_factorial", "requires r > 0", _POSITIVE, error=DomainError)
+    rel_tol = _rel_tol(rel_tol)
+    hard_cap = _term_cap(hard_cap)
 
     n0 = peak_index_n0(p.beta, r) if r >= 1.0 else 0
     decay = p.alpha - p.beta * (p.mu + 1.0)  # < 0
     # The stop test needs n0 < n <= hard_cap with q(n) < 0, and q falls in n.
-    q_cap = (p.mu + 1.0) * math.log(2.0) + decay * math.log(hard_cap + 1.0)
+    q_cap = (p.mu + 1.0) * math.log(2.0) + decay * math.log(hard_cap + 1)
     log_rel_tol = math.log(rel_tol)
     log_terms: list[float] = []
     shift = -math.inf
@@ -378,12 +306,7 @@ def eval_factorial(
     # Exact recombination of the collected terms (their count is tiny).
     shift = max(log_terms)
     mass = math.fsum(math.exp(t - shift) for t in log_terms)
-    value = math.exp(shift) * mass
-    if value < sys.float_info.min:
-        raise NumericError(
-            f"eval_factorial value at r={r} is below the smallest normal double "
-            f"(log value {shift + math.log(mass):.6g})"
-        )
+    value = _normal(math.exp(shift) * mass, "eval_factorial", "r", r)
     peak_index = log_terms.index(shift)  # the first maximum
     return EvalResult(
         value=value,

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from ._deferred import deferred_module
 from ._record import record
-from .errors import CapacityError, DomainError, NumericError, ParameterError
+from .errors import CapacityError, DomainError, NumericError, _above, _integer, _real
 
 np = deferred_module("numpy")
 # ``Fraction`` in the annotations is fractions.Fraction, imported where the
@@ -63,10 +63,7 @@ def lambert_w(z: float) -> float:
     equation is solved in log form (w + log w = log z) to avoid overflow.
     Accurate to ~1e-15 relative in the defining identity.
     """
-    if not math.isfinite(z):
-        raise DomainError(f"lambert_w requires a finite argument, got {z!r}")
-    if z < _BRANCH_POINT:
-        raise DomainError(f"lambert_w requires z >= -1/e = {_BRANCH_POINT:.17g}, got {z}")
+    z = _real(z, "lambert_w", "requires z >= -1/e", _BRANCH_POINT, error=DomainError)
     if z == 0.0:
         return 0.0
 
@@ -121,6 +118,7 @@ class BernoulliTable:
 
     def bernoulli(self, index: int) -> Fraction:
         """B_index for an even index within capacity."""
+        index = _integer(index, "index", "must be an integer")
         if index % 2 != 0 or index < 0:
             raise DomainError(f"only nonnegative even Bernoulli indices are stored, got {index}")
         if index > self.max_index:
@@ -139,6 +137,7 @@ def bernoulli_table(max_index: int = 64) -> BernoulliTable:
     """
     from fractions import Fraction
 
+    max_index = _integer(max_index, "max_index", "must be an integer")
     if max_index < 0 or max_index % 2 != 0:
         raise DomainError(f"max_index must be a nonnegative even integer, got {max_index}")
     evens = [Fraction(1)]  # B_0
@@ -153,8 +152,7 @@ def bernoulli_table(max_index: int = 64) -> BernoulliTable:
 
 def zeta_neg_odd(k: int, table: BernoulliTable | None = None) -> Fraction:
     """Exact rational zeta(-2k-1) = -B_{2k+2}/(2k+2) for an integer (not a bool) k >= 0."""
-    if isinstance(k, bool) or not hasattr(k, "__index__"):
-        raise ParameterError(f"k must be an integer, got {k!r}")
+    k = _integer(k, "k", "must be an integer")
     if k < 0:
         raise DomainError(f"zeta_neg_odd requires k >= 0, got {k}")
     if table is None:
@@ -195,10 +193,7 @@ def digamma(x: float) -> float:
     omitted term is below 4e-18 there. Relative error ~1e-15 for x >= 2;
     near psi's zero at x = 1.4616 the error is small only in absolute terms.
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"digamma requires a finite real argument, got {x!r}")
-    if x <= 0.0:
-        raise DomainError(f"digamma requires x > 0, got {x}")
+    x = _real(x, "digamma", "requires x > 0", _above(0.0), error=DomainError)
     shift = 0.0
     while x < 10.0:
         shift += 1.0 / x
@@ -282,13 +277,9 @@ def _seed_from_log(log_x: float) -> tuple[float, float, float]:
 
 def inverse_gamma_seed(x: float) -> InverseGammaSeed:
     """Seed object for inverse_gamma; requires x >= 2."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"inverse_gamma_seed requires a finite argument, got {x!r}")
-    if x < 2.0:
-        raise DomainError(f"inverse_gamma_seed requires x >= 2, got {x}")
-    log_x = math.log(x)
-    w, u0, seed = _seed_from_log(log_x)
-    return InverseGammaSeed(x=float(x), v=x / math.sqrt(2.0 * math.pi), w=w, u0=u0, seed=seed)
+    x = _real(x, "inverse_gamma_seed", "requires x >= 2", 2.0, error=DomainError)
+    w, u0, seed = _seed_from_log(math.log(x))
+    return InverseGammaSeed(x=x, v=x / math.sqrt(2.0 * math.pi), w=w, u0=u0, seed=seed)
 
 
 def inverse_gamma_log(log_x: float) -> float:
@@ -300,12 +291,9 @@ def inverse_gamma_log(log_x: float) -> float:
     iteration well-posed for x far beyond double-precision overflow of
     gamma itself.
     """
-    if not math.isfinite(log_x):
-        raise DomainError(f"inverse_gamma_log requires finite log_x, got {log_x!r}")
-    if log_x < math.log(2.0):
-        raise DomainError(
-            f"inverse_gamma is restricted to x >= 2 (log_x >= {math.log(2.0):.6f}), got {log_x}"
-        )
+    log_x = _real(
+        log_x, "inverse_gamma_log", "requires log_x >= log 2", math.log(2.0), error=DomainError
+    )
     _, _, g = _seed_from_log(log_x)
     tol = max(1e-14, 8.0 * 2.220446049250313e-16 * abs(log_x))
     for _ in range(50):
@@ -318,10 +306,7 @@ def inverse_gamma_log(log_x: float) -> float:
 
 def inverse_gamma(x: float) -> float:
     """The unique g >= 3 with gamma(g) = x, for x >= 2."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"inverse_gamma requires a finite argument, got {x!r}")
-    if x < 2.0:
-        raise DomainError(f"inverse_gamma is restricted to x >= 2, got {x}")
+    x = _real(x, "inverse_gamma", "requires x >= 2", 2.0, error=DomainError)
     return inverse_gamma_log(math.log(x))
 
 

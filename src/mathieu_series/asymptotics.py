@@ -10,14 +10,19 @@ Mathieu series with optimal truncation.
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import (
+    _POSITIVE,
     CapacityError,
     DomainError,
     NumericError,
     ParameterError,
     PreconditionError,
+    _above,
+    _integer,
+    _normal,
+    _normal_exp,
+    _real,
 )
 from ._core import (
     _LOG2,
@@ -25,8 +30,6 @@ from ._core import (
     _LOG_DBL_MIN,
     FactorialParams,
     PowerLogParams,
-    _normal_exp,
-    _require_radius,
     factorial_summand_log,
     peak_index_n0,
 )
@@ -59,6 +62,8 @@ __all__ = [
 
 # Bernoulli numbers are exact to this index, which feeds 31 expansion terms.
 _MAX_BERNOULLI = 64
+_OPTIMAL_K = _MAX_BERNOULLI // 2 - 1  # the corrections optimal truncation chooses from
+_ABOVE_E = _above(math.e)
 
 
 @record
@@ -69,23 +74,20 @@ class AsymptoticPrediction:
     r_exponent: float
     log_exponent: float
 
+    def __post_init__(self):
+        for name in ("constant", "r_exponent", "log_exponent"):
+            _real(getattr(self, name), name, "must be finite")
+
     def value_at(self, r: float) -> float:
         """constant * r^r_exponent * (log r)^log_exponent for r > e.
 
         Raises ``DomainError`` for r <= e and ``NumericError`` when the value
         is not a normal double.
         """
-        r = _require_radius(r, math.e, "the leading-order law", shown="e")
+        r = _real(r, "the leading-order law", "requires r > e", _ABOVE_E, error=DomainError)
         log_r = math.log(r)
-        try:
-            value = self.constant * math.exp(
-                self.r_exponent * log_r + self.log_exponent * math.log(log_r)
-            )
-        except OverflowError:
-            value = math.inf
-        if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
-            raise NumericError(f"leading-order value at r={r} is {value}, not a normal double")
-        return value
+        log_power = self.r_exponent * log_r + self.log_exponent * math.log(log_r)
+        return _normal_exp(log_power, "leading-order", "r", r, self.constant)
 
 
 @record
@@ -172,16 +174,14 @@ def leading_constant(p: PowerLogParams) -> float:
         raise NumericError(f"the leading constant of {p} is past double precision: mu+1-rho = {a}")
     try:
         common = math.gamma(a) * math.gamma(b)
-        constant = p.beta ** (m - 1.0) * common / (2.0**m * math.gamma(p.mu + 1.0))
-    except (OverflowError, ZeroDivisionError):
-        constant = math.inf
-    if not (math.isfinite(constant) and constant >= sys.float_info.min):
+        direct = p.beta ** (m - 1.0) * common / (2.0**m * math.gamma(p.mu + 1.0))
+        return _normal(direct, "leading_constant", "p", p)
+    except (OverflowError, ZeroDivisionError, NumericError):  # a factor leaves the double range
         log_c = (m - 1.0) * math.log(p.beta) - m * _LOG2 + _log_beta(a, b)
-        if not _LOG_DBL_MIN <= log_c <= _LOG_DBL_MAX:
-            kind = "underflows" if log_c < 0.0 else "overflows"
-            raise NumericError(f"the leading constant of {p} {kind} a double: log C = {log_c:.6g}")
-        constant = math.exp(log_c)
-    return constant
+    if not _LOG_DBL_MIN <= log_c <= _LOG_DBL_MAX:
+        kind = "underflows" if log_c < 0.0 else "overflows"
+        raise NumericError(f"the leading constant of {p} {kind} a double: log C = {log_c:.6g}")
+    return math.exp(log_c)
 
 
 def asymptotic_prediction(p: PowerLogParams) -> AsymptoticPrediction:
@@ -224,7 +224,7 @@ def factorial_diagnostics(
             "factorial diagnostics require alpha > 0; the two-term asymptotics "
             "do not cover alpha = 0"
         )
-    r = _require_radius(r, 10.0, "factorial_diagnostics", inclusive=True)
+    r = _real(r, "factorial_diagnostics", "requires r >= 10", 10.0, error=DomainError)
 
     g = inverse_gamma_log((2.0 / p.beta) * math.log(r))
     if abs(g - round(g)) < 1e-9:
@@ -262,26 +262,25 @@ def predict_factorial(
     return _normal_exp(
         -2.0 * (p.mu + 1.0 - p.alpha / p.beta) * log_r - diag.m_r * math.log(log_r),
         "predict_factorial",
+        "r",
         r,
     )
 
 
 def slack_exponent(r: float) -> float:
     """log log log r: the scale of the error exponent in predict_factorial."""
-    r = float(r)
-    if r <= math.exp(math.e):
-        raise DomainError(f"slack_exponent requires r > e^e, got {r}")
+    r = _real(r, "slack_exponent", "requires r > e^e", _above(math.exp(math.e)), error=DomainError)
     return math.log(math.log(math.log(r)))
 
 
 def two_term_estimate(p: FactorialParams, r: float) -> float:
     """Sum of the two peak summands A_n0 + A_n0+1 in log space."""
-    r = _require_radius(r, 1.0, "two_term_estimate", inclusive=True)
+    r = _real(r, "two_term_estimate", "requires r >= 1", 1.0, error=DomainError)
     n0 = peak_index_n0(p.beta, r)
     la = factorial_summand_log(p, r, n0)
     lb = factorial_summand_log(p, r, n0 + 1)
     hi, lo = (la, lb) if la >= lb else (lb, la)
-    return _normal_exp(hi + math.log1p(math.exp(lo - hi)), "two_term_estimate", r)
+    return _normal_exp(hi + math.log1p(math.exp(lo - hi)), "two_term_estimate", "r", r)
 
 
 def factorial_envelope(p: FactorialParams, r: float, epsilon: float) -> FactorialEnvelope:
@@ -292,14 +291,13 @@ def factorial_envelope(p: FactorialParams, r: float, epsilon: float) -> Factoria
     """
     if p.alpha <= 0.0:
         raise ParameterError("factorial_envelope requires alpha > 0")
-    r = _require_radius(r, 100.0, "factorial_envelope", inclusive=True)
-    if not epsilon > 0.0:
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
+    r = _real(r, "factorial_envelope", "requires r >= 100", 100.0, error=DomainError)
+    epsilon = _real(epsilon, "epsilon", "must be > 0", _POSITIVE)
     exponent = 2.0 * p.alpha / p.beta - 2.0 * (p.mu + 1.0)
     log_r = math.log(r)
     return FactorialEnvelope(
-        lower=_normal_exp((exponent - epsilon) * log_r, "factorial_envelope", r),
-        upper=_normal_exp((exponent + epsilon) * log_r, "factorial_envelope", r),
+        lower=_normal_exp((exponent - epsilon) * log_r, "factorial_envelope", "r", r),
+        upper=_normal_exp((exponent + epsilon) * log_r, "factorial_envelope", "r", r),
         log_center=exponent * log_r,
     )
 
@@ -312,15 +310,15 @@ def factorial_upper_bound(p: FactorialParams, r: float, epsilon: float) -> float
     """
     if p.alpha <= 0.0:
         raise ParameterError("factorial_upper_bound requires alpha > 0")
-    r = _require_radius(r, 100.0, "factorial_upper_bound", inclusive=True)
-    if not epsilon > 0.0:
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
+    r = _real(r, "factorial_upper_bound", "requires r >= 100", 100.0, error=DomainError)
+    epsilon = _real(epsilon, "epsilon", "must be > 0", _POSITIVE)
     log_r = math.log(r)
     return _normal_exp(
         -2.0 * (p.mu + 1.0 - p.alpha / p.beta) * log_r
         + epsilon * math.log(log_r)
         + 5.0 * math.log(math.log(log_r)),
         "factorial_upper_bound",
+        "r",
         r,
     )
 
@@ -341,10 +339,8 @@ def classical_expansion_terms(mu: float, K: int) -> list[ExpansionTerm]:
     K is an integer in 0..31, since the Bernoulli numbers run to index 64
     (``ParameterError``, ``DomainError`` below 0, ``CapacityError`` above 31).
     """
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise DomainError(f"classical expansion terms require mu > 0, got {mu}")
-    if isinstance(K, bool) or not hasattr(K, "__index__"):  # ints and numpy ints only
-        raise ParameterError(f"K must be an integer, got {K!r}")
+    mu = _real(mu, "classical_expansion_terms", "requires mu > 0", _POSITIVE, error=DomainError)
+    K = _integer(K, "K", "must be an integer")
     if K < 0:
         raise DomainError(f"K must be >= 0, got {K}")
     table = bernoulli_table(_MAX_BERNOULLI)
@@ -353,25 +349,25 @@ def classical_expansion_terms(mu: float, K: int) -> list[ExpansionTerm]:
             f"expansion order K={K} needs Bernoulli index {2 * K + 2}, "
             f"capacity is {table.max_index}"
         )
-    terms = [ExpansionTerm(k=-1, coefficient=1.0 / mu, r_power=-2.0 * mu)]
+    who = "classical_expansion_terms coefficient"
+    terms = [ExpansionTerm(k=-1, coefficient=_normal(1.0 / mu, who, "k", -1), r_power=-2.0 * mu)]
     mu_is_int = mu == int(mu)
     for k in range(K + 1):
         zeta_val = zeta_neg_odd(k, table)
-        if mu_is_int:
-            coeff = float(2 * (-1) ** k * zeta_val * math.comb(k + int(mu), k))
+        if mu_is_int:  # an exact rational
+            coeff = _normal(2 * (-1) ** k * zeta_val * math.comb(k + int(mu), k), who, "k", k)
         else:
-            ratio = math.exp(
-                math.lgamma(k + mu + 1.0) - math.lgamma(mu + 1.0) - log_factorial(k)
-            )
-            coeff = 2.0 * (-1.0) ** k * float(zeta_val) * ratio
+            log_ratio = math.lgamma(k + mu + 1.0) - math.lgamma(mu + 1.0) - log_factorial(k)
+            coeff = _normal_exp(log_ratio, who, "k", k, 2.0 * (-1.0) ** k * float(zeta_val))
         terms.append(ExpansionTerm(k=k, coefficient=coeff, r_power=-2.0 * k - 2.0 * mu - 2.0))
     return terms
 
 
-def _require_expansion_mu(mu: float) -> None:
-    """``DomainError`` unless the classical series converges, mu > 3/2."""
-    if not (math.isfinite(mu) and mu > 1.5):
-        raise DomainError(f"the classical series requires mu > 3/2, got {mu}")
+def _expansion_terms(mu: float, K: int = _OPTIMAL_K) -> list[ExpansionTerm]:
+    """``classical_expansion_terms(mu, K)`` for the classical series, which
+    converges for mu > 3/2 only (``DomainError`` below)."""
+    mu = _real(mu, "the classical series", "requires mu > 3/2", _above(1.5), error=DomainError)
+    return classical_expansion_terms(mu, K)
 
 
 def eval_classical_expansion(
@@ -388,14 +384,13 @@ def eval_classical_expansion(
     leading one, and the estimate is the next term's magnitude; K is
     checked as ``classical_expansion_terms`` checks it, an integer in 0..31.
     """
-    _require_expansion_mu(mu)
-    r = _require_radius(r, 1.0, "eval_classical_expansion")
+    r = _real(r, "eval_classical_expansion", "requires r > 1", _above(1.0), error=DomainError)
     if mode not in ("optimal", "fixed"):
         raise ParameterError(f"mode must be 'optimal' or 'fixed', got {mode!r}")
     if mode == "fixed" and K is None:
         raise ParameterError("fixed mode requires K")
     # fixed mode: the K corrections it sums and the next one, its estimate
-    terms = classical_expansion_terms(mu, K if mode == "fixed" else (_MAX_BERNOULLI - 2) // 2)
+    terms = _expansion_terms(mu, K if mode == "fixed" else _OPTIMAL_K)
     log_r = math.log(r)
     values = [t.coefficient * math.exp(t.r_power * log_r) for t in terms]
     leading, corrections = values[0], values[1:]
@@ -410,9 +405,7 @@ def eval_classical_expansion(
                 stop = j
                 break
         value, estimate = leading + math.fsum(corrections[:stop]), abs(corrections[stop])
-    if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
-        raise NumericError(f"classical expansion value at r={r} is {value}, not a normal double")
-    return value, estimate
+    return _normal(value, "classical expansion", "r", r), estimate
 
 
 def _classical_series(mu: float, radii: list[float], rel_tol: float) -> list:

@@ -7,7 +7,7 @@ or numeric failure, 2 parameter error, 3 resource cap, 4 unmet
 precondition (e.g. radius outside the good set).
 
 Importing this module loads the scalar core (``_core``: the parameter
-records, the argument checks and the factorial family) with ``_record``,
+records and the factorial family) with ``_record``,
 ``special`` and ``errors``, and no ``dataclasses`` or ``inspect``. A
 command imports the rest of what it runs when it runs, so a CLI process
 loads only the code its command runs:
@@ -42,7 +42,6 @@ from ._core import (
     DEFAULT_HARD_CAP,
     FactorialParams,
     PowerLogParams,
-    _check_rel_tol,
     _raise_first,
     eval_factorial,
 )
@@ -55,6 +54,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
     ResourceLimitError,
+    _rel_tol,
 )
 
 __all__ = ["main", "entrypoint"]
@@ -194,9 +194,11 @@ def _preset(args: argparse.Namespace):
 
 
 def _expansion_mu(args: argparse.Namespace) -> float:
-    from .asymptotics import _require_expansion_mu
+    """--mu, once the classical series converges there and every term of its
+    expansion is a double: a bad mu fails the command, not each row."""
+    from .asymptotics import _expansion_terms
 
-    _require_expansion_mu(args.mu)
+    _expansion_terms(args.mu)
     return args.mu
 
 
@@ -384,7 +386,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     p = family.params(args)
     cap = _term_cap(args) if family.evaluate is not None else None
     if cap is not None:
-        _check_rel_tol(args.tol)
+        _rel_tol(args.tol)
 
     rows = []
     failures = 0

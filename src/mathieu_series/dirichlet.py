@@ -24,20 +24,27 @@ All operations are pure and stateless.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Optional
 
 from ._deferred import deferred_module
 from ._record import record
-from .errors import DomainError, NumericError, ParameterError
+from .errors import (
+    _DBL_MIN,
+    _POSITIVE,
+    DomainError,
+    NumericError,
+    ParameterError,
+    _above,
+    _normal,
+    _normal_exp,
+    _real,
+    _rel_tol,
+)
 from .series import (
     FactorialParams,
     PowerLogParams,
-    _check_rel_tol,
     _log_x_integral,
-    _normal_exp,
     _raise_first,
-    _require_radius,
 )
 from .special import (
     is_positive_integer,
@@ -45,7 +52,7 @@ from .special import (
     log_abs_gamma,
     log_log_factorial,
 )
-from .tails import euler_maclaurin_tail, exp_poly_tail, quad
+from .tails import Jet, euler_maclaurin_tail, exp_poly_tail, quad
 
 np = deferred_module("numpy")
 
@@ -67,6 +74,7 @@ __all__ = [
 # below 2^980, where log n! (~7e297) still fits a double.
 _FACTORIAL_HEAD_END = 2**14
 _FACTORIAL_STOP_MAX = 2**980
+_ABOVE_1 = _above(1.0)
 
 
 @record
@@ -77,8 +85,8 @@ class DirichletParams:
     theta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and math.isfinite(self.theta)):
-            raise ParameterError(f"eta and theta must be finite, got {self.eta}, {self.theta}")
+        _real(self.eta, "eta", "must be finite")
+        _real(self.theta, "theta", "must be finite")
 
 
 @record
@@ -167,42 +175,59 @@ def _cutoff_sums(name: str, ss: list, rel_tol: float, n_cut: int, head, tail_int
     f over [N, inf) and its error, or the exception raised, with the
     log f(log x, k) of the k-th open item. A bad ``rel_tol`` is the
     outcome of each item whose s passes its check.
+
+    An item whose value its head and tail integral already place outside
+    the normal doubles fails without the Euler-Maclaurin tail, whose
+    derivatives overflow at such s (from s ~ 1e50 on): a head past the
+    double range, or a head plus f(N) plus the integral below the smallest
+    normal double where f falls at N. Each summand here, once it falls at
+    a cutoff, falls from there on, so the sum from N is at most f(N) plus
+    the integral.
     """
     out: list = [None] * len(ss)
     live = {}  # item: its s
     for i, s in enumerate(ss):
         try:
-            s = float(s)
-            if not (math.isfinite(s) and s > 1.0):
-                raise DomainError(f"{name} requires s > 1, got {s}")
-            rel_tol = _check_rel_tol(rel_tol)
-        except (TypeError, ValueError) as exc:
+            s = _real(s, name, "requires s > 1", _ABOVE_1, error=DomainError)
+            rel_tol = _rel_tol(rel_tol)
+        except (DomainError, ParameterError) as exc:
             out[i] = exc
         else:
             live[i] = s
     for _ in range(4):
         if not live:
             return out
+        u0 = math.log(n_cut)
         lx = np.log(np.arange(2, n_cut, dtype=np.float64))
         with np.errstate(over="ignore"):  # an inf head fails the value's check
             partials = [float(np.sum(np.exp(logs))) for logs in head(lx, live)]
-        integrals, log_f = tail_integrals(live, math.log(n_cut))
-        ok = np.array([k for k, t in enumerate(integrals) if not isinstance(t, Exception)], int)
+        integrals, log_f = tail_integrals(live, u0)
+        outside = {}  # open item: a value, or a bound on it, outside the normal doubles
+        for k, (partial, integral) in enumerate(zip(partials, integrals)):
+            if partial == math.inf:
+                outside[k] = partial
+            elif not isinstance(integral, Exception):
+                ceiling = partial + math.exp(log_f(u0, k)) + integral[0] + integral[1]
+                if ceiling < _DBL_MIN and log_f(Jet.log_variable(u0, 1), k).c[1] <= 0.0:
+                    outside[k] = ceiling
+        ok = [k for k, t in enumerate(integrals) if not (isinstance(t, Exception) or k in outside)]
         found = [integrals[k] for k in ok]
+        at = np.array(ok, int)
         em = euler_maclaurin_tail(
-            lambda lx, k: log_f(lx, ok[k]), n_cut, [v for v, _ in found], [e for _, e in found]
+            lambda lx, k: log_f(lx, at[k]), n_cut, [v for v, _ in found], [e for _, e in found]
         )
-        tails = iter(em)
+        tails = dict(zip(ok, em))
         still = {}
-        for (i, s), partial, integral in zip(live.items(), partials, integrals):
-            tail = integral if isinstance(integral, Exception) else next(tails)
-            if isinstance(tail, Exception):
-                out[i] = tail
+        for k, ((i, s), partial, integral) in enumerate(zip(live.items(), partials, integrals)):
+            tail = tails.get(k, integral)
+            try:
+                if isinstance(tail, Exception) and k not in outside:
+                    raise tail
+                value = _normal(outside[k] if k in outside else partial + tail[0], name, "s", s)
+            except Exception as exc:
+                out[i] = exc
                 continue
-            value = partial + tail[0]
-            if not (math.isfinite(value) and value >= sys.float_info.min):
-                out[i] = NumericError(f"{name} produced {value} at s={s}, not a normal double")
-            elif tail[1] <= rel_tol * value:
+            if tail[1] <= rel_tol * value:
                 out[i] = value
             else:
                 still[i] = s
@@ -223,9 +248,10 @@ def zeta_singular_prediction(p: DirichletParams, s: float) -> float:
     finite limit value, not the limit itself. ``NumericError`` when the
     model is not a normal double.
     """
-    s = float(s)
-    if not (0.0 < s - 1.0 < 0.5):
-        raise DomainError(f"zeta_singular_prediction requires s - 1 in (0, 0.5), got s={s}")
+    s = _real(
+        s, "zeta_singular_prediction", "requires s - 1 in (0, 0.5)", _ABOVE_1,
+        math.nextafter(1.5, 1.0), error=DomainError,
+    )
     m = p.theta - p.eta
     try:
         if is_positive_integer(m):
@@ -240,9 +266,7 @@ def zeta_singular_prediction(p: DirichletParams, s: float) -> float:
             value = math.gamma(p.eta - p.theta + 1.0) * (s - 1.0) ** (p.theta - p.eta - 1.0)
     except OverflowError:
         value = math.inf
-    if not (math.isfinite(value) and abs(value) >= sys.float_info.min):
-        raise NumericError(f"zeta_singular_prediction for {p} at s={s} is past the double range")
-    return value
+    return _normal(value, "zeta_singular_prediction", "s", s)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +288,8 @@ def factorial_dirichlet(s: float, rel_tol: float = 1e-12) -> float:
     bound joins the certificate. Raises ``NumericError`` when the
     certificate does not reach rel_tol.
     """
-    s = float(s)
-    if not (math.isfinite(s) and s > 0.0):
-        raise DomainError(f"factorial_dirichlet requires s > 0, got {s}")
-    rel_tol = _check_rel_tol(rel_tol)
+    s = _real(s, "factorial_dirichlet", "requires s > 0", _POSITIVE, error=DomainError)
+    rel_tol = _rel_tol(rel_tol)
 
     log_fact = 0.0
     n = 1
@@ -276,7 +298,8 @@ def factorial_dirichlet(s: float, rel_tol: float = 1e-12) -> float:
     while n < _FACTORIAL_HEAD_END - 1:
         ns = np.arange(n + 1, min(n + block, _FACTORIAL_HEAD_END - 1) + 1, dtype=np.float64)
         lf = log_fact + np.cumsum(np.log(ns))
-        blocks.append(float(np.sum(np.exp(-s * lf))))
+        with np.errstate(over="ignore"):  # -s log n! past the double range: a term of 0
+            blocks.append(float(np.sum(np.exp(-s * lf))))
         log_fact = float(lf[-1])
         n += len(ns)
         partial = math.fsum(blocks)
@@ -332,7 +355,6 @@ def log_factorial_dirichlet(s: float, rel_tol: float = 1e-10) -> float:
     quadrature in u = log x to infinity. Raises ``NumericError`` when the
     value is not a normal double.
     """
-    s = float(s)
 
     def log_f(lx, k):
         return -s * log_log_factorial(lx)
@@ -354,23 +376,23 @@ def log_factorial_dirichlet(s: float, rel_tol: float = 1e-10) -> float:
 
 def _mellin_value(who: str, front: float, mu: float, s: float) -> float:
     """front * Gamma(mu+1-s/2) Gamma(s/2) / (2 Gamma(mu+1)) for 0 < s < 2 mu + 2;
-    ``NumericError`` unless it is a normal double."""
-    lg, half = math.lgamma, 0.5 * s
-    try:  # lgamma(0) where s/2 underflows to 0, or a factor past the double range
-        value = front * (math.exp(lg(mu + 1.0 - half) + lg(half) - lg(mu + 1.0)) / 2.0)
-    except (ValueError, OverflowError):
-        value = math.inf
-    if not (math.isfinite(value) and value >= sys.float_info.min):
-        raise NumericError(f"{who} value at s={s} is {value}, not a normal double")
-    return value
+    ``NumericError`` unless it is a normal double.
+
+    s/2 rounds to 0 at s = 5e-324 only, where Gamma(s/2) is past the double
+    range as it is at the least double, which takes its place.
+    """
+    lg, half = math.lgamma, max(0.5 * s, _POSITIVE)
+    log_gammas = lg(mu + 1.0 - half) + lg(half) - lg(mu + 1.0)
+    return _normal_exp(log_gammas, who, "s", s, 0.5 * front)
 
 
 def mellin_powerlog(p: PowerLogParams, s: float, rel_tol: float = 1e-8) -> float:
     """Mellin transform of the power-log series at real s in (0, shat)."""
     frame = transform_frame(powerlog=p)
-    s = float(s)
-    if not (0.0 < s < frame.shat):
-        raise DomainError(f"mellin_powerlog requires s in (0, {frame.shat}), got {s}")
+    s = _real(
+        s, "mellin_powerlog", f"requires s in (0, {frame.shat})", _POSITIVE,
+        math.nextafter(frame.shat, 0.0), error=DomainError,
+    )
     w = 1.0 + 0.5 * p.beta * (frame.shat - s)
     zeta_val = log_weighted_zeta(
         DirichletParams(eta=frame.map_eta, theta=frame.map_theta), w, rel_tol
@@ -381,9 +403,10 @@ def mellin_powerlog(p: PowerLogParams, s: float, rel_tol: float = 1e-8) -> float
 def mellin_factorial(p: FactorialParams, s: float, rel_tol: float = 1e-10) -> float:
     """Mellin transform of the factorial series at real s in (0, stilde)."""
     frame = transform_frame(factorial=p)
-    s = float(s)
-    if not (0.0 < s < frame.stilde):
-        raise DomainError(f"mellin_factorial requires s in (0, {frame.stilde}), got {s}")
+    s = _real(
+        s, "mellin_factorial", f"requires s in (0, {frame.stilde})", _POSITIVE,
+        math.nextafter(frame.stilde, 0.0), error=DomainError,
+    )
     eta_val = factorial_dirichlet(0.5 * p.beta * (frame.stilde - s), rel_tol)
     return _mellin_value("mellin_factorial", eta_val, p.mu, s)
 
@@ -443,7 +466,7 @@ def _saddle_point_bounds(points: list) -> list:
     lines = {}  # point: (mu, sigma) of its line, r, and the log of the rest of its bound
     for i, (p, r) in enumerate(points):
         try:
-            r = _require_radius(r, 10.0, "saddle_point_bound", inclusive=True)
+            r = _real(r, "saddle_point_bound", "requires r >= 10", 10.0, error=DomainError)
             frame = transform_frame(factorial=p)
             log_r = math.log(r)
             sigma = frame.stilde - 1.0 / log_r
@@ -462,7 +485,7 @@ def _saddle_point_bounds(points: list) -> list:
             out[i] = line
             continue
         try:
-            out[i] = _normal_exp(log_rest + math.log(line), "saddle_point_bound", r)
+            out[i] = _normal_exp(log_rest + math.log(line), "saddle_point_bound", "r", r)
         except NumericError as exc:
             out[i] = exc
     return out

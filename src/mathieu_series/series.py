@@ -25,7 +25,7 @@ one-radius call raises; ``eval_powerlog_grid``, its one-parameter case,
 and ``eval_powerlog``, its one-radius case, raise the first error. Values
 that are not normal doubles raise ``NumericError`` instead of returning 0. The
 factorial family is summed in shifted log space around its sharply peaked
-terms; it, the parameter records and the argument checks are written in
+terms; it and the parameter records are written in
 ``_core``, which imports neither this module nor ``tails``, and are bound
 here too. The package (``mathieu_series.eval_factorial`` and the other
 names of ``_core``) reads them from ``_core``, so a wrapper that replaces
@@ -55,13 +55,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from typing import Callable, Iterable, Optional
 
-# The records, the argument checks and the factorial family live in the scalar
-# core, which loads without this module; they are bound here under the same
-# names, so ``series.X is _core.X`` for each.
+# The records and the factorial family live in the scalar core, which loads
+# without this module; they are bound here under the same names, so
+# ``series.X is _core.X`` for each.
 from ._core import (
     _LOG2,
     _LOG_DBL_MAX,
@@ -73,24 +72,27 @@ from ._core import (
     GeneralEnvelope,
     PowerLogParams,
     SequencePair,
-    _check_rel_tol,
-    _check_term_cap,
     _logaddexp,
-    _normal_exp,
     _raise_first,
-    _require_finite,
-    _require_radius,
     eval_factorial,
     factorial_summand_log,
     peak_index_n0,
 )
 from ._deferred import deferred_module
 from .errors import (
+    _DBL_MIN,
+    _POSITIVE,
     ContractViolationError,
     DomainError,
     NumericError,
     ParameterError,
     ResourceLimitError,
+    _above,
+    _integer,
+    _normal,
+    _real,
+    _rel_tol,
+    _term_cap,
 )
 from .special import log_factorial, log_log_factorial
 from .tails import (
@@ -124,7 +126,8 @@ __all__ = [
 _MAX_BLOCK = 1 << 20
 _LOG3 = math.log(3.0)
 _LOG_1E12 = math.log(1e12)
-_LOG_HALF_DBL_MIN = math.log(0.5 * sys.float_info.min)
+_LOG_HALF_DBL_MIN = math.log(0.5 * _DBL_MIN)
+_BELOW_1 = math.nextafter(1.0, 0.0)
 # eval_general with smooth forms: the Euler-Maclaurin tail is tried from this
 # checkpoint on, and head terms from _SMOOTH_MATCH_FROM on must match the
 # forms to _SMOOTH_MATCH in log.
@@ -323,13 +326,6 @@ def _summand_peak(log_f: Callable, log_b: Callable, keys: list, n: int, head_pea
     return out
 
 
-def _below_normal(who: str, value: float, r: float, terms: int) -> NumericError:
-    return NumericError(
-        f"{who} value {value:.3e} at r={r} is below the smallest normal double "
-        f"(after {terms} terms)"
-    )
-
-
 def _uncertified(
     who: str, rel_tol: float, cap: int, bound: float, value: float, terms: int
 ) -> ResourceLimitError:
@@ -428,9 +424,9 @@ class _RadiusSum:
         value = math.fsum(self.terms)
         bound = _envelope_tail_bound(env, mu, n)
         if bound is not None and bound <= rel_tol * value:
-            if value < sys.float_info.min:
-                raise _below_normal("eval_general", value, self.r, len(self.terms))
-            return EvalResult(value, bound, len(self.terms), self.peak_index)
+            terms = len(self.terms)
+            value = _normal(value, "eval_general", "r", self.r, terms)
+            return EvalResult(value, bound, terms, self.peak_index)
         self.stop = _envelope_stop(env, mu, n, last, rel_tol * value, bound)
         return None
 
@@ -473,18 +469,14 @@ def _smooth_checkpoint(
             runs[i] = tail
             continue
         tail, run.bound, integral, err = tail
-        value = math.fsum(run.terms) + tail
-        if value < sys.float_info.min:
-            runs[i] = _below_normal(who, value, run.r, terms)
-        elif run.bound <= rel_tol * value:
-            certified.append((i, value))
-        else:
-            try:
-                cap_tail = cap_tails[run.key[:-1]]
-                if last or _beyond_reach(rel_tol, value, integral, err, cap_tail):
-                    runs[i] = _uncertified(who, rel_tol, cap, run.bound, value, terms)
-            except Exception as exc:
-                runs[i] = exc
+        try:
+            value = _normal(math.fsum(run.terms) + tail, who, "r", run.r, terms)
+            if run.bound <= rel_tol * value:
+                certified.append((i, value))
+            elif last or _beyond_reach(rel_tol, value, integral, err, cap_tails[run.key[:-1]]):
+                runs[i] = _uncertified(who, rel_tol, cap, run.bound, value, terms)
+        except Exception as exc:
+            runs[i] = exc
     peaks = _summand_peak(
         log_f,
         log_b,
@@ -512,12 +504,13 @@ def _pending(runs: list) -> bool:
 
 
 def _radius_runs(points: list, floor: float, who: str, n_start: int) -> list:
-    """A ``_RadiusSum`` per point (cols, r), or the error its radius check raised."""
+    """A ``_RadiusSum`` per point (cols, r), or the error its radius check (r > floor) raised."""
     runs: list = []
     for cols, r in points:
         try:
-            runs.append(_RadiusSum(_require_radius(r, floor, who), n_start, cols))
-        except (TypeError, ValueError) as exc:
+            r = _real(r, who, f"requires r > {floor:g}", _above(floor), error=DomainError)
+            runs.append(_RadiusSum(r, n_start, cols))
+        except DomainError as exc:
             runs.append(exc)
     return runs
 
@@ -574,9 +567,9 @@ def _powerlog_outcomes(points: list, rel_tol=1e-8, hard_cap=DEFAULT_HARD_CAP) ->
     points = [(_powerlog_cols(p), r) for p, r in points]
     runs = _radius_runs(points, 1.0, "eval_powerlog", 2)
     try:
-        rel_tol = _check_rel_tol(rel_tol)
-        hard_cap = _check_term_cap(hard_cap)
-    except (TypeError, ValueError) as exc:
+        rel_tol = _rel_tol(rel_tol)
+        hard_cap = _term_cap(hard_cap)
+    except ParameterError as exc:
         return [exc if isinstance(run, _RadiusSum) else run for run in runs]
     log_f, log_b = _powerlog_log_summand, _powerlog_log_b
     n = 2
@@ -958,19 +951,13 @@ def eval_general_grid(
     radii = list(radii)
     if not radii:
         return []
-    mu = _require_finite(mu, "mu")
-    if mu < 0.0:
-        raise ParameterError(f"mu must be >= 0, got {mu}")
-    _require_radius(radii[0], 0.0, "eval_general")  # ahead of rel_tol, as for one radius
-    rel_tol = _check_rel_tol(rel_tol)
-    hard_cap = _check_term_cap(hard_cap)
-    try:
-        start = operator.index(n_start)
-    except TypeError:
-        start = -1
-    if start < 0 or isinstance(n_start, bool):
-        raise ParameterError(f"n_start must be an integer >= 0, got {n_start!r}")
-    n_start = start
+    mu = _real(mu, "mu", "must be >= 0", 0.0)
+    # the first radius ahead of rel_tol, as for one radius
+    _real(radii[0], "eval_general", "requires r > 0", _POSITIVE, error=DomainError)
+    rel_tol = _rel_tol(rel_tol)
+    hard_cap = _term_cap(hard_cap)
+    n_start = _integer(n_start, "n_start", "must be an integer >= 0", 0)
+    _real(n_start, "eval_general", "requires n_start <= 2^53", most=2.0**53, error=DomainError)
     smooth = s.log_a is not None
     if smooth and envelope is not None:
         raise ParameterError("give smooth forms or an envelope, not both")
@@ -1126,21 +1113,15 @@ def eval_power_series(
     errors still name the first offending n. Raises ``NumericError`` once
     the sum is known to lie below the smallest normal double.
     """
-    mu = _require_finite(mu, "mu")
-    if mu < 0.0:
-        raise ParameterError(f"mu must be >= 0, got {mu}")
-    x = float(x)
-    if not (math.isfinite(x) and abs(x) < 1.0):
-        raise DomainError(f"eval_power_series requires |x| < 1, got {x}")
-    r = _require_radius(r, 0.0, "eval_power_series")
-    rel_tol = _check_rel_tol(rel_tol)
-    hard_cap = _check_term_cap(hard_cap)
+    mu = _real(mu, "mu", "must be >= 0", 0.0)
+    x = _real(x, "eval_power_series", "requires |x| < 1", -_BELOW_1, _BELOW_1, error=DomainError)
+    r = _real(r, "eval_power_series", "requires r > 0", _POSITIVE, error=DomainError)
+    rel_tol = _rel_tol(rel_tol)
+    hard_cap = _term_cap(hard_cap)
     declared = growth is not None
     if declared:
-        g_coeff = _require_finite(growth[0], "growth coefficient A")
-        g_pow = _require_finite(growth[1], "growth power p")
-        if g_coeff < 0.0:
-            raise ParameterError(f"growth coefficient A must be >= 0, got {g_coeff}")
+        g_coeff = _real(growth[0], "growth coefficient A", "must be >= 0", 0.0)
+        g_pow = _real(growth[1], "growth power p", "must be finite")
     else:
         g_coeff, g_pow = 0.0, 8.0
 
@@ -1217,13 +1198,8 @@ def eval_power_series(
             # negligible: |sum| <= partial + tail < the smallest normal double.
             negligible = log_partial < _LOG_HALF_DBL_MIN and log_tail < _LOG_HALF_DBL_MIN
             if log_tail <= log_rel_tol + log_partial or negligible:
-                value = math.fsum(total)
-                if negligible or abs(value) < sys.float_info.min:
-                    raise NumericError(
-                        f"eval_power_series value at r={r} is below the smallest "
-                        f"normal double (after {n} terms)"
-                    )
-                return value
+                value = 0.0 if negligible else math.fsum(total)
+                return _normal(value, "eval_power_series", "r", r, n)
         if error is not None:
             raise error
     raise ResourceLimitError(

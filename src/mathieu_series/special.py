@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, NumericError
+from .errors import _POSITIVE, DomainError, NumericError, _real
 
 __all__ = [
     "log_gamma",
@@ -79,10 +79,7 @@ def log_gamma(x: float) -> float:
     relative accuracy across [1e-3, 2.5e305]; ``NumericError`` past that,
     where log Gamma(x) overflows.
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"log_gamma requires a finite real argument, got {x!r}")
-    if x <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
+    x = _real(x, "log_gamma", "requires x > 0", _POSITIVE, error=DomainError)
     try:
         return math.lgamma(x)
     except OverflowError:

@@ -594,10 +594,13 @@ def euler_maclaurin_tail(
                 which = np.concatenate((k, np.repeat(np.arange(count), len(u_ends))))
         jet = log_f(Jet.log_variable(at, 2 * p), which)
         psi = jet.c[0]
-        ee = (jet - psi).exp().c
+        # derivatives past the double range give a non-finite node, which quad reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            ee = (jet - psi).exp().c
+            high = np.abs(ee[2 * p, :m]) * np.exp(psi[:m] + (1 - 2 * p) * u)
         if not end_jets:
             end_jets.append((psi[m:].tolist(), ee[:, m:].T.tolist()))
-        return np.abs(ee[2 * p, :m]) * np.exp(psi[:m] + (1 - 2 * p) * u)
+        return high
 
     u0, u_end = u_ends[0], math.inf if stop is None else u_ends[1]
     inner = [sorted(x for x in br if u0 < x < u_end) for br in breaks]

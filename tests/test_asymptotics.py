@@ -619,3 +619,12 @@ def test_expansion_is_normal_or_raises(mu, log10_r):
     # error estimate then exceeds it
     assert math.isfinite(value) and abs(value) >= sys.float_info.min, value
     assert value > 0.0 or estimate > abs(value)
+
+
+@pytest.mark.parametrize("mu, K", [(1e300, 3), (1e15 + 0.5, 31), (1e-310, 0)])
+def test_expansion_coefficient_past_the_double_range_is_a_numeric_error(mu, K):
+    # the exact integer-mu coefficient raised "integer division result too large
+    # for a float", the lgamma ratio of a non-integer mu a bare math range error,
+    # and the leading 1/mu was inf
+    with pytest.raises(NumericError, match="coefficient value at k=.* not a normal double"):
+        classical_expansion_terms(mu, K)

@@ -723,3 +723,12 @@ def test_predict_powerlog_past_gamma_overflow(capsys):
     )
     assert code == 0
     assert json.loads(out)["constant"] == pytest.approx(1.0 / 344.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("mu", ["1e300", "1e10"])
+def test_sweep_expansion_past_the_double_range_exit_1(capsys, mu):
+    # the integer-mu coefficient 2 (-1)^k zeta(-2k-1) C(k+mu, k) leaves the double
+    # range: it used to die with a bare OverflowError traceback
+    code, out, err = run_cli(capsys, "sweep", "expansion", "--mu", mu, "--r-grid", "10:100:2")
+    assert (code, out) == (1, "")
+    assert err.startswith("numeric failure: classical_expansion_terms coefficient")

@@ -176,6 +176,14 @@ def test_package_import_loads_no_submodule():
     assert _submodules_loaded_by("import mathieu_series") == set()
 
 
+def test_errors_loads_no_other_submodule_and_no_numpy():
+    # every module takes its argument and result gates from errors: they must
+    # not pull _core, series or numpy onto the cold path, nor form an import cycle
+    modules = _modules_loaded_by("import mathieu_series.errors")
+    assert _submodules(modules) == {"errors"}, _submodules(modules)
+    assert not {m for m in modules if m.split(".")[0] == "numpy"}, modules
+
+
 def test_reading_the_grid_entry_loads_series_only():
     code = """
 import sys

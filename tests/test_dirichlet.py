@@ -559,3 +559,23 @@ def test_gamma_line_integrals_in_lockstep_equal_each_alone():
     points = [*_thm15_pairs()[:4], (5.0, 3.0), (20.0, 15.0), (0.5, 0.05), (5.0, 2.0)]
     together = _gamma_line_integral(points)
     assert together == [_gamma_line_integral([point])[0] for point in points]
+
+
+def test_factorial_dirichlet_at_the_top_of_the_double_range_is_two():
+    # -s log n! overflowed in the head: a numpy RuntimeWarning under the error filter
+    assert factorial_dirichlet(1.7e308) == 2.0
+
+
+@pytest.mark.parametrize(
+    "sum_at, shown",
+    [
+        (lambda s: log_weighted_zeta(DirichletParams(0, 0), s), "0.0"),
+        (lambda s: log_factorial_dirichlet(s), "inf"),  # (log 2)^-s alone is past the range
+    ],
+    ids=["log_weighted_zeta", "log_factorial_dirichlet"],
+)
+def test_dirichlet_sum_at_huge_s_is_decided_by_its_head(sum_at, shown):
+    # the Euler-Maclaurin derivatives overflowed: a RuntimeWarning under the error
+    # filter, else "integrand is nan at x = 9.2", which named the wrong cause
+    with pytest.raises(NumericError, match=f"value at s=1e\\+150 is {shown}, not a normal double"):
+        sum_at(1e150)

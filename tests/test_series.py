@@ -1792,11 +1792,11 @@ def reference_eval_power_series(s, mu, x, r, rel_tol=1e-10, growth=None, hard_ca
         log_partial = math.log(partial) if partial > 0.0 else -math.inf
         negligible = max(log_partial, log_tail) < math.log(0.5 * sys.float_info.min)
         if log_tail <= math.log(rel_tol) + log_partial or negligible:
-            value = math.fsum(total)
-            if negligible or abs(value) < sys.float_info.min:
+            value = 0.0 if negligible else math.fsum(total)
+            if abs(value) < sys.float_info.min:
                 raise NumericError(
-                    f"eval_power_series value at r={r} is below the smallest "
-                    f"normal double (after {n} terms)"
+                    f"eval_power_series value at r={r} after {n} terms is {value}, not a "
+                    "normal double (below the smallest normal double or past the double range)"
                 )
             return value
     raise ResourceLimitError(f"eval_power_series exceeded the term cap {hard_cap}")

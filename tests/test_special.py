@@ -404,3 +404,10 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'mathieu_series.special' has no attribute 'nope'"):
         special.nope
     assert not hasattr(special, "np")  # _special_rest's numpy handle is not forwarded
+
+
+@pytest.mark.parametrize("index", [4.0, True, "4"])
+def test_bernoulli_index_must_be_an_integer(index):
+    # 4.0 indexed the stored tuple with a float: a bare TypeError
+    with pytest.raises(ParameterError, match="index must be an integer"):
+        bernoulli_table(8).bernoulli(index)
