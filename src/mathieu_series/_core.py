@@ -226,9 +226,7 @@ def _logaddexp(x: float, y: float) -> float:
 def factorial_summand_log(p: FactorialParams, r: float, n: int) -> float:
     """log of (n!)^alpha / ((n!)^beta + r^2)^(mu+1); never overflows."""
     r = _real(r, "factorial_summand_log", "requires r > 0", _POSITIVE, error=DomainError)
-    if n < 0:
-        raise DomainError(f"summand index must be >= 0, got {n}")
-    lf = special.log_factorial(n)
+    lf = special.log_factorial(n)  # DomainError unless n is an integer >= 0
     return p.alpha * lf - (p.mu + 1.0) * _logaddexp(p.beta * lf, 2.0 * math.log(r))
 
 

@@ -128,7 +128,8 @@ class BernoulliTable:
         return self.values[index // 2]
 
 
-@lru_cache(maxsize=None)
+# typed: 8.0 and 8+0j hash like 8, and must meet the gate, not 8's table
+@lru_cache(maxsize=None, typed=True)
 def bernoulli_table(max_index: int = 64) -> BernoulliTable:
     """Build the even-index Bernoulli table via the binomial recurrence.
 

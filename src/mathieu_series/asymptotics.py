@@ -64,6 +64,7 @@ __all__ = [
 _MAX_BERNOULLI = 64
 _OPTIMAL_K = _MAX_BERNOULLI // 2 - 1  # the corrections optimal truncation chooses from
 _ABOVE_E = _above(math.e)
+_BELOW_1 = math.nextafter(1.0, 0.0)
 
 
 @record
@@ -217,8 +218,8 @@ def factorial_diagnostics(
     r^(2/beta) evaluated in log space; values within 1e-9 of an integer
     snap to it so that exact boundary cases report a zero fractional part.
     """
-    if not (0.0 < d1 < d2 < 1.0):
-        raise ParameterError(f"need 0 < d1 < d2 < 1, got d1={d1}, d2={d2}")
+    d1 = _real(d1, "d1", "must lie in (0, 1)", _POSITIVE, _BELOW_1)
+    d2 = _real(d2, "d2", "must lie in (d1, 1)", _above(d1), _BELOW_1)
     if p.alpha <= 0.0:
         raise ParameterError(
             "factorial diagnostics require alpha > 0; the two-term asymptotics "

@@ -421,20 +421,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_suite
 
-    params = None
-    override = [args.alpha, args.beta, args.gamma, args.delta, args.mu]
-    if any(v is not None for v in override):
-        if any(v is None for v in override[:2]) or override[4] is None:
-            raise ParameterError(
-                "suite parameter override needs --alpha, --beta and --mu (plus "
-                "--gamma/--delta, default 0)"
-            )
-        params = PowerLogParams(
-            args.alpha, args.beta, args.gamma or 0.0, args.delta or 0.0, args.mu
-        )
-    results = run_suite(args.suite, strict=args.strict, params=params)
-    lines = [c.line() for c in results]
-    _write_output("\n".join(lines) + "\n", args.out)
+    results = run_suite(args.suite, strict=args.strict)
+    _write_output("".join(c.line() + "\n" for c in results), args.out)
     return 0 if all(c.passed for c in results) else 1
 
 
@@ -501,11 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_output(sw)
     sw.set_defaults(func=_cmd_sweep)
 
-    vf = subs.add_parser("verify", help="run a named verification suite")
+    about = "run a named verification suite (PASS/FAIL lines, whatever --format says)"
+    vf = subs.add_parser("verify", help=about, description=about)
     vf.add_argument("suite", choices=SUITE_NAMES)
     vf.add_argument("--strict", action="store_true", help="demand 20%% threshold clearance")
-    for flag in ("--alpha", "--beta", "--gamma", "--delta", "--mu"):
-        vf.add_argument(flag, type=float, default=None)
     _add_common_output(vf)
     vf.set_defaults(func=_cmd_verify)
 

@@ -194,7 +194,7 @@ def _cutoff_sums(name: str, ss: list, rel_tol: float, n_cut: int, head, tail_int
             out[i] = exc
         else:
             live[i] = s
-    for _ in range(4):
+    for n_cut in [n_cut * 4**j for j in range(4)]:  # N, 4N, 16N, 64N
         if not live:
             return out
         u0 = math.log(n_cut)
@@ -232,7 +232,6 @@ def _cutoff_sums(name: str, ss: list, rel_tol: float, n_cut: int, head, tail_int
             else:
                 still[i] = s
         live = still
-        n_cut *= 4
     for i, s in live.items():
         out[i] = NumericError(f"{name} did not reach rel_tol={rel_tol} at s={s} (cutoff {n_cut})")
     return out

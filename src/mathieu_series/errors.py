@@ -79,6 +79,10 @@ def _real(value, who: str, condition: str, least=-_DBL_MAX, most=_DBL_MAX, error
     """
     if value.__class__ is not float:
         try:
+            if not isinstance(value, (int, float)):  # numpy, fractions, mpmath load numbers
+                import numbers
+                if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+                    raise TypeError  # numpy's complex scalars give __float__ their real part
             value = type(value).__float__(value)
         except OverflowError:  # an int past the double range
             value = math.inf if value > 0 else -math.inf

@@ -93,9 +93,10 @@ def log_factorial(n: int) -> float:
     integral float. ``NumericError`` past n ~ 2.5e305, where log n! overflows.
     """
     if type(n) is not int:
-        if not (math.isfinite(n) and n == int(n)):
+        x = _real(n, "log_factorial", "requires an integer n >= 0", error=DomainError)
+        if x != int(x):
             raise DomainError(f"log_factorial requires an integer n >= 0, got {n!r}")
-        n = int(n)
+        n = int(x)
     if n <= 20:
         if n < 0:
             raise DomainError(f"log_factorial requires n >= 0, got {n}")

@@ -2,11 +2,12 @@
 
 Every callable that ``mathieu_series`` exports takes each of its real and
 integer parameters at the edges of the double range (an int past it,
-nan, +-inf), as a numpy scalar and as a bool. Each call returns a normal
-double, or a record, tuple or list whose floats are finite (a record's
-exponent or a parameter may be 0), or raises a ``MathieuError``
-subclass: never a bare ``OverflowError``, ``ValueError``, ``TypeError``
-or numpy ``RuntimeWarning``, and never a NaN, an inf or a silent 0.0.
+nan, +-inf), as a numpy scalar, as a bool and as a complex, which it must
+reject. Each call returns a normal double, or a record, tuple or list
+whose floats are finite (a record's exponent or a parameter may be 0), or
+raises a ``MathieuError`` subclass: never a bare ``OverflowError``,
+``ValueError``, ``TypeError`` or numpy ``RuntimeWarning``, and never a
+NaN, an inf or a silent 0.0.
 The CLI twin runs ``cli.main`` on a fixed set of edge argv: each exits
 0-4 without a traceback, and writes nothing to stdout when it fails (the
 set holds no ``predict factorial`` outside the good set, which writes its
@@ -18,6 +19,7 @@ Both tables are fixed, so the run time is too.
 import contextlib
 import io
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ import pytest
 
 import mathieu_series as ms
 from mathieu_series import cli
-from mathieu_series.errors import MathieuError
+from mathieu_series.errors import DomainError, MathieuError
 
 _P = ms.PowerLogParams(1, 2, 0, 0, 1)
 _F = ms.FactorialParams(1, 2, 1)
@@ -189,10 +191,14 @@ _NO_HUGE = {("bernoulli_table", "max_index")}
 _ZERO_AT_ONE = {("log_gamma", "x"), ("log_factorial", "n")}
 
 
+# Complex kinds, Python's and numpy's: no real, whatever their imaginary part.
+_COMPLEX = (complex, np.complex128, np.complex64, np.clongdouble)
+
+
 def _edges(base):
     """The edge values fed to a parameter whose valid value is ``base``."""
     return [10**400, -(10**400), math.nan, math.inf, -math.inf,
-            np.int64(round(base)), np.float64(base), True]
+            np.int64(round(base)), np.float64(base), True, *(kind(base) for kind in _COMPLEX)]
 
 
 def _floats_are_finite(result) -> bool:
@@ -241,6 +247,7 @@ def test_edge_arguments_give_a_normal_double_or_a_typed_error(name, param):
             result = call(x)
         except MathieuError:
             continue
+        assert not isinstance(x, _COMPLEX), (name, param, x, result)
         if (name, param) in _ZERO_AT_ONE and x is True:
             assert result == 0.0
             continue
@@ -254,6 +261,15 @@ def test_numpy_scalars_and_python_numbers_agree():
 
     for f in (ms.log_gamma, digamma, ms.inverse_gamma, ms.lambert_w):
         assert f(np.int64(5)) == f(5) == f(np.float64(5.0)) == f(5.0)
+
+
+@pytest.mark.parametrize("kind", _COMPLEX)
+def test_a_complex_scalar_is_no_real(kind):
+    # numpy's complex scalars define __float__ as their real part: log_gamma
+    # returned lgamma(5), or raised a bare ComplexWarning under the error filter
+    x = kind(5 + 1j)
+    with pytest.raises(DomainError, match=re.escape(f"log_gamma requires x > 0, got {x!r}")):
+        ms.log_gamma(x)
 
 
 def _run(argv: list) -> tuple:

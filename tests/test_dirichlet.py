@@ -579,3 +579,17 @@ def test_dirichlet_sum_at_huge_s_is_decided_by_its_head(sum_at, shown):
     # filter, else "integrand is nan at x = 9.2", which named the wrong cause
     with pytest.raises(NumericError, match=f"value at s=1e\\+150 is {shown}, not a normal double"):
         sum_at(1e150)
+
+
+@pytest.mark.parametrize(
+    "give_up, cutoff",
+    [
+        (lambda: log_weighted_zeta(DirichletParams(0, 0), 1.001, 1e-15), 640_000),
+        (lambda: log_factorial_dirichlet(1.01, 1e-15), 1_280_000),
+    ],
+    ids=["log_weighted_zeta", "log_factorial_dirichlet"],
+)
+def test_the_cutoff_walk_names_the_last_cutoff_it_tried(give_up, cutoff):
+    # N, 4N, 16N and 64N were tried, and the message named 256N
+    with pytest.raises(NumericError, match=f"rel_tol=1e-15 at s=.* \\(cutoff {cutoff}\\)$"):
+        give_up()
