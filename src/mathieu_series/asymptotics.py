@@ -30,6 +30,7 @@ from ._core import (
     _LOG_DBL_MIN,
     FactorialParams,
     PowerLogParams,
+    _logaddexp,
     factorial_summand_log,
     peak_index_n0,
 )
@@ -280,8 +281,7 @@ def two_term_estimate(p: FactorialParams, r: float) -> float:
     n0 = peak_index_n0(p.beta, r)
     la = factorial_summand_log(p, r, n0)
     lb = factorial_summand_log(p, r, n0 + 1)
-    hi, lo = (la, lb) if la >= lb else (lb, la)
-    return _normal_exp(hi + math.log1p(math.exp(lo - hi)), "two_term_estimate", "r", r)
+    return _normal_exp(_logaddexp(la, lb), "two_term_estimate", "r", r)
 
 
 def factorial_envelope(p: FactorialParams, r: float, epsilon: float) -> FactorialEnvelope:

@@ -29,7 +29,6 @@ from typing import Optional
 from ._deferred import deferred_module
 from ._record import record
 from .errors import (
-    _DBL_MIN,
     _POSITIVE,
     DomainError,
     NumericError,
@@ -52,7 +51,7 @@ from .special import (
     log_abs_gamma,
     log_log_factorial,
 )
-from .tails import Jet, euler_maclaurin_tail, exp_poly_tail, quad
+from .tails import euler_maclaurin_tail, exp_poly_tail, quad
 
 np = deferred_module("numpy")
 
@@ -174,15 +173,8 @@ def _cutoff_sums(name: str, ss: list, rel_tol: float, n_cut: int, head, tail_int
     2 <= n < N, and ``tail_integrals(live, log N)`` each one's integral of
     f over [N, inf) and its error, or the exception raised, with the
     log f(log x, k) of the k-th open item. A bad ``rel_tol`` is the
-    outcome of each item whose s passes its check.
-
-    An item whose value its head and tail integral already place outside
-    the normal doubles fails without the Euler-Maclaurin tail, whose
-    derivatives overflow at such s (from s ~ 1e50 on): a head past the
-    double range, or a head plus f(N) plus the integral below the smallest
-    normal double where f falls at N. Each summand here, once it falls at
-    a cutoff, falls from there on, so the sum from N is at most f(N) plus
-    the integral.
+    outcome of each item whose s passes its check. An item whose head is
+    past the double range fails without the Euler-Maclaurin tail.
     """
     out: list = [None] * len(ss)
     live = {}  # item: its s
@@ -202,15 +194,7 @@ def _cutoff_sums(name: str, ss: list, rel_tol: float, n_cut: int, head, tail_int
         with np.errstate(over="ignore"):  # an inf head fails the value's check
             partials = [float(np.sum(np.exp(logs))) for logs in head(lx, live)]
         integrals, log_f = tail_integrals(live, u0)
-        outside = {}  # open item: a value, or a bound on it, outside the normal doubles
-        for k, (partial, integral) in enumerate(zip(partials, integrals)):
-            if partial == math.inf:
-                outside[k] = partial
-            elif not isinstance(integral, Exception):
-                ceiling = partial + math.exp(log_f(u0, k)) + integral[0] + integral[1]
-                if ceiling < _DBL_MIN and log_f(Jet.log_variable(u0, 1), k).c[1] <= 0.0:
-                    outside[k] = ceiling
-        ok = [k for k, t in enumerate(integrals) if not (isinstance(t, Exception) or k in outside)]
+        ok = [k for k, t in enumerate(integrals) if isinstance(t, tuple) and partials[k] != math.inf]
         found = [integrals[k] for k in ok]
         at = np.array(ok, int)
         em = euler_maclaurin_tail(
@@ -219,11 +203,11 @@ def _cutoff_sums(name: str, ss: list, rel_tol: float, n_cut: int, head, tail_int
         tails = dict(zip(ok, em))
         still = {}
         for k, ((i, s), partial, integral) in enumerate(zip(live.items(), partials, integrals)):
-            tail = tails.get(k, integral)
+            tail = (0.0, 0.0) if partial == math.inf else tails.get(k, integral)
             try:
-                if isinstance(tail, Exception) and k not in outside:
+                if isinstance(tail, Exception):
                     raise tail
-                value = _normal(outside[k] if k in outside else partial + tail[0], name, "s", s)
+                value = _normal(partial + tail[0], name, "s", s)
             except Exception as exc:
                 out[i] = exc
                 continue

@@ -1155,14 +1155,7 @@ def eval_power_series(
                     )
             elif 2.0 * norm > g_coeff:
                 g_coeff = 2.0 * norm
-            # mu1 * _logaddexp(log b_n, log_r2), written out
-            log_b = log(b_n) if b_n > 0 else -inf
-            if log_b == log_r2:
-                log_den_n = mu1 * (log_b + _LOG2)
-            elif log_b > log_r2:
-                log_den_n = mu1 * (log_b + log1p(exp(log_r2 - log_b)))
-            else:
-                log_den_n = mu1 * (log_r2 + log1p(exp(log_b - log_r2)))
+            log_den_n = mu1 * _logaddexp(log(b_n) if b_n > 0 else -inf, log_r2)
             term_mag = exp(log(abs_a) - log_den_n) * abs(xn) if a_n else 0.0
             term = copysign(term_mag, a_n * xn) if term_mag else 0.0
             append(term)

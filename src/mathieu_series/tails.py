@@ -20,7 +20,9 @@ Three tools live here:
   as its logarithm in terms of log x; evaluated on a ``Jet`` (truncated
   Taylor series, its coefficients one (K+1, *shape) array) it yields the
   derivatives the correction terms and the remainder bound need, with no
-  finite differences: one array jet per quadrature round.
+  finite differences: one array jet per quadrature round. Where they
+  overflow, log f falls so steeply that a summand falling at the first end
+  N falls from there on, so f(N) plus the integral bounds the tail.
 """
 
 from __future__ import annotations
@@ -574,7 +576,10 @@ def euler_maclaurin_tail(
     added to the integral. A finite end keeps the jets away from where
     log f itself overflows. One ``quad`` call takes every remainder
     integral, and the result is a list with, per summand, its
-    (value, bound) or the exception it raised, which stops no other.
+    (value, bound) or the exception it raised, which stops no other. A
+    remainder whose jets overflow (a non-finite node) where f falls at N
+    gives f(N) + integral + integral_err as both value and bound when that
+    is below the smallest normal double, for the caller's check to reject.
     """
     p = EM_ORDER
     b = [float(v) for v in bernoulli_table(2 * p).values]  # b[k] = B_2k
@@ -611,6 +616,12 @@ def euler_maclaurin_tail(
     out = []
     for i, segments in enumerate(remainders):
         psi_ends, e_ends = (v[i * len(u_ends) : (i + 1) * len(u_ends)] for v in end_jets[0])
+        if isinstance(segments, Exception) and e_ends[0][1] <= 0.0:  # f falls at N
+            # f(N) + the integral bounds the sum; above 1 where log f(N) > 0
+            ceiling = math.exp(min(psi_ends[0], 0.0)) + integral[i] + integral_err[i]
+            if ceiling < _UFLOW:
+                out.append((ceiling, ceiling))
+                continue
         try:
             at_ends = []  # f(n)/2 and sum_{k<p} B_2k/(2k)! f^(2k-1)(n) at each end
             for un, psi0, e in zip(u_ends, psi_ends, e_ends):

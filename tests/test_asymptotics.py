@@ -459,6 +459,13 @@ def test_factorial_closed_forms_past_the_double_range_raise():
             call()
 
 
+def test_two_term_estimate_of_two_underflowed_peak_terms_is_0():
+    # mu + 1 = 1e308 puts both peak summands' logs at -inf: their logaddexp
+    # read -inf - (-inf) and named a value of nan
+    with pytest.raises(NumericError, match="value at r=10.0 is 0.0, not a normal double"):
+        two_term_estimate(FactorialParams(1, 2, 1e308), 10.0)
+
+
 _FACTORIAL_PROPERTY = (
     st.floats(min_value=0.0, max_value=3.0),
     st.floats(min_value=0.25, max_value=3.0),

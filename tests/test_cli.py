@@ -706,6 +706,28 @@ def test_eval_general_preset_past_the_double_range_exit_1(capsys, preset, flags)
     assert "numeric failure: preset term a(" in err and "past the double range" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["powerlog", "--r", "10"],
+        ["powerlog", "--r", "1e100"],
+        ["general", "--sequences", "logfact", "--r", "10"],
+        ["general", "--sequences", "shifted-powerlog", "--r", "10"],
+    ],
+    ids=" ".join,
+)
+def test_eval_at_huge_mu_names_a_value_below_the_normal_doubles_exit_1(capsys, argv):
+    # the Euler-Maclaurin remainder's jets overflowed: "integrand is nan at x = 8.32"
+    family, *rest = argv
+    code, out, err = run_cli(
+        capsys, "eval", family, "--alpha", "1", "--beta", "2", "--mu", "1e300", *rest
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"numeric failure: eval_{family} value at r=") and err.endswith(
+        "is 0.0, not a normal double (below the smallest normal double or past the double range)\n"
+    )
+
+
 @pytest.mark.parametrize("delta", ["-5", "-0.5"])
 def test_eval_general_shifted_powerlog_negative_delta_exit_2(capsys, delta):
     # b(0) = 0^beta (log 1)^delta: it used to die with a ZeroDivisionError traceback

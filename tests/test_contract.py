@@ -7,13 +7,14 @@ reject. Each call returns a normal double, or a record, tuple or list
 whose floats are finite (a record's exponent or a parameter may be 0), or
 raises a ``MathieuError`` subclass: never a bare ``OverflowError``,
 ``ValueError``, ``TypeError`` or numpy ``RuntimeWarning``, and never a
-NaN, an inf or a silent 0.0.
+NaN, an inf or a silent 0.0. A sum whose value lies outside the normal
+doubles raises the ``NumericError`` that names that value.
 The CLI twin runs ``cli.main`` on a fixed set of edge argv: each exits
 0-4 without a traceback, and writes nothing to stdout when it fails (the
 set holds no ``predict factorial`` outside the good set, which writes its
 diagnostics record and exits 4 by design).
 
-Both tables are fixed, so the run time is too.
+The tables are fixed, so the run time is too.
 """
 
 import contextlib
@@ -27,8 +28,8 @@ import numpy as np
 import pytest
 
 import mathieu_series as ms
-from mathieu_series import cli
-from mathieu_series.errors import DomainError, MathieuError
+from mathieu_series import cli, series
+from mathieu_series.errors import DomainError, MathieuError, NumericError
 
 _P = ms.PowerLogParams(1, 2, 0, 0, 1)
 _F = ms.FactorialParams(1, 2, 1)
@@ -270,6 +271,30 @@ def test_a_complex_scalar_is_no_real(kind):
     x = kind(5 + 1j)
     with pytest.raises(DomainError, match=re.escape(f"log_gamma requires x > 0, got {x!r}")):
         ms.log_gamma(x)
+
+
+def _paper_pair(preset: str, *exponents) -> ms.SequencePair:
+    return series._PAPER_PAIRS[preset](*exponents)[0]
+
+
+_HUGE_MU = ms.PowerLogParams(1, 2, 0, 0, 1e300)
+# Smooth sums at mu = 1e300, whose values underflow: each raises the
+# NumericError that names its value, not the error of a step on the way.
+_OUT_OF_RANGE = {
+    "eval_powerlog r=10": lambda: ms.eval_powerlog(_HUGE_MU, 10.0),
+    "eval_powerlog r=1e100": lambda: ms.eval_powerlog(_HUGE_MU, 1e100),
+    "eval_powerlog_grid": lambda: ms.eval_powerlog_grid(_HUGE_MU, [10.0, 1e100]),
+    "eval_general logfact": lambda: ms.eval_general(_paper_pair("logfact", 1, 2), 1e300, 10.0),
+    "eval_general_grid shifted-powerlog": lambda: ms.eval_general_grid(
+        _paper_pair("shifted-powerlog", 1, 2, 0, 0), 1e300, [10.0, 1e100]
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _OUT_OF_RANGE.values(), ids=list(_OUT_OF_RANGE))
+def test_a_value_outside_the_normal_doubles_fails_as_such(call):
+    with pytest.raises(NumericError, match=r"value at r=\S+ after \d+ terms is 0.0, not a normal"):
+        call()
 
 
 def _run(argv: list) -> tuple:

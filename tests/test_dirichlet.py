@@ -582,6 +582,27 @@ def test_dirichlet_sum_at_huge_s_is_decided_by_its_head(sum_at, shown):
 
 
 @pytest.mark.parametrize(
+    "sum_at, who, at, shown",
+    [
+        (lambda: log_weighted_zeta(DirichletParams(0, 0), 1e60), "log_weighted_zeta", 1e60, 0.0),
+        # (log n)^2000 / n^2 is past the double range from n ~ 10 on: an inf head
+        (lambda: log_weighted_zeta(DirichletParams(0, -1000), 2.0), "log_weighted_zeta", 2.0,
+         math.inf),
+        (lambda: log_factorial_dirichlet(1e300), "log_factorial_dirichlet", 1e300, math.inf),
+    ],
+    ids=["zeta-huge-s", "zeta-inf-head", "log-factorial-huge-s"],
+)
+def test_dirichlet_sum_outside_the_normal_doubles_names_its_value(sum_at, who, at, shown):
+    message = (
+        f"{who} value at s={at} is {shown}, not a normal double "
+        "(below the smallest normal double or past the double range)"
+    )
+    with pytest.raises(NumericError) as info:
+        sum_at()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "give_up, cutoff",
     [
         (lambda: log_weighted_zeta(DirichletParams(0, 0), 1.001, 1e-15), 640_000),

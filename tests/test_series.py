@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import sys
 import time
 import warnings
@@ -1149,6 +1150,38 @@ def test_general_value_below_the_smallest_normal_double():
         eval_general(_SHIFTED, 300.0, 10.0)
     with pytest.raises(NumericError, match="smallest normal double"):
         eval_general(_SHIFTED_SMOOTH, 300.0, 10.0)
+
+
+_HUGE_MU = PowerLogParams(1, 2, 0, 0, 1e300)
+
+
+def _below_the_normal_doubles(who: str, r: float) -> str:
+    """The message pattern of a value at r that underflowed to 0.0."""
+    return f"{who} value at r={re.escape(str(r))} after \\d+ terms is 0.0, not a normal double"
+
+
+@pytest.mark.parametrize("r", [10.0, 1e100])
+def test_powerlog_at_huge_mu_names_a_value_below_the_normal_doubles(r):
+    # the remainder's jets overflowed: "integrand is nan at x = 8.32", which named
+    # the wrong cause where mu = 200 named the value
+    with pytest.raises(NumericError, match=_below_the_normal_doubles("eval_powerlog", r)):
+        eval_powerlog(_HUGE_MU, r)
+
+
+def test_powerlog_points_keep_a_huge_mu_failure_to_its_point():
+    ok = PowerLogParams(1, 2, 0, 0, 1)
+    huge, normal = series._powerlog_outcomes([(_HUGE_MU, 10.0), (ok, 10.0)])
+    assert re.match(_below_the_normal_doubles("eval_powerlog", 10.0), str(huge))
+    assert normal == eval_powerlog(ok, 10.0)
+
+
+@pytest.mark.parametrize(
+    "preset, exponents", [("logfact", (1, 2)), ("shifted-powerlog", (1, 2, 0, 0))]
+)
+def test_general_preset_at_huge_mu_names_a_value_below_the_normal_doubles(preset, exponents):
+    pair, n_start = series._PAPER_PAIRS[preset](*exponents)
+    with pytest.raises(NumericError, match=_below_the_normal_doubles("eval_general", 10.0)):
+        eval_general(pair, 1e300, 10.0, n_start=n_start)
 
 
 def test_general_term_past_the_double_range():
